@@ -211,11 +211,18 @@ def load_generator_file(path: str, *, cap: int = DEFAULT_CAP) -> tuple[str, Matr
     """Read an external {"name", "dimension", "generators"} JSON file."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("generator file must hold a JSON object")
     for key in ("name", "dimension", "generators"):
         if key not in payload:
             raise ValueError(f"generator file misses required key {key!r}")
-    dim = int(payload["dimension"])
-    gens = [parse_matrix(text, expect_dim=dim) for text in payload["generators"]]
+    dim = payload["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("generator file 'dimension' must be a positive integer")
+    texts = payload["generators"]
+    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+        raise ValueError("generator file 'generators' must be a list of matrix texts")
+    gens = [parse_matrix(text, expect_dim=dim) for text in texts]
     if not gens:
         raise ValueError("generator file lists no generators")
     return str(payload["name"]), MatrixGroup.from_generators(gens, cap=cap)

@@ -299,6 +299,16 @@ def _cmd_extensions(args, started: float) -> tuple[dict, int]:
 _GLOBAL_DEFAULTS = {"format": "markdown", "jobs": 1, "cap": DEFAULT_CAP}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The shared options use SUPPRESS so a subcommand parse does not
     # overwrite a value given before the subcommand; parse_args fills
@@ -307,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "markdown"),
                         default=argparse.SUPPRESS,
                         help="report rendering (default: markdown)")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS,
                         help="parallel workers for claim verification")
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--cap", type=_positive_int, default=argparse.SUPPRESS,
                         help="closure size cap for generator files")
 
     parser = argparse.ArgumentParser(

@@ -2,7 +2,9 @@
 
 Groups are generated by breadth-first closure over exact matrices, after
 which every structural question (center, classes, subgroups, isomorphism)
-is answered on the integer Cayley table alone. Element 0 is always the
+is answered on the integer Cayley table alone. The table is built from
+breadth-first words in the generators: n*k exact products for n elements
+and k generators, then n^2 integer lookups. Element 0 is always the
 identity.
 """
 
@@ -133,18 +135,58 @@ class MatrixGroup:
         return matrix.key() in self._index
 
     def cayley(self) -> list[list[int]]:
-        """Full multiplication table; validates closure on first build."""
+        """Full multiplication table, built from breadth-first words.
+
+        A breadth-first search from the identity over the generators
+        records ``right[k][x] = x * g_k`` (n*k exact products) and, for
+        each element y, the parent p and generator k with y = p * g_k.
+        Whenever the search stalls short of the whole set, the first
+        element not yet reached becomes one more generator, so the raw
+        element-list constructor needs no generators. By associativity
+        x * y = (x * p) * g_k, so each column of the table is the parent's
+        column looked up in ``right``: n^2 integer lookups, no further
+        products. The set is accepted only if it is closed under its
+        generators and they reach all of it, which for a finite set makes
+        it closed under multiplication.
+        """
         if self._cayley is None:
-            table = []
-            for a in self._elements:
-                row = []
-                for b in self._elements:
-                    i = self._index.get((a * b).key())
-                    if i is None:
-                        raise ValueError("element set is not closed under multiplication")
-                    row.append(i)
-                table.append(row)
-            self._cayley = table
+            n = self.order
+            gens = list(self.generator_indices)
+            right = [[0] * n for _ in gens]  # right[k][x] = index of x * g_k
+            parent = [0] * n
+            via = [0] * n
+            reached = [False] * n
+            reached[0] = True
+            words = [0]  # breadth-first order, each element after its parent
+            done = 0
+
+            def step(x: int, k: int) -> None:
+                y = self._index.get((self._elements[x] * self._elements[gens[k]]).key())
+                if y is None:
+                    raise ValueError("element set is not closed under multiplication")
+                right[k][x] = y
+                if not reached[y]:
+                    reached[y] = True
+                    parent[y] = x
+                    via[y] = k
+                    words.append(y)
+
+            while True:
+                while done < len(words):
+                    for k in range(len(gens)):
+                        step(words[done], k)
+                    done += 1
+                if done == n:
+                    break
+                gens.append(reached.index(False))
+                right.append([0] * n)
+                for x in words[:done]:
+                    step(x, len(gens) - 1)
+
+            columns: list[list[int]] = [list(range(n))] * n
+            for y in words[1:]:
+                columns[y] = list(map(right[via[y]].__getitem__, columns[parent[y]]))
+            self._cayley = [list(row) for row in zip(*columns)]
         return self._cayley
 
     def mul(self, a: int, b: int) -> int:

@@ -115,6 +115,22 @@ class TestAnalyze:
         assert out == ""
         assert "cap" in err
 
+    @pytest.mark.parametrize("payload", [
+        "name dimension generators",
+        ["name", "dimension", "generators"],
+        {"name": "x", "dimension": 2, "generators": "[[0, 1], [1, 0]]"},
+        {"name": "x", "dimension": 2, "generators": [5]},
+        {"name": "x", "dimension": None, "generators": ["[[0, 1], [1, 0]]"]},
+        {"name": "x", "dimension": 2.5, "generators": ["[[0, 1], [1, 0]]"]},
+    ])
+    def test_malformed_generator_file_is_a_usage_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed.json" in err
+
     def test_unknown_target_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "analyze", "no_such_thing")
         assert code == 2
@@ -250,6 +266,10 @@ class TestArgumentErrors:
         ("search",),
         ("extensions", "--base", "pauli"),
         ("--format", "yaml", "catalog", "list"),
+        ("--jobs", "-3", "verify", "--filter", "pauli.*"),
+        ("verify", "--jobs", "0"),
+        ("--cap", "-1", "analyze", "q8"),
+        ("analyze", "q8", "--cap", "0"),
     ])
     def test_argparse_rejects_incomplete_commands(self, argv):
         with pytest.raises(SystemExit) as excinfo:

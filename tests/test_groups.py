@@ -1,9 +1,12 @@
 """Group engine tests against small groups with independent brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammagroups import catalog
 from gammagroups.exact import ExactMatrix, GaussianRational, parse_matrix
 from gammagroups.groups import DEFAULT_CAP, MatrixGroup, generate_closure
 
@@ -134,8 +137,49 @@ class TestCayleyStructure:
             MatrixGroup(shuffled)
 
     def test_constructor_rejects_non_closed_set(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not closed"):
             MatrixGroup([ExactMatrix.identity(2), SX, SY]).cayley()
+
+    def test_set_closed_under_a_partial_search_is_still_rejected(self):
+        # {I, X, Z, XZ} is closed under X alone, and X * Z stays inside,
+        # but Z * X = -XZ does not.
+        with pytest.raises(ValueError, match="not closed"):
+            MatrixGroup([ExactMatrix.identity(2), SX, SZ, SX * SZ]).cayley()
+
+
+def reference_cayley(group):
+    """The n^2 table straight from exact matrix products."""
+    return [[group.index_of(a * b) for b in group.elements] for a in group.elements]
+
+
+class TestCayleyMatchesProducts:
+    """The word-built table equals the table of all n^2 exact products."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_group(self, name):
+        group = catalog.catalog_group(name)
+        assert group.cayley() == reference_cayley(group)
+
+    @pytest.mark.parametrize("name", ["dirac4", "penta8"])
+    def test_pool(self, name):
+        group = catalog.pool_group(name)
+        assert group.cayley() == reference_cayley(group)
+
+    def test_extension_group(self):
+        result = catalog.enumerate_extensions("gamma_minus", 1)
+        group = MatrixGroup.from_generators(result.generators)
+        assert group.cayley() == reference_cayley(group)
+
+    def test_raw_constructor_on_shuffled_elements(self, dirac):
+        rest = list(dirac.elements[1:])
+        random.Random(7).shuffle(rest)
+        group = MatrixGroup([dirac.elements[0]] + rest)
+        assert group.generator_indices == ()
+        assert group.cayley() == reference_cayley(group)
+
+    def test_generators_that_reach_only_a_subgroup(self, pauli):
+        group = MatrixGroup(pauli.elements, generator_indices=(1,))
+        assert group.cayley() == reference_cayley(group)
 
 
 class TestClassesAndCenter:
