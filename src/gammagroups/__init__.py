@@ -15,7 +15,6 @@ from gammagroups.catalog import (
     catalog_group,
     catalog_names,
     compute_profile,
-    validate_catalog,
 )
 from gammagroups.claims import run_claims
 
@@ -37,6 +36,5 @@ __all__ = [
     "parse_matrix",
     "parse_scalar",
     "run_claims",
-    "validate_catalog",
     "__version__",
 ]

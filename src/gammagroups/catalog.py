@@ -2,10 +2,12 @@
 
 Catalog entries are JSON data files holding explicit generator matrices (or
 an extraction recipe), the relation sets and bracket table each model must
-satisfy, and frozen expected numbers that validation recomputes from
-scratch. The search half enumerates generator tuples inside a fixed pool of
-monomial matrices, closes them, and identifies the resulting groups against
-the catalog by exact isomorphism.
+satisfy, and frozen expected numbers. The `catalog.*` claims in
+`gammagroups.claims` recompute those numbers from scratch and verify the
+relation sets and tables; this module only loads them. The search half
+enumerates generator tuples inside a fixed pool of monomial matrices,
+closes them, and identifies the resulting groups against the catalog by
+exact isomorphism.
 """
 
 from __future__ import annotations
@@ -16,25 +18,15 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .brackets import (
-    BracketTable,
     RelationSet,
     VerificationReport,
-    classify_component,
     admitted_components,
-    evaluate_word,
     find_component_match,
-    verify_bracket_table,
     verify_relations,
 )
 from .exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
 from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, generate_closure
-from .reps import (
-    format_census,
-    invariant_bilinear_form,
-    irreducibility_norm,
-    irrep_census,
-    structural_invariant,
-)
+from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
 
 CATALOG_NAMES = (
     "pauli",
@@ -76,7 +68,7 @@ class GroupProfile:
     class_count: int
     center_order: int
     abelian_invariants: tuple[int, ...]
-    min_generators: int
+    min_generators: int | None  # None unless the order is a power of two
     census: tuple[tuple[int, int], ...]
     indicators: tuple[int, ...] | None
     index_two_class_count: int | None = None
@@ -246,12 +238,14 @@ def compute_profile(
         index_two_classes = len(_index_two_classes(group))
         if group.order <= 32:
             composition = tuple(sorted(component_composition(group)))
+    # The Burnside basis theorem behind the generator count needs a 2-group.
+    two_group = group.order & (group.order - 1) == 0
     return GroupProfile(
         order=group.order,
         class_count=len(group.conjugacy_classes()),
         center_order=len(group.center()),
         abelian_invariants=group.abelian_invariants(),
-        min_generators=group.minimal_generator_count(),
+        min_generators=group.minimal_generator_count() if two_group else None,
         census=irrep_census(group),
         indicators=indicators,
         index_two_class_count=index_two_classes,
@@ -262,6 +256,8 @@ def compute_profile(
 def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
     """Index-two subgroups grouped by abstract isomorphism: (rep, count)."""
     classes: list[tuple[MatrixGroup, int]] = []
+    if group.order % 2:
+        return classes
     for sub in group.subgroups_of_order(group.order // 2):
         candidate = sub.as_group()
         for k, (rep, count) in enumerate(classes):
@@ -686,140 +682,4 @@ def sweep_extensions() -> list[ExtensionResult]:
     for base in STABLE_NAMES:
         for square in (1, -1):
             out.append(enumerate_extensions(base, square))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-def validate_entry(name: str) -> VerificationReport:
-    """Recompute everything an entry claims and compare against its data."""
-    entry = catalog_entry(name)
-    group = catalog_group(name)
-    expected = entry.expected
-    report = VerificationReport(f"catalog-{name}")
-
-    profile = compute_profile(group, entry.blocks)
-    report.add("order", group.order == expected["order"],
-               f"computed {group.order}, expected {expected['order']}")
-    report.add("class-count", profile.class_count == expected["class_count"],
-               f"computed {profile.class_count}, expected {expected['class_count']}")
-    report.add("center-order", profile.center_order == expected["center_order"],
-               f"computed {profile.center_order}, expected {expected['center_order']}")
-    report.add(
-        "abelian-invariants",
-        list(profile.abelian_invariants) == list(expected["abelian_invariants"]),
-        f"computed {list(profile.abelian_invariants)}",
-    )
-    report.add("min-generators", profile.min_generators == expected["min_generators"],
-               f"computed {profile.min_generators}")
-    report.add(
-        "census",
-        [list(pair) for pair in profile.census] == [list(pair) for pair in expected["census"]],
-        f"computed {format_census(profile.census)}",
-    )
-    want_ind = expected.get("indicators")
-    got_ind = list(profile.indicators) if profile.indicators is not None else None
-    report.add("indicators", got_ind == want_ind, f"computed {got_ind}, expected {want_ind}")
-
-    if entry.blocks is not None:
-        for block, indicator in zip(entry.blocks, profile.indicators):
-            kind, _ = invariant_bilinear_form(group, block)
-            want = {1: "symmetric", -1: "antisymmetric", 0: "none"}[indicator]
-            report.add(f"form-{block[0]}-{block[1]}", kind == want,
-                       f"form {kind}, indicator {indicator}")
-
-    genmap = entry.generator_assignment()
-    for rel_name, mapping in entry.relations.items():
-        rels = RelationSet.load(rel_name)
-        assignment = {label: evaluate_word(word, genmap) for label, word in mapping.items()}
-        sub = verify_relations(rels, assignment)
-        detail = "; ".join(c.check_id for c in sub.failures())
-        report.add(f"relations-{rel_name}", sub.passed, detail)
-
-    if entry.table is not None:
-        table = BracketTable.load(entry.table)
-        if entry.table_assignment is not None:
-            assignment = {
-                label: evaluate_word(word, genmap)
-                for label, word in entry.table_assignment.items()
-            }
-            sub = verify_bracket_table(table, assignment)
-            detail = "; ".join(c.check_id for c in sub.failures())
-            report.add(f"table-{entry.table}", sub.passed, detail)
-        else:
-            designated = entry.generators if len(entry.generators) == 3 else None
-            match = find_component_match(group, designated=designated)
-            ok = match is not None and match.table == entry.table
-            report.add(f"table-{entry.table}", ok,
-                       f"search found {match.table if match else None}")
-
-    if "component" in expected:
-        designated = entry.generators if len(entry.generators) == 3 else None
-        try:
-            label = classify_component(group, designated=designated)
-        except (LookupError, ValueError) as err:
-            label = None
-            report.add("component", False, str(err))
-        else:
-            report.add("component", label == expected["component"],
-                       f"classified {label}, expected {expected['component']}")
-
-    if "composition" in expected:
-        composition = sorted(component_composition(group))
-        report.add("composition", composition == sorted(expected["composition"]),
-                   f"computed {composition}")
-
-    if entry.signature is not None:
-        report.add("signature-consistent", _signature_matches(entry), "")
-
-    if "index_two" in expected:
-        summary = index_two_summary_for(name)
-        want = expected["index_two"]
-        got = [[item["component"], item["count"]] for item in summary]
-        ok = sum(item["count"] for item in summary) == want["count"] and got == [
-            list(pair) for pair in want["classes"]
-        ]
-        report.add("index-two-classes", ok, f"computed {got}")
-
-    if "decomposition" in expected:
-        decomposition = decompose_index_two(name)
-        want = tuple(sorted((str(k), int(v)) for k, v in expected["decomposition"].items()))
-        report.add("decomposition", decomposition == want, f"computed {decomposition}")
-
-    return report
-
-
-def _signature_matches(entry: CatalogEntry) -> bool:
-    """Check the declared square/commutation pattern on the generators."""
-    spec = SignatureSpec.parse(entry.signature)
-    gens = entry.generators
-    if len(gens) != 4:
-        return False
-    if spec.commuting_fourth is None:
-        squares = spec.squares
-        pairs_anticommute = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        pairs_commute = []
-    else:
-        squares = spec.squares + (spec.commuting_fourth,)
-        pairs_anticommute = [(0, 1), (0, 2), (1, 2)]
-        pairs_commute = [(0, 3), (1, 3), (2, 3)]
-    for g, want in zip(gens, squares):
-        sq = (g * g).scalar_value()
-        if sq is None or sq != GaussianRational(want, 0):
-            return False
-    for i, j in pairs_anticommute:
-        if gens[i] * gens[j] != (gens[j] * gens[i]).scale(_MINUS):
-            return False
-    for i, j in pairs_commute:
-        if gens[i] * gens[j] != gens[j] * gens[i]:
-            return False
-    return True
-
-
-def validate_catalog(names: Sequence[str] | None = None) -> dict[str, VerificationReport]:
-    out = {}
-    for name in names or CATALOG_NAMES:
-        out[name] = validate_entry(name)
     return out

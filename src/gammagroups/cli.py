@@ -85,16 +85,15 @@ def render_markdown(doc: dict) -> str:
     if doc.get("claims"):
         lines.append("## claims")
         lines.append("")
-        lines.append("| status | claim | expected | computed | ms |")
-        lines.append("| --- | --- | --- | --- | --- |")
+        lines.append("| status | claim | expected | computed |")
+        lines.append("| --- | --- | --- | --- |")
         for claim in doc["claims"]:
             lines.append(
-                "| {status} | {claim_id} | {expected} | {computed} | {ms} |".format(
+                "| {status} | {claim_id} | {expected} | {computed} |".format(
                     status=claim["status"],
                     claim_id=claim["claim_id"],
                     expected=_markdown_value(claim["expected"]),
                     computed=_markdown_value(claim["computed"]),
-                    ms=claim["ms"],
                 )
             )
         lines.append("")
@@ -102,13 +101,16 @@ def render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _document(command: str, started: float, *, profile=None, claim_results=None, **input_args) -> dict:
+def _document(
+    command: str, started: float, *, profile=None, claim_results=None, timings=None,
+    **input_args,
+) -> dict:
     return {
         "tool_version": __version__,
         "input": {"command": command, **input_args},
         "profile": profile,
         "claims": [r.to_dict() for r in (claim_results or [])],
-        "timings": {"total_ms": int((time.perf_counter() - started) * 1000)},
+        "timings": {"total_ms": int((time.perf_counter() - started) * 1000), **(timings or {})},
     }
 
 
@@ -179,15 +181,16 @@ def _cmd_analyze(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
+    claims_ms: dict[str, int] = {}
     try:
-        results = claims.run_claims(args.filter, jobs=args.jobs)
+        results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
         raise UsageError(str(err)) from err
     failed = sum(1 for r in results if r.status != "PASS")
     summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
     doc = _document(
         "verify", started, profile=summary, claim_results=results,
-        filter=args.filter,
+        timings={"claims_ms": claims_ms}, filter=args.filter,
     )
     return doc, 0 if failed == 0 else 1
 
@@ -296,7 +299,7 @@ def _cmd_extensions(args, started: float) -> tuple[dict, int]:
     return doc, 0
 
 
-_GLOBAL_DEFAULTS = {"format": "markdown", "jobs": 1, "cap": DEFAULT_CAP}
+_GLOBAL_DEFAULTS = {"format": "markdown", "cap": DEFAULT_CAP}
 
 
 def _positive_int(text: str) -> int:
@@ -317,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "markdown"),
                         default=argparse.SUPPRESS,
                         help="report rendering (default: markdown)")
-    common.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS,
-                        help="parallel workers for claim verification")
     common.add_argument("--cap", type=_positive_int, default=argparse.SUPPRESS,
                         help="closure size cap for generator files")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog
+from gammagroups import catalog, claims
 from gammagroups.catalog import (
     CATALOG_NAMES,
     STABLE_NAMES,
@@ -24,7 +24,6 @@ from gammagroups.catalog import (
     pool_group,
     sweep_extensions,
     sweep_stable_models,
-    validate_entry,
 )
 from gammagroups.exact import (
     ExactMatrix,
@@ -70,17 +69,30 @@ class TestCatalogData:
 class TestValidation:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_entry_validates(self, name):
-        report = validate_entry(name)
-        details = "; ".join(f"{c.check_id}: {c.detail}" for c in report.failures())
-        assert report.passed, details
+        for kind in ("checks", "expected"):
+            (result,) = claims.run_claims(f"catalog.{name}.{kind}")
+            assert result.status == "PASS", (result.claim_id, result.computed)
+        assert result.expected == catalog._load_payload(name)["expected"]
 
-    def test_validation_recomputes_rather_than_trusts(self):
-        # A deliberately wrong expectation must be flagged.
-        entry = catalog_entry("q8")
-        report = validate_entry("q8")
-        by_id = {c.check_id: c for c in report.checks}
-        assert by_id["order"].passed
-        assert entry.expected["order"] == 8
+    def test_validation_recomputes_rather_than_trusts(self, monkeypatch):
+        # A wrong stored number and a stored key with no computation must
+        # each fail the entry's expected claim.
+        load = catalog._load_payload
+        for mutate in (
+            lambda expected: expected.update(order=9),
+            lambda expected: expected.update(unknown_key=1),
+        ):
+            def mutated(name, mutate=mutate):
+                payload = load(name)
+                if name == "q8":
+                    mutate(payload["expected"])
+                return payload
+
+            monkeypatch.setattr(catalog, "_load_payload", mutated)
+            monkeypatch.setattr(claims, "_REGISTRY", None)
+            (result,) = claims.run_claims("catalog.q8.expected")
+            assert result.status == "FAIL", result.computed
+            assert result.computed != result.expected
 
 
 class TestProfiles:

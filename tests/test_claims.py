@@ -1,20 +1,21 @@
-"""Claim registry: the full green run, filters, parallel execution."""
+"""Claim registry: the full green run, filters, generated catalog claims."""
 
 import pytest
 
 from gammagroups import claims
+from gammagroups.catalog import CATALOG_NAMES
 from gammagroups.claims import Claim, UnknownClaimFilter, claim_ids, run_claims
 
 NAMESPACES = {
     "pauli", "quaternion", "brackets", "weights", "dirac",
-    "invariants", "search", "extensions", "delta1", "delta2", "delta3",
+    "invariants", "search", "extensions", "delta1", "delta2", "delta3", "catalog",
 }
 
 
 class TestRegistry:
     def test_ids_are_unique_and_sorted(self):
         ids = claim_ids()
-        assert len(ids) == 45
+        assert len(ids) == 73
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
 
@@ -27,11 +28,17 @@ class TestRegistry:
             owners = [i.split(".")[0] for i in ids if i.endswith("." + suffix)]
             assert owners == ["delta1", "delta2", "delta3"], suffix
 
+    def test_every_catalog_entry_has_two_generated_claims(self):
+        generated = {i for i in claim_ids() if i.startswith("catalog.")}
+        assert generated == {
+            f"catalog.{name}.{kind}" for name in CATALOG_NAMES for kind in ("expected", "checks")
+        }
+
 
 class TestRunClaims:
     def test_full_registry_is_green(self):
         results = run_claims()
-        assert len(results) == 45
+        assert len(results) == 73
         assert [r.claim_id for r in results if r.status != "PASS"] == []
 
     def test_pass_means_computed_equals_expected(self):
@@ -54,14 +61,6 @@ class TestRunClaims:
         with pytest.raises(UnknownClaimFilter):
             run_claims("nonexistent.*")
 
-    def test_parallel_run_matches_serial(self):
-        def strip(results):
-            return [(r.claim_id, r.status, r.computed) for r in results]
-
-        serial = run_claims("brackets.*", jobs=1)
-        parallel = run_claims("brackets.*", jobs=4)
-        assert strip(serial) == strip(parallel)
-
     def test_crashed_claim_fails_instead_of_raising(self, monkeypatch):
         broken = Claim("zzz.crash", "always crashes", 1, lambda: 1 // 0)
         monkeypatch.setattr(claims, "_REGISTRY", claims.registry() + [broken])
@@ -73,6 +72,6 @@ class TestRunClaims:
         (result,) = run_claims("pauli.order")
         doc = result.to_dict()
         assert sorted(doc) == [
-            "claim_id", "computed", "description", "expected", "ms", "status",
+            "claim_id", "computed", "description", "expected", "status",
         ]
         assert doc["status"] == "PASS"

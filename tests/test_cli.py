@@ -68,6 +68,11 @@ class TestCatalogList:
         assert entries["gamma64_null"]["dimension"] == 8
 
 
+# 3x3 permutation matrices: a 3-cycle, and a transposition with it makes S3.
+CYCLE = "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]"
+SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
+
+
 class TestAnalyze:
     def test_pauli_profile(self, capsys):
         _, doc, _ = run_json(capsys, "analyze", "pauli")
@@ -102,6 +107,25 @@ class TestAnalyze:
         assert doc["profile"]["order"] == 1
         assert doc["profile"]["census"] == "1x1"
         assert doc["profile"]["indicators"] is None
+
+    @pytest.mark.parametrize("name,generators,expected", [
+        ("c3", [CYCLE], {
+            "order": 3, "class_count": 3, "center_order": 3, "abelian_invariants": [3],
+            "indicators": None, "census": "3x1", "min_generators": None,
+            "index_two": {"count": 0, "classes": []},
+        }),
+        ("s3", [CYCLE, SWAP], {
+            "order": 6, "class_count": 3, "center_order": 1, "abelian_invariants": [2],
+            "indicators": None, "census": "2x1 + 1x2", "min_generators": None,
+            "index_two": {"count": 1, "classes": [[None, 1]]},
+        }),
+    ], ids=["c3", "s3"])
+    def test_group_order_not_a_power_of_two(self, capsys, tmp_path, name, generators, expected):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "dimension": 3, "generators": generators}))
+        code, doc, _ = run_json(capsys, "analyze", str(path))
+        assert code == 0
+        assert {key: doc["profile"][key] for key in expected} == expected
 
     def test_cap_rejects_oversized_closure(self, capsys, tmp_path):
         path = tmp_path / "q8.json"
@@ -156,6 +180,16 @@ class TestVerify:
         _, doc, _ = run_json(capsys, "verify", "--filter", "brackets.*")
         ids = [claim["claim_id"] for claim in doc["claims"]]
         assert ids == sorted(ids)
+
+    def test_repeated_runs_differ_only_in_timings(self, capsys):
+        bodies = []
+        for _ in range(2):
+            _, doc, _ = run_json(capsys, "verify", "--filter", "pauli.*")
+            claims_ms = doc["timings"]["claims_ms"]
+            assert sorted(claims_ms) == [claim["claim_id"] for claim in doc["claims"]]
+            del doc["timings"]
+            bodies.append(cli.render_json(doc))
+        assert bodies[0] == bodies[1]
 
     def test_empty_filter_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--filter", "nonexistent.*")

@@ -2,8 +2,10 @@
 
 Every generator matrix is built programmatically (products included), so
 the stored strings always parse back to the intended matrices. Expected
-profile numbers are frozen here and re-derived by the validation pass at
-the end; a mismatch aborts the write.
+profile numbers are frozen here. After writing the files, the script runs
+the `catalog.*` claims, which recompute every stored `expected` block and
+verify each entry's relation sets, bracket table, signature and block
+forms; it exits nonzero if any of them fails.
 
 Run from the repository root:
 
@@ -363,18 +365,17 @@ def main() -> None:
     })
 
     print("validating...")
-    from gammagroups import catalog
+    from gammagroups.claims import run_claims
 
+    results = run_claims("catalog.*")
     failures = 0
-    for name, report in catalog.validate_catalog().items():
-        bad = report.failures()
-        status = "ok" if not bad else "FAIL " + ", ".join(c.check_id for c in bad)
-        print(f"  {name}: {status}")
-        for c in bad:
-            print(f"    {c.check_id}: {c.detail}")
-        failures += len(bad)
+    for result in results:
+        print(f"  {result.claim_id}: {result.status}")
+        if result.status != "PASS":
+            print(f"    expected {result.expected}, computed {result.computed}")
+            failures += 1
     if failures:
-        sys.exit(f"{failures} validation failures")
+        sys.exit(f"{failures} of {len(results)} catalog claims failed")
     print("all entries validate")
 
 
