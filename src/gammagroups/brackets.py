@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .exact import ExactMatrix, GaussianRational, format_matrix, parse_scalar
-from .groups import MatrixGroup
+from .groups import MatrixGroup, mask_indices
 
 TABLE_NAMES = ("d", "q2", "f", "b", "c")
 
@@ -287,19 +287,6 @@ class ComponentMatch:
         return out
 
 
-def _boost_candidates(group: MatrixGroup) -> list[int]:
-    """Non-scalar elements whose square is the scalar +1 or -1."""
-    out = []
-    for i in range(group.order):
-        m = group.elements[i]
-        if m.scalar_value() is not None:
-            continue
-        sq = group.elements[group.mul(i, i)].scalar_value()
-        if sq is not None and sq.im == 0 and abs(sq.re) == 1:
-            out.append(i)
-    return out
-
-
 def _neg_index(group: MatrixGroup) -> int | None:
     minus = group.elements[0].scale(_MINUS_ONE)
     if minus in group:
@@ -366,25 +353,19 @@ def _match_for_table(
     return None
 
 
-def _anticommuting_triples(group: MatrixGroup, candidates: Sequence[int], neg: int):
-    """Ordered triples of distinct candidates that pairwise anticommute."""
-    anti = {}
+def _anticommuting_triples(group: MatrixGroup):
+    """Ordered triples of distinct boost candidates that pairwise anticommute.
 
-    def anticommutes(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in anti:
-            anti[key] = group.mul(i, j) == group.mul(neg, group.mul(j, i))
-        return anti[key]
-
-    for s1 in candidates:
-        for s2 in candidates:
-            if s2 == s1 or not anticommutes(s1, s2):
-                continue
-            for s3 in candidates:
-                if s3 in (s1, s2):
-                    continue
-                if anticommutes(s1, s3) and anticommutes(s2, s3):
-                    yield (s1, s2, s3)
+    Candidates are the non-scalar elements whose square is the scalar +1
+    or -1; each position runs over them in increasing index.
+    """
+    squares = group.unit_square_masks()
+    candidates = squares[1] | squares[-1]
+    anti = group.commutation_masks()[1]
+    for s1 in mask_indices(candidates):
+        for s2 in mask_indices(anti[s1] & candidates):
+            for s3 in mask_indices(anti[s1] & anti[s2] & candidates):
+                yield (s1, s2, s3)
 
 
 def find_component_match(
@@ -411,7 +392,7 @@ def find_component_match(
             raise ValueError("designated boosts must belong to the group")
         triples = [tuple(group.index_of(m) for m in designated)]
     else:
-        triples = list(_anticommuting_triples(group, _boost_candidates(group), neg))
+        triples = list(_anticommuting_triples(group))
     for name in tables:
         table = BracketTable.load(name)
         match = _match_for_table(group, table, triples, neg)
@@ -437,7 +418,7 @@ def admitted_components(group: MatrixGroup) -> frozenset[str]:
     neg = _neg_index(group)
     if neg is None:
         return frozenset()
-    triples = list(_anticommuting_triples(group, _boost_candidates(group), neg))
+    triples = list(_anticommuting_triples(group))
     found = set()
     for name in COMPONENT_TABLES:
         table = BracketTable.load(name)

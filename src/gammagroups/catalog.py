@@ -13,6 +13,7 @@ exact isomorphism.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -24,8 +25,8 @@ from .brackets import (
     find_component_match,
     verify_relations,
 )
-from .exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
-from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, generate_closure
+from .exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
+from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, mask_indices
 from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
 
 CATALOG_NAMES = (
@@ -113,6 +114,7 @@ _POOL_CACHE: dict[str, MatrixGroup] = {}
 _DECOMPOSITION_CACHE: dict[str, tuple[tuple[str, int], ...]] = {}
 _INDEX_TWO_CACHE: dict[str, list[dict]] = {}
 _SEARCH_CACHE: dict[tuple[str, str], list] = {}
+_SEARCHER_CACHE: dict[str, "_PoolSearcher"] = {}
 
 
 def _load_payload(name: str) -> dict:
@@ -413,44 +415,27 @@ class ModelHit:
 
 
 class _PoolSearcher:
-    """Precomputed square/anticommute structure over a closed pool."""
+    """Commutation and square structure of a closed pool, as bitmasks.
+
+    Bit i of a mask stands for pool element i. The masks come from the
+    pool's integer Cayley table once per pool (n^2 lookups), so candidate
+    generators are found by mask intersection, never by matrix products.
+    Subgroups grow by coset extension: when s normalizes a subgroup B
+    and s^2 lies in B, then <B, s> = B u B*s, which costs |B| lookups
+    and no closure. In a signature tuple every generator commutes or
+    anticommutes with the earlier ones, -1 = [s1, s2] lies in <s1, s2>,
+    and every square is +-1, so each extension after the first pair
+    qualifies; `coset` still checks that with a few lookups and raises
+    if it ever fails.
+    """
 
     def __init__(self, pool: MatrixGroup):
         self.pool = pool
-        minus = pool.elements[0].scale(_MINUS)
-        self.neg = pool.index_of(minus)
-        self.plus_candidates: list[int] = []
-        self.minus_candidates: list[int] = []
-        square_sign: dict[int, int] = {}
-        for i in range(pool.order):
-            if pool.elements[i].scalar_value() is not None:
-                continue
-            sq = pool.elements[pool.mul(i, i)].scalar_value()
-            if sq is None or sq.im != 0 or abs(sq.re) != 1:
-                continue
-            sign = 1 if sq.re > 0 else -1
-            square_sign[i] = sign
-            (self.plus_candidates if sign > 0 else self.minus_candidates).append(i)
-        self.square_sign = square_sign
-        self._anti: dict[tuple[int, int], bool] = {}
-        self._comm: dict[tuple[int, int], bool] = {}
-
-    def candidates(self, sign: int) -> list[int]:
-        return self.plus_candidates if sign > 0 else self.minus_candidates
-
-    def anticommute(self, i: int, j: int) -> bool:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._anti:
-            self._anti[key] = self.pool.mul(i, j) == self.pool.mul(
-                self.neg, self.pool.mul(j, i)
-            )
-        return self._anti[key]
-
-    def commute(self, i: int, j: int) -> bool:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._comm:
-            self._comm[key] = self.pool.mul(i, j) == self.pool.mul(j, i)
-        return self._comm[key]
+        self.cay = pool.cayley()
+        # coset_bits[s][x] = 1 << (x * s), so a right coset mask is one sum
+        self.coset_bits = [[1 << y for y in column] for column in zip(*self.cay)]
+        self.commute, self.anticommute = pool.commutation_masks()
+        self.squares = pool.unit_square_masks()
 
     def triples(self, squares: tuple[int, int, int]) -> Iterable[tuple[int, int, int]]:
         """Pairwise anticommuting triples, one representative per set.
@@ -458,22 +443,44 @@ class _PoolSearcher:
         Generators with equal squares are enumerated with increasing pool
         index, which visits every unordered combination exactly once.
         """
-        c1 = self.candidates(squares[0])
-        for s1 in c1:
-            for s2 in self.candidates(squares[1]):
-                if squares[1] == squares[0] and s2 <= s1:
-                    continue
-                if not self.anticommute(s1, s2):
-                    continue
-                for s3 in self.candidates(squares[2]):
-                    if squares[2] == squares[1] and s3 <= s2:
-                        continue
-                    if squares[2] == squares[0] and s3 <= s1 and squares[1] != squares[0]:
-                        continue
-                    if s3 in (s1, s2):
-                        continue
-                    if self.anticommute(s1, s3) and self.anticommute(s2, s3):
-                        yield (s1, s2, s3)
+        anti = self.anticommute
+        for s1 in mask_indices(self.squares[squares[0]]):
+            second = anti[s1] & self.squares[squares[1]]
+            if squares[1] == squares[0]:
+                second &= -2 << s1  # only indices above s1
+            for s2 in mask_indices(second):
+                third = anti[s1] & anti[s2] & self.squares[squares[2]]
+                if squares[2] == squares[1]:
+                    third &= -2 << s2
+                elif squares[2] == squares[0]:
+                    third &= -2 << s1
+                for s3 in mask_indices(third):
+                    yield s1, s2, s3
+
+    def coset(self, members: Sequence[int], base: int, gens: Sequence[int], s: int) -> int:
+        """Mask of the right coset B*s, after checking <B, s> = B u B*s.
+
+        ``members`` lists the subgroup B, ``base`` is its mask and ``gens``
+        generate it. The check is that s^2 lies in B and that s conjugates
+        each generator into B.
+        """
+        cay = self.cay
+        s_inv = self.pool.inv(s)
+        if not base >> cay[s][s] & 1 or not all(
+            base >> cay[cay[s_inv][g]][s] & 1 for g in gens
+        ):
+            raise RuntimeError(f"pool element {s} does not normalize the subgroup it extends")
+        return sum(map(self.coset_bits[s].__getitem__, members))
+
+
+# Work done by uncached find_gamma_models calls in this process: generator
+# tuples matching a signature, distinct subgroups they generate, and
+# isomorphism tests settled by the generator-map hint or sent on to the
+# fingerprint-and-backtracking fallback. Reports carry them under
+# `timings.counters`.
+SEARCH_COUNTERS: Counter[str] = Counter(
+    dict.fromkeys(("search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback"), 0)
+)
 
 
 def find_gamma_models(
@@ -481,10 +488,19 @@ def find_gamma_models(
 ) -> list[ModelHit]:
     """All isomorphism classes of groups generated by tuples matching a spec.
 
-    Tuples are enumerated deterministically, closed inside the pool's
-    Cayley table, deduplicated first by generated subgroup and then by
-    abstract isomorphism. Each class reports the first generator tuple that
-    produced it. An empty list means the pool has no model for the spec.
+    Tuples are enumerated deterministically and closed inside the pool's
+    Cayley table by coset extension (see `_PoolSearcher`): each pair is
+    closed once, the triple's group is P u P*s3 and the tuple's group is
+    H u H*s4. A fourth generator inside a right coset H*s4 already taken
+    for the same H gives the same group and is skipped. Groups are
+    deduplicated first by the generated subgroup and then by abstract
+    isomorphism. Hint, then certify: a new group is first tested with the
+    maps that send its tuple to the representative's own tuple or to the
+    images of earlier tuples of that class; only if none is an
+    isomorphism does the test fall back to fingerprint and backtracking.
+    Every accepted isomorphism is certified on both full tables. Each
+    class reports the first generator tuple that produced it. An empty
+    list means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -492,49 +508,71 @@ def find_gamma_models(
     if cache_key in _SEARCH_CACHE:
         return list(_SEARCH_CACHE[cache_key])
     pool = pool_group(pool_name)
-    searcher = _PoolSearcher(pool)
+    if pool_name not in _SEARCHER_CACHE:
+        _SEARCHER_CACHE[pool_name] = _PoolSearcher(pool)
+    searcher = _SEARCHER_CACHE[pool_name]
 
     if spec.commuting_fourth is None:
         triple_squares = spec.squares[:3]
         fourth_sign = spec.squares[3]
-        fourth_commutes = False
+        fourth_masks = searcher.anticommute
     else:
         triple_squares = spec.squares
         fourth_sign = spec.commuting_fourth
-        fourth_commutes = True
+        fourth_masks = searcher.commute
 
-    seen_subgroups: set[frozenset[int]] = set()
-    classes: list[tuple[MatrixGroup, ModelHit]] = []
-    triple_closure: dict[frozenset[int], frozenset[int]] = {}
+    counters = SEARCH_COUNTERS
+    pair_closure: dict[tuple[int, int], tuple[list[int], int]] = {}
+    # triple subgroup mask -> (its members, union of the cosets H*s4 taken)
+    covered: dict[int, tuple[list[int], int]] = {}
+    seen_subgroups: set[int] = set()
+    classes: list[tuple[MatrixGroup, list[tuple[int, ...]], ModelHit]] = []
 
     for s1, s2, s3 in searcher.triples(triple_squares):
-        triple_key = frozenset((s1, s2, s3))
-        if triple_key not in triple_closure:
-            triple_closure[triple_key] = pool.closure_indices((s1, s2, s3))
-        base = triple_closure[triple_key]
-        for s4 in searcher.candidates(fourth_sign):
-            if s4 in (s1, s2, s3):
-                continue
-            if fourth_commutes:
-                if not all(searcher.commute(s4, s) for s in (s1, s2, s3)):
-                    continue
-                # A commuting fourth already inside the triple's span adds
-                # nothing; skip the degenerate tuple.
-                if s4 in base:
-                    continue
-            else:
-                if not all(searcher.anticommute(s4, s) for s in (s1, s2, s3)):
-                    continue
-                if fourth_sign == triple_squares[2] and s4 <= s3:
-                    continue
-            closure = pool.closure_indices((s1, s2, s3, s4))
-            key = frozenset(closure)
+        if (s1, s2) not in pair_closure:
+            pair = pool.closure_indices((s1, s2))
+            pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
+        pair_members, pair_mask = pair_closure[s1, s2]
+        base = pair_mask | searcher.coset(pair_members, pair_mask, (s1, s2), s3)
+        if base not in covered:
+            covered[base] = (list(mask_indices(base)), 0)
+        members, taken = covered[base]
+        fourths = (
+            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
+        )
+        if spec.commuting_fourth is not None:
+            # A commuting fourth already inside the triple's span adds
+            # nothing; skip the degenerate tuple.
+            fourths &= ~base
+        elif fourth_sign == triple_squares[2]:
+            fourths &= -2 << s3
+        counters["search.tuples"] += fourths.bit_count()
+        fresh = fourths & ~taken
+        while fresh:
+            s4 = (fresh & -fresh).bit_length() - 1
+            coset = searcher.coset(members, base, (s1, s2, s3), s4)
+            taken |= coset
+            fresh &= ~coset  # the coset holds s4 itself
+            key = base | coset
             if key in seen_subgroups:
                 continue
             seen_subgroups.add(key)
-            group = Subgroup(pool, key).as_group()
-            for rep, _ in classes:
-                if group.order == rep.order and group.is_isomorphic(rep):
+            counters["search.subgroups"] += 1
+            group = Subgroup(pool, frozenset(mask_indices(key))).as_group()
+            gens = tuple(group.index_of(pool.matrix(s)) for s in (s1, s2, s3, s4))
+            for rep, rep_images, _ in classes:
+                if group.order != rep.order:
+                    continue
+                mapping = group.isomorphism_map(rep, hint=(gens, rep_images))
+                images = None if mapping is None else tuple(mapping[g] for g in gens)
+                if images in rep_images:
+                    counters["search.iso_hint"] += 1
+                    break
+                counters["search.iso_fallback"] += 1
+                if images is not None:
+                    # The tuple obeys other relations than the known ones:
+                    # its images become one more hint for this class.
+                    rep_images.append(images)
                     break
             else:
                 hit = ModelHit(
@@ -544,8 +582,9 @@ def find_gamma_models(
                     order=group.order,
                     identified=identify_stable(group) if group.order == 32 else None,
                 )
-                classes.append((group, hit))
-    _SEARCH_CACHE[cache_key] = [hit for _, hit in classes]
+                classes.append((group, [gens], hit))
+        covered[base] = (members, taken)
+    _SEARCH_CACHE[cache_key] = [hit for _, _, hit in classes]
     return list(_SEARCH_CACHE[cache_key])
 
 

@@ -548,8 +548,9 @@ def claim_ids() -> list[str]:
 
 def _matches(claim_id: str, pattern: str) -> bool:
     # "delta.*" is read as a namespace prefix even though the ids continue
-    # with digits (delta1, delta2, ...), so try the dotless variant too.
-    return fnmatch(claim_id, pattern) or fnmatch(claim_id, pattern.replace(".*", "*"))
+    # with digits (delta1, delta2, ...), so the dotless variant also matches
+    # when a digit follows; "catalog.q8.*" must not pick up catalog.q8_c2.
+    return fnmatch(claim_id, pattern) or fnmatch(claim_id, pattern.replace(".*", "[0-9]*"))
 
 
 def run_claims(

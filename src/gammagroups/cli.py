@@ -114,6 +114,11 @@ def _document(
     }
 
 
+def _search_counters(before: dict[str, int]) -> dict[str, int]:
+    """Signature-search work done since ``before`` copied the counters."""
+    return {name: count - before[name] for name, count in catalog.SEARCH_COUNTERS.items()}
+
+
 def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
     """Catalog name or generator-file path -> (name, group, entry or None)."""
     if target in catalog.catalog_names():
@@ -182,6 +187,7 @@ def _cmd_analyze(args, started: float) -> tuple[dict, int]:
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
+    before = dict(catalog.SEARCH_COUNTERS)
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
@@ -190,7 +196,8 @@ def _cmd_verify(args, started: float) -> tuple[dict, int]:
     summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
     doc = _document(
         "verify", started, profile=summary, claim_results=results,
-        timings={"claims_ms": claims_ms}, filter=args.filter,
+        timings={"claims_ms": claims_ms, "counters": _search_counters(before)},
+        filter=args.filter,
     )
     return doc, 0 if failed == 0 else 1
 
@@ -252,6 +259,7 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_search(args, started: float) -> tuple[dict, int]:
+    before = dict(catalog.SEARCH_COUNTERS)
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:
@@ -269,7 +277,8 @@ def _cmd_search(args, started: float) -> tuple[dict, int]:
         ],
     }
     doc = _document(
-        "search", started, profile=profile, signature=args.signature, pool=args.pool,
+        "search", started, profile=profile, timings={"counters": _search_counters(before)},
+        signature=args.signature, pool=args.pool,
     )
     return doc, 0
 

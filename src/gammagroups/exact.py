@@ -8,6 +8,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -314,8 +315,7 @@ class ExactMatrix:
         return diagonal
 
     def is_identity(self) -> bool:
-        value = self.scalar_value()
-        return value is not None and value == ONE
+        return self.key() == _identity_key(self.dim)
 
     def key(self) -> str:
         """Canonical bare-form string, usable as a dictionary key."""
@@ -338,6 +338,11 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.key()!r})"
+
+
+@functools.cache
+def _identity_key(dim: int) -> str:
+    return ExactMatrix.identity(dim).key()
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:

@@ -10,11 +10,10 @@ identity.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Sequence
 
-from gammagroups.exact import ExactMatrix, parse_matrix
+from gammagroups.exact import ExactMatrix, GaussianRational
 
 DEFAULT_CAP = 4096
 
@@ -57,17 +56,16 @@ def generate_closure(
     return elements
 
 
-def generators_from_json(items: Iterable[object], *, expect_dim: int | None = None) -> list[ExactMatrix]:
-    """Decode a JSON list of matrices (texts or nested entry lists)."""
-    matrices = []
-    for item in items:
-        text = item if isinstance(item, str) else json.dumps(item)
-        matrices.append(parse_matrix(text, expect_dim=expect_dim))
-    return matrices
-
-
 def _parity(value: int) -> int:
     return value.bit_count() & 1
+
+
+def mask_indices(mask: int) -> Iterable[int]:
+    """Indices of the set bits of an element bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class MatrixGroup:
@@ -104,6 +102,8 @@ class MatrixGroup:
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._derived: frozenset[int] | None = None
         self._fingerprint: tuple | None = None
+        self._commutation: tuple[list[int], list[int]] | None = None
+        self._unit_squares: dict[int, int] | None = None
 
     @classmethod
     def from_generators(
@@ -261,6 +261,47 @@ class MatrixGroup:
             classes.sort(key=lambda cls: (len(cls), cls[0]))
             self._classes = tuple(classes)
         return self._classes
+
+    def commutation_masks(self) -> tuple[list[int], list[int]]:
+        """Per-element bitmasks of the elements it commutes and anticommutes with.
+
+        Bit j of ``commute[i]`` is set when i*j = j*i, and bit j of
+        ``anticommute[i]`` when i*j = -(j*i); a group without -1 has no
+        anticommuting pair. Built once with n^2 table lookups.
+        """
+        if self._commutation is None:
+            cay = self.cayley()
+            n = self.order
+            minus = self._elements[0].scale(GaussianRational(-1, 0))
+            neg_row = cay[self._index[minus.key()]] if minus.key() in self._index else None
+            commute = [0] * n
+            anticommute = [0] * n
+            for i in range(n):
+                row = cay[i]
+                for j in range(n):
+                    ji = cay[j][i]
+                    if row[j] == ji:
+                        commute[i] |= 1 << j
+                    elif neg_row is not None and row[j] == neg_row[ji]:
+                        anticommute[i] |= 1 << j
+            self._commutation = (commute, anticommute)
+        return self._commutation
+
+    def unit_square_masks(self) -> dict[int, int]:
+        """Bitmasks of the non-scalar elements whose square is +1 and -1.
+
+        Keyed by the sign of the square; scalar elements are in neither.
+        """
+        if self._unit_squares is None:
+            masks = {1: 0, -1: 0}
+            for i in range(self.order):
+                if self._elements[i].scalar_value() is not None:
+                    continue
+                sq = self._elements[self.mul(i, i)].scalar_value()
+                if sq is not None and sq.im == 0 and abs(sq.re) == 1:
+                    masks[1 if sq.re > 0 else -1] |= 1 << i
+            self._unit_squares = masks
+        return self._unit_squares
 
     def class_of(self, a: int) -> tuple[int, ...]:
         for cls in self.conjugacy_classes():
@@ -479,12 +520,26 @@ class MatrixGroup:
             closure = self.closure_indices(gens)
         return gens
 
-    def isomorphism_map(self, other: "MatrixGroup") -> list[int] | None:
+    def isomorphism_map(
+        self,
+        other: "MatrixGroup",
+        *,
+        hint: tuple[Sequence[int], Sequence[Sequence[int]]] | None = None,
+    ) -> list[int] | None:
         """An isomorphism onto ``other`` as an image list, or None.
 
-        The returned map is fully verified against both multiplication
-        tables before being handed back.
+        ``hint`` is a pair (generators of self, candidate image tuples in
+        other). The map each candidate determines is tried first; only if
+        none is an isomorphism does the search fall back to the
+        fingerprint and backtracking. Every returned map is fully verified
+        against both multiplication tables before being handed back.
         """
+        if hint is not None and self.order == other.order:
+            gens, candidates = hint
+            for images in candidates:
+                mapping = self._certified_map(other, gens, images)
+                if mapping is not None:
+                    return mapping
         if self.fingerprint() != other.fingerprint():
             return None
         n = self.order
@@ -501,33 +556,9 @@ class MatrixGroup:
             for g in gens
         ]
 
-        cay_s = self.cayley()
-        cay_o = other.cayley()
-
-        def verify(images: list[int]) -> list[int] | None:
-            mapping: list[int | None] = [None] * n
-            mapping[0] = 0
-            queue = [0]
-            for a in queue:
-                for g, image in zip(gens, images):
-                    b = cay_s[a][g]
-                    target = cay_o[mapping[a]][image]
-                    if mapping[b] is None:
-                        mapping[b] = target
-                        queue.append(b)
-                    elif mapping[b] != target:
-                        return None
-            if any(v is None for v in mapping) or len(set(mapping)) != n:
-                return None
-            for a in range(n):
-                for b in range(n):
-                    if mapping[cay_s[a][b]] != cay_o[mapping[a]][mapping[b]]:
-                        return None
-            return mapping  # type: ignore[return-value]
-
         def extend(depth: int, images: list[int]) -> list[int] | None:
             if depth == len(gens):
-                return verify(images)
+                return self._certified_map(other, gens, images)
             for b in candidates[depth]:
                 if b in images:
                     continue
@@ -540,6 +571,39 @@ class MatrixGroup:
             return None
 
         return extend(0, [])
+
+    def _certified_map(
+        self, other: "MatrixGroup", gens: Sequence[int], images: Sequence[int]
+    ) -> list[int] | None:
+        """The isomorphism sending ``gens`` to ``images``, or None.
+
+        The map is extended breadth-first along the generators, then
+        checked to be a bijection and a homomorphism on all n^2 products.
+        """
+        n = self.order
+        cay_s = self.cayley()
+        cay_o = other.cayley()
+        mapping: list[int | None] = [None] * n
+        mapping[0] = 0
+        queue = [0]
+        for a in queue:
+            for g, image in zip(gens, images):
+                b = cay_s[a][g]
+                target = cay_o[mapping[a]][image]
+                if mapping[b] is None:
+                    mapping[b] = target
+                    queue.append(b)
+                elif mapping[b] != target:
+                    return None
+        if any(v is None for v in mapping) or len(set(mapping)) != n:
+            return None
+        for a in range(n):
+            # mapping(a * b) == mapping(a) * mapping(b) for every b at once
+            if list(map(mapping.__getitem__, cay_s[a])) != list(
+                map(cay_o[mapping[a]].__getitem__, mapping)
+            ):
+                return None
+        return mapping  # type: ignore[return-value]
 
     def _element_profile(self, a: int) -> tuple[int, int, bool]:
         return (
@@ -588,7 +652,7 @@ class Subgroup:
         local_of = {parent_i: j for j, parent_i in enumerate(local_order)}
         parent_cay = self.parent.cayley()
         cayley = [
-            [local_of[parent_cay[a][b]] for b in local_order]
+            list(map(local_of.__getitem__, map(parent_cay[a].__getitem__, local_order)))
             for a in local_order
         ]
         return MatrixGroup(

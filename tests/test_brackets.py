@@ -20,6 +20,8 @@ from gammagroups.brackets import (
     verify_bracket_table,
     verify_relations,
 )
+from gammagroups.brackets import _anticommuting_triples
+from gammagroups.catalog import catalog_group
 from gammagroups.exact import GaussianRational, block_diag, parse_matrix
 from gammagroups.groups import MatrixGroup
 
@@ -336,6 +338,30 @@ class TestClassification:
 
     def test_component_table_order(self):
         assert COMPONENT_TABLES == ("d", "f", "b", "c")
+
+    @pytest.mark.parametrize("name", ["pauli", "pauli_f", "q8_c2", "d4_c2"])
+    def test_boost_triples_match_matrix_enumeration(self, name):
+        # Ordered triples straight off the matrices, in the order the
+        # component search relies on to pick its first match.
+        group = catalog_group(name) if name != "pauli" else pauli_group()
+        identity = group.elements[0]
+        minus = identity.scale(MINUS)
+        boosts = [
+            i for i, m in enumerate(group.elements)
+            if m.scalar_value() is None and m * m in (identity, minus)
+        ]
+
+        elements = group.elements
+        anti = {
+            (i, j) for i in boosts for j in boosts
+            if elements[i] * elements[j] == (elements[j] * elements[i]).scale(MINUS)
+        }
+        expected = [
+            (s1, s2, s3)
+            for s1 in boosts for s2 in boosts for s3 in boosts
+            if {(s1, s2), (s1, s3), (s2, s3)} <= anti
+        ]
+        assert list(_anticommuting_triples(group)) == expected
 
 
 @settings(max_examples=50, deadline=None)

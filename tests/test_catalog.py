@@ -33,7 +33,7 @@ from gammagroups.exact import (
     parse_matrix,
     parse_scalar,
 )
-from gammagroups.groups import MatrixGroup
+from gammagroups.groups import MatrixGroup, Subgroup, mask_indices
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -254,6 +254,127 @@ class TestSearch:
         for name in STABLE_NAMES:
             declared = catalog_entry(name).signature
             assert sweep[declared][0].identified == name
+
+
+def reference_search(text, pool_name):
+    """Signature search with one breadth-first closure per tuple.
+
+    The path the coset search replaced: candidates from matrix squares,
+    (anti)commutation from table products, every tuple closed from
+    scratch, classes split by `is_isomorphic` without hints. Returns
+    (order, identified, generator_indices) per class.
+    """
+    spec = SignatureSpec.parse(text)
+    pool = pool_group(pool_name)
+    neg = pool.index_of(pool.matrix(0).scale(MINUS))
+
+    def square_sign(i):
+        if pool.matrix(i).scalar_value() is not None:
+            return None
+        sq = pool.matrix(pool.mul(i, i)).scalar_value()
+        if sq is None or sq.im != 0 or abs(sq.re) != 1:
+            return None
+        return 1 if sq.re > 0 else -1
+
+    signs = [square_sign(i) for i in range(pool.order)]
+
+    def candidates(sign):
+        return [i for i in range(pool.order) if signs[i] == sign]
+
+    def anti(i, j):
+        return pool.mul(i, j) == pool.mul(neg, pool.mul(j, i))
+
+    def comm(i, j):
+        return pool.mul(i, j) == pool.mul(j, i)
+
+    if spec.commuting_fourth is None:
+        sq, fourth, related = spec.squares[:3], spec.squares[3], anti
+    else:
+        sq, fourth, related = spec.squares, spec.commuting_fourth, comm
+    seen, classes = set(), []
+    for s1 in candidates(sq[0]):
+        for s2 in candidates(sq[1]):
+            if (sq[1] == sq[0] and s2 <= s1) or not anti(s1, s2):
+                continue
+            for s3 in candidates(sq[2]):
+                if (sq[2] == sq[1] and s3 <= s2) or (sq[2] == sq[0] != sq[1] and s3 <= s1):
+                    continue
+                if s3 in (s1, s2) or not (anti(s1, s3) and anti(s2, s3)):
+                    continue
+                base = pool.closure_indices((s1, s2, s3))
+                for s4 in candidates(fourth):
+                    if s4 in (s1, s2, s3) or not all(related(s4, s) for s in (s1, s2, s3)):
+                        continue
+                    if spec.commuting_fourth is not None and s4 in base:
+                        continue
+                    if spec.commuting_fourth is None and fourth == sq[2] and s4 <= s3:
+                        continue
+                    key = pool.closure_indices((s1, s2, s3, s4))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    group = Subgroup(pool, key).as_group()
+                    if any(group.order == rep.order and group.is_isomorphic(rep) for rep, _ in classes):
+                        continue
+                    identified = catalog.identify_stable(group) if group.order == 32 else None
+                    classes.append((group, (group.order, identified, (s1, s2, s3, s4))))
+    return [hit for _, hit in classes]
+
+
+# Hits of the penta8 sweep as the breadth-first search found them:
+# (order, identified, generator_indices) per class, in discovery order.
+PENTA8_HITS = {
+    "++++": [(32, "gamma_minus", (1, 2, 3, 4))],
+    "+++-": [(32, "gamma_plus", (1, 2, 3, 26))],
+    "++--": [(32, "gamma_plus", (1, 2, 21, 26))],
+    "+---": [(32, "gamma_minus", (1, 7, 8, 9))],
+    "----": [(32, "gamma_minus", (7, 8, 9, 10))],
+    "+++|+": [(32, "pauli_c2", (1, 2, 3, 73))],
+    "+++|-": [(32, "pauli_c2", (1, 2, 3, 25))],
+    "++-|+": [(16, None, (1, 2, 7, 67)), (32, "d4_v4", (1, 2, 21, 73))],
+    "++-|-": [(16, None, (1, 2, 7, 19)), (32, "pauli_c2", (1, 2, 21, 25))],
+    "+--|+": [(32, "pauli_c2", (1, 7, 8, 73))],
+    "+--|-": [(32, "pauli_c2", (1, 7, 8, 25))],
+    "---|+": [(32, "q8_v4", (7, 8, 9, 5)), (16, None, (7, 8, 13, 4))],
+    "---|-": [(32, "pauli_c2", (7, 8, 9, 31)), (16, None, (7, 8, 13, 25))],
+}
+
+
+def hit_rows(hits):
+    return [(h.order, h.identified, h.generator_indices) for h in hits]
+
+
+class TestCosetSearch:
+    @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
+    def test_matches_the_closure_search_on_the_small_pool(self, text):
+        assert hit_rows(find_gamma_models(text, "dirac4")) == reference_search(text, "dirac4")
+
+    @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
+    def test_penta8_hits_are_pinned(self, text):
+        assert hit_rows(find_gamma_models(text, "penta8")) == PENTA8_HITS[text]
+
+    def test_extension_by_a_non_normalizing_element_raises(self):
+        pool = pool_group("dirac4")
+        searcher = catalog._PoolSearcher(pool)
+        anti = searcher.anticommute
+        x = next(mask_indices(searcher.squares[1]))
+        s = next(mask_indices(anti[x]))
+        base = pool.closure_indices((x,))
+        mask = sum(1 << i for i in base)
+        # s sends x to -x, which <x> = {1, x} does not hold.
+        with pytest.raises(RuntimeError, match="normalize"):
+            searcher.coset(sorted(base), mask, (x,), s)
+
+    def test_counters_add_up(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        before = dict(catalog.SEARCH_COUNTERS)
+        hits = find_gamma_models("++-|-", "dirac4")
+        done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
+        assert done["search.tuples"] >= done["search.subgroups"] > 0
+        # every subgroup is either a new class or matched by one test that ends the scan
+        assert done["search.iso_hint"] + done["search.iso_fallback"] >= (
+            done["search.subgroups"] - len(hits)
+        )
 
 
 class TestExtensions:

@@ -12,6 +12,10 @@ NAMESPACES = {
 }
 
 
+def claims_selected(pattern):
+    return [c for c in claim_ids() if claims._matches(c, pattern)]
+
+
 class TestRegistry:
     def test_ids_are_unique_and_sorted(self):
         ids = claim_ids()
@@ -56,6 +60,16 @@ class TestRunClaims:
         assert {r.claim_id for r in run_claims("*.order")} == {
             "pauli.order", "quaternion.order", "dirac.order",
         }
+
+    def test_namespace_filters_stop_at_the_name(self):
+        # The dotless reading of "x.*" only admits ids that go on with a
+        # digit (delta1, delta2, ...), never longer names like q8_c2.
+        assert {r.claim_id for r in run_claims("catalog.q8.*")} == {
+            "catalog.q8.checks", "catalog.q8.expected",
+        }
+        assert len(run_claims("catalog.pauli.*")) == 2
+        assert len(claims_selected("delta.*")) == 15
+        assert claims_selected("pauli.*") == [i for i in claim_ids() if i.startswith("pauli.")]
 
     def test_unknown_filter_raises(self):
         with pytest.raises(UnknownClaimFilter):

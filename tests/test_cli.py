@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gammagroups import cli
+from gammagroups import catalog, cli
 
 
 def run(capsys, *argv):
@@ -190,6 +190,19 @@ class TestVerify:
             del doc["timings"]
             bodies.append(cli.render_json(doc))
         assert bodies[0] == bodies[1]
+
+    def test_search_counters_are_reported_under_timings(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
+        counters = doc["timings"]["counters"]
+        assert sorted(counters) == [
+            "search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples",
+        ]
+        assert counters["search.tuples"] >= counters["search.subgroups"] > 0
+        _, again, _ = run_json(capsys, "verify", "--filter", "search.*")
+        assert set(again["timings"]["counters"].values()) == {0}  # served from the cache
+        del doc["timings"], again["timings"]
+        assert doc == again
 
     def test_empty_filter_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--filter", "nonexistent.*")

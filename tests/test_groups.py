@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gammagroups import catalog
 from gammagroups.exact import ExactMatrix, GaussianRational, parse_matrix
-from gammagroups.groups import DEFAULT_CAP, MatrixGroup, generate_closure
+from gammagroups.groups import DEFAULT_CAP, MatrixGroup, generate_closure, mask_indices
 
 SX = parse_matrix("[[0,1],[1,0]]")
 SY = parse_matrix("[[0,-i],[i,0]]")
@@ -308,6 +308,35 @@ class TestSubgroups:
             assert (pauli.elements[i] in sub) == (i in sub.indices)
 
 
+class TestCommutationMasks:
+    @pytest.mark.parametrize("name", ["q8", "d4", "pauli", "dirac"])
+    def test_masks_match_matrix_products(self, request, name):
+        group = request.getfixturevalue(name)
+        commute, anticommute = group.commutation_masks()
+        for i, a in enumerate(group.elements):
+            for j, b in enumerate(group.elements):
+                assert (commute[i] >> j & 1) == (a * b == b * a)
+                assert (anticommute[i] >> j & 1) == (a * b == (b * a).scale(MINUS))
+
+    def test_no_anticommuting_pair_without_minus_one(self):
+        group = MatrixGroup.from_generators([SX])  # {1, SX}
+        assert group.commutation_masks()[1] == [0] * group.order
+
+    @pytest.mark.parametrize("name", ["q8", "pauli", "dirac"])
+    def test_unit_square_masks_match_matrix_squares(self, request, name):
+        group = request.getfixturevalue(name)
+        identity = group.elements[0]
+        masks = group.unit_square_masks()
+        for i, a in enumerate(group.elements):
+            non_scalar = a.scalar_value() is None
+            assert (masks[1] >> i & 1) == (non_scalar and a * a == identity)
+            assert (masks[-1] >> i & 1) == (non_scalar and a * a == identity.scale(MINUS))
+
+    def test_mask_indices_are_increasing(self):
+        assert list(mask_indices(0)) == []
+        assert list(mask_indices(0b101001 | 1 << 130)) == [0, 3, 5, 130]
+
+
 class TestIsomorphism:
     def test_reflexive_under_relabeling(self, pauli):
         other = MatrixGroup.from_generators([SZ, SX, SY])
@@ -332,6 +361,37 @@ class TestIsomorphism:
 
     def test_size_mismatch_fails_fast(self, q8, pauli):
         assert q8.isomorphism_map(pauli) is None
+
+    def test_hint_map_is_returned_when_it_is_an_isomorphism(self, q8):
+        other = MatrixGroup.from_generators([A2, A1])
+        gens = [q8.index_of(A1), q8.index_of(A2)]
+        images = (other.index_of(A2), other.index_of(A1))
+        phi = q8.isomorphism_map(other, hint=(gens, [images]))
+        assert [phi[g] for g in gens] == list(images)
+
+    def test_later_hint_candidates_are_tried(self, q8):
+        other = MatrixGroup.from_generators([A2, A1])
+        gens = [q8.index_of(A1), q8.index_of(A2)]
+        wrong = (other.index_of(A2), other.index_of(A2))
+        right = (other.index_of(A1), other.index_of(A1 * A2))
+        phi = q8.isomorphism_map(other, hint=(gens, [wrong, right]))
+        assert [phi[g] for g in gens] == list(right)
+
+    def test_failed_hint_falls_back_to_a_certified_search(self, q8):
+        other = MatrixGroup.from_generators([A2, A1])
+        gens = [q8.index_of(A1), q8.index_of(A2)]
+        minus = other.index_of(A1 * A1)
+        phi = q8.isomorphism_map(other, hint=(gens, [(minus, minus)]))
+        assert phi is not None
+        assert sorted(phi) == list(range(8))
+        for i in range(8):
+            for j in range(8):
+                assert phi[q8.mul(i, j)] == other.mul(phi[i], phi[j])
+
+    def test_hint_cannot_make_non_isomorphic_groups_match(self, q8, d4):
+        gens = [q8.index_of(A1), q8.index_of(A2)]
+        images = (d4.index_of(A1), d4.index_of(SY))
+        assert q8.isomorphism_map(d4, hint=(gens, [images])) is None
 
     def test_same_order_histogram_but_not_isomorphic(self):
         # C4 x C2 and C8 both abelian of order 8 with different histograms;
