@@ -10,8 +10,10 @@ rotations satisfy one of the known tables.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -112,7 +114,9 @@ class BracketTable:
         return cls(payload["name"], payload["rotations"], payload.get("boosts", []), brackets)
 
     @classmethod
+    @functools.cache
     def load(cls, name: str) -> "BracketTable":
+        """The named data-file table, parsed once per process and shared."""
         if name not in TABLE_NAMES:
             raise KeyError(f"unknown bracket table {name!r}; have {TABLE_NAMES}")
         return cls.from_dict(json.loads(_data_text("tables", f"{name}.json")))
@@ -329,24 +333,57 @@ def _table_holds_on_indices(
     return True
 
 
+# Work done by the component search in this process: boost triples
+# scanned, full bracket-row checks run, and closures taken to see that a
+# triple generates the whole group. Triples minus row checks is what the
+# square-signature memo skipped. Reports carry them under `timings.counters`.
+COMPONENT_COUNTERS: Counter[str] = Counter(
+    dict.fromkeys(("component.triples", "component.row_checks", "component.closures"), 0)
+)
+
+
 def _match_for_table(
     group: MatrixGroup, table: BracketTable, triples: Iterable[tuple[int, int, int]], neg: int
 ) -> ComponentMatch | None:
+    """First triple, in scan order, that realizes the table on the whole group.
+
+    The row check is decided once per square signature. Let the boosts
+    s1, s2, s3 pairwise anticommute with s_i^2 = eps_i in {+1, -1}, and let
+    r_k = e_k s_i s_j with the table's `boost_signs`. Then every pair of
+    roles commutes or anticommutes, and each bracket is 0 or +-2 times the
+    role with the remaining cyclic index, with the sign fixed by (e, eps):
+    e.g. [r1, s2] = -2 e1 eps2 s3. The component tables name exactly
+    those targets, so on one group the rows hold for every triple with the
+    same (s1^2, s2^2, s3^2) or for none. A signature whose rows failed
+    once is skipped for the rest of the scan. Only whether the triple
+    generates the whole group still differs between such triples, and
+    every returned triple passed both checks itself.
+    """
     signs = table.boost_signs()
     if signs is None:
         return None
     e1, e2, e3 = signs
+    cay = group.cayley()
+    counters = COMPONENT_COUNTERS
+    refuted: set[tuple[int, int, int]] = set()
     for s1, s2, s3 in triples:
-        r1 = group.mul(s2, s3) if e1 > 0 else group.mul(neg, group.mul(s2, s3))
-        r2 = group.mul(s3, s1) if e2 > 0 else group.mul(neg, group.mul(s3, s1))
-        r3 = group.mul(s1, s2) if e3 > 0 else group.mul(neg, group.mul(s1, s2))
+        counters["component.triples"] += 1
+        squares = (cay[s1][s1], cay[s2][s2], cay[s3][s3])
+        if squares in refuted:
+            continue
+        r1 = cay[s2][s3] if e1 > 0 else cay[neg][cay[s2][s3]]
+        r2 = cay[s3][s1] if e2 > 0 else cay[neg][cay[s3][s1]]
+        r3 = cay[s1][s2] if e3 > 0 else cay[neg][cay[s1][s2]]
         roles = dict(zip(table.rotations, (r1, r2, r3)))
         roles.update(zip(table.boosts, (s1, s2, s3)))
+        counters["component.row_checks"] += 1
         if not _table_holds_on_indices(group, table, roles, neg):
+            refuted.add(squares)
             continue
         # The table must be realized on the whole group, not on a proper
         # subgroup: a triple like i times the rotations satisfies the rows
         # but generates only half the elements.
+        counters["component.closures"] += 1
         if len(group.closure_indices((s1, s2, s3))) != group.order:
             continue
         return ComponentMatch(table.name, (s1, s2, s3), (r1, r2, r3))
@@ -378,7 +415,11 @@ def find_component_match(
 
     With three designated generators, only that triple is tried as boosts;
     otherwise all ordered anticommuting triples of square-scalar elements
-    are swept, table by table.
+    are swept, table by table. Within one table the bracket rows are
+    decided once per square signature (s1^2, s2^2, s3^2) and only the
+    closure check runs per triple (see `_match_for_table`), so the first
+    triple found is the one a full per-triple scan would find. A
+    designated triple is a scan of one, so nothing is skipped there.
     """
     if group.order != 16:
         raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
@@ -412,7 +453,11 @@ def classify_component(
 
 
 def admitted_components(group: MatrixGroup) -> frozenset[str]:
-    """Every table the group can realize, searched independently per table."""
+    """Every table the group can realize, searched independently per table.
+
+    Each table's scan checks the bracket rows once per square signature of
+    the boost triple, the only thing they depend on (see `_match_for_table`).
+    """
     if group.order != 16:
         raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
     neg = _neg_index(group)

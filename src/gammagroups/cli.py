@@ -18,9 +18,11 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, Mapping
 
 from . import __version__, catalog, claims
 from .brackets import (
+    COMPONENT_COUNTERS,
     BracketTable,
     TABLE_NAMES,
     evaluate_word,
@@ -114,9 +116,10 @@ def _document(
     }
 
 
-def _search_counters(before: dict[str, int]) -> dict[str, int]:
-    """Signature-search work done since ``before`` copied the counters."""
-    return {name: count - before[name] for name, count in catalog.SEARCH_COUNTERS.items()}
+def _counting(*counters: Mapping[str, int]) -> Callable[[], dict[str, int]]:
+    """Snapshot the counters; the returned call gives the work counted since."""
+    before = {name: count for c in counters for name, count in c.items()}
+    return lambda: {name: count - before[name] for c in counters for name, count in c.items()}
 
 
 def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
@@ -179,15 +182,19 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args, started: float) -> tuple[dict, int]:
+    counted = _counting(COMPONENT_COUNTERS)
     name, group, entry = _resolve_target(args.target, args.cap)
     profile = _analyze_profile(name, group, entry)
-    doc = _document("analyze", started, profile=profile, target=args.target)
+    doc = _document(
+        "analyze", started, profile=profile, timings={"counters": counted()},
+        target=args.target,
+    )
     return doc, 0
 
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
-    before = dict(catalog.SEARCH_COUNTERS)
+    counted = _counting(catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS)
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
@@ -196,7 +203,7 @@ def _cmd_verify(args, started: float) -> tuple[dict, int]:
     summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
     doc = _document(
         "verify", started, profile=summary, claim_results=results,
-        timings={"claims_ms": claims_ms, "counters": _search_counters(before)},
+        timings={"claims_ms": claims_ms, "counters": counted()},
         filter=args.filter,
     )
     return doc, 0 if failed == 0 else 1
@@ -259,7 +266,7 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_search(args, started: float) -> tuple[dict, int]:
-    before = dict(catalog.SEARCH_COUNTERS)
+    counted = _counting(catalog.SEARCH_COUNTERS)
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:
@@ -277,7 +284,7 @@ def _cmd_search(args, started: float) -> tuple[dict, int]:
         ],
     }
     doc = _document(
-        "search", started, profile=profile, timings={"counters": _search_counters(before)},
+        "search", started, profile=profile, timings={"counters": counted()},
         signature=args.signature, pool=args.pool,
     )
     return doc, 0

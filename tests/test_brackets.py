@@ -1,5 +1,6 @@
 """Bracket table and relation verification tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from gammagroups.brackets import (
     COMPONENT_TABLES,
     TABLE_NAMES,
     BracketTable,
+    ComponentMatch,
     RelationSet,
     admitted_components,
     classify_component,
@@ -20,8 +22,8 @@ from gammagroups.brackets import (
     verify_bracket_table,
     verify_relations,
 )
-from gammagroups.brackets import _anticommuting_triples
-from gammagroups.catalog import catalog_group
+from gammagroups.brackets import _anticommuting_triples, _neg_index, _table_holds_on_indices
+from gammagroups.catalog import catalog_group, pool_group
 from gammagroups.exact import GaussianRational, block_diag, parse_matrix
 from gammagroups.groups import MatrixGroup
 
@@ -362,6 +364,114 @@ class TestClassification:
             if {(s1, s2), (s1, s3), (s2, s3)} <= anti
         ]
         assert list(_anticommuting_triples(group)) == expected
+
+
+def boost_roles(group, table, signs, boosts, neg):
+    """Rotation indices r_k = e_k s_i s_j and the label -> index map of a triple."""
+    s1, s2, s3 = boosts
+    rotations = tuple(
+        group.mul(a, b) if e > 0 else group.mul(neg, group.mul(a, b))
+        for e, (a, b) in zip(signs, ((s2, s3), (s3, s1), (s1, s2)))
+    )
+    roles = dict(zip(table.rotations, rotations))
+    roles.update(zip(table.boosts, boosts))
+    return rotations, roles
+
+
+def reference_match(group, table_name):
+    """First fit of one table by the plain per-triple scan.
+
+    Every triple gets the full row check and then the closure check; no
+    square-signature memo.
+    """
+    neg = _neg_index(group)
+    if neg is None:
+        return None
+    table = BracketTable.load(table_name)
+    signs = table.boost_signs()
+    for boosts in _anticommuting_triples(group):
+        rotations, roles = boost_roles(group, table, signs, boosts, neg)
+        if not _table_holds_on_indices(group, table, roles, neg):
+            continue
+        if len(group.closure_indices(boosts)) == group.order:
+            return ComponentMatch(table_name, boosts, rotations)
+    return None
+
+
+def order16_groups(source, sample=None):
+    """The order-16 catalog group itself, or (a seeded sample of) the
+    order-16 subgroups of a larger catalog group or pool."""
+    parent = pool_group(source) if source == "dirac4" else catalog_group(source)
+    if parent.order == 16:
+        return [parent]
+    subs = parent.subgroups_of_order(16)
+    if sample is not None:
+        subs = random.Random(f"order16:{source}").sample(subs, sample)
+    return [sub.as_group() for sub in subs]
+
+
+# Every order-16 catalog entry and every order-16 subgroup of the five
+# order-32 entries (75 groups), then a seeded sample of the 155 order-16
+# subgroups of each order-64 entry and of the dirac4 pool.
+COMPONENT_SOURCES = [
+    ("pauli", None), ("pauli_f", None), ("q8_c2", None), ("d4_c2", None),
+    ("gamma_minus", None), ("gamma_plus", None), ("pauli_c2", None),
+    ("q8_v4", None), ("d4_v4", None),
+    ("gamma64_minus", 5), ("gamma64_plus", 5), ("gamma64_null", 5), ("dirac4", 5),
+]
+
+
+class TestSquareSignatureMemo:
+    @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
+    def test_search_matches_the_reference_scan(self, source, sample):
+        for group in order16_groups(source, sample):
+            want = {name: reference_match(group, name) for name in COMPONENT_TABLES}
+            for name in COMPONENT_TABLES:
+                assert find_component_match(group, tables=(name,)) == want[name]
+            first = next((m for m in want.values() if m is not None), None)
+            assert find_component_match(group) == first
+            assert admitted_components(group) == frozenset(
+                name for name, match in want.items() if match is not None
+            )
+
+    @pytest.mark.parametrize("source", ["pauli", "pauli_c2", "d4_v4"])
+    def test_row_check_is_constant_per_square_signature(self, source):
+        outcomes_seen = set()
+        for group in order16_groups(source):
+            neg = _neg_index(group)
+            if neg is None:
+                continue  # no anticommuting pairs, so no boost triples
+            for name in COMPONENT_TABLES:
+                table = BracketTable.load(name)
+                signs = table.boost_signs()
+                by_squares: dict[tuple[int, int, int], set[bool]] = {}
+                for boosts in _anticommuting_triples(group):
+                    _, roles = boost_roles(group, table, signs, boosts, neg)
+                    squares = tuple(group.mul(s, s) for s in boosts)
+                    holds = _table_holds_on_indices(group, table, roles, neg)
+                    by_squares.setdefault(squares, set()).add(holds)
+                assert all(len(seen) == 1 for seen in by_squares.values()), (name, by_squares)
+                outcomes_seen.update(*by_squares.values())
+        assert outcomes_seen == {True, False}
+
+    @pytest.mark.parametrize("name", COMPONENT_TABLES)
+    def test_rows_name_the_remaining_cyclic_role(self, name):
+        # The premise of the memo: [x_i, y_j] is +-2 times the role with
+        # index k = the third of (i, j), a rotation unless exactly one of
+        # x, y is a boost, and [r_i, s_i] = 0.
+        table = BracketTable.load(name)
+        index = {lab: k for labels in (table.rotations, table.boosts) for k, lab in enumerate(labels)}
+        for x, y, coeff, z in table.pairs():
+            i, j = index[x], index[y]
+            if i == j:
+                assert z is None
+                continue
+            mixed = (x in table.boosts) != (y in table.boosts)
+            assert z == (table.boosts if mixed else table.rotations)[3 - i - j]
+            assert coeff in (GaussianRational(2, 0), GaussianRational(-2, 0))
+
+    def test_tables_are_parsed_once(self):
+        assert BracketTable.load("d") is BracketTable.load("d")
 
 
 @settings(max_examples=50, deadline=None)

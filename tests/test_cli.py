@@ -1,8 +1,12 @@
 """Command-line interface: report shape, renderers, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammagroups import catalog, cli
 
@@ -73,7 +77,19 @@ CYCLE = "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]"
 SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
 
 
+COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
+
+
 class TestAnalyze:
+    def test_component_counters_are_reported_under_timings(self, capsys):
+        _, doc, _ = run_json(capsys, "analyze", "pauli_c2")
+        counters = doc["timings"]["counters"]
+        assert sorted(counters) == COMPONENT_COUNTER_KEYS
+        assert counters["component.triples"] >= counters["component.row_checks"]
+        assert counters["component.row_checks"] >= counters["component.closures"] > 0
+        _, small, _ = run_json(capsys, "analyze", "q8")
+        assert small["timings"]["counters"] == dict.fromkeys(COMPONENT_COUNTER_KEYS, 0)
+
     def test_pauli_profile(self, capsys):
         _, doc, _ = run_json(capsys, "analyze", "pauli")
         profile = doc["profile"]
@@ -195,7 +211,7 @@ class TestVerify:
         monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == [
+        assert sorted(counters) == COMPONENT_COUNTER_KEYS + [
             "search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples",
         ]
         assert counters["search.tuples"] >= counters["search.subgroups"] > 0
@@ -203,6 +219,14 @@ class TestVerify:
         assert set(again["timings"]["counters"].values()) == {0}  # served from the cache
         del doc["timings"], again["timings"]
         assert doc == again
+
+    def test_component_counters_are_reported_under_timings(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--filter", "catalog.pauli_c2.*")
+        assert code == 0
+        counters = doc["timings"]["counters"]
+        assert set(COMPONENT_COUNTER_KEYS) <= set(counters)
+        assert min(counters.values()) >= 0
+        assert counters["component.row_checks"] > 0
 
     def test_empty_filter_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--filter", "nonexistent.*")
@@ -322,3 +346,60 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(list(argv))
         assert excinfo.value.code == 2
+
+
+PHASES = ("1", "-1", "i", "-i")
+
+
+@st.composite
+def monomial_generator_files(draw):
+    """1-3 monomial generators of dimension 1-3 with entries in {0, +-1, +-i}."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    generators = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        rows = [["0"] * dim for _ in range(dim)]
+        for row, column in enumerate(draw(st.permutations(range(dim)))):
+            rows[row][column] = draw(st.sampled_from(PHASES))
+        generators.append("[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]")
+    return {"name": "fuzz", "dimension": dim, "generators": generators}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=3) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+GENERATOR_FILE_TEXTS = st.one_of(
+    monomial_generator_files().map(json.dumps),
+    # well-formed files with one field replaced by an arbitrary JSON value
+    st.tuples(monomial_generator_files(), st.sampled_from(["name", "dimension", "generators"]),
+              JSON_VALUES).map(lambda t: json.dumps({**t[0], t[1]: t[2]})),
+    # generator texts that are not matrices, or not of the stated dimension
+    st.tuples(monomial_generator_files(), st.text(max_size=12)).map(
+        lambda t: json.dumps({**t[0], "generators": t[0]["generators"] + [t[1]]})
+    ),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=GENERATOR_FILE_TEXTS)
+def test_analyze_is_total_on_generator_files(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--format", "json", "analyze", str(path), "--cap", "64"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            runs.append(err.getvalue())
+            continue
+        doc = json.loads(out.getvalue())
+        del doc["timings"]
+        runs.append(cli.render_json(doc))
+    assert runs[0] == runs[1]
