@@ -29,7 +29,7 @@ from .brackets import (
     find_component_match,
     verify_bracket_table,
 )
-from .exact import ParseError
+from .exact import PRODUCT_COUNTERS, ParseError
 from .groups import DEFAULT_CAP, MatrixGroup
 
 
@@ -182,7 +182,7 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args, started: float) -> tuple[dict, int]:
-    counted = _counting(COMPONENT_COUNTERS)
+    counted = _counting(COMPONENT_COUNTERS, PRODUCT_COUNTERS)
     name, group, entry = _resolve_target(args.target, args.cap)
     profile = _analyze_profile(name, group, entry)
     doc = _document(
@@ -194,7 +194,7 @@ def _cmd_analyze(args, started: float) -> tuple[dict, int]:
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
-    counted = _counting(catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS)
+    counted = _counting(catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, PRODUCT_COUNTERS)
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
@@ -266,7 +266,7 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_search(args, started: float) -> tuple[dict, int]:
-    counted = _counting(catalog.SEARCH_COUNTERS)
+    counted = _counting(catalog.SEARCH_COUNTERS, PRODUCT_COUNTERS)
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:

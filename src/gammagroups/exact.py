@@ -1,9 +1,13 @@
 """Exact Gaussian-rational scalars and square matrices, plus a compact text form.
 
 Scalars are complex numbers whose real and imaginary parts are rational.
-Matrices are immutable, dense and square, and hashable through a canonical
-string key, so they can serve directly as dictionary keys during group
-enumeration.
+Matrices are immutable and square, and hashable through a canonical string
+key, so they can serve directly as dictionary keys during group
+enumeration. A matrix with one unit entry (1, i, -1 or -i) per row, in
+distinct columns, is held as a (permutation, phase mod 4) form, the
+monomial group Z4 wr S_d: its products, keys and unit scalings are integer
+work, and its dense rows are built only when read. Every other matrix is
+held as dense rows of Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -135,17 +140,29 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 IMAG_UNIT = GaussianRational(0, 1)
+MINUS_IMAG = GaussianRational(0, -1)
+
+
+# Work done by matrix products in this process: products of two unit-monomial
+# matrices, taken on the (permutation, phase) form, and dense products of
+# Gaussian-rational entries. Reports carry them under `timings.counters`.
+PRODUCT_COUNTERS: Counter[str] = Counter(dict.fromkeys(("product.monomial", "product.dense"), 0))
 
 
 class ExactMatrix:
     """Immutable square matrix over Gaussian rationals.
 
-    Multiplication walks only the nonzero entries of each row, which keeps
-    products of monomial matrices (one nonzero per row) linear in the
-    dimension instead of cubic.
+    A unit-monomial matrix (one nonzero entry per row, each a power of i,
+    in distinct columns) carries the form (perm, phase): row r has its
+    entry i^phase[r] in column perm[r]. The form is detected once, when
+    the matrix is built from rows, and products, keys, scaling by a unit,
+    inverse, transpose, conjugate, trace and scalar tests of such matrices
+    work on it alone. Matrices made from the form build their dense rows
+    only when something reads them through ``rows()``. Every other matrix
+    is dense, and its products walk only the nonzero entries of each row.
     """
 
-    __slots__ = ("dim", "_rows", "_nz", "_key", "_hash")
+    __slots__ = ("dim", "_rows", "_mono", "_nz", "_key", "_hash")
 
     def __init__(self, rows: Iterable[Sequence[Scalarish]]):
         normalized: list[tuple[GaussianRational, ...]] = []
@@ -164,35 +181,56 @@ class ExactMatrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in a {n}-row matrix")
         self.dim = n
-        self._rows = tuple(normalized)
+        self._rows: tuple[tuple[GaussianRational, ...], ...] | None = tuple(normalized)
+        self._mono = _monomial_form(normalized)
         self._nz: tuple[tuple[tuple[int, GaussianRational], ...], ...] | None = None
         self._key: str | None = None
         self._hash: int | None = None
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        return _from_form(*_identity_form(dim))
 
     def __getitem__(self, index: tuple[int, int]) -> GaussianRational:
         i, j = index
+        if self._rows is None:
+            perm, phase = self._mono
+            return _UNITS[phase[i]] if perm[i] == j else ZERO
         return self._rows[i][j]
 
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        if self._rows is None:
+            zeros = (ZERO,) * self.dim
+            self._rows = tuple(
+                zeros[:col] + (_UNITS[p],) + zeros[col + 1 :] for col, p in zip(*self._mono)
+            )
         return self._rows
 
     @property
     def _rows_nonzero(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
         if self._nz is None:
-            self._nz = tuple(
-                tuple((j, value) for j, value in enumerate(row) if not value.is_zero())
-                for row in self._rows
-            )
+            if self._mono is not None:
+                self._nz = tuple(((col, _UNITS[p]),) for col, p in zip(*self._mono))
+            else:
+                self._nz = tuple(
+                    tuple((j, value) for j, value in enumerate(row) if not value.is_zero())
+                    for row in self._rows
+                )
         return self._nz
 
     def __mul__(self, other: object) -> "ExactMatrix":
         if isinstance(other, ExactMatrix):
             if other.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+            if self._mono is not None and other._mono is not None:
+                PRODUCT_COUNTERS["product.monomial"] += 1
+                perm_a, phase_a = self._mono
+                perm_b, phase_b = other._mono
+                return _from_form(
+                    tuple([perm_b[k] for k in perm_a]),
+                    tuple([(p + phase_b[k]) & 3 for p, k in zip(phase_a, perm_a)]),
+                )
+            PRODUCT_COUNTERS["product.dense"] += 1
             rows_b = other._rows_nonzero
             out: list[list[GaussianRational]] = [[ZERO] * self.dim for _ in range(self.dim)]
             for i, row in enumerate(self._rows_nonzero):
@@ -216,7 +254,12 @@ class ExactMatrix:
         value = _coerce(scalar)
         if value is None:
             raise TypeError(f"{scalar!r} is not a scalar")
-        return ExactMatrix([[value * entry for entry in row] for row in self._rows])
+        if self._mono is not None:
+            shift = _unit_phase(value)
+            if shift is not None:
+                perm, phase = self._mono
+                return _from_form(perm, tuple([(p + shift) & 3 for p in phase]))
+        return ExactMatrix([[value * entry for entry in row] for row in self.rows()])
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(MINUS_ONE)
@@ -229,7 +272,7 @@ class ExactMatrix:
         return ExactMatrix(
             [
                 [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self._rows, other._rows)
+                for row_a, row_b in zip(self.rows(), other.rows())
             ]
         )
 
@@ -253,12 +296,27 @@ class ExactMatrix:
             n >>= 1
         return result
 
+    def _flipped(self, conjugate: bool) -> "ExactMatrix":
+        """Transpose of the monomial form, conjugated on request: entry
+        (r, perm[r]) moves to (perm[r], r)."""
+        perm, phase = self._mono
+        new_perm = [0] * self.dim
+        new_phase = [0] * self.dim
+        for r, (col, p) in enumerate(zip(perm, phase)):
+            new_perm[col] = r
+            new_phase[col] = -p & 3 if conjugate else p
+        return _from_form(tuple(new_perm), tuple(new_phase))
+
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self._rows[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        )
+        if self._mono is not None:
+            return self._flipped(conjugate=False)
+        rows = self._rows
+        return ExactMatrix([[rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def conjugate(self) -> "ExactMatrix":
+        if self._mono is not None:
+            perm, phase = self._mono
+            return _from_form(perm, tuple([-p & 3 for p in phase]))
         return ExactMatrix([[entry.conjugate() for entry in row] for row in self._rows])
 
     def adjoint(self) -> "ExactMatrix":
@@ -266,16 +324,25 @@ class ExactMatrix:
         return self.transpose().conjugate()
 
     def trace(self) -> GaussianRational:
+        if self._mono is not None:
+            counts = [0, 0, 0, 0]  # diagonal entries 1, i, -1, -i
+            for r, (col, p) in enumerate(zip(*self._mono)):
+                if col == r:
+                    counts[p] += 1
+            return GaussianRational(counts[0] - counts[2], counts[1] - counts[3])
         total = ZERO
         for i in range(self.dim):
             total = total + self._rows[i][i]
         return total
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan elimination.
+        """Exact inverse: the conjugate transpose of a unit-monomial matrix,
+        Gauss-Jordan elimination otherwise.
 
         Raises ValueError for singular matrices.
         """
+        if self._mono is not None:
+            return self._flipped(conjugate=True)
         n = self.dim
         work = [list(row) for row in self._rows]
         aug = [
@@ -303,6 +370,11 @@ class ExactMatrix:
 
     def scalar_value(self) -> GaussianRational | None:
         """The scalar c when the matrix equals c times the identity, else None."""
+        if self._mono is not None:
+            perm, phase = self._mono
+            if perm != _identity_form(self.dim)[0] or phase.count(phase[0]) != self.dim:
+                return None
+            return _UNITS[phase[0]]
         diagonal = self._rows[0][0]
         for i in range(self.dim):
             for j in range(self.dim):
@@ -315,18 +387,28 @@ class ExactMatrix:
         return diagonal
 
     def is_identity(self) -> bool:
-        return self.key() == _identity_key(self.dim)
+        return self._mono == _identity_form(self.dim)
 
     def key(self) -> str:
         """Canonical bare-form string, usable as a dictionary key."""
         if self._key is None:
-            self._key = format_matrix(self, bare=True)
+            if self._mono is not None:
+                texts = _row_texts(self.dim)
+                self._key = "[" + ",".join([texts[col][p] for col, p in zip(*self._mono)]) + "]"
+            else:
+                self._key = format_matrix(self, bare=True)
         return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        if self.dim != other.dim:
+            return False
+        if self._mono is not None or other._mono is not None:
+            # The form is a function of the entries, so a monomial matrix
+            # never equals a dense one.
+            return self._mono == other._mono
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -340,9 +422,69 @@ class ExactMatrix:
         return f"ExactMatrix({self.key()!r})"
 
 
+# The unit phases: i**p for p = 0..3.
+_UNITS = (ONE, IMAG_UNIT, MINUS_ONE, MINUS_IMAG)
+
+
+def _unit_phase(value: GaussianRational) -> int | None:
+    """p with value == i**p, or None when value is not a unit."""
+    re, im = value.re, value.im
+    if im == 0:
+        return 0 if re == 1 else 2 if re == -1 else None
+    if re == 0:
+        return 1 if im == 1 else 3 if im == -1 else None
+    return None
+
+
+def _monomial_form(
+    rows: Sequence[Sequence[GaussianRational]],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(perm, phase) of a unit-monomial matrix, or None for any other."""
+    perm = []
+    phase = []
+    for row in rows:
+        found = None
+        for j, value in enumerate(row):
+            if value.is_zero():
+                continue
+            p = _unit_phase(value)
+            if found is not None or p is None:
+                return None
+            found = (j, p)
+        if found is None:
+            return None
+        perm.append(found[0])
+        phase.append(found[1])
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm), tuple(phase)
+
+
+def _from_form(perm: tuple[int, ...], phase: tuple[int, ...]) -> ExactMatrix:
+    """The unit-monomial matrix of a (perm, phase) form, without dense rows."""
+    matrix = ExactMatrix.__new__(ExactMatrix)
+    matrix.dim = len(perm)
+    matrix._rows = None
+    matrix._mono = (perm, phase)
+    matrix._nz = None
+    matrix._key = None
+    matrix._hash = None
+    return matrix
+
+
 @functools.cache
-def _identity_key(dim: int) -> str:
-    return ExactMatrix.identity(dim).key()
+def _identity_form(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(range(dim)), (0,) * dim
+
+
+@functools.cache
+def _row_texts(dim: int) -> tuple[tuple[str, ...], ...]:
+    """texts[col][p]: the canonical text of a row holding i**p in column col."""
+    units = [format_scalar(unit) for unit in _UNITS]
+    return tuple(
+        tuple("[" + ",".join(["0"] * col + [unit] + ["0"] * (dim - col - 1)) + "]" for unit in units)
+        for col in range(dim)
+    )
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -78,17 +82,44 @@ SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
 
 
 COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
+PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
+
+
+def run_cold(*argv):
+    """One report from a fresh interpreter, so no cache is warm."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "gammagroups.cli", *argv, "--format", "json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+class TestProductCounters:
+    # Every catalog group is unit-monomial. A broken form detection would
+    # fall back to dense products silently and show only as a slowdown.
+    @pytest.mark.parametrize(
+        "argv", [("verify",)] + [("analyze", n) for n in catalog.catalog_names()], ids=" ".join
+    )
+    def test_cold_runs_take_no_dense_product(self, argv):
+        counters = run_cold(*argv)["timings"]["counters"]
+        assert counters["product.dense"] == 0
+        assert counters["product.monomial"] > 0
 
 
 class TestAnalyze:
     def test_component_counters_are_reported_under_timings(self, capsys):
         _, doc, _ = run_json(capsys, "analyze", "pauli_c2")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == COMPONENT_COUNTER_KEYS
+        assert sorted(counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
         assert counters["component.triples"] >= counters["component.row_checks"]
         assert counters["component.row_checks"] >= counters["component.closures"] > 0
         _, small, _ = run_json(capsys, "analyze", "q8")
-        assert small["timings"]["counters"] == dict.fromkeys(COMPONENT_COUNTER_KEYS, 0)
+        small_counters = small["timings"]["counters"]
+        assert sorted(small_counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+        assert {small_counters[key] for key in COMPONENT_COUNTER_KEYS} == {0}
 
     def test_pauli_profile(self, capsys):
         _, doc, _ = run_json(capsys, "analyze", "pauli")
@@ -211,7 +242,7 @@ class TestVerify:
         monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == COMPONENT_COUNTER_KEYS + [
+        assert sorted(counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS + [
             "search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples",
         ]
         assert counters["search.tuples"] >= counters["search.subgroups"] > 0

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gammagroups import catalog
 from gammagroups.exact import (
+    PRODUCT_COUNTERS,
     ExactMatrix,
     GaussianRational,
     IMAG_UNIT,
@@ -21,6 +24,7 @@ from gammagroups.exact import (
     parse_matrix,
     parse_scalar,
 )
+from gammagroups.groups import generate_closure
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -211,3 +215,149 @@ def test_matrix_is_hashable():
     b = parse_matrix('[["0","-i"],["-i","0"]]')
     assert a == b
     assert len({a, b}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The unit-monomial form against the dense arithmetic it replaces.
+
+UNITS = (ONE, IMAG_UNIT, GaussianRational(-1), GaussianRational(0, -1))
+
+# The binary tetrahedral group 2T: quaternion i, j and (1+i+j+k)/2, whose
+# entries (+-1+-i)/2 keep it off the monomial form.
+TWO_T = [
+    parse_matrix("[[i,0],[0,-i]]"),
+    parse_matrix("[[0,1],[-1,0]]"),
+    parse_matrix("[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]"),
+]
+
+
+def random_monomial(rng, dim):
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return ExactMatrix(
+        [[UNITS[rng.randrange(4)] if j == perm[i] else ZERO for j in range(dim)] for i in range(dim)]
+    )
+
+
+def dense_product(a, b):
+    """Rows of a*b summed entry by entry (zero terms skipped)."""
+    n = a.dim
+    rows_a, rows_b = a.rows(), b.rows()
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if rows_a[i][k].is_zero():
+                continue
+            for j in range(n):
+                if not rows_b[k][j].is_zero():
+                    rows[i][j] = rows[i][j] + rows_a[i][k] * rows_b[k][j]
+    return tuple(tuple(row) for row in rows)
+
+
+def bare_text(rows):
+    return "[" + ",".join("[" + ",".join(format_scalar(v) for v in row) + "]" for row in rows) + "]"
+
+
+def product_path(a, b):
+    """Which product counter a*b moves."""
+    before = dict(PRODUCT_COUNTERS)
+    a * b
+    moved = [name for name, count in PRODUCT_COUNTERS.items() if count != before[name]]
+    assert len(moved) == 1
+    return moved[0]
+
+
+def random_pairs(dims=range(1, 9), per_dim=12):
+    rng = random.Random(20070)
+    return [
+        (random_monomial(rng, dim), random_monomial(rng, dim)) for dim in dims for _ in range(per_dim)
+    ]
+
+
+class TestMonomialForm:
+    @pytest.mark.parametrize("a,b", random_pairs())
+    def test_product_matches_the_dense_product(self, a, b):
+        assert product_path(a, b) == "product.monomial"
+        c = a * b
+        assert c.rows() == dense_product(a, b)
+        assert c == ExactMatrix(dense_product(a, b))
+        assert c.key() == bare_text(dense_product(a, b))
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_products_match_the_dense_product(self, name):
+        group = catalog.catalog_group(name)
+        for g in catalog.catalog_entry(name).generators:
+            for x in group.elements:
+                right = dense_product(x, g)
+                assert (x * g).rows() == right
+                assert (x * g).key() == bare_text(right)
+                assert (g * x).rows() == dense_product(g, x)
+
+    @pytest.mark.parametrize("a,b", random_pairs(per_dim=4))
+    def test_key_is_the_text_of_the_materialized_rows(self, a, b):
+        for m in (a, a * b, a.inverse(), ExactMatrix.identity(a.dim)):
+            assert m.key() == format_matrix(ExactMatrix(m.rows()), bare=True)
+            assert m.key() == bare_text(m.rows())
+            assert hash(m) == hash(ExactMatrix(m.rows()))
+
+    @pytest.mark.parametrize("a,_", random_pairs(per_dim=4))
+    def test_unary_operations_match_their_dense_results(self, a, _):
+        n = a.dim
+        rows = a.rows()
+        transposed = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+        assert a.transpose().rows() == transposed
+        assert a.conjugate().rows() == tuple(tuple(v.conjugate() for v in row) for row in rows)
+        identity = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        assert dense_product(a, a.inverse()) == identity
+        assert dense_product(a.inverse(), a) == identity
+        total = ZERO
+        for i in range(n):
+            total = total + rows[i][i]
+        assert a.trace() == total
+        for unit in UNITS:
+            assert a.scale(unit).rows() == tuple(tuple(unit * v for v in row) for row in rows)
+            assert product_path(a.scale(unit), a) == "product.monomial"
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_scalar_value_on_the_form(self, dim):
+        rng = random.Random(dim)
+        for unit in UNITS:
+            assert ExactMatrix.identity(dim).scale(unit).scalar_value() == unit
+        for _ in range(20):
+            m = random_monomial(rng, dim)
+            rows = m.rows()
+            scalar = all(
+                rows[i][j] == (rows[0][0] if i == j else ZERO) for i in range(dim) for j in range(dim)
+            )
+            assert m.scalar_value() == (rows[0][0] if scalar else None)
+            assert m.is_identity() == (rows == ExactMatrix.identity(dim).rows())
+
+    def test_mixed_products_match_the_dense_product(self):
+        rng = random.Random(24)
+        monomials = [random_monomial(rng, 2) for _ in range(8)] + TWO_T[:2]
+        for t in TWO_T[2:] + [TWO_T[2] * TWO_T[0]]:
+            for m in monomials:
+                assert product_path(m, t) == "product.dense"
+                assert product_path(t, m) == "product.dense"
+                assert (m * t).rows() == dense_product(m, t)
+                assert (t * m).rows() == dense_product(t, m)
+                assert (m * t).key() == bare_text(dense_product(m, t))
+        assert len(generate_closure(TWO_T)) == 24
+
+    def test_dense_products_that_land_on_the_form_join_it(self):
+        t = TWO_T[2]
+        cube = t * t * t  # (1+i+j+k)/2 has order 6, so its cube is -1
+        assert cube == ExactMatrix.identity(2).scale(GaussianRational(-1))
+        assert product_path(cube, cube) == "product.monomial"
+
+    def test_repeated_column_stays_dense_and_is_not_invertible(self):
+        m = parse_matrix("[[1,0],[1,0]]")
+        assert product_path(m, m) == "product.dense"
+        with pytest.raises(ValueError, match="invertible"):
+            generate_closure([m])
+
+    @pytest.mark.parametrize("text", ["[[2,0],[0,2]]", "[[0,1/2],[2,0]]", "[[0,0],[0,1]]"])
+    def test_non_unit_entries_stay_dense(self, text):
+        m = parse_matrix(text)
+        assert product_path(m, m) == "product.dense"
+        assert m.key() == bare_text(m.rows())

@@ -337,6 +337,24 @@ class TestCommutationMasks:
         assert list(mask_indices(0b101001 | 1 << 130)) == [0, 3, 5, 130]
 
 
+def is_isomorphism(group, other, phi):
+    """Reference certificate: a bijection that respects all n^2 products."""
+    n = group.order
+    if sorted(phi) != list(range(n)) or other.order != n:
+        return False
+    cay, cay_other = group.cayley(), other.cayley()
+    return all(
+        phi[cay[a][b]] == cay_other[phi[a]][phi[b]] for a in range(n) for b in range(n)
+    )
+
+
+def relabeled(group, seed):
+    """The same matrices as a group whose elements come in a shuffled order."""
+    rest = list(group.elements[1:])
+    random.Random(seed).shuffle(rest)
+    return MatrixGroup([group.elements[0], *rest])
+
+
 class TestIsomorphism:
     def test_reflexive_under_relabeling(self, pauli):
         other = MatrixGroup.from_generators([SZ, SX, SY])
@@ -392,6 +410,44 @@ class TestIsomorphism:
         gens = [q8.index_of(A1), q8.index_of(A2)]
         images = (d4.index_of(A1), d4.index_of(SY))
         assert q8.isomorphism_map(d4, hint=(gens, [images])) is None
+
+    def test_hint_that_breaks_a_relation_is_rejected(self, q8, d4):
+        # A1 -> A1 and A2 -> SY reach all of D4 along the generator edges,
+        # but A2^2 = -1 in Q8 while SY^2 = +1: only a non-tree edge sees it.
+        gens = [q8.index_of(A1), q8.index_of(A2)]
+        images = (d4.index_of(A1), d4.index_of(SY))
+        assert q8._certified_map(d4, gens, images) is None
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_maps_pass_the_full_table_check(self, name):
+        group = catalog.catalog_group(name)
+        other = relabeled(group, seed=len(name))
+        phi = group.isomorphism_map(other)
+        assert phi is not None
+        assert is_isomorphism(group, other, phi)
+        for rival in catalog.catalog_names():
+            target = catalog.catalog_group(rival)
+            if rival != name and target.order == group.order:
+                psi = group.isomorphism_map(target)
+                assert psi is None or is_isomorphism(group, target, psi)
+
+    @pytest.mark.parametrize("pool", ["dirac4", "penta8"])
+    @pytest.mark.parametrize("signature", ["+++-", "+++|+", "++-|-"])
+    def test_hinted_search_maps_pass_the_full_table_check(self, signature, pool, monkeypatch):
+        certified = MatrixGroup.isomorphism_map
+        checked = []
+
+        def checking(group, other, **kwargs):
+            phi = certified(group, other, **kwargs)
+            if phi is not None:
+                assert is_isomorphism(group, other, phi)
+                checked.append(kwargs.get("hint") is not None)
+            return phi
+
+        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking)
+        catalog.find_gamma_models(signature, pool)
+        assert any(checked)
 
     def test_same_order_histogram_but_not_isomorphic(self):
         # C4 x C2 and C8 both abelian of order 8 with different histograms;
