@@ -140,7 +140,6 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 IMAG_UNIT = GaussianRational(0, 1)
-MINUS_IMAG = GaussianRational(0, -1)
 
 
 # Work done by matrix products in this process: products of two unit-monomial
@@ -189,13 +188,17 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
+        if dim < 1:
+            raise ValueError("matrix must have at least one row")
         return _from_form(*_identity_form(dim))
 
     def __getitem__(self, index: tuple[int, int]) -> GaussianRational:
         i, j = index
         if self._rows is None:
             perm, phase = self._mono
-            return _UNITS[phase[i]] if perm[i] == j else ZERO
+            # range() indexes like the rows would: negative j counts from
+            # the end, and a column outside the matrix raises IndexError.
+            return _UNITS[phase[i]] if perm[i] == range(self.dim)[j] else ZERO
         return self._rows[i][j]
 
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
@@ -423,7 +426,7 @@ class ExactMatrix:
 
 
 # The unit phases: i**p for p = 0..3.
-_UNITS = (ONE, IMAG_UNIT, MINUS_ONE, MINUS_IMAG)
+_UNITS = (ONE, IMAG_UNIT, MINUS_ONE, GaussianRational(0, -1))
 
 
 def _unit_phase(value: GaussianRational) -> int | None:

@@ -164,6 +164,8 @@ def test_matrix_scalar_value():
     assert parse_matrix("[[0,1],[1,0]]").scalar_value() is None
     assert parse_matrix("[[-i,0],[0,-i]]").scalar_value() == GaussianRational(0, -1)
     assert ExactMatrix.identity(3).is_identity()
+    with pytest.raises(ValueError):
+        ExactMatrix.identity(0)
 
 
 def test_matrix_accepts_integer_json():
@@ -299,6 +301,18 @@ class TestMonomialForm:
             assert m.key() == format_matrix(ExactMatrix(m.rows()), bare=True)
             assert m.key() == bare_text(m.rows())
             assert hash(m) == hash(ExactMatrix(m.rows()))
+
+    @pytest.mark.parametrize("a,b", random_pairs(per_dim=2))
+    def test_entries_read_like_the_materialized_rows(self, a, b):
+        m = a * b
+        rows = (a * b).rows()  # materialized on another copy, so m reads its form
+        n = m.dim
+        for i in range(-n, n):
+            for j in range(-n, n):
+                assert m[i, j] == rows[i][j]
+        for index in ((0, n), (n, 0), (0, -n - 1)):
+            with pytest.raises(IndexError):
+                m[index]
 
     @pytest.mark.parametrize("a,_", random_pairs(per_dim=4))
     def test_unary_operations_match_their_dense_results(self, a, _):
