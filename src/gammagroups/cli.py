@@ -9,7 +9,8 @@ and renders it as JSON or markdown. The JSON renderer is canonical
 it reproduces the bytes exactly.
 
 Exit codes: 0 on success, 1 when a verification or claim fails, 2 on
-usage errors (unknown names, unparseable input, empty claim filter).
+usage errors (unknown names, unparseable input, empty claim filter, a
+group whose irreducible dimensions counting cannot pin down).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .brackets import (
 )
 from .exact import PRODUCT_COUNTERS, ParseError
 from .groups import DEFAULT_CAP, MatrixGroup
+from .reps import FORM_COUNTERS, AmbiguousCensus
 
 
 class UsageError(Exception):
@@ -184,7 +186,10 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
 def _cmd_analyze(args, started: float) -> tuple[dict, int]:
     counted = _counting(COMPONENT_COUNTERS, PRODUCT_COUNTERS)
     name, group, entry = _resolve_target(args.target, args.cap)
-    profile = _analyze_profile(name, group, entry)
+    try:
+        profile = _analyze_profile(name, group, entry)
+    except AmbiguousCensus as err:
+        raise UsageError(f"cannot analyze {args.target!r}: {err}") from err
     doc = _document(
         "analyze", started, profile=profile, timings={"counters": counted()},
         target=args.target,
@@ -194,7 +199,9 @@ def _cmd_analyze(args, started: float) -> tuple[dict, int]:
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
-    counted = _counting(catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, PRODUCT_COUNTERS)
+    counted = _counting(
+        catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, PRODUCT_COUNTERS, FORM_COUNTERS
+    )
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:

@@ -209,6 +209,13 @@ class ExactMatrix:
             )
         return self._rows
 
+    def monomial_form(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(perm, phase) of a unit-monomial matrix, None for a dense one.
+
+        Row r holds i**phase[r] in column perm[r] and zeros elsewhere.
+        """
+        return self._mono
+
     @property
     def _rows_nonzero(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
         if self._nz is None:

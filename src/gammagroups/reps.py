@@ -3,20 +3,29 @@
 Everything here works from traces and exact arithmetic: the irreducible
 dimension census from counting arguments, the norm and indicator sums of
 the defining representation (optionally restricted to a diagonal block),
-invariant bilinear forms by exact linear algebra, and eigenvalue weights
-of individual elements computed in the ring of eighth roots of unity.
+invariant bilinear forms, and eigenvalue weights of individual elements
+computed in the ring of eighth roots of unity.
+
+Unit-monomial matrices are read on their (permutation, phase) form: a
+block check is a test of the permutation, a block trace counts diagonal
+phases in integers, and invariant forms come from phase propagation over
+orbits of index pairs. Dense matrices take entry reads and Gaussian
+elimination over the Gaussian rationals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ExactMatrix, GaussianRational, format_scalar
+from .exact import IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational, format_scalar
 from .groups import MatrixGroup
 
-_HALF_I = GaussianRational(0, Fraction(1, 2))
+
+class AmbiguousCensus(ValueError):
+    """More than one multiset of irreducible dimensions fits the counts."""
 
 
 def irrep_census(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
@@ -25,7 +34,8 @@ def irrep_census(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
     Counting pins it down: the class count gives the number of irreducibles,
     the abelianization size gives the one-dimensional ones, and the higher
     dimensions must divide the order and have squares summing to the rest.
-    Raises if more than one multiset satisfies the constraints.
+    Raises AmbiguousCensus if more than one multiset satisfies the
+    constraints.
     """
     order = group.order
     classes = len(group.conjugacy_classes())
@@ -58,7 +68,7 @@ def irrep_census(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
     if not solutions:
         raise ValueError("no irreducible dimension multiset fits the counts")
     if len(solutions) > 1:
-        raise ValueError("ambiguous irreducible dimension census")
+        raise AmbiguousCensus("ambiguous irreducible dimension census")
     out: dict[int, int] = {1: onedim}
     for d in solutions[0]:
         out[d] = out.get(d, 0) + 1
@@ -76,31 +86,47 @@ def _check_block(group: MatrixGroup, block: tuple[int, int] | None) -> tuple[int
     start, size = block
     if start < 0 or size <= 0 or start + size > dim:
         raise ValueError(f"block {block} does not fit in dimension {dim}")
-    inside = range(start, start + size)
+    stop = start + size
     for m in group.elements:
-        for i in range(dim):
-            for j in range(dim):
-                if (i in inside) != (j in inside) and not m[i, j].is_zero():
-                    raise ValueError(
-                        f"block {block} is coupled to the rest at entry ({i},{j})"
-                    )
+        form = m.monomial_form()
+        if form is not None:
+            # Row i holds its one entry at (i, perm[i]): the dense scan's order.
+            entries = enumerate(form[0])
+        else:
+            entries = (
+                (i, j) for i in range(dim) for j in range(dim) if not m[i, j].is_zero()
+            )
+        for i, j in entries:
+            if (start <= i < stop) != (start <= j < stop):
+                raise ValueError(f"block {block} is coupled to the rest at entry ({i},{j})")
     return (start, size)
 
 
-def _block_trace(m: ExactMatrix, start: int, size: int) -> GaussianRational:
-    total = GaussianRational(0, 0)
-    for i in range(start, start + size):
-        total = total + m[i, i]
-    return total
+def _block_trace(m: ExactMatrix, start: int, size: int) -> tuple[Fraction | int, Fraction | int]:
+    """(real, imaginary) part of the block's trace: integer counts of the
+    diagonal phases on the monomial form, an exact sum of entries otherwise."""
+    form = m.monomial_form()
+    if form is None:
+        total = GaussianRational(0, 0)
+        for i in range(start, start + size):
+            total = total + m[i, i]
+        return total.re, total.im
+    counts = [0, 0, 0, 0]  # diagonal entries 1, i, -1, -i
+    perm, phase = form
+    for r in range(start, start + size):
+        if perm[r] == r:
+            counts[phase[r]] += 1
+    return counts[0] - counts[2], counts[1] - counts[3]
 
 
 def irreducibility_norm(group: MatrixGroup, block: tuple[int, int] | None = None) -> Fraction:
     """Average of |trace|^2; exactly 1 for an irreducible representation."""
     start, size = _check_block(group, block)
-    total = Fraction(0)
+    total = 0
     for m in group.elements:
-        total += _block_trace(m, start, size).norm2()
-    return total / group.order
+        re, im = _block_trace(m, start, size)
+        total += re * re + im * im
+    return Fraction(total, group.order)
 
 
 def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = None) -> int:
@@ -113,12 +139,15 @@ def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = Non
     norm = irreducibility_norm(group, block)
     if norm != 1:
         raise ValueError(f"representation is reducible (norm {norm}); indicator undefined")
-    total = GaussianRational(0, 0)
+    total_re = total_im = 0
     for i in range(group.order):
-        total = total + _block_trace(group.elements[group.mul(i, i)], start, size)
-    if total.im != 0 or total.re % group.order != 0:
-        raise ValueError(f"indicator sum {format_scalar(total)} is not an integer multiple")
-    value = int(total.re / group.order)
+        re, im = _block_trace(group.elements[group.mul(i, i)], start, size)
+        total_re += re
+        total_im += im
+    if total_im != 0 or total_re % group.order != 0:
+        total = format_scalar(GaussianRational(total_re, total_im))
+        raise ValueError(f"indicator sum {total} is not an integer multiple")
+    value = int(total_re // group.order)
     if value not in (-1, 0, 1):
         raise ValueError(f"indicator {value} outside the expected range")
     return value
@@ -176,10 +205,88 @@ def _nullspace_dim_and_vector(
     return len(free), solution
 
 
+# How invariant forms were solved in this process: one count per
+# (generators, symmetry) system, by phase propagation over orbits of index
+# pairs or by Gaussian elimination. Reports carry them under
+# `timings.counters`.
+FORM_COUNTERS: Counter[str] = Counter(dict.fromkeys(("form.orbit", "form.elimination"), 0))
+
+
 def _form_solution(
     gens: list[ExactMatrix], size: int, symmetric: bool
 ) -> ExactMatrix | None:
-    """Solve g^T B g = B over the (anti)symmetric matrices B."""
+    """Solve g^T B g = B over the (anti)symmetric matrices B.
+
+    On unit-monomial generators the system splits into orbits of index
+    pairs (``_form_by_orbits``); any other generator set is eliminated.
+    Both return the same matrix.
+    """
+    forms = [g.monomial_form() for g in gens]
+    if None not in forms:
+        FORM_COUNTERS["form.orbit"] += 1
+        return _form_by_orbits(forms, size, symmetric)
+    FORM_COUNTERS["form.elimination"] += 1
+    return _form_by_elimination(gens, size, symmetric)
+
+
+def _form_by_orbits(
+    forms: list[tuple[tuple[int, ...], tuple[int, ...]]], size: int, symmetric: bool
+) -> ExactMatrix | None:
+    """g^T B g = B for monomial generators, by phase propagation.
+
+    For g = (perm, phase) the equation reads B[perm a, perm b] =
+    i^(phase[a] + phase[b]) B[a, b], so each entry of B is a power of i
+    times the entry it is moved from, and B[j, i] is B[i, j] times the
+    transpose sign. The pairs i <= j fall into orbits. An orbit carries a
+    one-dimensional solution unless two paths give one pair different
+    phases, or it holds a diagonal pair of an antisymmetric form, which is
+    forced to zero. The elimination in ``_form_by_elimination`` sets its
+    first free unknown to 1: that is the last pair of the consistent orbit
+    whose last pair comes first, so that orbit is returned, 1 there.
+    """
+    flip = 0 if symmetric else 2  # B[j, i] = i**flip * B[i, j]
+    phase_of: dict[tuple[int, int], int] = {}
+    best: list[tuple[int, int]] | None = None
+    for root in ((i, j) for i in range(size) for j in range(i, size)):
+        if root in phase_of:
+            continue
+        phase_of[root] = 0
+        orbit = [root]
+        consistent = True
+        for a, b in orbit:  # grows while it is walked
+            value = phase_of[(a, b)]
+            for perm, phase in forms:
+                p, q = perm[a], perm[b]
+                moved = value + phase[a] + phase[b]
+                if p > q:
+                    p, q = q, p
+                    moved += flip
+                known = phase_of.get((p, q))
+                if known is None:
+                    phase_of[(p, q)] = moved & 3
+                    orbit.append((p, q))
+                elif known != moved & 3:
+                    consistent = False
+        if not symmetric and any(a == b for a, b in orbit):
+            consistent = False
+        if consistent and (best is None or max(orbit) < max(best)):
+            best = orbit
+    if best is None:
+        return None
+    shift = phase_of[max(best)]
+    units = (ONE, IMAG_UNIT, MINUS_ONE, -IMAG_UNIT)
+    entries = [[ZERO] * size for _ in range(size)]
+    for i, j in best:
+        p = phase_of[(i, j)] - shift
+        entries[j][i] = units[(p + flip) & 3]
+        entries[i][j] = units[p & 3]
+    return ExactMatrix(entries)
+
+
+def _form_by_elimination(
+    gens: list[ExactMatrix], size: int, symmetric: bool
+) -> ExactMatrix | None:
+    """g^T B g = B by Gaussian elimination over the basis pairs of B."""
     if symmetric:
         basis = [(i, j) for i in range(size) for j in range(i, size)]
     else:

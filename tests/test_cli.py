@@ -82,6 +82,7 @@ SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
 
 
 COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
+FORM_COUNTER_KEYS = ["form.elimination", "form.orbit"]
 PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
 
 
@@ -99,7 +100,8 @@ def run_cold(*argv):
 
 class TestProductCounters:
     # Every catalog group is unit-monomial. A broken form detection would
-    # fall back to dense products silently and show only as a slowdown.
+    # fall back to dense products and eliminations silently and show only
+    # as a slowdown.
     @pytest.mark.parametrize(
         "argv", [("verify",)] + [("analyze", n) for n in catalog.catalog_names()], ids=" ".join
     )
@@ -107,6 +109,9 @@ class TestProductCounters:
         counters = run_cold(*argv)["timings"]["counters"]
         assert counters["product.dense"] == 0
         assert counters["product.monomial"] > 0
+        if argv == ("verify",):
+            assert counters["form.elimination"] == 0
+            assert counters["form.orbit"] > 0
 
 
 class TestAnalyze:
@@ -214,6 +219,20 @@ class TestAnalyze:
         assert code == 2
         assert "broken.json" in err
 
+    def test_ambiguous_census_is_a_usage_error(self, capsys, tmp_path):
+        # Order 768: more than one multiset of irreducible dimensions fits
+        # the order, the class count and the abelianization.
+        path = tmp_path / "census768.json"
+        path.write_text(json.dumps({"name": "census768", "dimension": 4, "generators": [
+            "[[i,0,0,0],[0,i,0,0],[0,0,0,-1],[0,0,-i,0]]",
+            "[[0,0,-1,0],[0,-1,0,0],[i,0,0,0],[0,0,0,1]]",
+        ]}))
+        code, out, err = run(capsys, "--format", "json", "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        message = f"cannot analyze {str(path)!r}: ambiguous irreducible dimension census"
+        assert err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_filtered_run_passes(self, capsys):
@@ -242,9 +261,10 @@ class TestVerify:
         monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS + [
-            "search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples",
-        ]
+        assert sorted(counters) == (
+            COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+            + ["search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples"]
+        )
         assert counters["search.tuples"] >= counters["search.subgroups"] > 0
         _, again, _ = run_json(capsys, "verify", "--filter", "search.*")
         assert set(again["timings"]["counters"].values()) == {0}  # served from the cache

@@ -1,15 +1,21 @@
 """Representation analysis tests: census, indicators, forms, weights."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups.exact import GaussianRational, block_diag, parse_matrix
+from gammagroups import catalog
+from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
 from gammagroups.groups import MatrixGroup
 from gammagroups.reps import (
+    FORM_COUNTERS,
     Cyc8,
+    _form_by_elimination,
+    _form_by_orbits,
+    _submatrix,
     format_census,
     format_cyc8,
     invariant_bilinear_form,
@@ -160,6 +166,183 @@ class TestBilinearForm:
 
     def test_block_form(self, doubled):
         assert invariant_bilinear_form(doubled, (0, 2))[0] == "none"
+
+
+BINARY_TETRAHEDRAL = [
+    parse_matrix("[[i,0],[0,-i]]"),
+    parse_matrix("[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]"),
+]
+
+
+class TestDenseGroups:
+    """2T mixes its monomial Q8 with dense elements of entries (+-1+-i)/2."""
+
+    def test_binary_tetrahedral_is_quaternionic(self):
+        group = MatrixGroup.from_generators(BINARY_TETRAHEDRAL)
+        assert group.order == 24
+        assert sum(m.monomial_form() is None for m in group.elements) == 16
+        assert irreducibility_norm(group) == 1
+        assert structural_invariant(group) == -1
+        before = FORM_COUNTERS["form.elimination"]
+        kind, form = invariant_bilinear_form(group)
+        assert FORM_COUNTERS["form.elimination"] == before + 2
+        assert kind == "antisymmetric"
+        for g in group.elements:
+            assert g.transpose() * form * g == form
+
+    def test_dense_block_check_names_the_first_coupled_entry(self):
+        group = MatrixGroup.from_generators(
+            [block_diag(m, parse_matrix("[[1]]")) for m in BINARY_TETRAHEDRAL]
+        )
+        assert irreducibility_norm(group, (0, 2)) == 1
+        assert irreducibility_norm(group, (2, 1)) == 1
+        with pytest.raises(ValueError) as err:
+            irreducibility_norm(group, (1, 2))
+        assert str(err.value) == "block (1, 2) is coupled to the rest at entry (0,1)"
+
+
+# The dense reads the monomial fast paths replace: a row-major scan of every
+# entry, and traces summed entry by entry in Gaussian rationals.
+
+def _dense_coupling(group: MatrixGroup, start: int, size: int) -> tuple[int, int] | None:
+    dim = group.elements[0].dim
+    inside = range(start, start + size)
+    for m in group.elements:
+        for i in range(dim):
+            for j in range(dim):
+                if (i in inside) != (j in inside) and not m[i, j].is_zero():
+                    return (i, j)
+    return None
+
+
+def _dense_trace(m: ExactMatrix, start: int, size: int) -> GaussianRational:
+    total = GaussianRational(0, 0)
+    for i in range(start, start + size):
+        total = total + m[i, i]
+    return total
+
+
+def assert_block_queries_match_dense_reads(group: MatrixGroup) -> None:
+    dim = group.elements[0].dim
+    for start in range(dim):
+        for size in range(1, dim - start + 1):
+            block = (start, size)
+            coupled = _dense_coupling(group, start, size)
+            if coupled is not None:
+                with pytest.raises(ValueError) as err:
+                    irreducibility_norm(group, block)
+                i, j = coupled
+                assert str(err.value) == f"block {block} is coupled to the rest at entry ({i},{j})"
+                continue
+            norm = sum(_dense_trace(m, start, size).norm2() for m in group.elements) / group.order
+            assert irreducibility_norm(group, block) == norm
+            if norm != 1:
+                continue
+            squares = GaussianRational(0, 0)
+            for i in range(group.order):
+                squares = squares + _dense_trace(group.elements[group.mul(i, i)], start, size)
+            assert structural_invariant(group, block) == squares.re / group.order
+
+
+def assert_forms_agree(gens: list[ExactMatrix], size: int) -> None:
+    """The orbit solution against the elimination, as the same matrix."""
+    forms = [g.monomial_form() for g in gens]
+    assert None not in forms
+    for symmetric in (True, False):
+        reference = _form_by_elimination(gens, size, symmetric)
+        solved = _form_by_orbits(forms, size, symmetric)
+        assert (solved is None) == (reference is None), (symmetric, [g.key() for g in gens])
+        if reference is not None:
+            assert solved.key() == reference.key(), (symmetric, [g.key() for g in gens])
+            for g in gens:
+                assert g.transpose() * solved * g == solved
+
+
+def _random_monomial(rng: random.Random, dim: int, phases: tuple[int, ...]) -> ExactMatrix:
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    units = ("1", "i", "-1", "-i")
+    rows = [["0"] * dim for _ in range(dim)]
+    for r, col in enumerate(perm):
+        rows[r][col] = units[rng.choice(phases)]
+    return parse_matrix("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]")
+
+
+def _random_monomial_gens(rng: random.Random, dim: int) -> list[ExactMatrix]:
+    # Signed permutations keep a symmetric form, unit multiples of them
+    # often an antisymmetric one; free phases mostly leave none.
+    phases = rng.choice(((0, 2), (1, 3), (0, 1, 2, 3)))
+    return [_random_monomial(rng, dim, phases) for _ in range(rng.randint(1, 3))]
+
+
+def _entry_blocks(name: str) -> list[tuple[int, int]]:
+    group = catalog.catalog_group(name)
+    whole = (0, group.elements[0].dim)
+    return list(dict.fromkeys([*(catalog.catalog_entry(name).blocks or ()), whole]))
+
+
+class TestFormsByOrbits:
+    """Phase propagation over index-pair orbits against the elimination."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_blocks_and_groups(self, name):
+        group = catalog.catalog_group(name)
+        for start, size in _entry_blocks(name):
+            gens = [_submatrix(group.elements[i], start, size) for i in group.generator_indices]
+            assert_forms_agree(gens, size)
+
+    @pytest.mark.parametrize("name", ["gamma64_minus", "gamma64_plus", "gamma64_null"])
+    def test_order_16_subgroups_of_order_64_entries(self, name):
+        group = catalog.catalog_group(name)
+        rng = random.Random(f"forms:{name}")
+        for sub in rng.sample(group.subgroups_of_order(16), 2):
+            gens: list[int] = []
+            for i in sub.sorted_indices():
+                if i not in group.closure_indices(gens or [0]):
+                    gens.append(i)
+            for start, size in _entry_blocks(name):
+                assert_forms_agree([_submatrix(group.elements[i], start, size) for i in gens], size)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_random_monomial_generators(self, dim):
+        rng = random.Random(f"forms:{dim}")
+        for _ in range(12):
+            assert_forms_agree(_random_monomial_gens(rng, dim), dim)
+
+    def test_antisymmetric_diagonal_is_forced_to_zero(self):
+        # A diagonal +-1 matrix fixes every pair's orbit; only the diagonal
+        # pairs are consistent, and an antisymmetric form has no diagonal.
+        diag = parse_matrix("[[1,0],[0,-1]]")
+        assert _form_by_orbits([diag.monomial_form()], 2, symmetric=False) is None
+        assert _form_by_orbits([diag.monomial_form()], 2, symmetric=True) == parse_matrix(
+            "[[1,0],[0,0]]"
+        )
+
+    def test_cold_solutions_are_counted(self, q8):
+        before = dict(FORM_COUNTERS)
+        invariant_bilinear_form(q8)
+        assert FORM_COUNTERS["form.orbit"] == before["form.orbit"] + 2
+        assert FORM_COUNTERS["form.elimination"] == before["form.elimination"]
+
+
+class TestBlockQueriesOnTheForm:
+    """Block checks, norms and indicators against dense entry reads."""
+
+    @pytest.mark.parametrize("name", ["pauli", "q8_v4", "pauli_c2", "gamma64_null"])
+    def test_catalog_groups(self, name):
+        assert_block_queries_match_dense_reads(catalog.catalog_group(name))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_random_monomial_groups(self, dim):
+        rng = random.Random(f"blocks:{dim}")
+        groups = 0
+        while groups < 4:
+            try:
+                group = MatrixGroup.from_generators(_random_monomial_gens(rng, dim), cap=128)
+            except ValueError:
+                continue  # closure past the cap: draw again
+            assert_block_queries_match_dense_reads(group)
+            groups += 1
 
 
 class TestCyc8:
