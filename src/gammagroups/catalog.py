@@ -26,7 +26,7 @@ from .brackets import (
     verify_relations,
 )
 from .exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
-from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, mask_indices
+from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, certified_map, mask_indices
 from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
 
 CATALOG_NAMES = (
@@ -426,7 +426,9 @@ class _PoolSearcher:
     anticommutes with the earlier ones, -1 = [s1, s2] lies in <s1, s2>,
     and every square is +-1, so each extension after the first pair
     qualifies; `coset` still checks that with a few lookups and raises
-    if it ever fails.
+    if it ever fails. The same table (``cay``) certifies the generator-map
+    hints between subgroups, so a subgroup needs no standalone group of
+    its own unless it starts a class or goes to the isomorphism fallback.
     """
 
     def __init__(self, pool: MatrixGroup):
@@ -474,13 +476,41 @@ class _PoolSearcher:
 
 
 # Work done by uncached find_gamma_models calls in this process: generator
-# tuples matching a signature, distinct subgroups they generate, and
-# isomorphism tests settled by the generator-map hint or sent on to the
-# fingerprint-and-backtracking fallback. Reports carry them under
+# tuples matching a signature, distinct subgroups they generate, isomorphism
+# tests settled by a generator-map hint on the pool table or sent on to the
+# fingerprint-and-backtracking fallback, and the standalone MatrixGroups
+# built for new classes and for that fallback. Reports carry them under
 # `timings.counters`.
-SEARCH_COUNTERS: Counter[str] = Counter(
-    dict.fromkeys(("search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback"), 0)
-)
+SEARCH_COUNTERS: Counter[str] = Counter(dict.fromkeys((
+    "search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback",
+    "search.groups_built",
+), 0))
+
+
+@dataclass
+class _ModelClass:
+    """One isomorphism class met by a search, held on pool indices.
+
+    ``key`` is the member mask of the representative subgroup and
+    ``images`` the pool tuples that the tuples of this class map to.
+    ``group`` is the representative as a standalone MatrixGroup, built
+    on first need.
+    """
+
+    key: int
+    images: list[tuple[int, ...]]
+    hit: ModelHit
+    group: MatrixGroup | None = None
+
+
+def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
+    """The pool subgroup with member mask ``key`` as its own group.
+
+    `as_group` orders it [0] + the other members sorted, so its element j
+    is the j-th set bit of ``key``.
+    """
+    SEARCH_COUNTERS["search.groups_built"] += 1
+    return Subgroup(pool, frozenset(mask_indices(key))).as_group()
 
 
 def find_gamma_models(
@@ -496,9 +526,12 @@ def find_gamma_models(
     deduplicated first by the generated subgroup and then by abstract
     isomorphism. Hint, then certify: a new group is first tested with the
     maps that send its tuple to the representative's own tuple or to the
-    images of earlier tuples of that class; only if none is an
-    isomorphism does the test fall back to fingerprint and backtracking.
-    Every accepted isomorphism is certified on both full tables. Each
+    images of earlier tuples of that class, each certified by
+    `certified_map` on the pool's table along the generator edges; only
+    if none is an isomorphism does the test fall back to fingerprint and
+    backtracking on standalone groups, whose result is certified the same
+    way on their tables. Standalone groups are built only for that
+    fallback and for new classes, which `identify_stable` needs. Each
     class reports the first generator tuple that produced it. An empty
     list means the pool has no model for the spec.
     """
@@ -511,6 +544,7 @@ def find_gamma_models(
     if pool_name not in _SEARCHER_CACHE:
         _SEARCHER_CACHE[pool_name] = _PoolSearcher(pool)
     searcher = _SEARCHER_CACHE[pool_name]
+    cay = searcher.cay
 
     if spec.commuting_fourth is None:
         triple_squares = spec.squares[:3]
@@ -526,7 +560,7 @@ def find_gamma_models(
     # triple subgroup mask -> (its members, union of the cosets H*s4 taken)
     covered: dict[int, tuple[list[int], int]] = {}
     seen_subgroups: set[int] = set()
-    classes: list[tuple[MatrixGroup, list[tuple[int, ...]], ModelHit]] = []
+    classes: list[_ModelClass] = []
 
     for s1, s2, s3 in searcher.triples(triple_squares):
         if (s1, s2) not in pair_closure:
@@ -558,33 +592,46 @@ def find_gamma_models(
                 continue
             seen_subgroups.add(key)
             counters["search.subgroups"] += 1
-            group = Subgroup(pool, frozenset(mask_indices(key))).as_group()
-            gens = tuple(group.index_of(pool.matrix(s)) for s in (s1, s2, s3, s4))
-            for rep, rep_images, _ in classes:
-                if group.order != rep.order:
+            gens = (s1, s2, s3, s4)
+            order = key.bit_count()
+            group = None  # this subgroup as a standalone group, on first need
+            for cls in classes:
+                if cls.hit.order != order:
                     continue
-                mapping = group.isomorphism_map(rep, hint=(gens, rep_images))
-                images = None if mapping is None else tuple(mapping[g] for g in gens)
-                if images in rep_images:
+                if any(
+                    certified_map(cay, cay, gens, images, order) is not None
+                    for images in cls.images
+                ):
                     counters["search.iso_hint"] += 1
                     break
                 counters["search.iso_fallback"] += 1
-                if images is not None:
+                group = group or _standalone(pool, key)
+                cls.group = cls.group or _standalone(pool, cls.key)
+                mapping = group.isomorphism_map(cls.group)
+                if mapping is not None:
                     # The tuple obeys other relations than the known ones:
-                    # its images become one more hint for this class.
-                    rep_images.append(images)
+                    # its images become one more hint for this class. Pool
+                    # element s is element (set bits of key below s) of group.
+                    rep_members = list(mask_indices(cls.key))
+                    cls.images.append(tuple(
+                        rep_members[mapping[(key & ((1 << s) - 1)).bit_count()]] for s in gens
+                    ))
                     break
             else:
+                identified = None
+                if order == 32:
+                    group = group or _standalone(pool, key)
+                    identified = identify_stable(group)
                 hit = ModelHit(
                     signature=str(spec),
                     pool=pool_name,
-                    generator_indices=(s1, s2, s3, s4),
-                    order=group.order,
-                    identified=identify_stable(group) if group.order == 32 else None,
+                    generator_indices=gens,
+                    order=order,
+                    identified=identified,
                 )
-                classes.append((group, [gens], hit))
+                classes.append(_ModelClass(key, [gens], hit, group))
         covered[base] = (members, taken)
-    _SEARCH_CACHE[cache_key] = [hit for _, _, hit in classes]
+    _SEARCH_CACHE[cache_key] = [cls.hit for cls in classes]
     return list(_SEARCH_CACHE[cache_key])
 
 

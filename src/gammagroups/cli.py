@@ -130,7 +130,7 @@ def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
         return target, catalog.catalog_group(target), catalog.catalog_entry(target)
     try:
         name, group = catalog.load_generator_file(target, cap=cap)
-    except FileNotFoundError as err:
+    except OSError as err:  # missing, a directory, unreadable
         raise UsageError(f"{target!r} is neither a catalog entry nor a readable file") from err
     except (ValueError, ParseError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot load generator file {target!r}: {err}") from err

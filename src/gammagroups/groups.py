@@ -68,6 +68,45 @@ def mask_indices(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def certified_map(
+    table: Sequence[Sequence[int]],
+    image_table: Sequence[Sequence[int]],
+    gens: Sequence[int],
+    images: Sequence[int],
+    size: int,
+) -> dict[int, int] | None:
+    """The isomorphism sending ``gens`` to ``images``, as {element: image}, or None.
+
+    ``gens`` index ``table`` and ``images`` index ``image_table``; both
+    tables have the identity at index 0 and may be one table, for a map
+    between two subgroups of one group. The map is extended breadth-first
+    from the identity, checking phi(a * g) = phi(a) * phi(g) for every
+    reached a and generator g (size*k lookups), and accepted only if it
+    reaches ``size`` elements with ``size`` distinct images. When <images>
+    has ``size`` elements, as the callers ensure, that certifies an
+    isomorphism from <gens> onto <images>: a map that respects right
+    multiplication by each generator respects every product, by induction
+    on the word length of the right factor, and this one is a bijection.
+    """
+    mapping = {0: 0}
+    queue = [0]
+    for a in queue:
+        row = table[a]
+        image_row = image_table[mapping[a]]
+        for g, image in zip(gens, images):
+            b = row[g]
+            target = image_row[image]
+            known = mapping.get(b)
+            if known is None:
+                mapping[b] = target
+                queue.append(b)
+            elif known != target:
+                return None
+    if len(mapping) != size or len(set(mapping.values())) != size:
+        return None
+    return mapping
+
+
 class MatrixGroup:
     """A finite group of exact matrices with index-based structure queries."""
 
@@ -520,26 +559,14 @@ class MatrixGroup:
             closure = self.closure_indices(gens)
         return gens
 
-    def isomorphism_map(
-        self,
-        other: "MatrixGroup",
-        *,
-        hint: tuple[Sequence[int], Sequence[Sequence[int]]] | None = None,
-    ) -> list[int] | None:
+    def isomorphism_map(self, other: "MatrixGroup") -> list[int] | None:
         """An isomorphism onto ``other`` as an image list, or None.
 
-        ``hint`` is a pair (generators of self, candidate image tuples in
-        other). The map each candidate determines is tried first; only if
-        none is an isomorphism does the search fall back to the
-        fingerprint and backtracking. Every returned map is certified by
-        ``_certified_map`` before being handed back.
+        Groups with different fingerprints are rejected at once; otherwise
+        a backtracking search over greedy generators proposes images, and
+        every returned map is certified by ``_certified_map`` before being
+        handed back.
         """
-        if hint is not None and self.order == other.order:
-            gens, candidates = hint
-            for images in candidates:
-                mapping = self._certified_map(other, gens, images)
-                if mapping is not None:
-                    return mapping
         if self.fingerprint() != other.fingerprint():
             return None
         n = self.order
@@ -577,32 +604,13 @@ class MatrixGroup:
     ) -> list[int] | None:
         """The isomorphism sending ``gens`` to ``images``, or None.
 
-        The map is extended breadth-first along the generators, checking
-        phi(a * g) = phi(a) * phi(g) for every element a and generator g
-        (n*k lookups), then checked to be a bijection. That certifies the
-        whole homomorphism: the search reaching all n elements means the
-        generators generate, and a map that respects right multiplication
-        by each generator respects every product, by induction on the word
-        length of the right factor.
+        See `certified_map`; here the two groups have one table each.
         """
         n = self.order
-        cay_s = self.cayley()
-        cay_o = other.cayley()
-        mapping: list[int | None] = [None] * n
-        mapping[0] = 0
-        queue = [0]
-        for a in queue:
-            for g, image in zip(gens, images):
-                b = cay_s[a][g]
-                target = cay_o[mapping[a]][image]
-                if mapping[b] is None:
-                    mapping[b] = target
-                    queue.append(b)
-                elif mapping[b] != target:
-                    return None
-        if any(v is None for v in mapping) or len(set(mapping)) != n:
+        if other.order != n:
             return None
-        return mapping  # type: ignore[return-value]
+        mapping = certified_map(self.cayley(), other.cayley(), gens, images, n)
+        return None if mapping is None else [mapping[a] for a in range(n)]
 
     def _element_profile(self, a: int) -> tuple[int, int, bool]:
         return (

@@ -375,6 +375,8 @@ class TestCosetSearch:
         assert done["search.iso_hint"] + done["search.iso_fallback"] >= (
             done["search.subgroups"] - len(hits)
         )
+        # standalone groups only for new classes and each side of a fallback
+        assert done["search.groups_built"] <= len(hits) + 2 * done["search.iso_fallback"]
 
 
 class TestExtensions:

@@ -1,6 +1,7 @@
 """Command-line interface: report shape, renderers, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -86,8 +87,13 @@ FORM_COUNTER_KEYS = ["form.elimination", "form.orbit"]
 PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
 
 
+@functools.cache
 def run_cold(*argv):
-    """One report from a fresh interpreter, so no cache is warm."""
+    """One report from a fresh interpreter, so no cache is warm.
+
+    Memoized per argv, so tests that read the same cold report share one
+    process; callers must not modify the returned document.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -263,13 +269,27 @@ class TestVerify:
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (
             COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
-            + ["search.iso_fallback", "search.iso_hint", "search.subgroups", "search.tuples"]
+            + ["search.groups_built", "search.iso_fallback", "search.iso_hint",
+               "search.subgroups", "search.tuples"]
         )
         assert counters["search.tuples"] >= counters["search.subgroups"] > 0
         _, again, _ = run_json(capsys, "verify", "--filter", "search.*")
         assert set(again["timings"]["counters"].values()) == {0}  # served from the cache
         del doc["timings"], again["timings"]
         assert doc == again
+
+    def test_cold_verify_search_counters_are_pinned(self):
+        # The search's work on both pools: a change here is a change in
+        # enumeration, deduplication or isomorphism testing. Standalone
+        # groups are built only for new classes and the fallback.
+        counters = run_cold("verify")["timings"]["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("search.")} == {
+            "search.tuples": 710400,
+            "search.subgroups": 4328,
+            "search.iso_hint": 4304,
+            "search.iso_fallback": 5,
+            "search.groups_built": 23,
+        }
 
     def test_component_counters_are_reported_under_timings(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--filter", "catalog.pauli_c2.*")
@@ -397,6 +417,20 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(list(argv))
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("brackets", "--table", "d"),
+        ("subgroups", "--order", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_directory_target_is_a_usage_error(self, capsys, tmp_path, argv):
+        command, *options = argv
+        code, out, err = run(capsys, command, str(tmp_path), *options)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {str(tmp_path)!r} is neither a catalog entry nor a readable file\n"
+        )
 
 
 PHASES = ("1", "-1", "i", "-i")

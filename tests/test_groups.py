@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from gammagroups import catalog
 from gammagroups.exact import ExactMatrix, GaussianRational, parse_matrix
-from gammagroups.groups import DEFAULT_CAP, MatrixGroup, generate_closure, mask_indices
+from gammagroups.groups import (
+    DEFAULT_CAP,
+    MatrixGroup,
+    Subgroup,
+    certified_map,
+    generate_closure,
+    mask_indices,
+)
 
 SX = parse_matrix("[[0,1],[1,0]]")
 SY = parse_matrix("[[0,-i],[i,0]]")
@@ -384,32 +391,38 @@ class TestIsomorphism:
         other = MatrixGroup.from_generators([A2, A1])
         gens = [q8.index_of(A1), q8.index_of(A2)]
         images = (other.index_of(A2), other.index_of(A1))
-        phi = q8.isomorphism_map(other, hint=(gens, [images]))
+        phi = certified_map(q8.cayley(), other.cayley(), gens, images, q8.order)
         assert [phi[g] for g in gens] == list(images)
+        assert is_isomorphism(q8, other, [phi[a] for a in range(q8.order)])
+        assert q8._certified_map(other, gens, images) == [phi[a] for a in range(q8.order)]
 
     def test_later_hint_candidates_are_tried(self, q8):
+        # The search scans a class's hints in order until one certifies.
         other = MatrixGroup.from_generators([A2, A1])
         gens = [q8.index_of(A1), q8.index_of(A2)]
         wrong = (other.index_of(A2), other.index_of(A2))
         right = (other.index_of(A1), other.index_of(A1 * A2))
-        phi = q8.isomorphism_map(other, hint=(gens, [wrong, right]))
-        assert [phi[g] for g in gens] == list(right)
+        accepted = [
+            images
+            for images in (wrong, right)
+            if certified_map(q8.cayley(), other.cayley(), gens, images, q8.order) is not None
+        ]
+        assert accepted == [right]
 
     def test_failed_hint_falls_back_to_a_certified_search(self, q8):
         other = MatrixGroup.from_generators([A2, A1])
         gens = [q8.index_of(A1), q8.index_of(A2)]
         minus = other.index_of(A1 * A1)
-        phi = q8.isomorphism_map(other, hint=(gens, [(minus, minus)]))
+        assert certified_map(q8.cayley(), other.cayley(), gens, (minus, minus), 8) is None
+        phi = q8.isomorphism_map(other)
         assert phi is not None
-        assert sorted(phi) == list(range(8))
-        for i in range(8):
-            for j in range(8):
-                assert phi[q8.mul(i, j)] == other.mul(phi[i], phi[j])
+        assert is_isomorphism(q8, other, phi)
 
     def test_hint_cannot_make_non_isomorphic_groups_match(self, q8, d4):
         gens = [q8.index_of(A1), q8.index_of(A2)]
         images = (d4.index_of(A1), d4.index_of(SY))
-        assert q8.isomorphism_map(d4, hint=(gens, [images])) is None
+        assert certified_map(q8.cayley(), d4.cayley(), gens, images, 8) is None
+        assert q8.isomorphism_map(d4) is None
 
     def test_hint_that_breaks_a_relation_is_rejected(self, q8, d4):
         # A1 -> A1 and A2 -> SY reach all of D4 along the generator edges,
@@ -417,6 +430,20 @@ class TestIsomorphism:
         gens = [q8.index_of(A1), q8.index_of(A2)]
         images = (d4.index_of(A1), d4.index_of(SY))
         assert q8._certified_map(d4, gens, images) is None
+
+    def test_maps_between_subgroups_of_one_table(self, q8):
+        # <A1> and <A2> are two cyclic subgroups of order 4 in Q8.
+        cay = q8.cayley()
+        a1, a2, minus = q8.index_of(A1), q8.index_of(A2), q8.index_of(A1 * A1)
+        phi = certified_map(cay, cay, [a1], [a2], 4)
+        assert phi is not None
+        assert set(phi) == q8.closure_indices([a1])
+        assert set(phi.values()) == q8.closure_indices([a2])
+        assert all(phi[cay[a][b]] == cay[phi[a]][phi[b]] for a in phi for b in phi)
+        # A1 -> -1 respects every edge but folds <A1> onto {1, -1}.
+        assert certified_map(cay, cay, [a1], [minus], 4) is None
+        # The size names the order of <gens>; any other size is refused.
+        assert certified_map(cay, cay, [a1], [a2], 8) is None
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
     def test_catalog_maps_pass_the_full_table_check(self, name):
@@ -434,20 +461,76 @@ class TestIsomorphism:
     @pytest.mark.parametrize("pool", ["dirac4", "penta8"])
     @pytest.mark.parametrize("signature", ["+++-", "+++|+", "++-|-"])
     def test_hinted_search_maps_pass_the_full_table_check(self, signature, pool, monkeypatch):
-        certified = MatrixGroup.isomorphism_map
-        checked = []
+        # Every map the search accepts, from a hint on the pool table or
+        # from the fallback on standalone groups, respects all n^2 products.
+        cay = catalog.pool_group(pool).cayley()
+        hinted = catalog.certified_map
+        searched = MatrixGroup.isomorphism_map
+        accepted = []
 
-        def checking(group, other, **kwargs):
-            phi = certified(group, other, **kwargs)
+        def checking_hint(table, image_table, gens, images, size):
+            phi = hinted(table, image_table, gens, images, size)
+            if phi is not None:
+                assert sorted(phi.values()) == sorted(catalog.pool_group(pool).closure_indices(images))
+                assert all(phi[cay[a][b]] == cay[phi[a]][phi[b]] for a in phi for b in phi)
+                accepted.append("hint")
+            return phi
+
+        def checking_search(group, other):
+            phi = searched(group, other)
             if phi is not None:
                 assert is_isomorphism(group, other, phi)
-                checked.append(kwargs.get("hint") is not None)
+                accepted.append("fallback")
             return phi
 
         monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
-        monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking)
+        monkeypatch.setattr(catalog, "certified_map", checking_hint)
+        monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
         catalog.find_gamma_models(signature, pool)
-        assert any(checked)
+        assert "hint" in accepted
+
+    @pytest.mark.parametrize(
+        "signature, pool",
+        [(text, "dirac4") for text in catalog.SWEEP_SIGNATURES]
+        + [(text, "penta8") for text in ("+++-", "+++|+", "++-|-")],
+    )
+    def test_pool_certificates_agree_with_the_standalone_reference(
+        self, signature, pool, monkeypatch
+    ):
+        # Each (subgroup, hint) pair the search certifies on the pool table
+        # is certified again by _certified_map on the two as_group tables,
+        # whose element order is the sorted member list.
+        ambient = catalog.pool_group(pool)
+        standalone = {}
+
+        def as_group(members):
+            if members not in standalone:
+                standalone[members] = (sorted(members), Subgroup(ambient, members).as_group())
+            return standalone[members]
+
+        hinted = catalog.certified_map
+        verdicts = []
+
+        def differential(table, image_table, gens, images, size):
+            phi = hinted(table, image_table, gens, images, size)
+            order, group = as_group(ambient.closure_indices(gens))
+            image_order, rep = as_group(ambient.closure_indices(images))
+            reference = group._certified_map(
+                rep, [order.index(g) for g in gens], [image_order.index(x) for x in images]
+            )
+            assert (phi is None) == (reference is None)
+            if reference is not None:
+                assert is_isomorphism(group, rep, reference)
+                assert {order[j]: image_order[reference[j]] for j in range(size)} == phi
+            verdicts.append(phi is not None)
+            return phi
+
+        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        monkeypatch.setattr(catalog, "certified_map", differential)
+        before = dict(catalog.SEARCH_COUNTERS)
+        catalog.find_gamma_models(signature, pool)
+        done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
+        assert verdicts.count(True) == done["search.iso_hint"]
 
     def test_same_order_histogram_but_not_isomorphic(self):
         # C4 x C2 and C8 both abelian of order 8 with different histograms;
