@@ -2,9 +2,10 @@
 
 Catalog entries are JSON data files holding explicit generator matrices (or
 an extraction recipe), the relation sets and bracket table each model must
-satisfy, and frozen expected numbers. The `catalog.*` claims in
-`gammagroups.claims` recompute those numbers from scratch and verify the
-relation sets and tables; this module only loads them. The search half
+satisfy, and frozen expected numbers. `GroupProfile` recomputes a group's
+profile numbers from scratch; `analyze` prints one, and the `catalog.*`
+claims in `gammagroups.claims` check the frozen numbers against the
+entry's profile and verify the relation sets and tables. The search half
 enumerates generator tuples inside a fixed pool of monomial matrices,
 closes them, and identifies the resulting groups against the catalog by
 exact isomorphism.
@@ -12,9 +13,11 @@ exact isomorphism.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -49,6 +52,9 @@ CATALOG_NAMES = (
 # The five order-32 groups a four-generator signature can stabilize on.
 STABLE_NAMES = ("gamma_minus", "gamma_plus", "pauli_c2", "q8_v4", "d4_v4")
 
+# The three order-64 groups a fifth anticommuting generator leads to.
+EXTENSION_NAMES = ("gamma64_minus", "gamma64_plus", "gamma64_null")
+
 POOL_NAMES = ("dirac4", "penta8")
 
 _MINUS = GaussianRational(-1, 0)
@@ -59,34 +65,6 @@ _PHASES = (
     ("i", _IMAG),
     ("-i", GaussianRational(0, -1)),
 )
-
-
-@dataclass(frozen=True)
-class GroupProfile:
-    """Isomorphism-grade summary of one concrete matrix group."""
-
-    order: int
-    class_count: int
-    center_order: int
-    abelian_invariants: tuple[int, ...]
-    min_generators: int | None  # None unless the order is a power of two
-    census: tuple[tuple[int, int], ...]
-    indicators: tuple[int, ...] | None
-    index_two_class_count: int | None = None
-    composition: tuple[str, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "class_count": self.class_count,
-            "center_order": self.center_order,
-            "abelian_invariants": list(self.abelian_invariants),
-            "min_generators": self.min_generators,
-            "census": format_census(self.census),
-            "indicators": list(self.indicators) if self.indicators is not None else None,
-            "index_two_class_count": self.index_two_class_count,
-            "composition": list(self.composition) if self.composition is not None else None,
-        }
 
 
 @dataclass
@@ -108,15 +86,6 @@ class CatalogEntry:
         return {f"g{k + 1}": m for k, m in enumerate(self.generators)}
 
 
-_ENTRY_CACHE: dict[str, CatalogEntry] = {}
-_GROUP_CACHE: dict[str, MatrixGroup] = {}
-_POOL_CACHE: dict[str, MatrixGroup] = {}
-_DECOMPOSITION_CACHE: dict[str, tuple[tuple[str, int], ...]] = {}
-_INDEX_TWO_CACHE: dict[str, list[dict]] = {}
-_SEARCH_CACHE: dict[tuple[str, str], list] = {}
-_SEARCHER_CACHE: dict[str, "_PoolSearcher"] = {}
-
-
 def _load_payload(name: str) -> dict:
     path = resources.files("gammagroups.data").joinpath("catalog", f"{name}.json")
     return json.loads(path.read_text())
@@ -126,32 +95,28 @@ def catalog_names() -> tuple[str, ...]:
     return CATALOG_NAMES
 
 
+@functools.cache
 def catalog_entry(name: str) -> CatalogEntry:
     if name not in CATALOG_NAMES:
         raise KeyError(f"unknown catalog entry {name!r}; have {CATALOG_NAMES}")
-    if name in _ENTRY_CACHE:
-        return _ENTRY_CACHE[name]
     payload = _load_payload(name)
     if "extract" in payload:
-        entry = _resolve_extraction(payload)
-    else:
-        dimension = payload["dimension"]
-        generators = [parse_matrix(text, expect_dim=dimension) for text in payload["generators"]]
-        entry = CatalogEntry(
-            name=payload["name"],
-            summary=payload.get("summary", ""),
-            dimension=dimension,
-            generators=generators,
-            blocks=_parse_blocks(payload.get("blocks")),
-            relations=payload.get("relations", {}),
-            table=(payload.get("table") or {}).get("name"),
-            table_assignment=(payload.get("table") or {}).get("assignment"),
-            signature=payload.get("signature"),
-            expected=payload["expected"],
-            notes=payload.get("notes", ""),
-        )
-    _ENTRY_CACHE[name] = entry
-    return entry
+        return _resolve_extraction(payload)
+    dimension = payload["dimension"]
+    generators = [parse_matrix(text, expect_dim=dimension) for text in payload["generators"]]
+    return CatalogEntry(
+        name=payload["name"],
+        summary=payload.get("summary", ""),
+        dimension=dimension,
+        generators=generators,
+        blocks=_parse_blocks(payload.get("blocks")),
+        relations=payload.get("relations", {}),
+        table=(payload.get("table") or {}).get("name"),
+        table_assignment=(payload.get("table") or {}).get("assignment"),
+        signature=payload.get("signature"),
+        expected=payload["expected"],
+        notes=payload.get("notes", ""),
+    )
 
 
 def _parse_blocks(raw) -> tuple[tuple[int, int], ...] | None:
@@ -194,11 +159,9 @@ def _resolve_extraction(payload: Mapping) -> CatalogEntry:
     )
 
 
+@functools.cache
 def catalog_group(name: str) -> MatrixGroup:
-    if name not in _GROUP_CACHE:
-        entry = catalog_entry(name)
-        _GROUP_CACHE[name] = MatrixGroup.from_generators(entry.generators)
-    return _GROUP_CACHE[name]
+    return MatrixGroup.from_generators(catalog_entry(name).generators)
 
 
 def load_generator_file(path: str, *, cap: int = DEFAULT_CAP) -> tuple[str, MatrixGroup]:
@@ -222,37 +185,118 @@ def load_generator_file(path: str, *, cap: int = DEFAULT_CAP) -> tuple[str, Matr
     return str(payload["name"]), MatrixGroup.from_generators(gens, cap=cap)
 
 
+# The keys every `analyze` profile reports; `GroupProfile.keys` adds the rest.
+_BASE_KEYS = (
+    "order", "class_count", "center_order", "abelian_invariants", "min_generators",
+    "census", "indicators", "composition", "blocks",
+)
+
+
+class GroupProfile:
+    """The `analyze` profile of one concrete matrix group.
+
+    Each key is computed on first read and kept. `keys` is the one place
+    that decides which keys a group reports: the base numbers, `blocks`
+    and `composition` (null outside orders 16 to 32) always, `component`
+    at order 16 and `index_two` at orders 2 to 64. ``entry`` is the
+    catalog entry the group comes from, if any: its three designated
+    boosts, when it has them, fix `component`, and at order 64 its
+    index-two classes are named by the stable catalog groups they match.
+    """
+
+    def __init__(self, group: MatrixGroup, blocks: Sequence[tuple[int, int]] | None = None,
+                 *, entry: CatalogEntry | None = None):
+        self.group = group
+        self.order = group.order
+        self.blocks = blocks
+        self.entry = entry
+
+    def keys(self) -> tuple[str, ...]:
+        keys = _BASE_KEYS
+        if self.order == 16:
+            keys += ("component",)
+        if 2 <= self.order <= 64:
+            keys += ("index_two",)
+        return keys
+
+    def value(self, key: str):
+        """One reported key in its JSON form; any other key raises LookupError."""
+        if key not in self.keys():
+            raise LookupError(f"an order-{self.order} profile reports no {key!r}")
+        if key == "census":
+            return format_census(self.census)
+        return json.loads(json.dumps(getattr(self, key)))  # tuples as lists
+
+    def to_dict(self) -> dict:
+        return {key: self.value(key) for key in self.keys()}
+
+    @cached_property
+    def class_count(self) -> int:
+        return len(self.group.conjugacy_classes())
+
+    @cached_property
+    def center_order(self) -> int:
+        return len(self.group.center())
+
+    @cached_property
+    def abelian_invariants(self) -> tuple[int, ...]:
+        return self.group.abelian_invariants()
+
+    @cached_property
+    def min_generators(self) -> int | None:
+        # The Burnside basis theorem behind the generator count needs a 2-group.
+        if self.order & (self.order - 1):
+            return None
+        return self.group.minimal_generator_count()
+
+    @cached_property
+    def census(self) -> tuple[tuple[int, int], ...]:
+        return irrep_census(self.group)
+
+    @cached_property
+    def indicators(self) -> tuple[int, ...] | None:
+        if self.blocks is not None:
+            return tuple(structural_invariant(self.group, block) for block in self.blocks)
+        if irreducibility_norm(self.group) == 1:
+            return (structural_invariant(self.group),)
+        return None
+
+    @cached_property
+    def component(self) -> str | None:
+        designated = None
+        if self.entry is not None and len(self.entry.generators) == 3:
+            designated = self.entry.generators
+        match = find_component_match(self.group, designated=designated)
+        return match.table if match is not None else None
+
+    @cached_property
+    def composition(self) -> tuple[str, ...] | None:
+        if not 16 <= self.order <= 32:
+            return None
+        return tuple(sorted(component_composition(self.group)))
+
+    @cached_property
+    def index_two(self) -> dict:
+        if self.entry is not None and self.order == 64:
+            classes = decompose_index_two(self.entry.name)
+        else:
+            summary = index_two_component_summary(self.group)
+            classes = tuple((item["component"], item["count"]) for item in summary)
+        return {"count": sum(count for _, count in classes), "classes": classes}
+
+
 def compute_profile(
-    group: MatrixGroup,
-    blocks: Sequence[tuple[int, int]] | None = None,
-    *,
-    deep: bool = False,
+    group: MatrixGroup, blocks: Sequence[tuple[int, int]] | None = None
 ) -> GroupProfile:
-    """Recompute every profile number from the group itself."""
-    indicators = None
-    if blocks is not None:
-        indicators = tuple(structural_invariant(group, block) for block in blocks)
-    elif irreducibility_norm(group) == 1:
-        indicators = (structural_invariant(group),)
-    index_two_classes = None
-    composition = None
-    if deep:
-        index_two_classes = len(_index_two_classes(group))
-        if group.order <= 32:
-            composition = tuple(sorted(component_composition(group)))
-    # The Burnside basis theorem behind the generator count needs a 2-group.
-    two_group = group.order & (group.order - 1) == 0
-    return GroupProfile(
-        order=group.order,
-        class_count=len(group.conjugacy_classes()),
-        center_order=len(group.center()),
-        abelian_invariants=group.abelian_invariants(),
-        min_generators=group.minimal_generator_count() if two_group else None,
-        census=irrep_census(group),
-        indicators=indicators,
-        index_two_class_count=index_two_classes,
-        composition=composition,
-    )
+    """The profile of a group outside the catalog; keys are computed on read."""
+    return GroupProfile(group, blocks)
+
+
+@functools.cache
+def catalog_profile(name: str) -> GroupProfile:
+    """The one profile of a catalog entry, shared by `analyze` and the claims."""
+    entry = catalog_entry(name)
+    return GroupProfile(catalog_group(name), entry.blocks, entry=entry)
 
 
 def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
@@ -292,54 +336,54 @@ def index_two_component_summary(group: MatrixGroup) -> list[dict]:
 
 
 def index_two_summary_for(name: str) -> list[dict]:
-    """Cached index-two summary of a catalog group."""
-    if name not in _INDEX_TWO_CACHE:
-        _INDEX_TWO_CACHE[name] = index_two_component_summary(catalog_group(name))
-    return _INDEX_TWO_CACHE[name]
+    """Index-two summary of a catalog group."""
+    return index_two_component_summary(catalog_group(name))
 
 
-def identify_stable(group: MatrixGroup) -> str | None:
-    """Name of the order-32 catalog group this one is isomorphic to, if any."""
-    for name in STABLE_NAMES:
+def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:
+    """The first of the named catalog groups this one is isomorphic to, if any."""
+    for name in names:
         if group.order == catalog_group(name).order and group.is_isomorphic(catalog_group(name)):
             return name
     return None
 
 
+def identify_stable(group: MatrixGroup) -> str | None:
+    """Name of the order-32 catalog group this one is isomorphic to, if any."""
+    return _identify(group, STABLE_NAMES)
+
+
+@functools.cache
 def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """Index-two subgroups of a catalog group, identified and counted.
 
     Returns sorted (identified catalog name, count) pairs; raises if some
     subgroup matches none of the stable groups.
     """
-    if name not in _DECOMPOSITION_CACHE:
-        group = catalog_group(name)
-        tally: dict[str, int] = {}
-        for rep, count in _index_two_classes(group):
-            identified = identify_stable(rep)
-            if identified is None:
-                raise LookupError(
-                    f"an index-two subgroup of {name!r} matches no stable catalog group"
-                )
-            tally[identified] = tally.get(identified, 0) + count
-        _DECOMPOSITION_CACHE[name] = tuple(sorted(tally.items()))
-    return _DECOMPOSITION_CACHE[name]
+    tally: dict[str, int] = {}
+    for rep, count in _index_two_classes(catalog_group(name)):
+        identified = identify_stable(rep)
+        if identified is None:
+            raise LookupError(
+                f"an index-two subgroup of {name!r} matches no stable catalog group"
+            )
+        tally[identified] = tally.get(identified, 0) + count
+    return tuple(sorted(tally.items()))
 
 
 # ---------------------------------------------------------------------------
 # Pools and signature search
 
 
+@functools.cache
 def pool_group(name: str) -> MatrixGroup:
     """Monomial pool as a closed ambient group (includes the i-scalars)."""
     if name not in POOL_NAMES:
         raise KeyError(f"unknown pool {name!r}; have {POOL_NAMES}")
-    if name not in _POOL_CACHE:
-        base = "gamma_minus" if name == "dirac4" else "gamma64_minus"
-        gens = list(catalog_entry(base).generators)
-        scalar_i = ExactMatrix.identity(gens[0].dim).scale(_IMAG)
-        _POOL_CACHE[name] = MatrixGroup.from_generators(gens + [scalar_i])
-    return _POOL_CACHE[name]
+    base = "gamma_minus" if name == "dirac4" else "gamma64_minus"
+    gens = list(catalog_entry(base).generators)
+    scalar_i = ExactMatrix.identity(gens[0].dim).scale(_IMAG)
+    return MatrixGroup.from_generators(gens + [scalar_i])
 
 
 @dataclass(frozen=True)
@@ -475,6 +519,11 @@ class _PoolSearcher:
         return sum(map(self.coset_bits[s].__getitem__, members))
 
 
+@functools.cache
+def _pool_searcher(pool_name: str) -> _PoolSearcher:
+    return _PoolSearcher(pool_group(pool_name))
+
+
 # Work done by uncached find_gamma_models calls in this process: generator
 # tuples matching a signature, distinct subgroups they generate, isomorphism
 # tests settled by a generator-map hint on the pool table or sent on to the
@@ -537,13 +586,15 @@ def find_gamma_models(
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
-    cache_key = (str(spec), pool_name)
-    if cache_key in _SEARCH_CACHE:
-        return list(_SEARCH_CACHE[cache_key])
+    return list(_gamma_models(str(spec), pool_name))
+
+
+@functools.cache
+def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
+    """The search behind `find_gamma_models`, kept per (signature, pool)."""
+    spec = SignatureSpec.parse(spec_text)
     pool = pool_group(pool_name)
-    if pool_name not in _SEARCHER_CACHE:
-        _SEARCHER_CACHE[pool_name] = _PoolSearcher(pool)
-    searcher = _SEARCHER_CACHE[pool_name]
+    searcher = _pool_searcher(pool_name)
     cay = searcher.cay
 
     if spec.commuting_fourth is None:
@@ -631,8 +682,7 @@ def find_gamma_models(
                 )
                 classes.append(_ModelClass(key, [gens], hit, group))
         covered[base] = (members, taken)
-    _SEARCH_CACHE[cache_key] = [cls.hit for cls in classes]
-    return list(_SEARCH_CACHE[cache_key])
+    return tuple(cls.hit for cls in classes)
 
 
 def sweep_stable_models(pool_name: str = "penta8") -> dict[str, list[ModelHit]]:
@@ -722,7 +772,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
         phase=phase_name,
         generators=doubled + [fifth],
         order=group.order,
-        identified=_identify_extension(group),
+        identified=_identify(group, EXTENSION_NAMES),
         report=report,
     )
 
@@ -751,15 +801,6 @@ def _extension_relations(
         )
     )
     return RelationSet(f"extension-{entry.name}", labels, rels)
-
-
-def _identify_extension(group: MatrixGroup) -> str | None:
-    for name in ("gamma64_minus", "gamma64_plus", "gamma64_null"):
-        if group.order == catalog_group(name).order and group.is_isomorphic(
-            catalog_group(name)
-        ):
-            return name
-    return None
 
 
 def sweep_extensions() -> list[ExtensionResult]:

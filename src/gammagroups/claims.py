@@ -8,11 +8,12 @@ expected value is a plain JSON-compatible object in a canonical form
 Every number the catalog freezes lives in one place, the `expected` block
 of the entry's JSON file, and this registry is the only code that checks
 it. Each entry gets two generated claims: `catalog.<name>.expected`
-recomputes the whole block in its stored form, and `catalog.<name>.checks`
-verifies the entry's relation sets, bracket table, declared signature and
-block forms. The hand-written claims read their catalog numbers from the
-same blocks; only facts outside them (centers, weights, forms, the sweep,
-the extensions) are literals here.
+reads the whole block, in its stored form, from the entry's `analyze`
+profile (`catalog.catalog_profile`), and `catalog.<name>.checks`
+verifies the entry's relation sets, bracket table, declared signature
+and block forms. The hand-written claims read their catalog numbers from
+the same blocks; only facts outside them (centers, weights, forms, the
+sweep, the extensions) are literals here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import catalog
 from .brackets import (
     BracketTable,
     RelationSet,
-    classify_component,
     evaluate_word,
     find_component_match,
     verify_bracket_table,
@@ -150,10 +150,9 @@ def _block_forms(name: str) -> tuple[tuple[str, ExactMatrix | None], ...]:
 
 
 def _indicator_and_form(name: str) -> dict:
-    entry = catalog.catalog_entry(name)
-    profile = catalog.compute_profile(catalog.catalog_group(name), entry.blocks)
+    indicators = catalog.catalog_profile(name).indicators
     kinds = {kind for kind, _ in _block_forms(name)}
-    return {"indicators": sorted(set(profile.indicators)), "forms": sorted(kinds)}
+    return {"indicators": sorted(set(indicators)), "forms": sorted(kinds)}
 
 
 def _realform(name: str) -> dict:
@@ -172,20 +171,11 @@ def _realform(name: str) -> dict:
 
 
 def _delta_profile(name: str) -> dict:
-    group = catalog.catalog_group(name)
-    profile = catalog.compute_profile(group, catalog.catalog_entry(name).blocks)
+    profile = catalog.catalog_profile(name)
     return {
         "order": profile.order,
-        "census": format_census(profile.census),
-        "half_order_classes": len(catalog.decompose_index_two(name)),
-    }
-
-
-def _index_two_value(name: str) -> dict:
-    summary = catalog.index_two_summary_for(name)
-    return {
-        "count": sum(item["count"] for item in summary),
-        "classes": [[item["component"], item["count"]] for item in summary],
+        "census": profile.value("census"),
+        "half_order_classes": len(profile.index_two["classes"]),
     }
 
 
@@ -216,41 +206,25 @@ def _extension_value() -> dict:
     }
 
 
-def _decomposition_value(name: str) -> dict:
-    return {key: count for key, count in catalog.decompose_index_two(name)}
-
-
 def _isomorphic(a: str, b: str) -> bool:
     return catalog.catalog_group(a).is_isomorphic(catalog.catalog_group(b))
 
 
 def _expected_block_value(name: str, keys: tuple[str, ...]) -> dict:
-    """Recompute the given keys of an entry's `expected` block in stored form.
+    """Keys of an entry's `expected` block, read from its `analyze` profile.
 
-    A key with no computation here raises, so the claim fails instead of
+    The stored form is the profile's JSON form except for two keys:
+    `census` is stored as [dim, count] pairs and `decomposition` as a
+    {name: count} dict of the profile's `index_two` classes. A key the
+    profile does not report raises, so the claim fails instead of
     skipping a frozen number.
     """
-    entry = catalog.catalog_entry(name)
-    group = catalog.catalog_group(name)
-    profile = catalog.compute_profile(group, entry.blocks)
-    designated = entry.generators if len(entry.generators) == 3 else None
-    fields = {
-        "order": lambda: profile.order,
-        "class_count": lambda: profile.class_count,
-        "center_order": lambda: profile.center_order,
-        "abelian_invariants": lambda: list(profile.abelian_invariants),
-        "min_generators": lambda: profile.min_generators,
+    profile = catalog.catalog_profile(name)
+    stored = {
         "census": lambda: [list(pair) for pair in profile.census],
-        "indicators": lambda: None if profile.indicators is None else list(profile.indicators),
-        "component": lambda: classify_component(group, designated=designated),
-        "composition": lambda: sorted(catalog.component_composition(group)),
-        "index_two": lambda: _index_two_value(name),
-        "decomposition": lambda: _decomposition_value(name),
+        "decomposition": lambda: dict(profile.value("index_two")["classes"]),
     }
-    unknown = [key for key in keys if key not in fields]
-    if unknown:
-        raise LookupError(f"no computation for stored keys {unknown}")
-    return {key: fields[key]() for key in keys}
+    return {key: stored[key]() if key in stored else profile.value(key) for key in keys}
 
 
 def _signature_matches(entry: catalog.CatalogEntry) -> bool:
@@ -340,7 +314,7 @@ def _build_registry() -> list[Claim]:
         Claim(
             "pauli.census", "Irreducible dimensions: eight linear, two of dimension 2.",
             format_census(frozen["pauli"]["census"]),
-            lambda: format_census(catalog.compute_profile(catalog.catalog_group("pauli")).census),
+            lambda: catalog.catalog_profile("pauli").value("census"),
         ),
         Claim(
             "pauli.rank", "Minimal generator count is three.",
@@ -426,7 +400,8 @@ def _build_registry() -> list[Claim]:
         Claim(
             "dirac.subgroup_classes",
             "The 15 index-two subgroups split into classes b (5) and d (10).",
-            frozen["gamma_minus"]["index_two"], lambda: _index_two_value("gamma_minus"),
+            frozen["gamma_minus"]["index_two"],
+            lambda: catalog.catalog_profile("gamma_minus").value("index_two"),
         ),
         Claim(
             "dirac.iso_df",
@@ -489,7 +464,8 @@ def _build_registry() -> list[Claim]:
             Claim(
                 f"{prefix}.decomposition",
                 f"Index-two subgroups of {name} split by isomorphism type.",
-                stored["decomposition"], lambda name=name: _decomposition_value(name),
+                stored["decomposition"],
+                lambda name=name: _expected_block_value(name, ("decomposition",))["decomposition"],
             ),
             Claim(
                 f"{prefix}.sixth",
@@ -500,11 +476,7 @@ def _build_registry() -> list[Claim]:
                 f"{prefix}.invariants",
                 f"Block indicators of {name}.",
                 stored["indicators"],
-                lambda name=name: list(
-                    catalog.compute_profile(
-                        catalog.catalog_group(name), catalog.catalog_entry(name).blocks
-                    ).indicators
-                ),
+                lambda name=name: catalog.catalog_profile(name).value("indicators"),
             ),
             Claim(
                 f"{prefix}.realform",

@@ -138,35 +138,8 @@ def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
 
 
 def _analyze_profile(name: str, group: MatrixGroup, entry) -> dict:
-    blocks = entry.blocks if entry is not None else None
-    profile = catalog.compute_profile(group, blocks)
-    doc = {"name": name, "dimension": group.elements[0].dim, **profile.to_dict()}
-    del doc["index_two_class_count"]
-    doc["blocks"] = [list(b) for b in blocks] if blocks else None
-    if group.order == 16:
-        designated = None
-        if entry is not None and len(entry.generators) == 3:
-            designated = entry.generators
-        match = find_component_match(group, designated=designated)
-        doc["component"] = match.table if match else None
-    if 2 <= group.order <= 64:
-        if entry is not None and group.order == 64:
-            decomposition = catalog.decompose_index_two(name)
-            doc["index_two"] = {
-                "count": sum(count for _, count in decomposition),
-                "classes": [[label, count] for label, count in decomposition],
-            }
-        else:
-            summary = catalog.index_two_summary_for(name) if entry is not None else (
-                catalog.index_two_component_summary(group)
-            )
-            doc["index_two"] = {
-                "count": sum(item["count"] for item in summary),
-                "classes": [[item["component"], item["count"]] for item in summary],
-            }
-    if 16 <= group.order <= 32:
-        doc["composition"] = sorted(catalog.component_composition(group))
-    return doc
+    profile = catalog.catalog_profile(name) if entry is not None else catalog.compute_profile(group)
+    return {"name": name, "dimension": group.elements[0].dim, **profile.to_dict()}
 
 
 def _cmd_catalog(args, started: float) -> tuple[dict, int]:

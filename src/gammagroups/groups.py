@@ -382,10 +382,11 @@ class MatrixGroup:
         return Subgroup(self, self._derived)
 
     def _squares_commutators_closure(self) -> frozenset[int]:
+        # <squares, commutators> = <squares, [G, G]>, and the derived
+        # subgroup already holds every commutator.
         cay = self.cayley()
-        n = self.order
-        seed = {cay[a][a] for a in range(n)}
-        seed.update(self._commutator(a, b) for a in range(n) for b in range(n))
+        seed = {cay[a][a] for a in range(self.order)}
+        seed.update(self.derived_subgroup().indices)
         return self.closure_indices(seed)
 
     def frattini_subgroup(self) -> "Subgroup":

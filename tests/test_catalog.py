@@ -97,7 +97,7 @@ class TestValidation:
 
 class TestProfiles:
     def test_pauli_profile_numbers(self):
-        profile = compute_profile(catalog_group("pauli"), deep=True)
+        profile = compute_profile(catalog_group("pauli"))
         assert profile.order == 16
         assert profile.class_count == 10
         assert profile.center_order == 4
@@ -105,7 +105,7 @@ class TestProfiles:
         assert profile.min_generators == 3
         assert profile.census == ((1, 8), (2, 2))
         assert profile.indicators == (0,)
-        assert profile.index_two_class_count == 3
+        assert len(profile.index_two["classes"]) == 3
         assert profile.composition == ("d", "f")
 
     def test_two_dim_groups_differ_only_in_indicator(self):
@@ -365,8 +365,8 @@ class TestCosetSearch:
         with pytest.raises(RuntimeError, match="normalize"):
             searcher.coset(sorted(base), mask, (x,), s)
 
-    def test_counters_add_up(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+    def test_counters_add_up(self):
+        catalog._gamma_models.cache_clear()
         before = dict(catalog.SEARCH_COUNTERS)
         hits = find_gamma_models("++-|-", "dirac4")
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}

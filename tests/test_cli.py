@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog, cli
+from gammagroups.exact import format_matrix
 
 
 def run(capsys, *argv):
@@ -80,6 +81,12 @@ class TestCatalogList:
 # 3x3 permutation matrices: a 3-cycle, and a transposition with it makes S3.
 CYCLE = "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]"
 SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
+# Generator files outside the catalog, by name.
+PROFILE_FILES = {
+    "trivial": ["[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
+    "c3": [CYCLE],
+    "s3": [CYCLE, SWAP],
+}
 
 
 COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
@@ -122,6 +129,7 @@ class TestProductCounters:
 
 class TestAnalyze:
     def test_component_counters_are_reported_under_timings(self, capsys):
+        catalog.catalog_profile.cache_clear()  # count a cold profile
         _, doc, _ = run_json(capsys, "analyze", "pauli_c2")
         counters = doc["timings"]["counters"]
         assert sorted(counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
@@ -184,6 +192,49 @@ class TestAnalyze:
         code, doc, _ = run_json(capsys, "analyze", str(path))
         assert code == 0
         assert {key: doc["profile"][key] for key in expected} == expected
+
+    @pytest.mark.parametrize("target, order", [
+        *((name, catalog._load_payload(name)["expected"]["order"]) for name in catalog.CATALOG_NAMES),
+        ("file:trivial", 1), ("file:c3", 3), ("file:s3", 6), ("file:gamma64_minus", 64),
+    ])
+    def test_profile_keys_and_stored_expected_block(self, capsys, tmp_path, target, order):
+        # One profile path: the keys `analyze` reports follow from the order
+        # alone, and every stored `expected` key of a catalog entry equals
+        # its `analyze` value after the stored-form mapping.
+        if target.startswith("file:"):
+            name = target[len("file:"):]
+            generators = PROFILE_FILES.get(name) or [
+                format_matrix(g) for g in catalog.catalog_entry(name).generators
+            ]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "name": name, "dimension": len(json.loads(generators[0])), "generators": generators,
+            }))
+            target = str(path)
+        code, doc, _ = run_json(capsys, "analyze", target)
+        profile = doc["profile"]
+        assert code == 0 and profile["order"] == order
+        keys = {
+            "name", "dimension", "order", "class_count", "center_order", "abelian_invariants",
+            "min_generators", "census", "indicators", "composition", "blocks",
+        }
+        if order == 16:
+            keys.add("component")
+        if 2 <= order <= 64:
+            keys.add("index_two")
+        assert set(profile) == keys
+        assert (profile["composition"] is None) == (not 16 <= order <= 32)
+        if target not in catalog.CATALOG_NAMES:
+            return
+        stored_form = dict(profile)
+        stored_form["census"] = [
+            [int(dim), int(count)]
+            for count, _, dim in (part.partition("x") for part in profile["census"].split(" + "))
+        ]
+        if "index_two" in profile:
+            stored_form["decomposition"] = dict(profile["index_two"]["classes"])
+        for key, value in catalog._load_payload(target)["expected"].items():
+            assert stored_form[key] == value, key
 
     def test_cap_rejects_oversized_closure(self, capsys, tmp_path):
         path = tmp_path / "q8.json"
@@ -263,8 +314,8 @@ class TestVerify:
             bodies.append(cli.render_json(doc))
         assert bodies[0] == bodies[1]
 
-    def test_search_counters_are_reported_under_timings(self, capsys, monkeypatch):
-        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+    def test_search_counters_are_reported_under_timings(self, capsys):
+        catalog._gamma_models.cache_clear()
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (
@@ -292,6 +343,7 @@ class TestVerify:
         }
 
     def test_component_counters_are_reported_under_timings(self, capsys):
+        catalog.catalog_profile.cache_clear()  # count a cold profile
         code, doc, _ = run_json(capsys, "verify", "--filter", "catalog.pauli_c2.*")
         assert code == 0
         counters = doc["timings"]["counters"]

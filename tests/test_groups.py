@@ -483,7 +483,7 @@ class TestIsomorphism:
                 accepted.append("fallback")
             return phi
 
-        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        catalog._gamma_models.cache_clear()
         monkeypatch.setattr(catalog, "certified_map", checking_hint)
         monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
         catalog.find_gamma_models(signature, pool)
@@ -525,7 +525,7 @@ class TestIsomorphism:
             verdicts.append(phi is not None)
             return phi
 
-        monkeypatch.setattr(catalog, "_SEARCH_CACHE", {})
+        catalog._gamma_models.cache_clear()
         monkeypatch.setattr(catalog, "certified_map", differential)
         before = dict(catalog.SEARCH_COUNTERS)
         catalog.find_gamma_models(signature, pool)
