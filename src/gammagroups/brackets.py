@@ -104,6 +104,12 @@ class BracketTable:
             raise ValueError(
                 f"table {name!r} lists {len(self._entries)} pairs, expected {want}"
             )
+        # Each stored row as (x, y, sign, coeff, z): sign is +-1 for a real
+        # +-2 coefficient with a target and 0 otherwise, so that a row of an
+        # anticommuting pair is checked on the Cayley table alone.
+        self.signed_rows = tuple(
+            (x, y, _row_sign(coeff, z), coeff, z) for (x, y), (coeff, z) in self._entries.items()
+        )
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "BracketTable":
@@ -154,6 +160,12 @@ class BracketTable:
                 )
             out.append(1 if coeff.re > 0 else -1)
         return tuple(out)
+
+
+def _row_sign(coeff: GaussianRational, z: str | None) -> int:
+    if z is None or coeff.im != 0 or abs(coeff.re) != 2:
+        return 0
+    return 1 if coeff.re > 0 else -1
 
 
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
@@ -303,24 +315,25 @@ def _table_holds_on_indices(
 ) -> bool:
     """Integer-table check of all bracket rows, with a matrix fallback.
 
-    Inside the group, [X, Y] is 2XY when the pair anticommutes and 0 when it
-    commutes, so most rows reduce to Cayley-table lookups. Rows that are
-    neither (which valid assignments never produce) fall back to matrices.
+    Inside the group, [X, Y] is 0 when the pair commutes and 2XY when it
+    anticommutes. So a commuting pair's row holds when it has no target,
+    and an anticommuting pair's row holds when the table's row sign is
+    +-1 (a real +-2 coefficient) and XY is +Z or -Z by that sign: both
+    are Cayley-row lookups. Rows of pairs that do neither (which valid
+    assignments never produce) fall back to matrices.
     """
-    for x, y, coeff, z in table.pairs():
+    cay = group.cayley()
+    neg_row = cay[neg]
+    for x, y, sign, coeff, z in table.signed_rows:
         ix, iy = roles[x], roles[y]
-        ixy = group.mul(ix, iy)
-        iyx = group.mul(iy, ix)
+        ixy = cay[ix][iy]
+        iyx = cay[iy][ix]
         if ixy == iyx:
             if z is not None:
                 return False
             continue
-        if iyx == group.mul(neg, ixy):
-            # anticommuting pair: [x, y] = 2xy
-            if z is None or coeff.im != 0 or abs(coeff.re) != 2:
-                return False
-            target = roles[z] if coeff.re > 0 else group.mul(neg, roles[z])
-            if ixy != target:
+        if iyx == neg_row[ixy]:
+            if not sign or ixy != (roles[z] if sign > 0 else neg_row[roles[z]]):
                 return False
             continue
         got = commutator(group.elements[ix], group.elements[iy])

@@ -31,7 +31,7 @@ from .brackets import (
     verify_bracket_table,
 )
 from .exact import PRODUCT_COUNTERS, ParseError
-from .groups import DEFAULT_CAP, MatrixGroup
+from .groups import DEFAULT_CAP, ISO_COUNTERS, MatrixGroup
 from .reps import FORM_COUNTERS, AmbiguousCensus
 
 
@@ -157,7 +157,7 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args, started: float) -> tuple[dict, int]:
-    counted = _counting(COMPONENT_COUNTERS, PRODUCT_COUNTERS)
+    counted = _counting(COMPONENT_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS)
     name, group, entry = _resolve_target(args.target, args.cap)
     try:
         profile = _analyze_profile(name, group, entry)
@@ -173,7 +173,8 @@ def _cmd_analyze(args, started: float) -> tuple[dict, int]:
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
     counted = _counting(
-        catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, PRODUCT_COUNTERS, FORM_COUNTERS
+        catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS,
+        FORM_COUNTERS,
     )
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
@@ -246,7 +247,7 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_search(args, started: float) -> tuple[dict, int]:
-    counted = _counting(catalog.SEARCH_COUNTERS, PRODUCT_COUNTERS)
+    counted = _counting(catalog.SEARCH_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS)
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:

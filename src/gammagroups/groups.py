@@ -11,11 +11,19 @@ identity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Sequence
 
 from gammagroups.exact import ExactMatrix, GaussianRational
 
 DEFAULT_CAP = 4096
+
+# Work done by isomorphism tests in this process: calls, pairs rejected
+# because their fingerprints differ, and partial certificates tried by the
+# backtracking (its nodes). Reports carry them under `timings.counters`.
+ISO_COUNTERS: Counter[str] = Counter(
+    dict.fromkeys(("iso.calls", "iso.fingerprint_rejects", "iso.nodes"), 0)
+)
 
 
 def generate_closure(
@@ -139,6 +147,8 @@ class MatrixGroup:
         self._orders: list[int] | None = None
         self._center: tuple[int, ...] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._class_sizes: list[int] | None = None
+        self._greedy: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._derived: frozenset[int] | None = None
         self._fingerprint: tuple | None = None
         self._commutation: tuple[list[int], list[int]] | None = None
@@ -233,15 +243,10 @@ class MatrixGroup:
 
     def inv(self, a: int) -> int:
         if self._inverse is None:
-            cay = self.cayley()
-            inverse = []
-            for x in range(self.order):
-                row = cay[x]
-                y = next((j for j in range(self.order) if row[j] == 0), None)
-                if y is None:
-                    raise ValueError("element set is not a group: missing inverse")
-                inverse.append(y)
-            self._inverse = inverse
+            try:
+                self._inverse = [row.index(0) for row in self.cayley()]
+            except ValueError:
+                raise ValueError("element set is not a group: missing inverse") from None
         return self._inverse[a]
 
     def element_order(self, a: int) -> int:
@@ -288,17 +293,21 @@ class MatrixGroup:
             n = self.order
             seen = [False] * n
             classes = []
+            inverse = [self.inv(g) for g in range(n)]
             for a in range(n):
                 if seen[a]:
                     continue
-                orbit = set()
-                for g in range(n):
-                    orbit.add(cay[cay[self.inv(g)][a]][g])
+                orbit = {cay[cay[h][a]][g] for g, h in enumerate(inverse)}
                 for x in orbit:
                     seen[x] = True
                 classes.append(tuple(sorted(orbit)))
             classes.sort(key=lambda cls: (len(cls), cls[0]))
             self._classes = tuple(classes)
+            sizes = [0] * n
+            for cls in classes:
+                for x in cls:
+                    sizes[x] = len(cls)
+            self._class_sizes = sizes
         return self._classes
 
     def commutation_masks(self) -> tuple[list[int], list[int]]:
@@ -374,11 +383,22 @@ class MatrixGroup:
         return cay[cay[cay[self.inv(a)][self.inv(b)]][a]][b]
 
     def derived_subgroup(self) -> "Subgroup":
-        """Subgroup generated by all commutators."""
+        """Subgroup generated by all commutators, as a normal closure.
+
+        [G, G] is the normal closure N of the commutators [a, b] of a
+        generating set: N lies in [G, G] and is normal, and G/N is
+        generated by commuting images, so it is abelian and N holds every
+        commutator. N is taken as the closure of the conjugates
+        g^-1 [a, b] g over the greedy generators a, b and every g:
+        k^2 * n lookups for k generators, in place of n^2 commutators.
+        """
         if self._derived is None:
-            n = self.order
-            commutators = {self._commutator(a, b) for a in range(n) for b in range(n)}
-            self._derived = self.closure_indices(commutators)
+            cay = self.cayley()
+            gens = self._greedy_generators()[0]
+            commutators = {self._commutator(a, b) for a in gens for b in gens}
+            self._derived = self.closure_indices(
+                cay[cay[self.inv(g)][c]][g] for c in commutators for g in range(self.order)
+            )
         return Subgroup(self, self._derived)
 
     def _squares_commutators_closure(self) -> frozenset[int]:
@@ -548,77 +568,83 @@ class MatrixGroup:
             )
         return self._fingerprint
 
-    def _greedy_generator_indices(self) -> list[int]:
-        gens: list[int] = []
-        closure = frozenset({0})
-        for a in range(self.order):
-            if len(closure) == self.order:
-                break
-            if a in closure:
-                continue
-            gens.append(a)
-            closure = self.closure_indices(gens)
-        return gens
+    def _greedy_generators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Greedy generators g_1..g_k and the orders of <g_1..g_j>, j = 1..k.
+
+        Each g_j is the smallest index outside <g_1..g_(j-1)>.
+        """
+        if self._greedy is None:
+            gens: list[int] = []
+            sizes: list[int] = []
+            closure = frozenset({0})
+            for a in range(self.order):
+                if len(closure) == self.order:
+                    break
+                if a in closure:
+                    continue
+                gens.append(a)
+                closure = self.closure_indices(gens)
+                sizes.append(len(closure))
+            self._greedy = (tuple(gens), tuple(sizes))
+        return self._greedy
 
     def isomorphism_map(self, other: "MatrixGroup") -> list[int] | None:
         """An isomorphism onto ``other`` as an image list, or None.
 
-        Groups with different fingerprints are rejected at once; otherwise
-        a backtracking search over greedy generators proposes images, and
-        every returned map is certified by ``_certified_map`` before being
-        handed back.
+        Groups with different fingerprints are rejected at once. Otherwise
+        a depth-first search picks the images of the greedy generators
+        g_1..g_k one at a time, among the elements of ``other`` with the
+        same order and class size, and keeps a choice at depth j only if
+        `certified_map` accepts g_1..g_j -> images on the two tables with
+        |<g_1..g_j>| elements, that is, only if it extends to an injective
+        homomorphism on <g_1..g_j>. Pruning there loses no isomorphism,
+        since every isomorphism restricts to one on each prefix subgroup.
+        A choice that passes also generates an image subgroup of the
+        prefix's order, so the search visits the same surviving branches
+        in the same order as a search pruned on that order alone, and
+        returns the same first map. At depth k the prefix subgroup is the
+        whole group, so the last certificate certifies the returned map.
         """
+        counters = ISO_COUNTERS
+        counters["iso.calls"] += 1
         if self.fingerprint() != other.fingerprint():
+            counters["iso.fingerprint_rejects"] += 1
             return None
         n = self.order
         if n == 1:
             return [0]
-        gens = self._greedy_generator_indices()
-        prefix_sizes = [
-            len(self.closure_indices(gens[: j + 1])) for j in range(len(gens))
-        ]
-        self_profile = [self._element_profile(a) for a in range(n)]
-        other_profile = [other._element_profile(a) for a in range(n)]
-        candidates = [
-            [b for b in range(1, n) if other_profile[b] == self_profile[g]]
-            for g in gens
-        ]
+        table, other_table = self.cayley(), other.cayley()
+        gens, prefix_sizes = self._greedy_generators()
+        other_profile = [other._element_profile(b) for b in range(n)]
+        wanted = [self._element_profile(g) for g in gens]
+        candidates = [[b for b in range(1, n) if other_profile[b] == want] for want in wanted]
 
-        def extend(depth: int, images: list[int]) -> list[int] | None:
-            if depth == len(gens):
-                return self._certified_map(other, gens, images)
+        def extend(images: list[int]) -> list[int] | None:
+            depth = len(images)
             for b in candidates[depth]:
                 if b in images:
                     continue
-                grown = other._closure_limited(images + [b], prefix_sizes[depth] + 1)
-                if grown is None or len(grown) != prefix_sizes[depth]:
+                counters["iso.nodes"] += 1
+                grown = images + [b]
+                mapping = certified_map(
+                    table, other_table, gens[: depth + 1], grown, prefix_sizes[depth]
+                )
+                if mapping is None:
                     continue
-                result = extend(depth + 1, images + [b])
+                if depth + 1 == len(gens):
+                    return [mapping[a] for a in range(n)]
+                result = extend(grown)
                 if result is not None:
                     return result
             return None
 
-        return extend(0, [])
+        return extend([])
 
-    def _certified_map(
-        self, other: "MatrixGroup", gens: Sequence[int], images: Sequence[int]
-    ) -> list[int] | None:
-        """The isomorphism sending ``gens`` to ``images``, or None.
-
-        See `certified_map`; here the two groups have one table each.
-        """
-        n = self.order
-        if other.order != n:
-            return None
-        mapping = certified_map(self.cayley(), other.cayley(), gens, images, n)
-        return None if mapping is None else [mapping[a] for a in range(n)]
-
-    def _element_profile(self, a: int) -> tuple[int, int, bool]:
-        return (
-            self.element_order(a),
-            len(self.class_of(a)),
-            a in self.center(),
-        )
+    def _element_profile(self, a: int) -> tuple[int, int]:
+        """Element order and class size; class size 1 marks the center."""
+        if self._class_sizes is None:
+            self.conjugacy_classes()
+        return self.element_order(a), self._class_sizes[a]
 
     def is_isomorphic(self, other: "MatrixGroup") -> bool:
         return self.isomorphism_map(other) is not None

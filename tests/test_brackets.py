@@ -1,5 +1,6 @@
 """Bracket table and relation verification tests."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammagroups import brackets
 from gammagroups.brackets import (
     COMPONENT_TABLES,
     TABLE_NAMES,
@@ -24,7 +26,7 @@ from gammagroups.brackets import (
 )
 from gammagroups.brackets import _anticommuting_triples, _neg_index, _table_holds_on_indices
 from gammagroups.catalog import catalog_group, pool_group
-from gammagroups.exact import GaussianRational, block_diag, parse_matrix
+from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
 from gammagroups.groups import MatrixGroup
 
 MINUS = GaussianRational(-1, 0)
@@ -419,6 +421,8 @@ COMPONENT_SOURCES = [
     ("q8_v4", None), ("d4_v4", None),
     ("gamma64_minus", 5), ("gamma64_plus", 5), ("gamma64_null", 5), ("dirac4", 5),
 ]
+# The sources that are themselves an order-16 catalog entry.
+ORDER16_ENTRIES = ("pauli", "pauli_f", "q8_c2", "d4_c2")
 
 
 class TestSquareSignatureMemo:
@@ -469,6 +473,47 @@ class TestSquareSignatureMemo:
             mixed = (x in table.boosts) != (y in table.boosts)
             assert z == (table.boosts if mixed else table.rotations)[3 - i - j]
             assert coeff in (GaussianRational(2, 0), GaussianRational(-2, 0))
+
+    @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
+    def test_index_check_agrees_with_the_matrix_check(self, source, sample, monkeypatch):
+        # The Cayley-table row check, with its integer row signs, against
+        # verify_bracket_table on the role matrices: every triple of an
+        # order-16 catalog entry and a seeded sample of the triples of each
+        # subgroup, on every component table. Triples share their role
+        # matrices, so each exact commutator, scaling and failure text is
+        # computed once.
+        monkeypatch.setattr(brackets, "commutator", functools.cache(commutator))
+        monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
+        monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
+        rng = random.Random(f"rows:{source}")
+        verdicts = set()
+        for group in order16_groups(source, sample):
+            neg = _neg_index(group)
+            if neg is None:
+                continue
+            triples = list(_anticommuting_triples(group))
+            if source not in ORDER16_ENTRIES:
+                triples = rng.sample(triples, min(len(triples), 8))
+            for name in COMPONENT_TABLES:
+                table = BracketTable.load(name)
+                signs = table.boost_signs()
+                for boosts in triples:
+                    _, roles = boost_roles(group, table, signs, boosts, neg)
+                    matrices = {label: group.elements[i] for label, i in roles.items()}
+                    holds = _table_holds_on_indices(group, table, roles, neg)
+                    assert holds == verify_bracket_table(table, matrices).passed, (name, boosts)
+                    verdicts.add(holds)
+        assert verdicts == {True, False}
+
+    def test_row_signs_read_the_coefficients(self):
+        for name in TABLE_NAMES:
+            table = BracketTable.load(name)
+            for x, y, sign, coeff, z in table.signed_rows:
+                assert table.lookup(x, y) == (coeff, z)
+                if z is not None and coeff in (GaussianRational(2, 0), GaussianRational(-2, 0)):
+                    assert sign == coeff.re / 2
+                else:
+                    assert sign == 0
 
     def test_tables_are_parsed_once(self):
         assert BracketTable.load("d") is BracketTable.load("d")

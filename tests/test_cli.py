@@ -91,6 +91,7 @@ PROFILE_FILES = {
 
 COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
 FORM_COUNTER_KEYS = ["form.elimination", "form.orbit"]
+ISO_COUNTER_KEYS = ["iso.calls", "iso.fingerprint_rejects", "iso.nodes"]
 PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
 
 
@@ -132,13 +133,26 @@ class TestAnalyze:
         catalog.catalog_profile.cache_clear()  # count a cold profile
         _, doc, _ = run_json(capsys, "analyze", "pauli_c2")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+        assert sorted(counters) == COMPONENT_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
         assert counters["component.triples"] >= counters["component.row_checks"]
         assert counters["component.row_checks"] >= counters["component.closures"] > 0
         _, small, _ = run_json(capsys, "analyze", "q8")
         small_counters = small["timings"]["counters"]
-        assert sorted(small_counters) == COMPONENT_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+        assert sorted(small_counters) == (
+            COMPONENT_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+        )
         assert {small_counters[key] for key in COMPONENT_COUNTER_KEYS} == {0}
+
+    def test_cold_analyze_iso_counters_are_pinned(self):
+        # Sorting the 31 index-two subgroups of gamma64_plus into classes
+        # and naming each class: a change here is a change in the
+        # fingerprint or in how the backtracking prunes.
+        counters = run_cold("analyze", "gamma64_plus")["timings"]["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("iso.")} == {
+            "iso.calls": 62,
+            "iso.fingerprint_rejects": 31,
+            "iso.nodes": 273,
+        }
 
     def test_pauli_profile(self, capsys):
         _, doc, _ = run_json(capsys, "analyze", "pauli")
@@ -319,7 +333,7 @@ class TestVerify:
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (
-            COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+            COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
             + ["search.groups_built", "search.iso_fallback", "search.iso_hint",
                "search.subgroups", "search.tuples"]
         )
@@ -414,6 +428,10 @@ class TestSearch:
     def test_twisted_signature_needs_the_wide_pool(self, capsys):
         _, narrow, _ = run_json(capsys, "search", "--signature=---|+")
         assert [h for h in narrow["profile"]["hits"] if h["order"] == 32] == []
+        assert sorted(narrow["timings"]["counters"]) == ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS + [
+            "search.groups_built", "search.iso_fallback", "search.iso_hint",
+            "search.subgroups", "search.tuples",
+        ]
         _, wide, _ = run_json(
             capsys, "search", "--signature=---|+", "--pool", "penta8"
         )

@@ -10,6 +10,7 @@ from gammagroups import catalog
 from gammagroups.exact import ExactMatrix, GaussianRational, parse_matrix
 from gammagroups.groups import (
     DEFAULT_CAP,
+    ISO_COUNTERS,
     MatrixGroup,
     Subgroup,
     certified_map,
@@ -28,6 +29,23 @@ GAMMA1 = parse_matrix("[[0,0,0,-i],[0,0,-i,0],[0,i,0,0],[i,0,0,0]]")
 GAMMA2 = parse_matrix("[[0,0,0,-1],[0,0,1,0],[0,1,0,0],[-1,0,0,0]]")
 GAMMA3 = parse_matrix("[[0,0,-i,0],[0,0,0,i],[i,0,0,0],[0,-i,0,0]]")
 GAMMA4 = parse_matrix("[[1,0,0,0],[0,1,0,0],[0,0,-1,0],[0,0,0,-1]]")
+
+# Permutation matrices: a 3-cycle and a transposition make S3; a 4-cycle
+# and a transposition make S4.
+S3_GENS = [
+    parse_matrix("[[0,1,0],[0,0,1],[1,0,0]]"),
+    parse_matrix("[[0,1,0],[1,0,0],[0,0,1]]"),
+]
+S4_GENS = [
+    parse_matrix("[[0,1,0,0],[0,0,1,0],[0,0,0,1],[1,0,0,0]]"),
+    parse_matrix("[[0,1,0,0],[1,0,0,0],[0,0,1,0],[0,0,0,1]]"),
+]
+# The binary tetrahedral group 2T in SU(2): the quaternion i and
+# (1 + i + j + k)/2, whose entries are dense.
+BINARY_TETRAHEDRAL_GENS = [
+    parse_matrix("[[i,0],[0,-i]]"),
+    parse_matrix("[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +76,11 @@ def brute_center(group):
         if all((a * b) == (b * a) for b in group.elements):
             out.append(i)
     return set(out)
+
+
+@pytest.fixture(scope="module")
+def s3():
+    return MatrixGroup.from_generators(S3_GENS)
 
 
 def brute_derived(group):
@@ -222,12 +245,42 @@ class TestClassesAndCenter:
         assert len(dirac.center()) == 2
 
 
+def reference_derived(group):
+    """[G, G] as the closure of all n^2 commutators on the Cayley table."""
+    n = group.order
+    return group.closure_indices({group._commutator(a, b) for a in range(n) for b in range(n)})
+
+
+def derived_cases():
+    """The groups the normal-closure derived subgroup is checked on."""
+    cases = [(name, lambda name=name: catalog.catalog_group(name)) for name in catalog.catalog_names()]
+    cases += [(f"pool:{name}", lambda name=name: catalog.pool_group(name)) for name in ("dirac4", "penta8")]
+    cases += [
+        (name, lambda gens=gens: MatrixGroup.from_generators(gens))
+        for name, gens in (("s3", S3_GENS), ("s4", S4_GENS), ("2t", BINARY_TETRAHEDRAL_GENS))
+    ]
+    return cases
+
+
 class TestDerivedAndQuotients:
-    @pytest.mark.parametrize("name", ["q8", "d4", "pauli"])
+    @pytest.mark.parametrize("name", ["q8", "d4", "pauli", "s3"])
     def test_derived_matches_brute_force(self, name, request):
         g = request.getfixturevalue(name)
         sub = g.derived_subgroup()
         assert {g.elements[i].key() for i in sub.indices} == brute_derived(g)
+
+    @pytest.mark.parametrize("name, build", derived_cases(), ids=[name for name, _ in derived_cases()])
+    def test_normal_closure_matches_all_commutators(self, name, build):
+        group = build()
+        assert group.derived_subgroup().indices == reference_derived(group)
+
+    def test_normal_closure_on_gamma_minus_subgroups(self):
+        parent = catalog.catalog_group("gamma_minus")
+        subs = parent.subgroups_of_order(16) + parent.subgroups_of_order(32)
+        assert len(subs) > 1
+        for sub in subs:
+            group = sub.as_group()
+            assert group.derived_subgroup().indices == reference_derived(group)
 
     def test_derived_subgroup_is_normal(self, pauli, dirac):
         assert pauli.derived_subgroup().is_normal()
@@ -355,6 +408,76 @@ def is_isomorphism(group, other, phi):
     )
 
 
+def table_certificate(group, other, gens, images):
+    """`certified_map` on two standalone groups' tables, as an image list."""
+    if other.order != group.order:
+        return None
+    phi = certified_map(group.cayley(), other.cayley(), gens, images, group.order)
+    return None if phi is None else [phi[a] for a in range(group.order)]
+
+
+def reference_isomorphism_map(group, other):
+    """The backtracking pruned on closure size alone.
+
+    A choice of images is kept when they generate a subgroup of
+    ``other`` as large as the prefix subgroup, and only the complete
+    generator map is certified. Elements are matched on order, class
+    size and centrality.
+    """
+    if group.fingerprint() != other.fingerprint():
+        return None
+    n = group.order
+    if n == 1:
+        return [0]
+    gens = group._greedy_generators()[0]
+    prefix_sizes = [len(group.closure_indices(gens[: j + 1])) for j in range(len(gens))]
+
+    def profile(g, a):
+        return g.element_order(a), len(g.class_of(a)), a in g.center()
+
+    candidates = [
+        [b for b in range(1, n) if profile(other, b) == profile(group, g)] for g in gens
+    ]
+
+    def extend(depth, images):
+        if depth == len(gens):
+            return table_certificate(group, other, gens, images)
+        for b in candidates[depth]:
+            if b in images:
+                continue
+            grown = other._closure_limited(images + [b], prefix_sizes[depth] + 1)
+            if grown is None or len(grown) != prefix_sizes[depth]:
+                continue
+            result = extend(depth + 1, images + [b])
+            if result is not None:
+                return result
+        return None
+
+    return extend(0, [])
+
+
+def conjugated(group, seed):
+    """The group regenerated from its generators conjugated by a random
+    signed permutation matrix, with a random word appended, in shuffled order."""
+    rng = random.Random(seed)
+    dim = group.dim
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    units = ["1", "-1", "i", "-i"]
+    rows = [["0"] * dim for _ in range(dim)]
+    for r, c in enumerate(perm):
+        rows[r][c] = rng.choice(units)
+    m = parse_matrix("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]")
+    gens = [group.elements[i] for i in group.generator_indices]
+    moved = [m * g * m.inverse() for g in gens]
+    word = moved[0]
+    for _ in range(rng.randint(2, 5)):
+        word = word * rng.choice(moved)
+    moved.append(word)
+    rng.shuffle(moved)
+    return MatrixGroup.from_generators(moved)
+
+
 def relabeled(group, seed):
     """The same matrices as a group whose elements come in a shuffled order."""
     rest = list(group.elements[1:])
@@ -394,7 +517,6 @@ class TestIsomorphism:
         phi = certified_map(q8.cayley(), other.cayley(), gens, images, q8.order)
         assert [phi[g] for g in gens] == list(images)
         assert is_isomorphism(q8, other, [phi[a] for a in range(q8.order)])
-        assert q8._certified_map(other, gens, images) == [phi[a] for a in range(q8.order)]
 
     def test_later_hint_candidates_are_tried(self, q8):
         # The search scans a class's hints in order until one certifies.
@@ -429,7 +551,7 @@ class TestIsomorphism:
         # but A2^2 = -1 in Q8 while SY^2 = +1: only a non-tree edge sees it.
         gens = [q8.index_of(A1), q8.index_of(A2)]
         images = (d4.index_of(A1), d4.index_of(SY))
-        assert q8._certified_map(d4, gens, images) is None
+        assert table_certificate(q8, d4, gens, images) is None
 
     def test_maps_between_subgroups_of_one_table(self, q8):
         # <A1> and <A2> are two cyclic subgroups of order 4 in Q8.
@@ -498,7 +620,7 @@ class TestIsomorphism:
         self, signature, pool, monkeypatch
     ):
         # Each (subgroup, hint) pair the search certifies on the pool table
-        # is certified again by _certified_map on the two as_group tables,
+        # is certified again on the two as_group tables,
         # whose element order is the sorted member list.
         ambient = catalog.pool_group(pool)
         standalone = {}
@@ -515,8 +637,8 @@ class TestIsomorphism:
             phi = hinted(table, image_table, gens, images, size)
             order, group = as_group(ambient.closure_indices(gens))
             image_order, rep = as_group(ambient.closure_indices(images))
-            reference = group._certified_map(
-                rep, [order.index(g) for g in gens], [image_order.index(x) for x in images]
+            reference = table_certificate(
+                group, rep, [order.index(g) for g in gens], [image_order.index(x) for x in images]
             )
             assert (phi is None) == (reference is None)
             if reference is not None:
@@ -531,6 +653,53 @@ class TestIsomorphism:
         catalog.find_gamma_models(signature, pool)
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
         assert verdicts.count(True) == done["search.iso_hint"]
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_backtracking_matches_the_size_pruned_reference(self, name, monkeypatch):
+        # The same image list for every pair that `_index_two_classes`
+        # compares, on the catalog group and on two conjugated regenerations.
+        compared = []
+        search = MatrixGroup.isomorphism_map
+
+        def recording(group, other):
+            phi = search(group, other)
+            compared.append((group, other, phi))
+            return phi
+
+        monkeypatch.setattr(MatrixGroup, "isomorphism_map", recording)
+        group = catalog.catalog_group(name)
+        for source in (group, conjugated(group, seed=1), conjugated(group, seed=2)):
+            catalog._index_two_classes(source)
+        for group, other, phi in compared:
+            assert phi == reference_isomorphism_map(group, other)
+            assert phi is None or is_isomorphism(group, other, phi)
+        assert any(phi is not None for _, _, phi in compared)
+
+    def test_backtracking_alone_decides_catalog_pairs(self, monkeypatch):
+        # With fingerprints blinded, the search itself must tell the
+        # groups of one order apart (Q8 against D4, for instance).
+        names = [n for n in catalog.catalog_names() if catalog.catalog_group(n).order in (8, 16)]
+        monkeypatch.setattr(MatrixGroup, "fingerprint", lambda group: ())
+        verdicts = set()
+        for a in names:
+            for b in names:
+                group, other = catalog.catalog_group(a), catalog.catalog_group(b)
+                if group.order != other.order:
+                    continue
+                phi = group.isomorphism_map(other)
+                assert (phi is None) == (reference_isomorphism_map(group, other) is None), (a, b)
+                assert phi is None or is_isomorphism(group, other, phi)
+                verdicts.add(phi is not None)
+        assert verdicts == {True, False}
+
+    def test_iso_counters_count_calls_rejects_and_nodes(self, q8, pauli):
+        before = dict(ISO_COUNTERS)
+        assert q8.isomorphism_map(pauli) is None
+        assert q8.isomorphism_map(MatrixGroup.from_generators([A2, A1])) is not None
+        done = {k: ISO_COUNTERS[k] - before[k] for k in before}
+        assert done["iso.calls"] == 2
+        assert done["iso.fingerprint_rejects"] == 1
+        assert done["iso.nodes"] >= 2  # one certificate per generator at least
 
     def test_same_order_histogram_but_not_isomorphic(self):
         # C4 x C2 and C8 both abelian of order 8 with different histograms;
