@@ -5,18 +5,21 @@ basis split into three "rotation" labels and three "boost" labels (the
 three-label tables have no boost half). Tables live as JSON data files and
 are verified against explicit matrix assignments. The component classifier
 searches a concrete order-16 group for a boost triple whose derived
-rotations satisfy one of the known tables.
+rotations satisfy one of the known tables, in one scan that checks the
+rows once per table and square signature of the triple.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup, mask_indices
@@ -303,13 +306,6 @@ class ComponentMatch:
         return out
 
 
-def _neg_index(group: MatrixGroup) -> int | None:
-    minus = group.elements[0].scale(_MINUS_ONE)
-    if minus in group:
-        return group.index_of(minus)
-    return None
-
-
 def _table_holds_on_indices(
     group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int
 ) -> bool:
@@ -346,76 +342,98 @@ def _table_holds_on_indices(
     return True
 
 
-# Work done by the component search in this process: boost triples
-# scanned, full bracket-row checks run, and closures taken to see that a
-# triple generates the whole group. Triples minus row checks is what the
-# square-signature memo skipped. Reports carry them under `timings.counters`.
+# Work done by the component scan in this process: boost triples visited,
+# bracket-row checks (one per table and boost-square signature, plus one
+# per match) and closures taken to see that a triple generates the whole
+# group. Reports carry them under `timings.counters`.
 COMPONENT_COUNTERS: Counter[str] = Counter(
     dict.fromkeys(("component.triples", "component.row_checks", "component.closures"), 0)
 )
 
 
-def _match_for_table(
-    group: MatrixGroup, table: BracketTable, triples: Iterable[tuple[int, int, int]], neg: int
-) -> ComponentMatch | None:
-    """First triple, in scan order, that realizes the table on the whole group.
-
-    The row check is decided once per square signature. Let the boosts
-    s1, s2, s3 pairwise anticommute with s_i^2 = eps_i in {+1, -1}, and let
-    r_k = e_k s_i s_j with the table's `boost_signs`. Then every pair of
-    roles commutes or anticommutes, and each bracket is 0 or +-2 times the
-    role with the remaining cyclic index, with the sign fixed by (e, eps):
-    e.g. [r1, s2] = -2 e1 eps2 s3. The component tables name exactly
-    those targets, so on one group the rows hold for every triple with the
-    same (s1^2, s2^2, s3^2) or for none. A signature whose rows failed
-    once is skipped for the rest of the scan. Only whether the triple
-    generates the whole group still differs between such triples, and
-    every returned triple passed both checks itself.
-    """
-    signs = table.boost_signs()
-    if signs is None:
-        return None
-    e1, e2, e3 = signs
+def _rotations_if_rows_hold(
+    group: MatrixGroup, table: BracketTable, signs: Sequence[int], boosts: tuple, neg: int
+) -> tuple[int, int, int] | None:
+    """The rotations r_k = e_k s_i s_j of a boost triple, if every row holds."""
+    COMPONENT_COUNTERS["component.row_checks"] += 1
     cay = group.cayley()
-    counters = COMPONENT_COUNTERS
-    refuted: set[tuple[int, int, int]] = set()
-    for s1, s2, s3 in triples:
-        counters["component.triples"] += 1
-        squares = (cay[s1][s1], cay[s2][s2], cay[s3][s3])
-        if squares in refuted:
-            continue
-        r1 = cay[s2][s3] if e1 > 0 else cay[neg][cay[s2][s3]]
-        r2 = cay[s3][s1] if e2 > 0 else cay[neg][cay[s3][s1]]
-        r3 = cay[s1][s2] if e3 > 0 else cay[neg][cay[s1][s2]]
-        roles = dict(zip(table.rotations, (r1, r2, r3)))
-        roles.update(zip(table.boosts, (s1, s2, s3)))
-        counters["component.row_checks"] += 1
-        if not _table_holds_on_indices(group, table, roles, neg):
-            refuted.add(squares)
-            continue
-        # The table must be realized on the whole group, not on a proper
-        # subgroup: a triple like i times the rotations satisfies the rows
-        # but generates only half the elements.
-        counters["component.closures"] += 1
-        if len(group.closure_indices((s1, s2, s3))) != group.order:
-            continue
-        return ComponentMatch(table.name, (s1, s2, s3), (r1, r2, r3))
-    return None
+    s1, s2, s3 = boosts
+    rotations = tuple(
+        cay[a][b] if e > 0 else cay[neg][cay[a][b]]
+        for e, (a, b) in zip(signs, ((s2, s3), (s3, s1), (s1, s2)))
+    )
+    roles = dict(zip(table.rotations, rotations))
+    roles.update(zip(table.boosts, boosts))
+    return rotations if _table_holds_on_indices(group, table, roles, neg) else None
 
 
-def _anticommuting_triples(group: MatrixGroup):
-    """Ordered triples of distinct boost candidates that pairwise anticommute.
+def _component_scan(
+    group: MatrixGroup, tables: Sequence[str], designated: Sequence[ExactMatrix] | None
+) -> Iterator[ComponentMatch]:
+    """Each table's first boost triple, in scan order, realizing it on the group.
 
-    Candidates are the non-scalar elements whose square is the scalar +1
-    or -1; each position runs over them in increasing index.
+    Matches are yielded in table order, and tables the group does not
+    realize are left out. The triples are the designated one, or else
+    every ordered triple of pairwise anticommuting non-scalar elements
+    whose squares are +1 or -1, in increasing (s1, s2, s3): the scan
+    order. They are enumerated per square signature, each list in scan
+    order, and merged back into it per table.
+
+    The bracket rows depend only on the square signature (s1^2, s2^2,
+    s3^2): with s_i^2 = eps_i and r_k = e_k s_i s_j by the table's
+    `boost_signs`, every pair of roles commutes or anticommutes, and each
+    bracket is 0 or +-2 times the role with the remaining cyclic index,
+    with the sign fixed by (e, eps): e.g. [r1, s2] = -2 e1 eps2 s3. The
+    component tables name exactly those targets. So the rows are checked
+    once per (table, signature), on the signature's first triple. A
+    table's match is then the first triple of its admitted signatures
+    that generates the whole group (a triple like i times the rotations
+    satisfies the rows but generates only half of it), and its rows are
+    checked again on that triple.
     """
-    squares = group.unit_square_masks()
-    candidates = squares[1] | squares[-1]
-    anti = group.commutation_masks()[1]
-    for s1 in mask_indices(candidates):
-        for s2 in mask_indices(anti[s1] & candidates):
-            for s3 in mask_indices(anti[s1] & anti[s2] & candidates):
-                yield (s1, s2, s3)
+    if group.order != 16:
+        raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
+    minus = group.elements[0].scale(_MINUS_ONE)
+    if minus not in group:
+        return
+    neg = group.index_of(minus)
+    if designated is not None:
+        if len(designated) != 3:
+            raise ValueError("a designated boost triple needs exactly three matrices")
+        if any(m not in group for m in designated):
+            raise ValueError("designated boosts must belong to the group")
+        by_signature = [[tuple(group.index_of(m) for m in designated)]]
+    else:
+        squares = group.unit_square_masks()
+        anti = group.commutation_masks()[1]
+        by_signature = [
+            [
+                (s1, s2, s3)
+                for s1 in mask_indices(squares[e1])
+                for s2 in mask_indices(anti[s1] & squares[e2])
+                for s3 in mask_indices(anti[s1] & anti[s2] & squares[e3])
+            ]
+            for e1, e2, e3 in itertools.product((1, -1), repeat=3)
+        ]
+    COMPONENT_COUNTERS["component.triples"] += sum(map(len, by_signature))
+    for table in map(BracketTable.load, tables):
+        if not table.boosts:
+            continue
+        signs = table.boost_signs()
+        admitted = [
+            listed for listed in by_signature
+            if listed and _rotations_if_rows_hold(group, table, signs, listed[0], neg) is not None
+        ]
+        for boosts in heapq.merge(*admitted):
+            COMPONENT_COUNTERS["component.closures"] += 1
+            if len(group.closure_indices(boosts)) == group.order:
+                rotations = _rotations_if_rows_hold(group, table, signs, boosts, neg)
+                if rotations is None:
+                    raise RuntimeError(
+                        f"table {table.name!r}: rows differ between triples of one square signature"
+                    )
+                yield ComponentMatch(table.name, boosts, rotations)
+                break
 
 
 def find_component_match(
@@ -424,35 +442,12 @@ def find_component_match(
     designated: Sequence[ExactMatrix] | None = None,
     tables: Sequence[str] = COMPONENT_TABLES,
 ) -> ComponentMatch | None:
-    """First (table, boost triple) fit in deterministic search order.
+    """The first of the tables, in order, that the group realizes, with its
+    first boost triple in scan order (see `_component_scan`).
 
-    With three designated generators, only that triple is tried as boosts;
-    otherwise all ordered anticommuting triples of square-scalar elements
-    are swept, table by table. Within one table the bracket rows are
-    decided once per square signature (s1^2, s2^2, s3^2) and only the
-    closure check runs per triple (see `_match_for_table`), so the first
-    triple found is the one a full per-triple scan would find. A
-    designated triple is a scan of one, so nothing is skipped there.
+    With three designated generators, only that triple is tried as boosts.
     """
-    if group.order != 16:
-        raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
-    neg = _neg_index(group)
-    if neg is None:
-        return None
-    if designated is not None:
-        if len(designated) != 3:
-            raise ValueError("a designated boost triple needs exactly three matrices")
-        if any(m not in group for m in designated):
-            raise ValueError("designated boosts must belong to the group")
-        triples = [tuple(group.index_of(m) for m in designated)]
-    else:
-        triples = list(_anticommuting_triples(group))
-    for name in tables:
-        table = BracketTable.load(name)
-        match = _match_for_table(group, table, triples, neg)
-        if match is not None:
-            return match
-    return None
+    return next(_component_scan(group, tables, designated), None)
 
 
 def classify_component(
@@ -466,20 +461,5 @@ def classify_component(
 
 
 def admitted_components(group: MatrixGroup) -> frozenset[str]:
-    """Every table the group can realize, searched independently per table.
-
-    Each table's scan checks the bracket rows once per square signature of
-    the boost triple, the only thing they depend on (see `_match_for_table`).
-    """
-    if group.order != 16:
-        raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
-    neg = _neg_index(group)
-    if neg is None:
-        return frozenset()
-    triples = list(_anticommuting_triples(group))
-    found = set()
-    for name in COMPONENT_TABLES:
-        table = BracketTable.load(name)
-        if _match_for_table(group, table, triples, neg) is not None:
-            found.add(name)
-    return frozenset(found)
+    """Every component table the group realizes, from one scan."""
+    return frozenset(match.table for match in _component_scan(group, COMPONENT_TABLES, None))

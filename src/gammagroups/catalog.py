@@ -22,9 +22,11 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .brackets import (
+    BracketTable,
     RelationSet,
     VerificationReport,
     admitted_components,
+    evaluate_word,
     find_component_match,
     verify_relations,
 )
@@ -104,18 +106,26 @@ def catalog_entry(name: str) -> CatalogEntry:
         return _resolve_extraction(payload)
     dimension = payload["dimension"]
     generators = [parse_matrix(text, expect_dim=dimension) for text in payload["generators"]]
+    return _entry(payload, generators)
+
+
+def _entry(
+    payload: Mapping, generators: list[ExactMatrix], extracted_from: str | None = None
+) -> CatalogEntry:
+    table = payload.get("table") or {}
     return CatalogEntry(
         name=payload["name"],
         summary=payload.get("summary", ""),
-        dimension=dimension,
+        dimension=generators[0].dim,
         generators=generators,
         blocks=_parse_blocks(payload.get("blocks")),
         relations=payload.get("relations", {}),
-        table=(payload.get("table") or {}).get("name"),
-        table_assignment=(payload.get("table") or {}).get("assignment"),
+        table=table.get("name"),
+        table_assignment=table.get("assignment"),
         signature=payload.get("signature"),
         expected=payload["expected"],
         notes=payload.get("notes", ""),
+        extracted_from=extracted_from,
     )
 
 
@@ -140,23 +150,34 @@ def _resolve_extraction(payload: Mapping) -> CatalogEntry:
         match = find_component_match(group)
         if match is not None and match.table == component:
             boosts = [group.elements[i] for i in match.boosts]
-            return CatalogEntry(
-                name=payload["name"],
-                summary=payload.get("summary", ""),
-                dimension=boosts[0].dim,
-                generators=boosts,
-                blocks=None,
-                relations=payload.get("relations", {}),
-                table=(payload.get("table") or {}).get("name"),
-                table_assignment=(payload.get("table") or {}).get("assignment"),
-                signature=payload.get("signature"),
-                expected=payload["expected"],
-                notes=payload.get("notes", ""),
-                extracted_from=recipe["parent"],
-            )
+            return _entry(payload, boosts, recipe["parent"])
     raise LookupError(
         f"no order-{order} subgroup of {recipe['parent']!r} realizes component {component!r}"
     )
+
+
+def table_roles(
+    group: MatrixGroup, entry: CatalogEntry | None, table: BracketTable
+) -> dict[str, ExactMatrix] | None:
+    """The matrices that play the table's roles in the group, if any.
+
+    When the entry names this table, its stored words over the generators
+    give the roles, or else its three generators are the designated boost
+    triple. Otherwise the roles come from the first boost triple a scan of
+    the group finds for the table. Raises ValueError where the component
+    scan does (a group not of order 16, a bad designated triple).
+    """
+    designated = None
+    if entry is not None and entry.table == table.name:
+        if entry.table_assignment:
+            genmap = entry.generator_assignment()
+            return {
+                label: evaluate_word(word, genmap) for label, word in entry.table_assignment.items()
+            }
+        if len(entry.generators) == 3:
+            designated = entry.generators
+    match = find_component_match(group, designated=designated, tables=(table.name,))
+    return match.assignment(group, table) if match is not None else None
 
 
 @functools.cache

@@ -29,7 +29,6 @@ from .brackets import (
     BracketTable,
     RelationSet,
     evaluate_word,
-    find_component_match,
     verify_bracket_table,
     verify_relations,
 )
@@ -74,18 +73,9 @@ def _table_verdict(entry_name: str) -> str:
     """Verify an entry's bracket table row by row on explicit matrices."""
     entry = catalog.catalog_entry(entry_name)
     table = BracketTable.load(entry.table)
-    if entry.table_assignment is not None:
-        genmap = entry.generator_assignment()
-        assignment = {
-            label: evaluate_word(word, genmap)
-            for label, word in entry.table_assignment.items()
-        }
-    else:
-        group = catalog.catalog_group(entry_name)
-        match = find_component_match(group, designated=entry.generators)
-        if match is None or match.table != entry.table:
-            return f"fail: no {entry.table} match"
-        assignment = match.assignment(group, table)
+    assignment = catalog.table_roles(catalog.catalog_group(entry_name), entry, table)
+    if assignment is None:
+        return f"fail: no {entry.table} match"
     return _report_verdict(verify_bracket_table(table, assignment))
 
 

@@ -26,7 +26,6 @@ from .brackets import (
     COMPONENT_COUNTERS,
     BracketTable,
     TABLE_NAMES,
-    evaluate_word,
     find_component_match,
     verify_bracket_table,
 )
@@ -212,23 +211,10 @@ def _cmd_subgroups(args, started: float) -> tuple[dict, int]:
 def _cmd_brackets(args, started: float) -> tuple[dict, int]:
     name, group, entry = _resolve_target(args.name, args.cap)
     table = BracketTable.load(args.table)
-    assignment = None
-    if entry is not None and entry.table == args.table and entry.table_assignment:
-        genmap = entry.generator_assignment()
-        assignment = {
-            label: evaluate_word(word, genmap)
-            for label, word in entry.table_assignment.items()
-        }
-    else:
-        designated = None
-        if entry is not None and entry.table == args.table and len(entry.generators) == 3:
-            designated = entry.generators
-        try:
-            match = find_component_match(group, designated=designated, tables=(args.table,))
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        if match is not None:
-            assignment = match.assignment(group, table)
+    try:
+        assignment = catalog.table_roles(group, entry, table)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     if assignment is None:
         profile = {
             "name": name, "table": args.table, "passed": False,

@@ -338,16 +338,16 @@ class MatrixGroup:
     def unit_square_masks(self) -> dict[int, int]:
         """Bitmasks of the non-scalar elements whose square is +1 and -1.
 
-        Keyed by the sign of the square; scalar elements are in neither.
+        Keyed by the sign of the square; the scalars 1, -1, i, -i are in neither.
         """
         if self._unit_squares is None:
+            one, cay = self._elements[0], self.cayley()
+            units = [self._index.get(one.scale(GaussianRational(*c)).key())
+                     for c in ((1, 0), (-1, 0), (0, 1), (0, -1))]
             masks = {1: 0, -1: 0}
-            for i in range(self.order):
-                if self._elements[i].scalar_value() is not None:
-                    continue
-                sq = self._elements[self.mul(i, i)].scalar_value()
-                if sq is not None and sq.im == 0 and abs(sq.re) == 1:
-                    masks[1 if sq.re > 0 else -1] |= 1 << i
+            for i in set(range(self.order)).difference(units):
+                if cay[i][i] in units[:2]:
+                    masks[1 if cay[i][i] == 0 else -1] |= 1 << i
             self._unit_squares = masks
         return self._unit_squares
 

@@ -24,10 +24,10 @@ from gammagroups.brackets import (
     verify_bracket_table,
     verify_relations,
 )
-from gammagroups.brackets import _anticommuting_triples, _neg_index, _table_holds_on_indices
-from gammagroups.catalog import catalog_group, pool_group
+from gammagroups.brackets import _table_holds_on_indices
+from gammagroups.catalog import catalog_entry, catalog_group, pool_group
 from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
-from gammagroups.groups import MatrixGroup
+from gammagroups.groups import MatrixGroup, mask_indices
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -346,7 +346,8 @@ class TestClassification:
     @pytest.mark.parametrize("name", ["pauli", "pauli_f", "q8_c2", "d4_c2"])
     def test_boost_triples_match_matrix_enumeration(self, name):
         # Ordered triples straight off the matrices, in the order the
-        # component search relies on to pick its first match.
+        # reference scan (and so the component search) picks its first
+        # match from.
         group = catalog_group(name) if name != "pauli" else pauli_group()
         identity = group.elements[0]
         minus = identity.scale(MINUS)
@@ -365,7 +366,27 @@ class TestClassification:
             for s1 in boosts for s2 in boosts for s3 in boosts
             if {(s1, s2), (s1, s3), (s2, s3)} <= anti
         ]
-        assert list(_anticommuting_triples(group)) == expected
+        assert list(anticommuting_triples(group)) == expected
+
+
+def neg_index(group):
+    minus = group.elements[0].scale(MINUS)
+    return group.index_of(minus) if minus in group else None
+
+
+def anticommuting_triples(group):
+    """Ordered triples of distinct boost candidates that pairwise anticommute.
+
+    Candidates are the non-scalar elements whose square is the scalar +1
+    or -1; each position runs over them in increasing index.
+    """
+    squares = group.unit_square_masks()
+    candidates = squares[1] | squares[-1]
+    anti = group.commutation_masks()[1]
+    for s1 in mask_indices(candidates):
+        for s2 in mask_indices(anti[s1] & candidates):
+            for s3 in mask_indices(anti[s1] & anti[s2] & candidates):
+                yield (s1, s2, s3)
 
 
 def boost_roles(group, table, signs, boosts, neg):
@@ -380,18 +401,19 @@ def boost_roles(group, table, signs, boosts, neg):
     return rotations, roles
 
 
-def reference_match(group, table_name):
+def reference_match(group, table_name, triples=None):
     """First fit of one table by the plain per-triple scan.
 
-    Every triple gets the full row check and then the closure check; no
-    square-signature memo.
+    Every triple (by default every anticommuting one) gets the full row
+    check and then the closure check; no row check is shared between
+    triples of one square signature.
     """
-    neg = _neg_index(group)
+    neg = neg_index(group)
     if neg is None:
         return None
     table = BracketTable.load(table_name)
     signs = table.boost_signs()
-    for boosts in _anticommuting_triples(group):
+    for boosts in anticommuting_triples(group) if triples is None else triples:
         rotations, roles = boost_roles(group, table, signs, boosts, neg)
         if not _table_holds_on_indices(group, table, roles, neg):
             continue
@@ -438,18 +460,69 @@ class TestSquareSignatureMemo:
                 name for name, match in want.items() if match is not None
             )
 
+    @pytest.mark.parametrize("name", ORDER16_ENTRIES)
+    def test_designated_triples_match_the_reference_scan(self, name):
+        # The entry's own generators, their conjugates by a seeded sample
+        # of group elements, and a seeded sample of anticommuting triples,
+        # each as a designated triple against a scan of that one triple.
+        group = catalog_group(name)
+        rng = random.Random(f"designated:{name}")
+        gens = catalog_entry(name).generators
+        designated = [gens]
+        for g in rng.sample(group.elements, 4):
+            designated.append([g * m * g.inverse() for m in gens])
+        for boosts in rng.sample(list(anticommuting_triples(group)), 4):
+            designated.append([group.elements[i] for i in boosts])
+        verdicts = set()
+        for mats in designated:
+            triple = [tuple(group.index_of(m) for m in mats)]
+            want = {table: reference_match(group, table, triple) for table in COMPONENT_TABLES}
+            for table in COMPONENT_TABLES:
+                got = find_component_match(group, designated=mats, tables=(table,))
+                assert got == want[table]
+            first = next((m for m in want.values() if m is not None), None)
+            assert find_component_match(group, designated=mats) == first
+            verdicts.add(first is not None)
+        assert True in verdicts
+
+    @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
+    def test_row_checks_stay_within_one_per_table_and_signature(self, source, sample):
+        # At most one row check per (table, square signature), plus one
+        # on each returned match; closures at most one per triple.
+        counters = brackets.COMPONENT_COUNTERS
+        for group in order16_groups(source, sample):
+            triples = list(anticommuting_triples(group))
+            signatures = {tuple(group.mul(s, s) for s in boosts) for boosts in triples}
+            for scan in (admitted_components, find_component_match):
+                before = dict(counters)
+                result = scan(group)
+                matches = len(result) if isinstance(result, frozenset) else int(result is not None)
+                row_checks = counters["component.row_checks"] - before["component.row_checks"]
+                closures = counters["component.closures"] - before["component.closures"]
+                assert row_checks <= len(COMPONENT_TABLES) * len(signatures) + matches
+                assert closures <= len(triples)
+                assert counters["component.triples"] - before["component.triples"] == len(triples)
+
+    def test_scan_raises_when_a_match_fails_its_own_row_check(self, monkeypatch):
+        # The rows are read once per signature; a match whose own triple
+        # then failed them would break that premise, and the scan says so.
+        verdicts = iter([True, False])
+        monkeypatch.setattr(brackets, "_table_holds_on_indices", lambda *args: next(verdicts))
+        with pytest.raises(RuntimeError, match="rows differ"):
+            find_component_match(pauli_group(), designated=[SX, SY, SZ], tables=("d",))
+
     @pytest.mark.parametrize("source", ["pauli", "pauli_c2", "d4_v4"])
     def test_row_check_is_constant_per_square_signature(self, source):
         outcomes_seen = set()
         for group in order16_groups(source):
-            neg = _neg_index(group)
+            neg = neg_index(group)
             if neg is None:
                 continue  # no anticommuting pairs, so no boost triples
             for name in COMPONENT_TABLES:
                 table = BracketTable.load(name)
                 signs = table.boost_signs()
                 by_squares: dict[tuple[int, int, int], set[bool]] = {}
-                for boosts in _anticommuting_triples(group):
+                for boosts in anticommuting_triples(group):
                     _, roles = boost_roles(group, table, signs, boosts, neg)
                     squares = tuple(group.mul(s, s) for s in boosts)
                     holds = _table_holds_on_indices(group, table, roles, neg)
@@ -460,9 +533,9 @@ class TestSquareSignatureMemo:
 
     @pytest.mark.parametrize("name", COMPONENT_TABLES)
     def test_rows_name_the_remaining_cyclic_role(self, name):
-        # The premise of the memo: [x_i, y_j] is +-2 times the role with
-        # index k = the third of (i, j), a rotation unless exactly one of
-        # x, y is a boost, and [r_i, s_i] = 0.
+        # The premise of the per-signature row check: [x_i, y_j] is +-2
+        # times the role with index k = the third of (i, j), a rotation
+        # unless exactly one of x, y is a boost, and [r_i, s_i] = 0.
         table = BracketTable.load(name)
         index = {lab: k for labels in (table.rotations, table.boosts) for k, lab in enumerate(labels)}
         for x, y, coeff, z in table.pairs():
@@ -488,10 +561,10 @@ class TestSquareSignatureMemo:
         rng = random.Random(f"rows:{source}")
         verdicts = set()
         for group in order16_groups(source, sample):
-            neg = _neg_index(group)
+            neg = neg_index(group)
             if neg is None:
                 continue
-            triples = list(_anticommuting_triples(group))
+            triples = list(anticommuting_triples(group))
             if source not in ORDER16_ENTRIES:
                 triples = rng.sample(triples, min(len(triples), 8))
             for name in COMPONENT_TABLES:

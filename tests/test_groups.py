@@ -382,9 +382,21 @@ class TestCommutationMasks:
         group = MatrixGroup.from_generators([SX])  # {1, SX}
         assert group.commutation_masks()[1] == [0] * group.order
 
-    @pytest.mark.parametrize("name", ["q8", "pauli", "dirac"])
+    # The masks come off the Cayley diagonal; the reference is exact
+    # matrix squares and scalars, on every catalog group, both pools and
+    # the dense 2T.
+    @pytest.mark.parametrize(
+        "name", ["dirac", *catalog.catalog_names(), *catalog.POOL_NAMES, "2T"]
+    )
     def test_unit_square_masks_match_matrix_squares(self, request, name):
-        group = request.getfixturevalue(name)
+        if name == "dirac":
+            group = request.getfixturevalue(name)
+        elif name in catalog.POOL_NAMES:
+            group = catalog.pool_group(name)
+        elif name == "2T":
+            group = MatrixGroup.from_generators(BINARY_TETRAHEDRAL_GENS)
+        else:
+            group = catalog.catalog_group(name)
         identity = group.elements[0]
         masks = group.unit_square_masks()
         for i, a in enumerate(group.elements):
