@@ -344,8 +344,9 @@ def _table_holds_on_indices(
 
 # Work done by the component scan in this process: boost triples visited,
 # bracket-row checks (one per table and boost-square signature, plus one
-# per match) and closures taken to see that a triple generates the whole
-# group. Reports carry them under `timings.counters`.
+# per match) and triples tested for generating the whole group (by one
+# Cayley lookup, or a closure for a designated triple). Reports carry them
+# under `timings.counters`.
 COMPONENT_COUNTERS: Counter[str] = Counter(
     dict.fromkeys(("component.triples", "component.row_checks", "component.closures"), 0)
 )
@@ -365,6 +366,24 @@ def _rotations_if_rows_hold(
     roles = dict(zip(table.rotations, rotations))
     roles.update(zip(table.boosts, boosts))
     return rotations if _table_holds_on_indices(group, table, roles, neg) else None
+
+
+def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: int) -> bool:
+    """Whether a scanned boost triple generates its order-16 group.
+
+    The premises, which the scan guarantees: s1, s2, s3 pairwise
+    anticommute, each squares to +1 or -1, and -1 (index ``neg``) lies in
+    the group of order 16. Then <s1, s2, s3> has order 16 exactly when
+    s1*s2*s3 is neither 1 nor -1. Proof: P = <s1, s2> = +-{1, s1, s2,
+    s1s2} has order 8. s3 conjugates s1 and s2 to -s1 and -s2 and squares
+    into P, so it normalizes P and <P, s3> = P u P*s3, of order 16 unless
+    s3 lies in P. The elements of P that anticommute with both s1 and s2
+    are +-s1s2 alone (+-1 commute with both, +-s1 with s1, +-s2 with s2),
+    so s3 lies in P exactly when s3 = +-s1s2, that is when s1*s2*s3 =
+    +-s1s2s1s2 = -+s1^2 s2^2 is 1 or -1.
+    """
+    s1, s2, s3 = boosts
+    return cay[cay[s1][s2]][s3] not in (0, neg)
 
 
 def _component_scan(
@@ -389,7 +408,9 @@ def _component_scan(
     table's match is then the first triple of its admitted signatures
     that generates the whole group (a triple like i times the rotations
     satisfies the rows but generates only half of it), and its rows are
-    checked again on that triple.
+    checked again on that triple. A scanned triple is tested by one
+    Cayley lookup (`_scanned_triple_generates`); a designated one, which
+    need not meet that test's premises, is closed.
     """
     if group.order != 16:
         raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
@@ -416,6 +437,7 @@ def _component_scan(
             for e1, e2, e3 in itertools.product((1, -1), repeat=3)
         ]
     COMPONENT_COUNTERS["component.triples"] += sum(map(len, by_signature))
+    cay = group.cayley()
     for table in map(BracketTable.load, tables):
         if not table.boosts:
             continue
@@ -426,7 +448,10 @@ def _component_scan(
         ]
         for boosts in heapq.merge(*admitted):
             COMPONENT_COUNTERS["component.closures"] += 1
-            if len(group.closure_indices(boosts)) == group.order:
+            if (
+                _scanned_triple_generates(cay, boosts, neg) if designated is None
+                else len(group.closure_indices(boosts)) == group.order
+            ):
                 rotations = _rotations_if_rows_hold(group, table, signs, boosts, neg)
                 if rotations is None:
                     raise RuntimeError(

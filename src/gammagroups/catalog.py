@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -488,12 +489,15 @@ class _PoolSearcher:
     Subgroups grow by coset extension: when s normalizes a subgroup B
     and s^2 lies in B, then <B, s> = B u B*s, which costs |B| lookups
     and no closure. In a signature tuple every generator commutes or
-    anticommutes with the earlier ones, -1 = [s1, s2] lies in <s1, s2>,
-    and every square is +-1, so each extension after the first pair
-    qualifies; `coset` still checks that with a few lookups and raises
-    if it ever fails. The same table (``cay``) certifies the generator-map
-    hints between subgroups, so a subgroup needs no standalone group of
-    its own unless it starts a class or goes to the isomorphism fallback.
+    anticommutes with the earlier ones, -1 = [s1, s2], and every square
+    is +-1, so every step from {1, -1} qualifies: <-1, s1>, then
+    <s1, s2>, then the triple's and the tuple's groups. `coset` still
+    checks that with a few lookups and raises if it ever fails. The
+    triple steps are taken once per (pool, triple squares) and shared by
+    every signature with those squares (see `_triple_level`). The same
+    table (``cay``) certifies the generator-map hints between subgroups,
+    so a subgroup needs no standalone group of its own unless it starts a
+    class or goes to the isomorphism fallback.
     """
 
     def __init__(self, pool: MatrixGroup):
@@ -503,6 +507,7 @@ class _PoolSearcher:
         self.coset_bits = [[1 << y for y in column] for column in zip(*self.cay)]
         self.commute, self.anticommute = pool.commutation_masks()
         self.squares = pool.unit_square_masks()
+        self.neg = pool.index_of(pool.elements[0].scale(_MINUS))
 
     def triples(self, squares: tuple[int, int, int]) -> Iterable[tuple[int, int, int]]:
         """Pairwise anticommuting triples, one representative per set.
@@ -543,6 +548,46 @@ class _PoolSearcher:
 @functools.cache
 def _pool_searcher(pool_name: str) -> _PoolSearcher:
     return _PoolSearcher(pool_group(pool_name))
+
+
+@dataclass(frozen=True)
+class _TripleLevel:
+    """The triple subgroups of one (pool, triple squares), in compact form.
+
+    ``masks`` holds the distinct member masks of <s1, s2, s3> in order of
+    first appearance, and ``ids[k]`` is the index in ``masks`` of the k-th
+    triple of `_PoolSearcher.triples`. Two bytes per triple keep the level
+    small; a reader walks `triples` again alongside ``ids``.
+    """
+
+    masks: tuple[int, ...]
+    ids: array
+
+
+@functools.cache
+def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel:
+    """The triple subgroups for every signature whose first three squares
+    are ``squares``; the 13 sweep signatures share four such levels.
+
+    Each pair's group is built by two coset steps from {1, -1}, once per
+    pair (the triples come grouped by pair), and each triple's group is
+    the pair's extended by s3.
+    """
+    searcher = _pool_searcher(pool_name)
+    neg = searcher.neg
+    index: dict[int, int] = {}
+    ids = array("H")
+    pair = None
+    for s1, s2, s3 in searcher.triples(squares):
+        if pair != (s1, s2):
+            pair = s1, s2
+            pair_members, pair_mask = [0, neg], 1 | 1 << neg
+            for gens, s in (((neg,), s1), ((neg, s1), s2)):
+                pair_mask |= searcher.coset(pair_members, pair_mask, gens, s)
+                pair_members = list(mask_indices(pair_mask))
+        base = pair_mask | searcher.coset(pair_members, pair_mask, pair, s3)
+        ids.append(index.setdefault(base, len(index)))
+    return _TripleLevel(tuple(index), ids)
 
 
 # Work done by uncached find_gamma_models calls in this process: generator
@@ -589,12 +634,13 @@ def find_gamma_models(
     """All isomorphism classes of groups generated by tuples matching a spec.
 
     Tuples are enumerated deterministically and closed inside the pool's
-    Cayley table by coset extension (see `_PoolSearcher`): each pair is
-    closed once, the triple's group is P u P*s3 and the tuple's group is
-    H u H*s4. A fourth generator inside a right coset H*s4 already taken
-    for the same H gives the same group and is skipped. Groups are
-    deduplicated first by the generated subgroup and then by abstract
-    isomorphism. Hint, then certify: a new group is first tested with the
+    Cayley table by coset extension (see `_PoolSearcher`): the triple
+    groups H come from the level shared per (pool, triple squares)
+    (`_triple_level`), and the tuple's group is H u H*s4. A fourth
+    generator inside a right coset H*s4 already taken for the same H gives
+    the same group and is skipped; a triple whose fourths all lie in taken
+    cosets is skipped whole. Groups are deduplicated first by the
+    generated subgroup and then by abstract isomorphism. Hint, then certify: a new group is first tested with the
     maps that send its tuple to the representative's own tuple or to the
     images of earlier tuples of that class, each certified by
     `certified_map` on the pool's table along the generator edges; only
@@ -628,21 +674,15 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         fourth_masks = searcher.commute
 
     counters = SEARCH_COUNTERS
-    pair_closure: dict[tuple[int, int], tuple[list[int], int]] = {}
-    # triple subgroup mask -> (its members, union of the cosets H*s4 taken)
-    covered: dict[int, tuple[list[int], int]] = {}
+    level = _triple_level(pool_name, triple_squares)
+    # per triple subgroup: union of the cosets H*s4 taken, and its members
+    taken = [0] * len(level.masks)
+    members: dict[int, list[int]] = {}
     seen_subgroups: set[int] = set()
     classes: list[_ModelClass] = []
 
-    for s1, s2, s3 in searcher.triples(triple_squares):
-        if (s1, s2) not in pair_closure:
-            pair = pool.closure_indices((s1, s2))
-            pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
-        pair_members, pair_mask = pair_closure[s1, s2]
-        base = pair_mask | searcher.coset(pair_members, pair_mask, (s1, s2), s3)
-        if base not in covered:
-            covered[base] = (list(mask_indices(base)), 0)
-        members, taken = covered[base]
+    for (s1, s2, s3), h in zip(searcher.triples(triple_squares), level.ids, strict=True):
+        base = level.masks[h]
         fourths = (
             fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
         )
@@ -653,11 +693,15 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << s3
         counters["search.tuples"] += fourths.bit_count()
-        fresh = fourths & ~taken
+        fresh = fourths & ~taken[h]
+        if not fresh:
+            continue
+        if h not in members:
+            members[h] = list(mask_indices(base))
         while fresh:
             s4 = (fresh & -fresh).bit_length() - 1
-            coset = searcher.coset(members, base, (s1, s2, s3), s4)
-            taken |= coset
+            coset = searcher.coset(members[h], base, (s1, s2, s3), s4)
+            taken[h] |= coset
             fresh &= ~coset  # the coset holds s4 itself
             key = base | coset
             if key in seen_subgroups:
@@ -702,7 +746,6 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
                     identified=identified,
                 )
                 classes.append(_ModelClass(key, [gens], hit, group))
-        covered[base] = (members, taken)
     return tuple(cls.hit for cls in classes)
 
 

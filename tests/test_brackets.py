@@ -460,6 +460,19 @@ class TestSquareSignatureMemo:
                 name for name, match in want.items() if match is not None
             )
 
+    @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
+    def test_one_lookup_decides_generation_like_the_closure(self, source, sample):
+        # Every scanned triple generates the group exactly when its
+        # closure does; the scan takes the lookup in place of the closure.
+        verdicts = []
+        for group in order16_groups(source, sample):
+            neg = neg_index(group)
+            for boosts in anticommuting_triples(group):
+                whole = len(group.closure_indices(boosts)) == group.order
+                assert brackets._scanned_triple_generates(group.cayley(), boosts, neg) == whole
+                verdicts.append(whole)
+        assert True in verdicts
+
     @pytest.mark.parametrize("name", ORDER16_ENTRIES)
     def test_designated_triples_match_the_reference_scan(self, name):
         # The entry's own generators, their conjugates by a seeded sample

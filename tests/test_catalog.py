@@ -1,6 +1,7 @@
 """Catalog data, profile validation, signature search, and extensions."""
 
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from gammagroups.exact import (
     parse_matrix,
     parse_scalar,
 )
-from gammagroups.groups import MatrixGroup, Subgroup, mask_indices
+from gammagroups.groups import MatrixGroup, Subgroup, certified_map, mask_indices
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -344,6 +345,93 @@ def hit_rows(hits):
     return [(h.order, h.identified, h.generator_indices) for h in hits]
 
 
+def reference_coset_search(text, pool_name):
+    """The coset search with every signature enumerating its own triples.
+
+    Each pair is closed by breadth-first search once per signature, and
+    each triple's group is taken again per signature; the rest is the
+    search as it runs today, counters included. Returns the hits.
+    """
+    spec = SignatureSpec.parse(text)
+    pool = pool_group(pool_name)
+    searcher = catalog._pool_searcher(pool_name)
+    cay = searcher.cay
+    if spec.commuting_fourth is None:
+        triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
+        fourth_masks = searcher.anticommute
+    else:
+        triple_squares, fourth_sign = spec.squares, spec.commuting_fourth
+        fourth_masks = searcher.commute
+    counters = catalog.SEARCH_COUNTERS
+    pair_closure = {}
+    covered = {}  # triple subgroup mask -> (its members, union of the cosets taken)
+    seen_subgroups = set()
+    classes = []
+    for s1, s2, s3 in searcher.triples(triple_squares):
+        if (s1, s2) not in pair_closure:
+            pair = pool.closure_indices((s1, s2))
+            pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
+        pair_members, pair_mask = pair_closure[s1, s2]
+        base = pair_mask | searcher.coset(pair_members, pair_mask, (s1, s2), s3)
+        if base not in covered:
+            covered[base] = (list(mask_indices(base)), 0)
+        members, taken = covered[base]
+        fourths = (
+            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
+        )
+        if spec.commuting_fourth is not None:
+            fourths &= ~base
+        elif fourth_sign == triple_squares[2]:
+            fourths &= -2 << s3
+        counters["search.tuples"] += fourths.bit_count()
+        fresh = fourths & ~taken
+        while fresh:
+            s4 = (fresh & -fresh).bit_length() - 1
+            coset = searcher.coset(members, base, (s1, s2, s3), s4)
+            taken |= coset
+            fresh &= ~coset
+            key = base | coset
+            if key in seen_subgroups:
+                continue
+            seen_subgroups.add(key)
+            counters["search.subgroups"] += 1
+            gens = (s1, s2, s3, s4)
+            order = key.bit_count()
+            group = None
+            for cls in classes:
+                if cls.hit.order != order:
+                    continue
+                if any(certified_map(cay, cay, gens, images, order) is not None
+                       for images in cls.images):
+                    counters["search.iso_hint"] += 1
+                    break
+                counters["search.iso_fallback"] += 1
+                group = group or catalog._standalone(pool, key)
+                cls.group = cls.group or catalog._standalone(pool, cls.key)
+                mapping = group.isomorphism_map(cls.group)
+                if mapping is not None:
+                    rep_members = list(mask_indices(cls.key))
+                    cls.images.append(tuple(
+                        rep_members[mapping[(key & ((1 << s) - 1)).bit_count()]] for s in gens
+                    ))
+                    break
+            else:
+                identified = None
+                if order == 32:
+                    group = group or catalog._standalone(pool, key)
+                    identified = catalog.identify_stable(group)
+                hit = catalog.ModelHit(str(spec), pool_name, gens, order, identified)
+                classes.append(catalog._ModelClass(key, [gens], hit, group))
+        covered[base] = (members, taken)
+    return [cls.hit for cls in classes]
+
+
+def clear_search_caches():
+    """Forget every search result and shared triple level, so a search runs cold."""
+    catalog._gamma_models.cache_clear()
+    catalog._triple_level.cache_clear()
+
+
 class TestCosetSearch:
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
     def test_matches_the_closure_search_on_the_small_pool(self, text):
@@ -365,8 +453,34 @@ class TestCosetSearch:
         with pytest.raises(RuntimeError, match="normalize"):
             searcher.coset(sorted(base), mask, (x,), s)
 
+    @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
+    @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
+    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name):
+        # Hits (first tuples and class order included) and every counter.
+        counters = catalog.SEARCH_COUNTERS
+        before = dict(counters)
+        want = reference_coset_search(text, pool_name)
+        want_done = {k: counters[k] - before[k] for k in before}
+        clear_search_caches()
+        before = dict(counters)
+        assert find_gamma_models(text, pool_name) == want
+        assert {k: counters[k] - before[k] for k in before} == want_done
+
+    def test_a_cold_sweep_builds_one_level_per_triple_square_pattern(self):
+        clear_search_caches()
+        sweep_stable_models("penta8")
+        assert catalog._triple_level.cache_info().misses == 4
+        searcher = catalog._pool_searcher("penta8")
+        for squares in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
+            level = catalog._triple_level("penta8", squares)
+            assert isinstance(level.ids, array)
+            assert len(level.ids) == sum(1 for _ in searcher.triples(squares))
+            assert set(level.ids) == set(range(len(level.masks)))
+            assert len(set(level.masks)) == len(level.masks)
+        assert catalog._triple_level.cache_info().misses == 4
+
     def test_counters_add_up(self):
-        catalog._gamma_models.cache_clear()
+        clear_search_caches()
         before = dict(catalog.SEARCH_COUNTERS)
         hits = find_gamma_models("++-|-", "dirac4")
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}

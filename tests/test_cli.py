@@ -339,6 +339,7 @@ class TestVerify:
 
     def test_search_counters_are_reported_under_timings(self, capsys):
         catalog._gamma_models.cache_clear()
+        catalog._triple_level.cache_clear()
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (

@@ -618,6 +618,7 @@ class TestIsomorphism:
             return phi
 
         catalog._gamma_models.cache_clear()
+        catalog._triple_level.cache_clear()
         monkeypatch.setattr(catalog, "certified_map", checking_hint)
         monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
         catalog.find_gamma_models(signature, pool)
@@ -660,6 +661,7 @@ class TestIsomorphism:
             return phi
 
         catalog._gamma_models.cache_clear()
+        catalog._triple_level.cache_clear()
         monkeypatch.setattr(catalog, "certified_map", differential)
         before = dict(catalog.SEARCH_COUNTERS)
         catalog.find_gamma_models(signature, pool)
