@@ -486,28 +486,19 @@ class _PoolSearcher:
     Bit i of a mask stands for pool element i. The masks come from the
     pool's integer Cayley table once per pool (n^2 lookups), so candidate
     generators are found by mask intersection, never by matrix products.
-    Subgroups grow by coset extension: when s normalizes a subgroup B
-    and s^2 lies in B, then <B, s> = B u B*s, which costs |B| lookups
-    and no closure. In a signature tuple every generator commutes or
-    anticommutes with the earlier ones, -1 = [s1, s2], and every square
-    is +-1, so every step from {1, -1} qualifies: <-1, s1>, then
-    <s1, s2>, then the triple's and the tuple's groups. `coset` still
-    checks that with a few lookups and raises if it ever fails. The
-    triple steps are taken once per (pool, triple squares) and shared by
-    every signature with those squares (see `_triple_level`). The same
-    table (``cay``) certifies the generator-map hints between subgroups,
-    so a subgroup needs no standalone group of its own unless it starts a
-    class or goes to the isomorphism fallback.
+    Subgroups grow by `MatrixGroup.extend` on the pool's table: the triple
+    groups once per (pool, triple squares), shared by every signature with
+    those squares (see `_triple_level`), and each tuple's group from its
+    triple's. The same table (``cay``) certifies the generator-map hints
+    between subgroups, so a subgroup needs no standalone group of its own
+    unless it starts a class or goes to the isomorphism fallback.
     """
 
     def __init__(self, pool: MatrixGroup):
         self.pool = pool
         self.cay = pool.cayley()
-        # coset_bits[s][x] = 1 << (x * s), so a right coset mask is one sum
-        self.coset_bits = [[1 << y for y in column] for column in zip(*self.cay)]
         self.commute, self.anticommute = pool.commutation_masks()
         self.squares = pool.unit_square_masks()
-        self.neg = pool.index_of(pool.elements[0].scale(_MINUS))
 
     def triples(self, squares: tuple[int, int, int]) -> Iterable[tuple[int, int, int]]:
         """Pairwise anticommuting triples, one representative per set.
@@ -529,21 +520,6 @@ class _PoolSearcher:
                 for s3 in mask_indices(third):
                     yield s1, s2, s3
 
-    def coset(self, members: Sequence[int], base: int, gens: Sequence[int], s: int) -> int:
-        """Mask of the right coset B*s, after checking <B, s> = B u B*s.
-
-        ``members`` lists the subgroup B, ``base`` is its mask and ``gens``
-        generate it. The check is that s^2 lies in B and that s conjugates
-        each generator into B.
-        """
-        cay = self.cay
-        s_inv = self.pool.inv(s)
-        if not base >> cay[s][s] & 1 or not all(
-            base >> cay[cay[s_inv][g]][s] & 1 for g in gens
-        ):
-            raise RuntimeError(f"pool element {s} does not normalize the subgroup it extends")
-        return sum(map(self.coset_bits[s].__getitem__, members))
-
 
 @functools.cache
 def _pool_searcher(pool_name: str) -> _PoolSearcher:
@@ -552,14 +528,15 @@ def _pool_searcher(pool_name: str) -> _PoolSearcher:
 
 @dataclass(frozen=True)
 class _TripleLevel:
-    """The triple subgroups of one (pool, triple squares), in compact form.
+    """The triples of one (pool, triple squares) and their subgroups, compact.
 
-    ``masks`` holds the distinct member masks of <s1, s2, s3> in order of
-    first appearance, and ``ids[k]`` is the index in ``masks`` of the k-th
-    triple of `_PoolSearcher.triples`. Two bytes per triple keep the level
-    small; a reader walks `triples` again alongside ``ids``.
+    ``triples`` holds the triples of `_PoolSearcher.triples`, flat, three
+    entries each; ``masks`` the distinct member masks of <s1, s2, s3> in
+    order of first appearance; ``ids[k]`` the index in ``masks`` of the
+    k-th triple's. Two bytes per entry keep the level small.
     """
 
+    triples: array
     masks: tuple[int, ...]
     ids: array
 
@@ -569,25 +546,25 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
     """The triple subgroups for every signature whose first three squares
     are ``squares``; the 13 sweep signatures share four such levels.
 
-    Each pair's group is built by two coset steps from {1, -1}, once per
-    pair (the triples come grouped by pair), and each triple's group is
-    the pair's extended by s3.
+    Each triple's group is grown from {1} by three `MatrixGroup.extend`
+    steps, <s1>, <s1, s2> and <s1, s2, s3>; the first two are taken once
+    per pair, since the triples come grouped by pair.
     """
     searcher = _pool_searcher(pool_name)
-    neg = searcher.neg
+    pool = searcher.pool
     index: dict[int, int] = {}
-    ids = array("H")
+    triples, ids = array("H"), array("H")
     pair = None
     for s1, s2, s3 in searcher.triples(squares):
         if pair != (s1, s2):
             pair = s1, s2
-            pair_members, pair_mask = [0, neg], 1 | 1 << neg
-            for gens, s in (((neg,), s1), ((neg, s1), s2)):
-                pair_mask |= searcher.coset(pair_members, pair_mask, gens, s)
-                pair_members = list(mask_indices(pair_mask))
-        base = pair_mask | searcher.coset(pair_members, pair_mask, pair, s3)
+            single = pool.extend([0], 1, (), s1)
+            pair_mask = pool.extend(list(mask_indices(single)), single, (s1,), s2)
+            pair_members = list(mask_indices(pair_mask))
+        base = pool.extend(pair_members, pair_mask, pair, s3)
+        triples.extend((s1, s2, s3))
         ids.append(index.setdefault(base, len(index)))
-    return _TripleLevel(tuple(index), ids)
+    return _TripleLevel(triples, tuple(index), ids)
 
 
 # Work done by uncached find_gamma_models calls in this process: generator
@@ -634,13 +611,15 @@ def find_gamma_models(
     """All isomorphism classes of groups generated by tuples matching a spec.
 
     Tuples are enumerated deterministically and closed inside the pool's
-    Cayley table by coset extension (see `_PoolSearcher`): the triple
-    groups H come from the level shared per (pool, triple squares)
-    (`_triple_level`), and the tuple's group is H u H*s4. A fourth
-    generator inside a right coset H*s4 already taken for the same H gives
-    the same group and is skipped; a triple whose fourths all lie in taken
-    cosets is skipped whole. Groups are deduplicated first by the
-    generated subgroup and then by abstract isomorphism. Hint, then certify: a new group is first tested with the
+    Cayley table by `MatrixGroup.extend`: the triples and their groups H
+    come from the level shared per (pool, triple squares)
+    (`_triple_level`), and the tuple's group <H, s4> = H u H*s4 is one
+    extension limited to 2|H| elements, which fails with RuntimeError if
+    s4 does not normalize H. A fourth generator inside a right coset H*s4
+    already taken for the same H gives the same group and is skipped; a
+    triple whose fourths all lie in taken cosets is skipped whole. Groups
+    are deduplicated first by the generated subgroup and then by abstract
+    isomorphism. Hint, then certify: a new group is first tested with the
     maps that send its tuple to the representative's own tuple or to the
     images of earlier tuples of that class, each certified by
     `certified_map` on the pool's table along the generator edges; only
@@ -675,13 +654,14 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
 
     counters = SEARCH_COUNTERS
     level = _triple_level(pool_name, triple_squares)
-    # per triple subgroup: union of the cosets H*s4 taken, and its members
+    # per triple subgroup: union of the groups <H, s4> taken, and its members
     taken = [0] * len(level.masks)
     members: dict[int, list[int]] = {}
     seen_subgroups: set[int] = set()
     classes: list[_ModelClass] = []
 
-    for (s1, s2, s3), h in zip(searcher.triples(triple_squares), level.ids, strict=True):
+    it = iter(level.triples)
+    for s1, s2, s3, h in zip(it, it, it, level.ids):
         base = level.masks[h]
         fourths = (
             fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
@@ -700,10 +680,12 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
             members[h] = list(mask_indices(base))
         while fresh:
             s4 = (fresh & -fresh).bit_length() - 1
-            coset = searcher.coset(members[h], base, (s1, s2, s3), s4)
-            taken[h] |= coset
-            fresh &= ~coset  # the coset holds s4 itself
-            key = base | coset
+            # <H, s4> has 2|H| elements exactly when it is H u H*s4
+            key = pool.extend(members[h], base, (s1, s2, s3), s4, 2 * len(members[h]))
+            if key is None:
+                raise RuntimeError(f"pool element {s4} does not normalize the subgroup it extends")
+            taken[h] |= key
+            fresh &= ~key  # the coset H*s4 holds s4 itself
             if key in seen_subgroups:
                 continue
             seen_subgroups.add(key)

@@ -357,25 +357,47 @@ class MatrixGroup:
                 return cls
         raise ValueError(f"no class for index {a}")
 
-    def closure_indices(self, seed: Iterable[int]) -> frozenset[int]:
-        result = self._closure_limited(seed, None)
-        assert result is not None
-        return result
+    def extend(
+        self, members: Sequence[int], mask: int, gens: Sequence[int], s: int,
+        limit: int | None = None,
+    ) -> int | None:
+        """Member mask of <H, s>, or None once it would pass ``limit`` elements.
 
-    def _closure_limited(self, seed: Iterable[int], limit: int | None) -> frozenset[int] | None:
-        cay = self.cayley()
-        gens = [s for s in dict.fromkeys(seed) if s != 0]
-        members = {0}
-        queue = [0]
-        for x in queue:
-            for g in gens:
-                y = cay[x][g]
-                if y in members:
+        ``gens`` generate H, ``members`` lists it and ``mask`` has its bits.
+        Dimino's step: <H, s> is a union of right cosets H*r (|H| lookups
+        each), from H and H*s on; a product r*g of a representative r and a
+        generator g outside the union adds the coset H*(r*g). H*g = H for g
+        in ``gens`` spares the identity that check. The union ends closed
+        under right multiplication by the generators, so it is <H, s>.
+        """
+        if mask >> s & 1:
+            return mask
+        cay = self._cayley or self.cayley()  # no method call once built: a hot path
+        gens = (*gens, s)
+        size, reps = len(members), [0]
+        for r in reps:
+            row = cay[r]
+            for g in gens if r else (s,):
+                x = row[g]
+                if mask >> x & 1:
                     continue
-                if limit is not None and len(members) >= limit:
+                size += len(members)
+                if limit is not None and size > limit:
                     return None
-                members.add(y)
-                queue.append(y)
+                for h in members:
+                    mask |= 1 << cay[h][x]
+                reps.append(x)
+        return mask
+
+    def closure_indices(self, seed: Iterable[int]) -> frozenset[int]:
+        """The subgroup that ``seed`` generates: one `extend` per seed
+        element not yet inside."""
+        mask, members, gens = 1, [0], []
+        for s in seed:
+            if not mask >> s & 1:
+                mask = self.extend(members, mask, gens, s)
+                members = list(mask_indices(mask))
+                gens.append(s)
         return frozenset(members)
 
     def _commutator(self, a: int, b: int) -> int:
@@ -475,18 +497,6 @@ class MatrixGroup:
                 invariants.extend([p ** (k + 1)] * copies)
         return tuple(sorted(invariants))
 
-    def subgroup(self, indices: Iterable[int]) -> "Subgroup":
-        """Wrap an index set as a subgroup, verifying closure."""
-        members = frozenset(indices)
-        if 0 not in members:
-            raise ValueError("subgroup must contain the identity (index 0)")
-        cay = self.cayley()
-        for a in members:
-            for b in members:
-                if cay[a][b] not in members:
-                    raise ValueError("index set is not closed under multiplication")
-        return Subgroup(self, members)
-
     def _index_two_subgroup_sets(self) -> list[frozenset[int]]:
         n = self.order
         normal = self._squares_commutators_closure()
@@ -518,8 +528,8 @@ class MatrixGroup:
         """All subgroups of the given order, sorted by their index tuples.
 
         Index-2 subgroups are read off as kernels of sign characters, which
-        avoids any search; other orders fall back to a lattice walk that
-        extends known subgroups one generator at a time.
+        avoids any search; other orders come from the subgroup walk of
+        `_subgroup_masks`, which needs no solvability.
         """
         n = self.order
         if k <= 0 or n % k:
@@ -531,27 +541,38 @@ class MatrixGroup:
         if k * 2 == n:
             sets = self._index_two_subgroup_sets()
         else:
-            sets = [s for s in self._subgroup_sets_up_to(k) if len(s) == k]
+            sets = [frozenset(mask_indices(m)) for m in self._subgroup_masks(k) if m.bit_count() == k]
         subs = [Subgroup(self, s) for s in sets]
         subs.sort(key=lambda sub: sub.sorted_indices())
         return subs
 
-    def _subgroup_sets_up_to(self, limit: int) -> set[frozenset[int]]:
-        trivial = frozenset({0})
-        found = {trivial}
-        frontier = [trivial]
-        while frontier:
-            next_frontier = []
-            for current in frontier:
-                for g in range(1, self.order):
-                    if g in current:
-                        continue
-                    grown = self._closure_limited(tuple(current) + (g,), limit)
-                    if grown is None or grown in found:
-                        continue
-                    found.add(grown)
-                    next_frontier.append(grown)
-            frontier = next_frontier
+    def _subgroup_masks(self, k: int) -> set[int]:
+        """Member masks of every subgroup whose order divides ``k``.
+
+        A breadth-first walk from {1}: each subgroup H found is extended
+        (`extend`, limited to ``k`` elements) by one element g of each
+        right coset H*g outside H, since every h*g gives <H, h*g> =
+        <H, g>. A subgroup K of order dividing k is reached along a chain
+        of its own subgroups, each one element larger than the last, and
+        by Lagrange each of them has an order that divides k, so the walk
+        drops every other order. This holds in every finite group.
+        """
+        cay = self.cayley()
+        found = {1}
+        queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+        for mask, gens in queue:
+            members = list(mask_indices(mask))
+            tried = mask
+            for g in range(1, self.order):
+                if tried >> g & 1:
+                    continue
+                for h in members:
+                    tried |= 1 << cay[h][g]
+                grown = self.extend(members, mask, gens, g, k)
+                if grown is None or grown in found or k % grown.bit_count():
+                    continue
+                found.add(grown)
+                queue.append((grown, (*gens, g)))
         return found
 
     def fingerprint(self) -> tuple:
@@ -667,9 +688,6 @@ class Subgroup:
 
     def sorted_indices(self) -> tuple[int, ...]:
         return self._sorted
-
-    def matrices(self) -> tuple[ExactMatrix, ...]:
-        return tuple(self.parent.matrix(i) for i in self._sorted)
 
     def is_normal(self) -> bool:
         cay = self.parent.cayley()

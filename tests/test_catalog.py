@@ -345,12 +345,28 @@ def hit_rows(hits):
     return [(h.order, h.identified, h.generator_indices) for h in hits]
 
 
+def reference_coset(pool, members, base, gens, s):
+    """Mask of the right coset B*s, after checking <B, s> = B u B*s.
+
+    ``members`` lists the subgroup B, ``base`` is its mask and ``gens``
+    generate it. The check is that s^2 lies in B and that s conjugates
+    each generator into B: the index-two step the search once had of its
+    own.
+    """
+    cay = pool.cayley()
+    s_inv = pool.inv(s)
+    if not base >> cay[s][s] & 1 or not all(base >> cay[cay[s_inv][g]][s] & 1 for g in gens):
+        raise RuntimeError(f"pool element {s} does not normalize the subgroup it extends")
+    return sum(1 << cay[x][s] for x in members)
+
+
 def reference_coset_search(text, pool_name):
     """The coset search with every signature enumerating its own triples.
 
     Each pair is closed by breadth-first search once per signature, and
-    each triple's group is taken again per signature; the rest is the
-    search as it runs today, counters included. Returns the hits.
+    each triple's group is taken again per signature; every extension is
+    the normalizer-checked `reference_coset`. The rest is the search as
+    it runs today, counters included. Returns the hits.
     """
     spec = SignatureSpec.parse(text)
     pool = pool_group(pool_name)
@@ -372,7 +388,7 @@ def reference_coset_search(text, pool_name):
             pair = pool.closure_indices((s1, s2))
             pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
         pair_members, pair_mask = pair_closure[s1, s2]
-        base = pair_mask | searcher.coset(pair_members, pair_mask, (s1, s2), s3)
+        base = pair_mask | reference_coset(pool, pair_members, pair_mask, (s1, s2), s3)
         if base not in covered:
             covered[base] = (list(mask_indices(base)), 0)
         members, taken = covered[base]
@@ -387,7 +403,7 @@ def reference_coset_search(text, pool_name):
         fresh = fourths & ~taken
         while fresh:
             s4 = (fresh & -fresh).bit_length() - 1
-            coset = searcher.coset(members, base, (s1, s2, s3), s4)
+            coset = reference_coset(pool, members, base, (s1, s2, s3), s4)
             taken |= coset
             fresh &= ~coset
             key = base | coset
@@ -441,17 +457,20 @@ class TestCosetSearch:
     def test_penta8_hits_are_pinned(self, text):
         assert hit_rows(find_gamma_models(text, "penta8")) == PENTA8_HITS[text]
 
-    def test_extension_by_a_non_normalizing_element_raises(self):
-        pool = pool_group("dirac4")
-        searcher = catalog._PoolSearcher(pool)
-        anti = searcher.anticommute
+    def test_extension_by_a_non_normalizing_element_raises(self, monkeypatch):
+        # Every fourth of a real search normalizes its triple's group, so
+        # the search gets a level whose one "triple" (x, x, x) generates
+        # <x> = {1, x}: an anticommuting fourth sends x to -x, outside it.
+        searcher = catalog._pool_searcher("dirac4")
         x = next(mask_indices(searcher.squares[1]))
-        s = next(mask_indices(anti[x]))
-        base = pool.closure_indices((x,))
-        mask = sum(1 << i for i in base)
-        # s sends x to -x, which <x> = {1, x} does not hold.
+        assert searcher.anticommute[x] & searcher.squares[-1]
+        level = catalog._TripleLevel(
+            array("H", (x, x, x)), (1 | 1 << x,), array("H", (0,))
+        )
+        monkeypatch.setattr(catalog, "_triple_level", lambda pool_name, squares: level)
+        catalog._gamma_models.cache_clear()
         with pytest.raises(RuntimeError, match="normalize"):
-            searcher.coset(sorted(base), mask, (x,), s)
+            find_gamma_models("+++-", "dirac4")
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
@@ -473,8 +492,9 @@ class TestCosetSearch:
         searcher = catalog._pool_searcher("penta8")
         for squares in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
             level = catalog._triple_level("penta8", squares)
-            assert isinstance(level.ids, array)
-            assert len(level.ids) == sum(1 for _ in searcher.triples(squares))
+            assert isinstance(level.ids, array) and isinstance(level.triples, array)
+            assert list(level.triples) == [s for triple in searcher.triples(squares) for s in triple]
+            assert len(level.ids) * 3 == len(level.triples)
             assert set(level.ids) == set(range(len(level.masks)))
             assert len(set(level.masks)) == len(level.masks)
         assert catalog._triple_level.cache_info().misses == 4

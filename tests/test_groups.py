@@ -1,5 +1,6 @@
 """Group engine tests against small groups with independent brute-force oracles."""
 
+import functools
 import random
 
 import pytest
@@ -46,6 +47,74 @@ BINARY_TETRAHEDRAL_GENS = [
     parse_matrix("[[i,0],[0,-i]]"),
     parse_matrix("[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]"),
 ]
+
+
+# S5 as 5x5 permutation matrices: a 5-cycle and a transposition. It is
+# not solvable: A5 and its perfect subgroups lie in no chain of normal
+# prime-index steps.
+S5_GENS = [
+    parse_matrix("[[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1],[1,0,0,0,0]]"),
+    parse_matrix("[[0,1,0,0,0],[1,0,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]"),
+]
+# An order-768 group of 4x4 monomial matrices.
+F768_GENS = [
+    parse_matrix("[[i,0,0,0],[0,i,0,0],[0,0,0,-1],[0,0,-i,0]]"),
+    parse_matrix("[[0,0,-1,0],[0,-1,0,0],[i,0,0,0],[0,0,0,1]]"),
+]
+SMALL_GENS = {"S3": S3_GENS, "S4": S4_GENS, "2T": BINARY_TETRAHEDRAL_GENS, "S5": S5_GENS}
+
+
+@functools.cache
+def named_group(name):
+    """A catalog group, a pool, or one of the small groups above, by name."""
+    if name in SMALL_GENS:
+        return MatrixGroup.from_generators(SMALL_GENS[name])
+    if name in catalog.POOL_NAMES:
+        return catalog.pool_group(name)
+    return catalog.catalog_group(name)
+
+
+def bfs_closure(group, seed, limit=None):
+    """Breadth-first closure of ``seed`` on the table, or None once it
+    would pass ``limit`` elements."""
+    cay = group.cayley()
+    gens = [s for s in dict.fromkeys(seed) if s != 0]
+    members = {0}
+    queue = [0]
+    for x in queue:
+        for g in gens:
+            y = cay[x][g]
+            if y in members:
+                continue
+            if limit is not None and len(members) >= limit:
+                return None
+            members.add(y)
+            queue.append(y)
+    return frozenset(members)
+
+
+def reference_subgroup_sets(group, limit):
+    """Every subgroup of at most ``limit`` elements, as frozensets.
+
+    The walk grows every known subgroup by every element outside it, one
+    limited breadth-first closure each.
+    """
+    trivial = frozenset({0})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for g in range(1, group.order):
+                if g in current:
+                    continue
+                grown = bfs_closure(group, tuple(current) + (g,), limit)
+                if grown is None or grown in found:
+                    continue
+                found.add(grown)
+                next_frontier.append(grown)
+        frontier = next_frontier
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +437,59 @@ class TestSubgroups:
             assert (pauli.elements[i] in sub) == (i in sub.indices)
 
 
+class TestSubgroupWalk:
+    """`subgroups_of_order` and `closure_indices` against the frozenset
+    walk and breadth-first closures."""
+
+    # Every order but the index-two one (read off sign characters) and the
+    # trivial ones; pools up to order 8. S5 is not solvable.
+    @pytest.mark.parametrize(
+        "name", [*catalog.catalog_names(), *catalog.POOL_NAMES, "S3", "S4", "2T", "S5"]
+    )
+    def test_walk_matches_the_frozenset_reference(self, name):
+        group = named_group(name)
+        n = group.order
+        top = 8 if name in catalog.POOL_NAMES else n - 1
+        orders = [k for k in range(2, top + 1) if n % k == 0 and 2 * k != n]
+        reference = reference_subgroup_sets(group, max(orders))
+        for k in orders:
+            want = sorted(tuple(sorted(s)) for s in reference if len(s) == k)
+            assert [sub.sorted_indices() for sub in group.subgroups_of_order(k)] == want, k
+
+    @pytest.mark.parametrize("name, k, count", [("penta8", 16, 1395), ("S5", 12, 15)])
+    def test_pinned_subgroup_counts(self, name, k, count):
+        assert len(named_group(name).subgroups_of_order(k)) == count
+
+    def test_order_768_file_has_403_subgroups_of_order_8(self):
+        group = MatrixGroup.from_generators(F768_GENS)
+        assert group.order == 768
+        assert len(group.subgroups_of_order(8)) == 403
+
+    @pytest.mark.parametrize("name", [*catalog.catalog_names(), *catalog.POOL_NAMES, "2T"])
+    def test_closure_matches_breadth_first(self, name):
+        group = named_group(name)
+        rng = random.Random(f"closure-{name}")
+        for _ in range(25):
+            seed = [rng.randrange(group.order) for _ in range(rng.randint(1, 4))]
+            assert group.closure_indices(seed) == bfs_closure(group, seed)
+
+    @pytest.mark.parametrize("name", ["q8", "S4", "2T", "S5", "gamma_minus", "dirac4"])
+    def test_extend_is_none_exactly_past_the_limit(self, name):
+        group = named_group(name)
+        rng = random.Random(f"extend-{name}")
+        for _ in range(25):
+            gens = [rng.randrange(group.order) for _ in range(rng.randint(0, 2))]
+            members = sorted(bfs_closure(group, gens))
+            mask = sum(1 << x for x in members)
+            s = rng.randrange(group.order)
+            whole = bfs_closure(group, [*gens, s])
+            want = sum(1 << x for x in whole)
+            assert group.extend(members, mask, gens, s) == want
+            for limit in range(len(members), len(whole) + 2):
+                grown = group.extend(members, mask, gens, s, limit)
+                assert grown == (None if len(whole) > limit else want), limit
+
+
 class TestCommutationMasks:
     @pytest.mark.parametrize("name", ["q8", "d4", "pauli", "dirac"])
     def test_masks_match_matrix_products(self, request, name):
@@ -457,7 +579,7 @@ def reference_isomorphism_map(group, other):
         for b in candidates[depth]:
             if b in images:
                 continue
-            grown = other._closure_limited(images + [b], prefix_sizes[depth] + 1)
+            grown = bfs_closure(other, images + [b], prefix_sizes[depth] + 1)
             if grown is None or len(grown) != prefix_sizes[depth]:
                 continue
             result = extend(depth + 1, images + [b])
