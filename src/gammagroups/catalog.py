@@ -480,57 +480,35 @@ class ModelHit:
     identified: str | None
 
 
-class _PoolSearcher:
-    """Commutation and square structure of a closed pool, as bitmasks.
+def _triples(
+    pool: MatrixGroup, squares: tuple[int, int, int]
+) -> Iterable[tuple[int, int, int]]:
+    """Pairwise anticommuting triples of the pool, one representative per set.
 
-    Bit i of a mask stands for pool element i. The masks come from the
-    pool's integer Cayley table once per pool (n^2 lookups), so candidate
-    generators are found by mask intersection, never by matrix products.
-    Subgroups grow by `MatrixGroup.extend` on the pool's table: the triple
-    groups once per (pool, triple squares), shared by every signature with
-    those squares (see `_triple_level`), and each tuple's group from its
-    triple's. The same table (``cay``) certifies the generator-map hints
-    between subgroups, so a subgroup needs no standalone group of its own
-    unless it starts a class or goes to the isomorphism fallback.
+    Generators with equal squares are enumerated with increasing pool
+    index, which visits every unordered combination exactly once.
     """
-
-    def __init__(self, pool: MatrixGroup):
-        self.pool = pool
-        self.cay = pool.cayley()
-        self.commute, self.anticommute = pool.commutation_masks()
-        self.squares = pool.unit_square_masks()
-
-    def triples(self, squares: tuple[int, int, int]) -> Iterable[tuple[int, int, int]]:
-        """Pairwise anticommuting triples, one representative per set.
-
-        Generators with equal squares are enumerated with increasing pool
-        index, which visits every unordered combination exactly once.
-        """
-        anti = self.anticommute
-        for s1 in mask_indices(self.squares[squares[0]]):
-            second = anti[s1] & self.squares[squares[1]]
-            if squares[1] == squares[0]:
-                second &= -2 << s1  # only indices above s1
-            for s2 in mask_indices(second):
-                third = anti[s1] & anti[s2] & self.squares[squares[2]]
-                if squares[2] == squares[1]:
-                    third &= -2 << s2
-                elif squares[2] == squares[0]:
-                    third &= -2 << s1
-                for s3 in mask_indices(third):
-                    yield s1, s2, s3
-
-
-@functools.cache
-def _pool_searcher(pool_name: str) -> _PoolSearcher:
-    return _PoolSearcher(pool_group(pool_name))
+    anti = pool.commutation_masks()[1]
+    masks = pool.unit_square_masks()
+    for s1 in mask_indices(masks[squares[0]]):
+        second = anti[s1] & masks[squares[1]]
+        if squares[1] == squares[0]:
+            second &= -2 << s1  # only indices above s1
+        for s2 in mask_indices(second):
+            third = anti[s1] & anti[s2] & masks[squares[2]]
+            if squares[2] == squares[1]:
+                third &= -2 << s2
+            elif squares[2] == squares[0]:
+                third &= -2 << s1
+            for s3 in mask_indices(third):
+                yield s1, s2, s3
 
 
 @dataclass(frozen=True)
 class _TripleLevel:
     """The triples of one (pool, triple squares) and their subgroups, compact.
 
-    ``triples`` holds the triples of `_PoolSearcher.triples`, flat, three
+    ``triples`` holds the triples of `_triples`, flat, three
     entries each; ``masks`` the distinct member masks of <s1, s2, s3> in
     order of first appearance; ``ids[k]`` the index in ``masks`` of the
     k-th triple's. Two bytes per entry keep the level small.
@@ -550,12 +528,11 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
     steps, <s1>, <s1, s2> and <s1, s2, s3>; the first two are taken once
     per pair, since the triples come grouped by pair.
     """
-    searcher = _pool_searcher(pool_name)
-    pool = searcher.pool
+    pool = pool_group(pool_name)
     index: dict[int, int] = {}
     triples, ids = array("H"), array("H")
     pair = None
-    for s1, s2, s3 in searcher.triples(squares):
+    for s1, s2, s3 in _triples(pool, squares):
         if pair != (s1, s2):
             pair = s1, s2
             single = pool.extend([0], 1, (), s1)
@@ -610,6 +587,9 @@ def find_gamma_models(
 ) -> list[ModelHit]:
     """All isomorphism classes of groups generated by tuples matching a spec.
 
+    Candidate generators are found by intersecting the pool's commutation
+    and unit-square bitmasks (bit i stands for pool element i; built once
+    per pool from its integer Cayley table), never by matrix products.
     Tuples are enumerated deterministically and closed inside the pool's
     Cayley table by `MatrixGroup.extend`: the triples and their groups H
     come from the level shared per (pool, triple squares)
@@ -625,10 +605,11 @@ def find_gamma_models(
     `certified_map` on the pool's table along the generator edges; only
     if none is an isomorphism does the test fall back to fingerprint and
     backtracking on standalone groups, whose result is certified the same
-    way on their tables. Standalone groups are built only for that
-    fallback and for new classes, which `identify_stable` needs. Each
-    class reports the first generator tuple that produced it. An empty
-    list means the pool has no model for the spec.
+    way on their tables. So a subgroup gets a standalone group of its own
+    only for that fallback or when it starts a class, which
+    `identify_stable` needs. Each class reports the first generator tuple
+    that produced it. An empty list means the pool has no model for the
+    spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -640,17 +621,17 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     """The search behind `find_gamma_models`, kept per (signature, pool)."""
     spec = SignatureSpec.parse(spec_text)
     pool = pool_group(pool_name)
-    searcher = _pool_searcher(pool_name)
-    cay = searcher.cay
-
+    cay = pool.cayley()
+    commute, anticommute = pool.commutation_masks()
+    square_masks = pool.unit_square_masks()
     if spec.commuting_fourth is None:
         triple_squares = spec.squares[:3]
         fourth_sign = spec.squares[3]
-        fourth_masks = searcher.anticommute
+        fourth_masks = anticommute
     else:
         triple_squares = spec.squares
         fourth_sign = spec.commuting_fourth
-        fourth_masks = searcher.commute
+        fourth_masks = commute
 
     counters = SEARCH_COUNTERS
     level = _triple_level(pool_name, triple_squares)
@@ -664,7 +645,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     for s1, s2, s3, h in zip(it, it, it, level.ids):
         base = level.masks[h]
         fourths = (
-            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
+            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & square_masks[fourth_sign]
         )
         if spec.commuting_fourth is not None:
             # A commuting fourth already inside the triple's span adds

@@ -2,10 +2,9 @@
 
 Groups are generated by breadth-first closure over exact matrices, after
 which every structural question (center, classes, subgroups, isomorphism)
-is answered on the integer Cayley table alone. The table is built from
-breadth-first words in the generators: n*k exact products for n elements
-and k generators, then n^2 integer lookups. Element 0 is always the
-identity.
+is answered on the integer Cayley table alone. The closure walk builds
+that table as it goes: n*k exact products for n elements and k
+generators, then n^2 integer lookups. Element 0 is always the identity.
 """
 
 from __future__ import annotations
@@ -28,12 +27,17 @@ ISO_COUNTERS: Counter[str] = Counter(
 
 def generate_closure(
     generators: Sequence[ExactMatrix], *, cap: int = DEFAULT_CAP
-) -> list[ExactMatrix]:
-    """Multiplicative closure of the generators, identity first.
+) -> tuple[list[ExactMatrix], list[list[int]]]:
+    """Multiplicative closure of the generators, identity first, and its table.
 
     Elements appear in breadth-first discovery order, so the generators
-    themselves (deduplicated) come right after the identity. Raises
-    ValueError when the closure grows past ``cap``.
+    themselves (deduplicated) come right after the identity. The walk
+    records ``right[k][x] = x * g_k`` (n*k exact products) and, for each
+    element y, the earlier element p and generator k with y = p * g_k. By
+    associativity x * y = (x * p) * g_k, so column y of the Cayley table
+    is column p looked up in ``right[k]``: n^2 integer lookups, no further
+    products. Returns the elements and the table, both in discovery order.
+    Raises ValueError when the closure grows past ``cap``.
     """
     gens = list(generators)
     if not gens:
@@ -49,19 +53,24 @@ def generate_closure(
     identity = ExactMatrix.identity(dim)
     elements = [identity]
     index = {identity.key(): 0}
-    queue = [identity]
-    for current in queue:
-        for gen in gens:
+    right: list[list[int]] = [[] for _ in gens]
+    found_by = []  # (p, k) for each element after the identity, as p * g_k
+    for x, current in enumerate(elements):
+        for k, gen in enumerate(gens):
             product = current * gen
             key = product.key()
-            if key in index:
-                continue
-            if len(elements) >= cap:
-                raise ValueError(f"closure exceeded cap of {cap} elements")
-            index[key] = len(elements)
-            elements.append(product)
-            queue.append(product)
-    return elements
+            y = index.get(key)
+            if y is None:
+                if len(elements) >= cap:
+                    raise ValueError(f"closure exceeded cap of {cap} elements")
+                y = index[key] = len(elements)
+                elements.append(product)
+                found_by.append((x, k))
+            right[k].append(y)
+    columns = [list(range(len(elements)))]
+    for p, k in found_by:
+        columns.append(list(map(right[k].__getitem__, columns[p])))
+    return elements, [list(row) for row in zip(*columns)]
 
 
 def _parity(value: int) -> int:
@@ -123,7 +132,7 @@ class MatrixGroup:
         elements: Sequence[ExactMatrix],
         *,
         generator_indices: Sequence[int] = (),
-        cayley: Sequence[Sequence[int]] | None = None,
+        cayley: list[list[int]] | None = None,
     ):
         self._elements = tuple(elements)
         if not self._elements:
@@ -140,9 +149,7 @@ class MatrixGroup:
                 raise ValueError("duplicate element in group")
             self._index[key] = i
         self.generator_indices = tuple(generator_indices)
-        self._cayley: list[list[int]] | None = (
-            [list(row) for row in cayley] if cayley is not None else None
-        )
+        self._cayley = cayley  # kept as given, not copied
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
         self._center: tuple[int, ...] | None = None
@@ -158,10 +165,10 @@ class MatrixGroup:
     def from_generators(
         cls, generators: Sequence[ExactMatrix], *, cap: int = DEFAULT_CAP
     ) -> "MatrixGroup":
-        elements = generate_closure(generators, cap=cap)
-        index = {matrix.key(): i for i, matrix in enumerate(elements)}
-        gen_indices = tuple(dict.fromkeys(index[g.key()] for g in generators))
-        return cls(elements, generator_indices=gen_indices)
+        elements, table = generate_closure(generators, cap=cap)
+        group = cls(elements, cayley=table)
+        group.generator_indices = tuple(dict.fromkeys(map(group.index_of, generators)))
+        return group
 
     @property
     def order(self) -> int:
@@ -184,58 +191,34 @@ class MatrixGroup:
         return matrix.key() in self._index
 
     def cayley(self) -> list[list[int]]:
-        """Full multiplication table, built from breadth-first words.
+        """Full multiplication table.
 
-        A breadth-first search from the identity over the generators
-        records ``right[k][x] = x * g_k`` (n*k exact products) and, for
-        each element y, the parent p and generator k with y = p * g_k.
-        Whenever the search stalls short of the whole set, the first
-        element not yet reached becomes one more generator, so the raw
-        element-list constructor needs no generators. By associativity
-        x * y = (x * p) * g_k, so each column of the table is the parent's
-        column looked up in ``right``: n^2 integer lookups, no further
-        products. The set is accepted only if it is closed under its
-        generators and they reach all of it, which for a finite set makes
-        it closed under multiplication.
+        A group from `from_generators` comes with the table of its closure
+        walk. For a raw element list it is the table of `generate_closure`
+        over the group's generators, capped at n and read back through the
+        element index; while that closure falls short of the set, the first
+        element not yet reached becomes one more generator. The set is
+        accepted only if the closure stays inside it and reaches all of it,
+        which for a finite set makes it closed under multiplication.
         """
         if self._cayley is None:
             n = self.order
-            gens = list(self.generator_indices)
-            right = [[0] * n for _ in gens]  # right[k][x] = index of x * g_k
-            parent = [0] * n
-            via = [0] * n
-            reached = [False] * n
-            reached[0] = True
-            words = [0]  # breadth-first order, each element after its parent
-            done = 0
-
-            def step(x: int, k: int) -> None:
-                y = self._index.get((self._elements[x] * self._elements[gens[k]]).key())
-                if y is None:
-                    raise ValueError("element set is not closed under multiplication")
-                right[k][x] = y
-                if not reached[y]:
-                    reached[y] = True
-                    parent[y] = x
-                    via[y] = k
-                    words.append(y)
-
+            gens = list(self.generator_indices) or [min(1, n - 1)]  # element 1, if any
             while True:
-                while done < len(words):
-                    for k in range(len(gens)):
-                        step(words[done], k)
-                    done += 1
-                if done == n:
+                try:
+                    elements, table = generate_closure([self._elements[g] for g in gens], cap=n)
+                    local = [self._index[matrix.key()] for matrix in elements]
+                except (KeyError, ValueError):
+                    raise ValueError("element set is not closed under multiplication") from None
+                if len(local) == n:
                     break
-                gens.append(reached.index(False))
-                right.append([0] * n)
-                for x in words[:done]:
-                    step(x, len(gens) - 1)
-
-            columns: list[list[int]] = [list(range(n))] * n
-            for y in words[1:]:
-                columns[y] = list(map(right[via[y]].__getitem__, columns[parent[y]]))
-            self._cayley = [list(row) for row in zip(*columns)]
+                reached = set(local)
+                gens.append(next(i for i in range(n) if i not in reached))
+            position = sorted(range(n), key=local.__getitem__)  # local[position[i]] == i
+            self._cayley = [
+                list(map(local.__getitem__, map(table[position[a]].__getitem__, position)))
+                for a in range(n)
+            ]
         return self._cayley
 
     def mul(self, a: int, b: int) -> int:
@@ -592,20 +575,22 @@ class MatrixGroup:
     def _greedy_generators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Greedy generators g_1..g_k and the orders of <g_1..g_j>, j = 1..k.
 
-        Each g_j is the smallest index outside <g_1..g_(j-1)>.
+        Each g_j is the smallest index outside <g_1..g_(j-1)>, and each
+        prefix group is one `extend` of the one before.
         """
         if self._greedy is None:
             gens: list[int] = []
             sizes: list[int] = []
-            closure = frozenset({0})
-            for a in range(self.order):
-                if len(closure) == self.order:
+            mask, members = 1, [0]
+            for a in range(1, self.order):
+                if len(members) == self.order:
                     break
-                if a in closure:
+                if mask >> a & 1:
                     continue
+                mask = self.extend(members, mask, gens, a)
+                members = list(mask_indices(mask))
                 gens.append(a)
-                closure = self.closure_indices(gens)
-                sizes.append(len(closure))
+                sizes.append(len(members))
             self._greedy = (tuple(gens), tuple(sizes))
         return self._greedy
 

@@ -370,20 +370,21 @@ def reference_coset_search(text, pool_name):
     """
     spec = SignatureSpec.parse(text)
     pool = pool_group(pool_name)
-    searcher = catalog._pool_searcher(pool_name)
-    cay = searcher.cay
+    cay = pool.cayley()
+    commute, anticommute = pool.commutation_masks()
+    square_masks = pool.unit_square_masks()
     if spec.commuting_fourth is None:
         triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
-        fourth_masks = searcher.anticommute
+        fourth_masks = anticommute
     else:
         triple_squares, fourth_sign = spec.squares, spec.commuting_fourth
-        fourth_masks = searcher.commute
+        fourth_masks = commute
     counters = catalog.SEARCH_COUNTERS
     pair_closure = {}
     covered = {}  # triple subgroup mask -> (its members, union of the cosets taken)
     seen_subgroups = set()
     classes = []
-    for s1, s2, s3 in searcher.triples(triple_squares):
+    for s1, s2, s3 in catalog._triples(pool, triple_squares):
         if (s1, s2) not in pair_closure:
             pair = pool.closure_indices((s1, s2))
             pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
@@ -393,7 +394,7 @@ def reference_coset_search(text, pool_name):
             covered[base] = (list(mask_indices(base)), 0)
         members, taken = covered[base]
         fourths = (
-            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & searcher.squares[fourth_sign]
+            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & square_masks[fourth_sign]
         )
         if spec.commuting_fourth is not None:
             fourths &= ~base
@@ -461,9 +462,10 @@ class TestCosetSearch:
         # Every fourth of a real search normalizes its triple's group, so
         # the search gets a level whose one "triple" (x, x, x) generates
         # <x> = {1, x}: an anticommuting fourth sends x to -x, outside it.
-        searcher = catalog._pool_searcher("dirac4")
-        x = next(mask_indices(searcher.squares[1]))
-        assert searcher.anticommute[x] & searcher.squares[-1]
+        pool = pool_group("dirac4")
+        square_masks = pool.unit_square_masks()
+        x = next(mask_indices(square_masks[1]))
+        assert pool.commutation_masks()[1][x] & square_masks[-1]
         level = catalog._TripleLevel(
             array("H", (x, x, x)), (1 | 1 << x,), array("H", (0,))
         )
@@ -489,11 +491,11 @@ class TestCosetSearch:
         clear_search_caches()
         sweep_stable_models("penta8")
         assert catalog._triple_level.cache_info().misses == 4
-        searcher = catalog._pool_searcher("penta8")
+        pool = pool_group("penta8")
         for squares in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
             level = catalog._triple_level("penta8", squares)
             assert isinstance(level.ids, array) and isinstance(level.triples, array)
-            assert list(level.triples) == [s for triple in searcher.triples(squares) for s in triple]
+            assert list(level.triples) == [s for t in catalog._triples(pool, squares) for s in t]
             assert len(level.ids) * 3 == len(level.triples)
             assert set(level.ids) == set(range(len(level.masks)))
             assert len(set(level.masks)) == len(level.masks)

@@ -81,6 +81,9 @@ class TestCatalogList:
 # 3x3 permutation matrices: a 3-cycle, and a transposition with it makes S3.
 CYCLE = "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]"
 SWAP = "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"
+# The binary tetrahedral group 2T: the quaternions i and j, and the dense
+# (1 + i + j + k)/2.
+TWO_T = ["[[i,0],[0,-i]]", "[[0,1],[-1,0]]", "[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]"]
 # Generator files outside the catalog, by name.
 PROFILE_FILES = {
     "trivial": ["[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
@@ -126,6 +129,18 @@ class TestProductCounters:
         if argv == ("verify",):
             assert counters["form.elimination"] == 0
             assert counters["form.orbit"] > 0
+
+    def test_cold_analyze_of_a_dense_group_multiplies_once_per_closure_step(self, tmp_path):
+        # The closure walk makes 24 elements x 3 generators products and
+        # builds the Cayley table from them; the table costs no product.
+        path = tmp_path / "two_t.json"
+        path.write_text(json.dumps({"name": "two_t", "dimension": 2, "generators": TWO_T}))
+        doc = run_cold("analyze", str(path))
+        assert doc["profile"]["order"] == 24
+        assert doc["profile"]["census"] == "3x1 + 3x2 + 1x3"
+        counters = doc["timings"]["counters"]
+        assert counters["product.dense"] > 0
+        assert counters["product.dense"] + counters["product.monomial"] == 72
 
 
 class TestAnalyze:

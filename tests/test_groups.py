@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog
-from gammagroups.exact import ExactMatrix, GaussianRational, parse_matrix
+from gammagroups.exact import PRODUCT_COUNTERS, ExactMatrix, GaussianRational, parse_matrix
 from gammagroups.groups import (
     DEFAULT_CAP,
     ISO_COUNTERS,
@@ -158,7 +158,7 @@ def brute_derived(group):
     for a in group.elements:
         for b in group.elements:
             comms.append(a * b * a.inverse() * b.inverse())
-    closed = generate_closure(comms)
+    closed, _ = generate_closure(comms)
     return {m.key() for m in closed}
 
 
@@ -180,7 +180,7 @@ class TestClosure:
         assert q8.elements[0].is_identity()
 
     def test_closure_is_idempotent(self, q8):
-        again = generate_closure(list(q8.elements))
+        again, _ = generate_closure(list(q8.elements))
         assert len(again) == q8.order
         assert {m.key() for m in again} == {m.key() for m in q8.elements}
 
@@ -189,7 +189,8 @@ class TestClosure:
             generate_closure([SX, SY, SZ], cap=7)
 
     def test_default_cap_accepts_pauli(self):
-        assert len(generate_closure([SX, SY, SZ], cap=DEFAULT_CAP)) == 16
+        elements, _ = generate_closure([SX, SY, SZ], cap=DEFAULT_CAP)
+        assert len(elements) == 16
 
     def test_singular_generator_rejected(self):
         bad = parse_matrix("[[1,0],[0,0]]")
@@ -252,7 +253,7 @@ def reference_cayley(group):
 
 
 class TestCayleyMatchesProducts:
-    """The word-built table equals the table of all n^2 exact products."""
+    """The closure-built table equals the table of all n^2 exact products."""
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
     def test_catalog_group(self, name):
@@ -279,6 +280,34 @@ class TestCayleyMatchesProducts:
     def test_generators_that_reach_only_a_subgroup(self, pauli):
         group = MatrixGroup(pauli.elements, generator_indices=(1,))
         assert group.cayley() == reference_cayley(group)
+
+    @pytest.mark.parametrize("name", list(SMALL_GENS))
+    def test_small_group(self, name):
+        group = named_group(name)
+        assert group.cayley() == reference_cayley(group)
+
+    def test_repeated_and_identity_generators(self):
+        gens = [A1, ExactMatrix.identity(2), A1, SY, A1 * SY, SY]
+        group = MatrixGroup.from_generators(gens)
+        index = {m.key(): i for i, m in enumerate(group.elements)}
+        assert group.generator_indices == tuple(dict.fromkeys(index[g.key()] for g in gens))
+        assert group.cayley() == reference_cayley(group)
+
+    def test_generated_group_comes_with_its_table(self):
+        group = MatrixGroup.from_generators(BINARY_TETRAHEDRAL_GENS)
+        before = dict(PRODUCT_COUNTERS)
+        table = group.cayley()
+        assert dict(PRODUCT_COUNTERS) == before
+        assert table == reference_cayley(group)
+
+    # <A1> has 4 elements, more than the set; <-1, X> = {1, -1, X, -X} has
+    # as many as the set, but -X is not in it.
+    @pytest.mark.parametrize(
+        "rest", [[A1], [ExactMatrix.identity(2).scale(MINUS), SX, SZ]], ids=["outgrows", "leaves"]
+    )
+    def test_raw_set_whose_closure_escapes_it_is_rejected(self, rest):
+        with pytest.raises(ValueError, match="not closed"):
+            MatrixGroup([ExactMatrix.identity(2), *rest]).cayley()
 
 
 class TestClassesAndCenter:
@@ -488,6 +517,29 @@ class TestSubgroupWalk:
             for limit in range(len(members), len(whole) + 2):
                 grown = group.extend(members, mask, gens, s, limit)
                 assert grown == (None if len(whole) > limit else want), limit
+
+
+def reference_greedy(group):
+    """Greedy generators and prefix orders, each prefix closed from {1}."""
+    gens, sizes = [], []
+    closure = frozenset({0})
+    for a in range(group.order):
+        if len(closure) == group.order:
+            break
+        if a not in closure:
+            gens.append(a)
+            closure = group.closure_indices(gens)
+            sizes.append(len(closure))
+    return tuple(gens), tuple(sizes)
+
+
+class TestGreedyGenerators:
+    @pytest.mark.parametrize(
+        "name", [*catalog.catalog_names(), *catalog.POOL_NAMES, *SMALL_GENS]
+    )
+    def test_prefix_extensions_match_per_prefix_closures(self, name):
+        group = named_group(name)
+        assert group._greedy_generators() == reference_greedy(group)
 
 
 class TestCommutationMasks:
@@ -857,7 +909,7 @@ class TestIsomorphism:
 def test_generated_subgroup_order_divides_group_order(seeds):
     pauli = MatrixGroup.from_generators([SX, SY, SZ])
     mats = [pauli.elements[i] for i in seeds]
-    closed = generate_closure(mats)
+    closed, _ = generate_closure(mats)
     assert 16 % len(closed) == 0
 
 
