@@ -475,16 +475,6 @@ def find_component_match(
     return next(_component_scan(group, tables, designated), None)
 
 
-def classify_component(
-    group: MatrixGroup, *, designated: Sequence[ExactMatrix] | None = None
-) -> str:
-    """Name the bracket table an order-16 matrix group realizes."""
-    match = find_component_match(group, designated=designated)
-    if match is None:
-        raise LookupError("no bracket table matches this group")
-    return match.table
-
-
 def admitted_components(group: MatrixGroup) -> frozenset[str]:
     """Every component table the group realizes, from one scan."""
     return frozenset(match.table for match in _component_scan(group, COMPONENT_TABLES, None))

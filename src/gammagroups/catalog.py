@@ -5,10 +5,12 @@ an extraction recipe), the relation sets and bracket table each model must
 satisfy, and frozen expected numbers. `GroupProfile` recomputes a group's
 profile numbers from scratch; `analyze` prints one, and the `catalog.*`
 claims in `gammagroups.claims` check the frozen numbers against the
-entry's profile and verify the relation sets and tables. The search half
-enumerates generator tuples inside a fixed pool of monomial matrices,
-closes them, and identifies the resulting groups against the catalog by
-exact isomorphism.
+entry's profile and verify the relation sets and tables. A `CatalogEntry`
+holds only what computation reads; the frozen numbers and prose stay in
+the stored payload, which `catalog list` and the claims read directly.
+The search half enumerates generator tuples inside a fixed pool of
+monomial matrices, closes them, and identifies the resulting groups
+against the catalog by exact isomorphism.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ _PHASES = (
 @dataclass
 class CatalogEntry:
     name: str
-    summary: str
     dimension: int
     generators: list[ExactMatrix]
     blocks: tuple[tuple[int, int], ...] | None
@@ -81,8 +82,6 @@ class CatalogEntry:
     table: str | None
     table_assignment: dict[str, str] | None  # None means search
     signature: str | None
-    expected: dict
-    notes: str
     extracted_from: str | None = None
 
     def generator_assignment(self) -> dict[str, ExactMatrix]:
@@ -116,7 +115,6 @@ def _entry(
     table = payload.get("table") or {}
     return CatalogEntry(
         name=payload["name"],
-        summary=payload.get("summary", ""),
         dimension=generators[0].dim,
         generators=generators,
         blocks=_parse_blocks(payload.get("blocks")),
@@ -124,8 +122,6 @@ def _entry(
         table=table.get("name"),
         table_assignment=table.get("assignment"),
         signature=payload.get("signature"),
-        expected=payload["expected"],
-        notes=payload.get("notes", ""),
         extracted_from=extracted_from,
     )
 
@@ -302,8 +298,11 @@ class GroupProfile:
         if self.entry is not None and self.order == 64:
             classes = decompose_index_two(self.entry.name)
         else:
-            summary = index_two_component_summary(self.group)
-            classes = tuple((item["component"], item["count"]) for item in summary)
+            labelled = []
+            for rep, count in _index_two_classes(self.group):
+                match = find_component_match(rep) if rep.order == 16 else None
+                labelled.append((match.table if match is not None else None, count))
+            classes = tuple(sorted(labelled, key=lambda item: (item[0] or "~", -item[1])))
         return {"count": sum(count for _, count in classes), "classes": classes}
 
 
@@ -343,23 +342,6 @@ def component_composition(group: MatrixGroup) -> frozenset[str]:
     for sub in group.subgroups_of_order(16):
         found |= admitted_components(sub.as_group())
     return frozenset(found)
-
-
-def index_two_component_summary(group: MatrixGroup) -> list[dict]:
-    """Isomorphism classes of index-two subgroups with component labels."""
-    out = []
-    for rep, count in _index_two_classes(group):
-        label = None
-        if rep.order == 16:
-            match = find_component_match(rep)
-            label = match.table if match is not None else None
-        out.append({"count": count, "component": label, "order": rep.order})
-    return sorted(out, key=lambda item: (item["component"] or "~", -item["count"]))
-
-
-def index_two_summary_for(name: str) -> list[dict]:
-    """Index-two summary of a catalog group."""
-    return index_two_component_summary(catalog_group(name))
 
 
 def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:

@@ -504,10 +504,6 @@ def registry() -> list[Claim]:
     return list(_REGISTRY)
 
 
-def claim_ids() -> list[str]:
-    return [c.claim_id for c in registry()]
-
-
 def _matches(claim_id: str, pattern: str) -> bool:
     # "delta.*" is read as a namespace prefix even though the ids continue
     # with digits (delta1, delta2, ...), so the dotless variant also matches

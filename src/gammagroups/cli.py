@@ -142,14 +142,17 @@ def _analyze_profile(name: str, group: MatrixGroup, entry) -> dict:
 
 
 def _cmd_catalog(args, started: float) -> tuple[dict, int]:
+    # The rows are stored fields: no matrix is parsed and no group is built.
+    # An extracted entry stores no dimension; it has its parent's.
+    payloads = {name: catalog._load_payload(name) for name in catalog.catalog_names()}
     entries = []
-    for name in catalog.catalog_names():
-        entry = catalog.catalog_entry(name)
+    for payload in payloads.values():
+        sized = payloads[payload["extract"]["parent"]] if "extract" in payload else payload
         entries.append({
-            "name": name,
-            "dimension": entry.dimension,
-            "order": entry.expected["order"],
-            "summary": entry.summary,
+            "name": payload["name"],
+            "dimension": sized["dimension"],
+            "order": payload["expected"]["order"],
+            "summary": payload["summary"],
         })
     doc = _document("catalog", started, profile={"entries": entries}, action="list")
     return doc, 0

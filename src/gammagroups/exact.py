@@ -329,10 +329,6 @@ class ExactMatrix:
             return _from_form(perm, tuple([-p & 3 for p in phase]))
         return ExactMatrix([[entry.conjugate() for entry in row] for row in self._rows])
 
-    def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose."""
-        return self.transpose().conjugate()
-
     def trace(self) -> GaussianRational:
         if self._mono is not None:
             counts = [0, 0, 0, 0]  # diagonal entries 1, i, -1, -i

@@ -131,7 +131,6 @@ class MatrixGroup:
         self,
         elements: Sequence[ExactMatrix],
         *,
-        generator_indices: Sequence[int] = (),
         cayley: list[list[int]] | None = None,
     ):
         self._elements = tuple(elements)
@@ -148,7 +147,7 @@ class MatrixGroup:
             if key in self._index:
                 raise ValueError("duplicate element in group")
             self._index[key] = i
-        self.generator_indices = tuple(generator_indices)
+        self.generator_indices: tuple[int, ...] = ()
         self._cayley = cayley  # kept as given, not copied
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
@@ -256,10 +255,6 @@ class MatrixGroup:
     def exponent(self) -> int:
         return math.lcm(*(self.element_order(a) for a in range(self.order)))
 
-    @property
-    def is_abelian(self) -> bool:
-        return len(self.center()) == self.order
-
     def center(self) -> tuple[int, ...]:
         if self._center is None:
             cay = self.cayley()
@@ -333,12 +328,6 @@ class MatrixGroup:
                     masks[1 if cay[i][i] == 0 else -1] |= 1 << i
             self._unit_squares = masks
         return self._unit_squares
-
-    def class_of(self, a: int) -> tuple[int, ...]:
-        for cls in self.conjugacy_classes():
-            if a in cls:
-                return cls
-        raise ValueError(f"no class for index {a}")
 
     def extend(
         self, members: Sequence[int], mask: int, gens: Sequence[int], s: int,
@@ -673,15 +662,6 @@ class Subgroup:
 
     def sorted_indices(self) -> tuple[int, ...]:
         return self._sorted
-
-    def is_normal(self) -> bool:
-        cay = self.parent.cayley()
-        for g in range(self.parent.order):
-            g_inv = self.parent.inv(g)
-            for h in self.indices:
-                if cay[cay[g_inv][h]][g] not in self.indices:
-                    return False
-        return True
 
     def as_group(self) -> MatrixGroup:
         """Standalone group over the same matrices, reusing the parent table."""

@@ -167,10 +167,8 @@ def test_05_dirac_structure():
     """Order 32, order-16 subgroups split d/b, and d is isomorphic to f."""
     group = catalog.catalog_group("gamma_minus")
     assert group.order == 32
-    summary = catalog.index_two_summary_for("gamma_minus")
-    assert [[item["component"], item["count"]] for item in summary] == [
-        ["b", 5], ["d", 10],
-    ]
+    classes = catalog.catalog_profile("gamma_minus").index_two["classes"]
+    assert classes == (("b", 5), ("d", 10))
 
     d_group = catalog.catalog_group("pauli")
     f_group = catalog.catalog_group("pauli_f")

@@ -16,7 +16,6 @@ from gammagroups.brackets import (
     ComponentMatch,
     RelationSet,
     admitted_components,
-    classify_component,
     commutator,
     evaluate_word,
     find_component_match,
@@ -269,13 +268,13 @@ class TestRelations:
 
 class TestClassification:
     def test_pauli_classifies_first(self):
-        assert classify_component(pauli_group()) == "d"
+        assert find_component_match(pauli_group()).table == "d"
 
     def test_designated_boosts_pick_the_table(self):
         group = pauli_group()
-        assert classify_component(group, designated=[SX, SY, SZ]) == "d"
+        assert find_component_match(group, designated=[SX, SY, SZ]).table == "d"
         scaled = [SX, SY.scale(IMAG), SZ.scale(IMAG)]
-        assert classify_component(group, designated=scaled) == "f"
+        assert find_component_match(group, designated=scaled).table == "f"
 
     def test_admitted_components_pauli(self):
         assert admitted_components(pauli_group()) == frozenset({"d", "f"})
@@ -286,7 +285,7 @@ class TestClassification:
         mats = [block_diag(m, m.scale(MINUS)) for m in (ri, rj, ri * rj)]
         group = MatrixGroup.from_generators(mats)
         assert group.order == 16
-        assert classify_component(group) == "b"
+        assert find_component_match(group).table == "b"
         assert admitted_components(group) == frozenset({"b"})
 
     def test_dihedral_double_admits_only_c(self):
@@ -295,8 +294,8 @@ class TestClassification:
         mats = [block_diag(m, m.scale(MINUS)) for m in (r, f, r * f)]
         group = MatrixGroup.from_generators(mats)
         assert group.order == 16
-        assert classify_component(group) == "c"
-        assert classify_component(group, designated=mats) == "c"
+        assert find_component_match(group).table == "c"
+        assert find_component_match(group, designated=mats).table == "c"
         assert admitted_components(group) == frozenset({"c"})
 
     def test_abelian_group_has_no_component(self):
@@ -308,23 +307,22 @@ class TestClassification:
         group = MatrixGroup.from_generators(gens)
         assert group.order == 16
         assert admitted_components(group) == frozenset()
-        with pytest.raises(LookupError):
-            classify_component(group)
+        assert find_component_match(group) is None
 
     def test_wrong_order_rejected(self):
         q8 = MatrixGroup.from_generators([A1, A2])
         with pytest.raises(ValueError, match="order-16"):
-            classify_component(q8)
+            find_component_match(q8)
         with pytest.raises(ValueError, match="order-16"):
             admitted_components(q8)
 
     def test_designated_validation(self):
         group = pauli_group()
         with pytest.raises(ValueError, match="three"):
-            classify_component(group, designated=[SX, SY])
+            find_component_match(group, designated=[SX, SY])
         stranger = parse_matrix("[[0,2],[1/2,0]]")
         with pytest.raises(ValueError, match="belong"):
-            classify_component(group, designated=[SX, SY, stranger])
+            find_component_match(group, designated=[SX, SY, stranger])
 
     def test_match_round_trips_through_verification(self):
         group = pauli_group()
@@ -624,4 +622,4 @@ def test_conjugated_assignment_still_classifies(index):
     group = pauli_group()
     g = group.elements[index]
     moved = [g * m * g.inverse() for m in (SX, SY, SZ)]
-    assert classify_component(group, designated=moved) == "d"
+    assert find_component_match(group, designated=moved).table == "d"

@@ -20,7 +20,6 @@ from gammagroups.catalog import (
     decompose_index_two,
     enumerate_extensions,
     find_gamma_models,
-    index_two_summary_for,
     load_generator_file,
     pool_group,
     sweep_extensions,
@@ -64,7 +63,7 @@ class TestCatalogData:
 
     def test_summaries_are_prose(self):
         for name in CATALOG_NAMES:
-            assert catalog_entry(name).summary.strip(), name
+            assert catalog._load_payload(name)["summary"].strip(), name
 
 
 class TestValidation:
@@ -130,10 +129,10 @@ class TestProfiles:
         assert component_composition(catalog_group("d4_v4")) == frozenset({"c"})
 
     def test_index_two_split_of_the_irreducible_pair(self):
-        minus = [[c["component"], c["count"]] for c in index_two_summary_for("gamma_minus")]
-        plus = [[c["component"], c["count"]] for c in index_two_summary_for("gamma_plus")]
-        assert minus == [["b", 5], ["d", 10]]
-        assert plus == [["c", 9], ["d", 6]]
+        minus = compute_profile(catalog_group("gamma_minus")).index_two["classes"]
+        plus = compute_profile(catalog_group("gamma_plus")).index_two["classes"]
+        assert minus == (("b", 5), ("d", 10))
+        assert plus == (("c", 9), ("d", 6))
 
 
 class TestExtraction:

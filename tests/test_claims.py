@@ -4,12 +4,16 @@ import pytest
 
 from gammagroups import claims
 from gammagroups.catalog import CATALOG_NAMES
-from gammagroups.claims import Claim, UnknownClaimFilter, claim_ids, run_claims
+from gammagroups.claims import Claim, UnknownClaimFilter, registry, run_claims
 
 NAMESPACES = {
     "pauli", "quaternion", "brackets", "weights", "dirac",
     "invariants", "search", "extensions", "delta1", "delta2", "delta3", "catalog",
 }
+
+
+def claim_ids():
+    return [c.claim_id for c in registry()]
 
 
 def claims_selected(pattern):

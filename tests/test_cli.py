@@ -77,6 +77,26 @@ class TestCatalogList:
         assert entries["pauli"]["order"] == 16
         assert entries["gamma64_null"]["dimension"] == 8
 
+    def test_rows_come_from_the_stored_payloads(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("catalog list must not build an entry or parse a matrix")
+
+        monkeypatch.setattr(catalog, "catalog_entry", refuse)
+        monkeypatch.setattr(catalog, "parse_matrix", refuse)
+        code, doc, _ = run_json(capsys, "catalog", "list")
+        assert code == 0
+        assert len(doc["profile"]["entries"]) == 14
+
+    def test_rows_agree_with_the_built_entries(self, capsys):
+        _, doc, _ = run_json(capsys, "catalog", "list")
+        rows = doc["profile"]["entries"]
+        assert [row["name"] for row in rows] == list(catalog.catalog_names())
+        for row in rows:
+            name = row["name"]
+            assert row["dimension"] == catalog.catalog_entry(name).dimension, name
+            assert row["order"] == catalog.catalog_group(name).order, name
+            assert row["summary"] == catalog._load_payload(name)["summary"], name
+
 
 # 3x3 permutation matrices: a 3-cycle, and a transposition with it makes S3.
 CYCLE = "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]"
@@ -155,8 +175,8 @@ class TestAnalyze:
         # every order-16 subgroup (composition) and each order-16 class of
         # index-two subgroups (index_two).
         group = catalog.catalog_group("pauli_c2")
-        scans = len(group.subgroups_of_order(16)) + sum(
-            item["order"] == 16 for item in catalog.index_two_summary_for("pauli_c2")
+        scans = len(group.subgroups_of_order(16)) + len(
+            catalog.catalog_profile("pauli_c2").index_two["classes"]
         )
         assert 0 < counters["component.row_checks"] <= 36 * scans
         assert counters["component.triples"] >= counters["component.closures"] > 0

@@ -132,9 +132,9 @@ def test_matrix_known_product():
 
 def test_matrix_adjoint_and_trace():
     m = parse_matrix('[["0","-i"],["-i","0"]]')
-    assert m.adjoint() == parse_matrix("[[0,i],[i,0]]")
+    assert m.transpose().conjugate() == parse_matrix("[[0,i],[i,0]]")
     assert m.trace() == ZERO
-    assert (m * m.adjoint()).is_identity()
+    assert (m * m.transpose().conjugate()).is_identity()
 
 
 def test_matrix_powers():

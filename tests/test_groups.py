@@ -147,6 +147,14 @@ def brute_center(group):
     return set(out)
 
 
+def brute_is_normal(sub):
+    """Closed under conjugation by every parent element, on the matrices."""
+    parent = sub.parent
+    return all(
+        g.inverse() * parent.matrix(h) * g in sub for g in parent.elements for h in sub.indices
+    )
+
+
 @pytest.fixture(scope="module")
 def s3():
     return MatrixGroup.from_generators(S3_GENS)
@@ -278,7 +286,8 @@ class TestCayleyMatchesProducts:
         assert group.cayley() == reference_cayley(group)
 
     def test_generators_that_reach_only_a_subgroup(self, pauli):
-        group = MatrixGroup(pauli.elements, generator_indices=(1,))
+        group = MatrixGroup(pauli.elements)
+        group.generator_indices = (1,)
         assert group.cayley() == reference_cayley(group)
 
     @pytest.mark.parametrize("name", list(SMALL_GENS))
@@ -381,8 +390,8 @@ class TestDerivedAndQuotients:
             assert group.derived_subgroup().indices == reference_derived(group)
 
     def test_derived_subgroup_is_normal(self, pauli, dirac):
-        assert pauli.derived_subgroup().is_normal()
-        assert dirac.derived_subgroup().is_normal()
+        assert brute_is_normal(pauli.derived_subgroup())
+        assert brute_is_normal(dirac.derived_subgroup())
 
     def test_abelian_invariants(self, q8, d4, pauli, dirac):
         assert q8.abelian_invariants() == (2, 2)
@@ -393,7 +402,7 @@ class TestDerivedAndQuotients:
     def test_cyclic_group_invariants(self):
         c4 = MatrixGroup.from_generators([A1])
         assert c4.abelian_invariants() == (4,)
-        assert c4.is_abelian
+        assert brute_center(c4) == set(range(c4.order))
 
     @pytest.mark.parametrize("name", ["q8", "d4", "pauli"])
     def test_frattini_matches_maximal_intersection(self, name, request):
@@ -427,7 +436,7 @@ class TestSubgroups:
 
     def test_index_two_subgroups_are_normal(self, pauli):
         for s in pauli.subgroups_of_order(8):
-            assert s.is_normal()
+            assert brute_is_normal(s)
 
     def test_trivial_and_full_subgroup(self, q8):
         whole = q8.subgroups_of_order(8)
@@ -619,7 +628,8 @@ def reference_isomorphism_map(group, other):
     prefix_sizes = [len(group.closure_indices(gens[: j + 1])) for j in range(len(gens))]
 
     def profile(g, a):
-        return g.element_order(a), len(g.class_of(a)), a in g.center()
+        class_size = next(len(c) for c in g.conjugacy_classes() if a in c)
+        return g.element_order(a), class_size, a in g.center()
 
     candidates = [
         [b for b in range(1, n) if profile(other, b) == profile(group, g)] for g in gens
