@@ -462,16 +462,36 @@ class ModelHit:
     identified: str | None
 
 
+@functools.cache
+def _sign_representatives(pool: MatrixGroup) -> int:
+    """Mask of one element of each pair {s, -s}: bit s is set when s is the
+    lower pool index of the two, read off the row of -1 in the Cayley table.
+
+    Raises ValueError for a group without -1, where the pairs do not exist.
+    """
+    minus = pool.matrix(0).scale(_MINUS)
+    if minus not in pool:
+        raise ValueError("sign representatives need -1 in the group")
+    row = pool.cayley()[pool.index_of(minus)]
+    return sum(1 << s for s in range(pool.order) if s <= row[s])
+
+
 def _triples(
     pool: MatrixGroup, squares: tuple[int, int, int]
 ) -> Iterable[tuple[int, int, int]]:
     """Pairwise anticommuting triples of the pool, one representative per set.
 
     Generators with equal squares are enumerated with increasing pool
-    index, which visits every unordered combination exactly once.
+    index, which visits every unordered combination exactly once. Only the
+    lower index of each pair {s, -s} is taken (`_sign_representatives`).
+    This is exact: anticommuting s1, s2 give -1 = s1*s2*s1^-1*s2^-1, so
+    -s has the square, the commutation pattern and the generated group of
+    s, and a tuple of representatives, re-sorted within equal squares, is
+    elementwise no larger, so every subgroup keeps its first tuple.
     """
     anti = pool.commutation_masks()[1]
-    masks = pool.unit_square_masks()
+    reps = _sign_representatives(pool)
+    masks = {sign: mask & reps for sign, mask in pool.unit_square_masks().items()}
     for s1 in mask_indices(masks[squares[0]]):
         second = anti[s1] & masks[squares[1]]
         if squares[1] == squares[0]:
@@ -572,6 +592,11 @@ def find_gamma_models(
     Candidate generators are found by intersecting the pool's commutation
     and unit-square bitmasks (bit i stands for pool element i; built once
     per pool from its integer Cayley table), never by matrix products.
+    Only one of each pair {s, -s} is a candidate, the lower pool index:
+    every tuple holds an anticommuting pair, so -1 lies in the group it
+    generates and -s gives the same group as s. The hits, their first
+    tuples and the order the subgroups are met in stay those of the
+    search over both signs.
     Tuples are enumerated deterministically and closed inside the pool's
     Cayley table by `MatrixGroup.extend`: the triples and their groups H
     come from the level shared per (pool, triple squares)
@@ -605,7 +630,6 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     pool = pool_group(pool_name)
     cay = pool.cayley()
     commute, anticommute = pool.commutation_masks()
-    square_masks = pool.unit_square_masks()
     if spec.commuting_fourth is None:
         triple_squares = spec.squares[:3]
         fourth_sign = spec.squares[3]
@@ -614,6 +638,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         triple_squares = spec.squares
         fourth_sign = spec.commuting_fourth
         fourth_masks = commute
+    candidates = pool.unit_square_masks()[fourth_sign] & _sign_representatives(pool)
 
     counters = SEARCH_COUNTERS
     level = _triple_level(pool_name, triple_squares)
@@ -626,9 +651,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     it = iter(level.triples)
     for s1, s2, s3, h in zip(it, it, it, level.ids):
         base = level.masks[h]
-        fourths = (
-            fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & square_masks[fourth_sign]
-        )
+        fourths = fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & candidates
         if spec.commuting_fourth is not None:
             # A commuting fourth already inside the triple's span adds
             # nothing; skip the degenerate tuple.

@@ -187,6 +187,22 @@ class TestPools:
         with pytest.raises(KeyError):
             pool_group("octonion16")
 
+    @pytest.mark.parametrize("name", catalog.POOL_NAMES)
+    def test_sign_representatives_hold_one_of_each_sign_pair(self, name):
+        pool = pool_group(name)
+        reps = catalog._sign_representatives(pool)
+        assert reps.bit_count() == pool.order // 2
+        for s in range(pool.order):
+            minus_s = pool.index_of(pool.matrix(s).scale(MINUS))
+            assert (reps >> s & 1) + (reps >> minus_s & 1) == 1
+            assert reps >> min(s, minus_s) & 1
+
+    def test_sign_representatives_need_minus_one(self):
+        # <diag(1, -1)> = {1, diag(1, -1)} holds no -1, so no pair {s, -s}.
+        group = MatrixGroup.from_generators([parse_matrix("[[1, 0], [0, -1]]")])
+        with pytest.raises(ValueError, match="-1"):
+            catalog._sign_representatives(group)
+
 
 class TestSignatureSpec:
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
@@ -359,13 +375,34 @@ def reference_coset(pool, members, base, gens, s):
     return sum(1 << cay[x][s] for x in members)
 
 
+def reference_triples(pool, squares):
+    """Pairwise anticommuting triples over the whole pool, both signs of
+    every generator included; equal squares come with increasing index."""
+    anti = pool.commutation_masks()[1]
+    masks = pool.unit_square_masks()
+    for s1 in mask_indices(masks[squares[0]]):
+        second = anti[s1] & masks[squares[1]]
+        if squares[1] == squares[0]:
+            second &= -2 << s1
+        for s2 in mask_indices(second):
+            third = anti[s1] & anti[s2] & masks[squares[2]]
+            if squares[2] == squares[1]:
+                third &= -2 << s2
+            elif squares[2] == squares[0]:
+                third &= -2 << s1
+            for s3 in mask_indices(third):
+                yield s1, s2, s3
+
+
 def reference_coset_search(text, pool_name):
-    """The coset search with every signature enumerating its own triples.
+    """The coset search over every sign variant of every generator, with
+    every signature enumerating its own triples (`reference_triples`).
 
     Each pair is closed by breadth-first search once per signature, and
     each triple's group is taken again per signature; every extension is
-    the normalizer-checked `reference_coset`. The rest is the search as
-    it runs today, counters included. Returns the hits.
+    the normalizer-checked `reference_coset`. The rest is the search,
+    counters included. Returns the hits and the member masks of the
+    subgroups it meets, in order.
     """
     spec = SignatureSpec.parse(text)
     pool = pool_group(pool_name)
@@ -383,7 +420,8 @@ def reference_coset_search(text, pool_name):
     covered = {}  # triple subgroup mask -> (its members, union of the cosets taken)
     seen_subgroups = set()
     classes = []
-    for s1, s2, s3 in catalog._triples(pool, triple_squares):
+    subgroups = []
+    for s1, s2, s3 in reference_triples(pool, triple_squares):
         if (s1, s2) not in pair_closure:
             pair = pool.closure_indices((s1, s2))
             pair_closure[s1, s2] = (list(pair), sum(1 << x for x in pair))
@@ -410,6 +448,7 @@ def reference_coset_search(text, pool_name):
             if key in seen_subgroups:
                 continue
             seen_subgroups.add(key)
+            subgroups.append(key)
             counters["search.subgroups"] += 1
             gens = (s1, s2, s3, s4)
             order = key.bit_count()
@@ -439,13 +478,36 @@ def reference_coset_search(text, pool_name):
                 hit = catalog.ModelHit(str(spec), pool_name, gens, order, identified)
                 classes.append(catalog._ModelClass(key, [gens], hit, group))
         covered[base] = (members, taken)
-    return [cls.hit for cls in classes]
+    return [cls.hit for cls in classes], subgroups
 
 
 def clear_search_caches():
     """Forget every search result and shared triple level, so a search runs cold."""
     catalog._gamma_models.cache_clear()
     catalog._triple_level.cache_clear()
+
+
+def record_search_subgroups(monkeypatch, pool):
+    """Keep, in order of first appearance, the groups <H, s4> that the
+    search's limited extensions of the pool build (the triple levels
+    extend without a limit)."""
+    extend, subgroups = pool.extend, {}
+
+    def recording(members, mask, gens, s, limit=None):
+        key = extend(members, mask, gens, s, limit)
+        if limit is not None:
+            subgroups.setdefault(key)
+        return key
+
+    monkeypatch.setattr(pool, "extend", recording)
+    return subgroups
+
+
+# The triple squares of the 13 sweep signatures, one shared level each.
+TRIPLE_SQUARES = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1))
+
+# Signatures whose sign order differs from the canonical sweep's.
+NONCANONICAL_SIGNATURES = ("-+-+", "+-+-", "-++-", "--++", "+-+|-", "-+-|+", "-++|-")
 
 
 class TestCosetSearch:
@@ -474,30 +536,60 @@ class TestCosetSearch:
             find_gamma_models("+++-", "dirac4")
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
-    @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
-    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name):
-        # Hits (first tuples and class order included) and every counter.
+    @pytest.mark.parametrize("text", SWEEP_SIGNATURES + NONCANONICAL_SIGNATURES)
+    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name, monkeypatch):
+        # Hits, first tuples, the subgroups in the order met, and every
+        # counter: the sign classes {s, -s} leave all but the tuple count
+        # as the search over both signs has them, and divide that by 2^4.
         counters = catalog.SEARCH_COUNTERS
         before = dict(counters)
-        want = reference_coset_search(text, pool_name)
+        want, want_subgroups = reference_coset_search(text, pool_name)
         want_done = {k: counters[k] - before[k] for k in before}
         clear_search_caches()
+        subgroups = record_search_subgroups(monkeypatch, pool_group(pool_name))
         before = dict(counters)
-        assert find_gamma_models(text, pool_name) == want
-        assert {k: counters[k] - before[k] for k in before} == want_done
+        hits = find_gamma_models(text, pool_name)
+        done = {k: counters[k] - before[k] for k in before}
+        assert hits == want  # first tuples included
+        assert list(subgroups) == want_subgroups
+        assert 16 * done.pop("search.tuples") == want_done.pop("search.tuples")
+        assert done == want_done
+
+    @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
+    def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, monkeypatch):
+        # The premise of taking one of each {s, -s}: -1 lies in every group
+        # the search builds, the triple groups and every <H, s4>.
+        pool = pool_group(pool_name)
+        minus = pool.index_of(pool.matrix(0).scale(MINUS))
+        clear_search_caches()
+        subgroups = record_search_subgroups(monkeypatch, pool)
+        sweep_stable_models(pool_name)
+        levels = [catalog._triple_level(pool_name, sq) for sq in TRIPLE_SQUARES]
+        met = list(subgroups) + [key for level in levels for key in level.masks]
+        assert len(subgroups) > 0
+        assert all(key >> minus & 1 for key in met)
 
     def test_a_cold_sweep_builds_one_level_per_triple_square_pattern(self):
         clear_search_caches()
         sweep_stable_models("penta8")
         assert catalog._triple_level.cache_info().misses == 4
         pool = pool_group("penta8")
-        for squares in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
+        reps = catalog._sign_representatives(pool)
+        # (triples, distinct triple subgroups) per level: one triple per
+        # sign class, 5,120 in all, against 40,960 over both signs
+        sizes = {(1, 1, 1): (640, 640), (1, 1, -1): (1920, 660),
+                 (1, -1, -1): (1920, 640), (-1, -1, -1): (640, 220)}
+        for squares in TRIPLE_SQUARES:
             level = catalog._triple_level("penta8", squares)
             assert isinstance(level.ids, array) and isinstance(level.triples, array)
-            assert list(level.triples) == [s for t in catalog._triples(pool, squares) for s in t]
+            assert (len(level.ids), len(level.masks)) == sizes[squares]
+            assert all(reps >> s & 1 for s in level.triples)
+            want = [t for t in reference_triples(pool, squares) if all(reps >> s & 1 for s in t)]
+            assert list(level.triples) == [s for t in want for s in t]
             assert len(level.ids) * 3 == len(level.triples)
             assert set(level.ids) == set(range(len(level.masks)))
             assert len(set(level.masks)) == len(level.masks)
+        assert sum(len(catalog._triple_level("penta8", sq).ids) for sq in TRIPLE_SQUARES) == 5120
         assert catalog._triple_level.cache_info().misses == 4
 
     def test_counters_add_up(self):
