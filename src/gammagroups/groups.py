@@ -2,9 +2,12 @@
 
 Groups are generated by breadth-first closure over exact matrices, after
 which every structural question (center, classes, subgroups, isomorphism)
-is answered on the integer Cayley table alone. The closure walk builds
-that table as it goes: n*k exact products for n elements and k
-generators, then n^2 integer lookups. Element 0 is always the identity.
+is answered on the integer Cayley table alone. A group is built in one of
+two ways, each with its table: `MatrixGroup.from_generators` takes the
+table of its closure walk (n*k exact products for n elements and k
+generators, then n^2 integer lookups), and `Subgroup.as_group` takes the
+parent's table restricted to the subgroup. Element 0 is always the
+identity.
 """
 
 from __future__ import annotations
@@ -125,14 +128,15 @@ def certified_map(
 
 
 class MatrixGroup:
-    """A finite group of exact matrices with index-based structure queries."""
+    """A finite group of exact matrices with index-based structure queries.
 
-    def __init__(
-        self,
-        elements: Sequence[ExactMatrix],
-        *,
-        cayley: list[list[int]] | None = None,
-    ):
+    ``cayley[a][b]`` is the index of ``elements[a] * elements[b]``. The
+    table comes with the elements, from one of the two builders:
+    `from_generators` (the closure walk's table) or `Subgroup.as_group`
+    (the parent's table restricted to the subgroup).
+    """
+
+    def __init__(self, elements: Sequence[ExactMatrix], *, cayley: list[list[int]]):
         self._elements = tuple(elements)
         if not self._elements:
             raise ValueError("group needs at least one element")
@@ -190,34 +194,9 @@ class MatrixGroup:
         return matrix.key() in self._index
 
     def cayley(self) -> list[list[int]]:
-        """Full multiplication table.
-
-        A group from `from_generators` comes with the table of its closure
-        walk. For a raw element list it is the table of `generate_closure`
-        over the group's generators, capped at n and read back through the
-        element index; while that closure falls short of the set, the first
-        element not yet reached becomes one more generator. The set is
-        accepted only if the closure stays inside it and reaches all of it,
-        which for a finite set makes it closed under multiplication.
-        """
-        if self._cayley is None:
-            n = self.order
-            gens = list(self.generator_indices) or [min(1, n - 1)]  # element 1, if any
-            while True:
-                try:
-                    elements, table = generate_closure([self._elements[g] for g in gens], cap=n)
-                    local = [self._index[matrix.key()] for matrix in elements]
-                except (KeyError, ValueError):
-                    raise ValueError("element set is not closed under multiplication") from None
-                if len(local) == n:
-                    break
-                reached = set(local)
-                gens.append(next(i for i in range(n) if i not in reached))
-            position = sorted(range(n), key=local.__getitem__)  # local[position[i]] == i
-            self._cayley = [
-                list(map(local.__getitem__, map(table[position[a]].__getitem__, position)))
-                for a in range(n)
-            ]
+        """Full multiplication table, as the group was built with it: the
+        closure walk's table from `from_generators`, or the parent's table
+        restricted to the subgroup from `Subgroup.as_group`."""
         return self._cayley
 
     def mul(self, a: int, b: int) -> int:
@@ -225,10 +204,7 @@ class MatrixGroup:
 
     def inv(self, a: int) -> int:
         if self._inverse is None:
-            try:
-                self._inverse = [row.index(0) for row in self.cayley()]
-            except ValueError:
-                raise ValueError("element set is not a group: missing inverse") from None
+            self._inverse = [row.index(0) for row in self.cayley()]
         return self._inverse[a]
 
     def element_order(self, a: int) -> int:
@@ -344,7 +320,7 @@ class MatrixGroup:
         """
         if mask >> s & 1:
             return mask
-        cay = self._cayley or self.cayley()  # no method call once built: a hot path
+        cay = self._cayley
         gens = (*gens, s)
         size, reps = len(members), [0]
         for r in reps:

@@ -241,18 +241,12 @@ class TestCayleyStructure:
 
     def test_constructor_requires_identity_first(self, q8):
         shuffled = [q8.elements[1], q8.elements[0]] + list(q8.elements[2:])
-        with pytest.raises(ValueError):
-            MatrixGroup(shuffled)
+        with pytest.raises(ValueError, match="identity"):
+            MatrixGroup(shuffled, cayley=q8.cayley())
 
-    def test_constructor_rejects_non_closed_set(self):
-        with pytest.raises(ValueError, match="not closed"):
-            MatrixGroup([ExactMatrix.identity(2), SX, SY]).cayley()
-
-    def test_set_closed_under_a_partial_search_is_still_rejected(self):
-        # {I, X, Z, XZ} is closed under X alone, and X * Z stays inside,
-        # but Z * X = -XZ does not.
-        with pytest.raises(ValueError, match="not closed"):
-            MatrixGroup([ExactMatrix.identity(2), SX, SZ, SX * SZ]).cayley()
+    def test_constructor_requires_a_table(self, q8):
+        with pytest.raises(TypeError):
+            MatrixGroup(q8.elements)
 
 
 def reference_cayley(group):
@@ -278,18 +272,6 @@ class TestCayleyMatchesProducts:
         group = MatrixGroup.from_generators(result.generators)
         assert group.cayley() == reference_cayley(group)
 
-    def test_raw_constructor_on_shuffled_elements(self, dirac):
-        rest = list(dirac.elements[1:])
-        random.Random(7).shuffle(rest)
-        group = MatrixGroup([dirac.elements[0]] + rest)
-        assert group.generator_indices == ()
-        assert group.cayley() == reference_cayley(group)
-
-    def test_generators_that_reach_only_a_subgroup(self, pauli):
-        group = MatrixGroup(pauli.elements)
-        group.generator_indices = (1,)
-        assert group.cayley() == reference_cayley(group)
-
     @pytest.mark.parametrize("name", list(SMALL_GENS))
     def test_small_group(self, name):
         group = named_group(name)
@@ -309,14 +291,41 @@ class TestCayleyMatchesProducts:
         assert dict(PRODUCT_COUNTERS) == before
         assert table == reference_cayley(group)
 
-    # <A1> has 4 elements, more than the set; <-1, X> = {1, -1, X, -X} has
-    # as many as the set, but -X is not in it.
+
+class TestSubgroupTablesMatchProducts:
+    """`Subgroup.as_group` restricts the parent's table to the subgroup;
+    that table equals the table of the subgroup's exact products."""
+
+    # The order-32 entries, whose order-16 subgroups have index two and
+    # are read off sign characters, and an order-64 one, whose order-16
+    # subgroups come from the subgroup walk.
     @pytest.mark.parametrize(
-        "rest", [[A1], [ExactMatrix.identity(2).scale(MINUS), SX, SZ]], ids=["outgrows", "leaves"]
+        "name", ["gamma_minus", "gamma_plus", "pauli_c2", "q8_v4", "d4_v4", "gamma64_minus"]
     )
-    def test_raw_set_whose_closure_escapes_it_is_rejected(self, rest):
-        with pytest.raises(ValueError, match="not closed"):
-            MatrixGroup([ExactMatrix.identity(2), *rest]).cayley()
+    def test_order_16_subgroups(self, name):
+        subs = catalog.catalog_group(name).subgroups_of_order(16)
+        assert len(subs) == (155 if name == "gamma64_minus" else 15)
+        for sub in subs:
+            standalone = sub.as_group()
+            assert standalone.cayley() == reference_cayley(standalone)
+
+    def test_penta8_search_standalone_groups(self, monkeypatch):
+        # Every group the `---|+` search over penta8 builds for its classes
+        # and its fallback isomorphism tests.
+        built = []
+        standalone = catalog._standalone
+
+        def recording(pool, key):
+            group = standalone(pool, key)
+            built.append(group)
+            return group
+
+        monkeypatch.setattr(catalog, "_standalone", recording)
+        hits = catalog._gamma_models.__wrapped__("---|+", "penta8")
+        assert [hit.order for hit in hits] == [32, 16]
+        assert {group.order for group in built} == {32, 16}
+        for group in built:
+            assert group.cayley() == reference_cayley(group)
 
 
 class TestClassesAndCenter:
@@ -675,10 +684,17 @@ def conjugated(group, seed):
 
 
 def relabeled(group, seed):
-    """The same matrices as a group whose elements come in a shuffled order."""
-    rest = list(group.elements[1:])
-    random.Random(seed).shuffle(rest)
-    return MatrixGroup([group.elements[0], *rest])
+    """The same matrices as a group whose elements come in a shuffled order,
+    with the source table permuted to match."""
+    order = list(range(1, group.order))
+    random.Random(seed).shuffle(order)
+    order.insert(0, 0)
+    position = {a: i for i, a in enumerate(order)}
+    cay = group.cayley()
+    table = [[position[cay[a][b]] for b in order] for a in order]
+    other = MatrixGroup([group.elements[a] for a in order], cayley=table)
+    assert table == reference_cayley(other)
+    return other
 
 
 class TestIsomorphism:
