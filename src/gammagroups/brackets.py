@@ -369,11 +369,11 @@ def _rotations_if_rows_hold(
 
 
 def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: int) -> bool:
-    """Whether a scanned boost triple generates its order-16 group.
+    """Whether a scanned boost triple generates a group of order 16.
 
     The premises, which the scan guarantees: s1, s2, s3 pairwise
     anticommute, each squares to +1 or -1, and -1 (index ``neg``) lies in
-    the group of order 16. Then <s1, s2, s3> has order 16 exactly when
+    the scanned group. Then <s1, s2, s3> has order 16 exactly when
     s1*s2*s3 is neither 1 nor -1. Proof: P = <s1, s2> = +-{1, s1, s2,
     s1s2} has order 8. s3 conjugates s1 and s2 to -s1 and -s2 and squares
     into P, so it normalizes P and <P, s3> = P u P*s3, of order 16 unless
@@ -386,6 +386,31 @@ def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: 
     return cay[cay[s1][s2]][s3] not in (0, neg)
 
 
+# The square signatures (s1^2, s2^2, s3^2) of a boost triple, in scan order.
+_SQUARE_SIGNATURES = tuple(itertools.product((1, -1), repeat=3))
+
+
+def _minus_index(group: MatrixGroup) -> int | None:
+    """Index of -1 in the group, or None when it is not there."""
+    minus = group.elements[0].scale(_MINUS_ONE)
+    return group.index_of(minus) if minus in group else None
+
+
+def _signature_triples(group: MatrixGroup, signs: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The boost triples of one square signature, in increasing (s1, s2, s3).
+
+    A boost triple is an ordered triple of pairwise anticommuting
+    non-scalar elements whose squares are +1 or -1, here ``signs``.
+    """
+    squares = group.unit_square_masks()
+    anti = group.commutation_masks()[1]
+    e1, e2, e3 = signs
+    for s1 in mask_indices(squares[e1]):
+        for s2 in mask_indices(anti[s1] & squares[e2]):
+            for s3 in mask_indices(anti[s1] & anti[s2] & squares[e3]):
+                yield s1, s2, s3
+
+
 def _component_scan(
     group: MatrixGroup, tables: Sequence[str], designated: Sequence[ExactMatrix] | None
 ) -> Iterator[ComponentMatch]:
@@ -393,10 +418,9 @@ def _component_scan(
 
     Matches are yielded in table order, and tables the group does not
     realize are left out. The triples are the designated one, or else
-    every ordered triple of pairwise anticommuting non-scalar elements
-    whose squares are +1 or -1, in increasing (s1, s2, s3): the scan
-    order. They are enumerated per square signature, each list in scan
-    order, and merged back into it per table.
+    every boost triple in increasing (s1, s2, s3): the scan order. They
+    are enumerated per square signature (`_signature_triples`), and
+    merged back into scan order per table.
 
     The bracket rows depend only on the square signature (s1^2, s2^2,
     s3^2): with s_i^2 = eps_i and r_k = e_k s_i s_j by the table's
@@ -414,10 +438,9 @@ def _component_scan(
     """
     if group.order != 16:
         raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
-    minus = group.elements[0].scale(_MINUS_ONE)
-    if minus not in group:
+    neg = _minus_index(group)
+    if neg is None:
         return
-    neg = group.index_of(minus)
     if designated is not None:
         if len(designated) != 3:
             raise ValueError("a designated boost triple needs exactly three matrices")
@@ -425,17 +448,7 @@ def _component_scan(
             raise ValueError("designated boosts must belong to the group")
         by_signature = [[tuple(group.index_of(m) for m in designated)]]
     else:
-        squares = group.unit_square_masks()
-        anti = group.commutation_masks()[1]
-        by_signature = [
-            [
-                (s1, s2, s3)
-                for s1 in mask_indices(squares[e1])
-                for s2 in mask_indices(anti[s1] & squares[e2])
-                for s3 in mask_indices(anti[s1] & anti[s2] & squares[e3])
-            ]
-            for e1, e2, e3 in itertools.product((1, -1), repeat=3)
-        ]
+        by_signature = [list(_signature_triples(group, signs)) for signs in _SQUARE_SIGNATURES]
     COMPONENT_COUNTERS["component.triples"] += sum(map(len, by_signature))
     cay = group.cayley()
     for table in map(BracketTable.load, tables):
@@ -478,3 +491,37 @@ def find_component_match(
 def admitted_components(group: MatrixGroup) -> frozenset[str]:
     """Every component table the group realizes, from one scan."""
     return frozenset(match.table for match in _component_scan(group, COMPONENT_TABLES, None))
+
+
+def component_composition(group: MatrixGroup) -> frozenset[str]:
+    """Every component table that some order-16 subgroup of the group
+    realizes: the union of `admitted_components` over
+    `subgroups_of_order(16)`, from one scan of the group's own table.
+
+    A boost triple that passes `_scanned_triple_generates` generates an
+    order-16 subgroup, the three-generator presentation group with
+    trivial kernel (von Dyck), so any two such triples of one square
+    signature are swapped by an isomorphism of their groups, and a
+    table's rows hold on all of them or on none. Within one order-16
+    group the rows of a signature agree on every triple, generating or
+    not (`_component_scan`). So a table is in the composition exactly when
+    its rows hold on the first generating triple of some signature, and
+    each signature's rows are checked once, on that triple.
+    """
+    neg = _minus_index(group)
+    if neg is None:
+        return frozenset()
+    cay = group.cayley()
+    tables = [(table, table.boost_signs()) for table in map(BracketTable.load, COMPONENT_TABLES)]
+    found: set[str] = set()
+    for signature in _SQUARE_SIGNATURES:
+        for boosts in _signature_triples(group, signature):
+            COMPONENT_COUNTERS["component.triples"] += 1
+            COMPONENT_COUNTERS["component.closures"] += 1
+            if _scanned_triple_generates(cay, boosts, neg):
+                found.update(
+                    table.name for table, signs in tables
+                    if _rotations_if_rows_hold(group, table, signs, boosts, neg) is not None
+                )
+                break
+    return frozenset(found)

@@ -28,13 +28,13 @@ from .brackets import (
     BracketTable,
     RelationSet,
     VerificationReport,
-    admitted_components,
+    component_composition,
     evaluate_word,
     find_component_match,
     verify_relations,
 )
 from .exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
-from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, certified_map, mask_indices
+from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, mask_indices
 from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
 
 CATALOG_NAMES = (
@@ -336,14 +336,6 @@ def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
     return classes
 
 
-def component_composition(group: MatrixGroup) -> frozenset[str]:
-    """Union of admitted component tables over all order-16 subgroups."""
-    found: set[str] = set()
-    for sub in group.subgroups_of_order(16):
-        found |= admitted_components(sub.as_group())
-    return frozenset(found)
-
-
 def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:
     """The first of the named catalog groups this one is isomorphic to, if any."""
     for name in names:
@@ -548,10 +540,10 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
 
 # Work done by uncached find_gamma_models calls in this process: generator
 # tuples matching a signature, distinct subgroups they generate, isomorphism
-# tests settled by a generator-map hint on the pool table or sent on to the
-# fingerprint-and-backtracking fallback, and the standalone MatrixGroups
-# built for new classes and for that fallback. Reports carry them under
-# `timings.counters`.
+# tests settled by the kernel mask of the signature's presentation or sent
+# on to the fingerprint-and-backtracking fallback, and the standalone
+# MatrixGroups built for new classes and for that fallback. Reports carry
+# them under `timings.counters`.
 SEARCH_COUNTERS: Counter[str] = Counter(dict.fromkeys((
     "search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback",
     "search.groups_built",
@@ -563,13 +555,11 @@ class _ModelClass:
     """One isomorphism class met by a search, held on pool indices.
 
     ``key`` is the member mask of the representative subgroup and
-    ``images`` the pool tuples that the tuples of this class map to.
-    ``group`` is the representative as a standalone MatrixGroup, built
-    on first need.
+    ``group`` the representative as a standalone MatrixGroup, built on
+    first need.
     """
 
     key: int
-    images: list[tuple[int, ...]]
     hit: ModelHit
     group: MatrixGroup | None = None
 
@@ -582,6 +572,26 @@ def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
     """
     SEARCH_COUNTERS["search.groups_built"] += 1
     return Subgroup(pool, frozenset(mask_indices(key))).as_group()
+
+
+def _kernel_mask(cay: Sequence[Sequence[int]], gens: Sequence[int], neg: int) -> int:
+    """The normal forms a generator tuple sends to 1, as a 32-bit mask.
+
+    Word j is s1^b1 s2^b2 s3^b3 s4^b4 with j = b1 + 2*b2 + 4*b3 + 8*b4,
+    evaluated in the pool table prefix by prefix (15 lookups); bit j is
+    set when word j is 1 and bit 16 + j when it is -1 (index ``neg``),
+    that is when -1 times the word is 1.
+    """
+    words = [0]
+    for s in gens:
+        words += [cay[w][s] for w in words]
+    mask = 0
+    for j, w in enumerate(words):
+        if w == 0:
+            mask |= 1 << j
+        elif w == neg:
+            mask |= 1 << 16 + j
+    return mask
 
 
 def find_gamma_models(
@@ -606,17 +616,22 @@ def find_gamma_models(
     already taken for the same H gives the same group and is skipped; a
     triple whose fourths all lie in taken cosets is skipped whole. Groups
     are deduplicated first by the generated subgroup and then by abstract
-    isomorphism. Hint, then certify: a new group is first tested with the
-    maps that send its tuple to the representative's own tuple or to the
-    images of earlier tuples of that class, each certified by
-    `certified_map` on the pool's table along the generator edges; only
-    if none is an isomorphism does the test fall back to fingerprint and
-    backtracking on standalone groups, whose result is certified the same
-    way on their tables. So a subgroup gets a standalone group of its own
-    only for that fallback or when it starts a class, which
-    `identify_stable` needs. Each class reports the first generator tuple
-    that produced it. An empty list means the pool has no model for the
-    spec.
+    isomorphism, keyed by the kernel of the signature's presentation.
+    Every tuple obeys the relations of one group P: a central z with
+    z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator z for
+    anticommuting pairs, 1 for commuting ones. With z = -1 the tuple maps
+    P onto its group (von Dyck), every element of P is a normal form
+    z^a s1^b1..s4^b4, and the group is P/K for the kernel K of the normal
+    forms sent to 1 (`_kernel_mask`). So two tuples have equal kernels
+    exactly when s_i -> s_i' extends to an isomorphism of their groups.
+    A new group whose kernel an earlier tuple had joins that tuple's class
+    with no certificate; a kernel not met before falls back to
+    fingerprint and backtracking on standalone groups against the classes
+    of its order, and is kept for the tuples that come after. So a
+    subgroup gets a standalone group of its own only for that fallback or
+    when it starts a class, which `identify_stable` needs. Each class
+    reports the first generator tuple that produced it. An empty list
+    means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -639,6 +654,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         fourth_sign = spec.commuting_fourth
         fourth_masks = commute
     candidates = pool.unit_square_masks()[fourth_sign] & _sign_representatives(pool)
+    neg = pool.index_of(pool.matrix(0).scale(_MINUS))
 
     counters = SEARCH_COUNTERS
     level = _triple_level(pool_name, triple_squares)
@@ -647,6 +663,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     members: dict[int, list[int]] = {}
     seen_subgroups: set[int] = set()
     classes: list[_ModelClass] = []
+    kernels: set[int] = set()  # met so far: an equal mask means an isomorphic group
 
     it = iter(level.triples)
     for s1, s2, s3, h in zip(it, it, it, level.ids):
@@ -677,29 +694,20 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
             seen_subgroups.add(key)
             counters["search.subgroups"] += 1
             gens = (s1, s2, s3, s4)
+            kernel = _kernel_mask(cay, gens, neg)
+            if kernel in kernels:
+                counters["search.iso_hint"] += 1
+                continue
+            kernels.add(kernel)
             order = key.bit_count()
             group = None  # this subgroup as a standalone group, on first need
             for cls in classes:
                 if cls.hit.order != order:
                     continue
-                if any(
-                    certified_map(cay, cay, gens, images, order) is not None
-                    for images in cls.images
-                ):
-                    counters["search.iso_hint"] += 1
-                    break
                 counters["search.iso_fallback"] += 1
                 group = group or _standalone(pool, key)
                 cls.group = cls.group or _standalone(pool, cls.key)
-                mapping = group.isomorphism_map(cls.group)
-                if mapping is not None:
-                    # The tuple obeys other relations than the known ones:
-                    # its images become one more hint for this class. Pool
-                    # element s is element (set bits of key below s) of group.
-                    rep_members = list(mask_indices(cls.key))
-                    cls.images.append(tuple(
-                        rep_members[mapping[(key & ((1 << s) - 1)).bit_count()]] for s in gens
-                    ))
+                if group.is_isomorphic(cls.group):
                     break
             else:
                 identified = None
@@ -713,7 +721,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
                     order=order,
                     identified=identified,
                 )
-                classes.append(_ModelClass(key, [gens], hit, group))
+                classes.append(_ModelClass(key, hit, group))
     return tuple(cls.hit for cls in classes)
 
 

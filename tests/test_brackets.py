@@ -1,6 +1,7 @@
 """Bracket table and relation verification tests."""
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from gammagroups.brackets import (
     RelationSet,
     admitted_components,
     commutator,
+    component_composition,
     evaluate_word,
     find_component_match,
     parse_word,
@@ -24,7 +26,15 @@ from gammagroups.brackets import (
     verify_relations,
 )
 from gammagroups.brackets import _table_holds_on_indices
-from gammagroups.catalog import catalog_entry, catalog_group, pool_group
+from gammagroups.catalog import (
+    CATALOG_NAMES,
+    EXTENSION_NAMES,
+    POOL_NAMES,
+    catalog_entry,
+    catalog_group,
+    load_generator_file,
+    pool_group,
+)
 from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
 from gammagroups.groups import MatrixGroup, mask_indices
 
@@ -601,6 +611,89 @@ class TestSquareSignatureMemo:
 
     def test_tables_are_parsed_once(self):
         assert BracketTable.load("d") is BracketTable.load("d")
+
+
+def walked_composition(group):
+    """The per-subgroup walk: the tables some order-16 subgroup admits."""
+    found = set()
+    for sub in group.subgroups_of_order(16):
+        found |= admitted_components(sub.as_group())
+    return frozenset(found)
+
+
+@st.composite
+def pool_generator_files(draw):
+    """A generator file of two to four elements of a pool, conjugated by a
+    signed permutation matrix, so its elements come in another order."""
+    pool = pool_group(draw(st.sampled_from(POOL_NAMES)))
+    dim = pool.elements[0].dim
+    rows = [["0"] * dim for _ in range(dim)]
+    for row, column in enumerate(draw(st.permutations(range(dim)))):
+        rows[row][column] = draw(st.sampled_from(["1", "-1", "i", "-i"]))
+    m = parse_matrix("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]")
+    elements = st.integers(min_value=1, max_value=pool.order - 1)
+    picks = draw(st.lists(elements, min_size=2, max_size=4))
+    return {
+        "name": "drawn",
+        "dimension": dim,
+        "generators": [format_matrix(m * pool.elements[k] * m.inverse()) for k in picks],
+    }
+
+
+class TestComposition:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_scan_matches_the_subgroup_walk_on_catalog_entries(self, name):
+        group = catalog_group(name)
+        assert component_composition(group) == walked_composition(group)
+
+    @pytest.mark.parametrize("name", POOL_NAMES)
+    def test_one_scan_matches_the_subgroup_walk_on_pools(self, name):
+        group = pool_group(name)
+        assert component_composition(group) == walked_composition(group) == frozenset("bcdf")
+
+    @pytest.mark.parametrize("name", EXTENSION_NAMES)
+    def test_one_scan_matches_the_subgroup_walk_on_order32_subgroups(self, name):
+        seen = set()
+        for sub in catalog_group(name).subgroups_of_order(32):
+            group = sub.as_group()
+            found = component_composition(group)
+            assert found == walked_composition(group)
+            seen.add(found)
+        assert len(seen) > 1
+
+    def test_row_checks_are_one_per_table_and_generated_signature(self):
+        # Every triple of the scan is tested for generating an order-16
+        # group, and each signature's rows are checked on its first
+        # generating triple alone.
+        counters = brackets.COMPONENT_COUNTERS
+        for name in CATALOG_NAMES:
+            group = catalog_group(name)
+            neg = neg_index(group)
+            generated = {
+                tuple(group.mul(s, s) for s in boosts)
+                for boosts in anticommuting_triples(group)
+                if len(group.closure_indices(boosts)) == 16
+            }
+            before = dict(counters)
+            component_composition(group)
+            done = {k: counters[k] - before[k] for k in before}
+            assert done["component.row_checks"] == len(COMPONENT_TABLES) * len(generated), name
+            assert done["component.closures"] == done["component.triples"]
+            assert (neg is None) == (done["component.triples"] == 0), name
+
+    def test_a_group_without_minus_one_has_no_composition(self):
+        group = MatrixGroup.from_generators([parse_matrix("[[1, 0], [0, -1]]")])
+        assert component_composition(group) == frozenset()
+
+    @settings(max_examples=30, deadline=None)
+    @given(payload=pool_generator_files())
+    def test_one_scan_matches_the_subgroup_walk_on_generator_files(
+        self, tmp_path_factory, payload
+    ):
+        path = tmp_path_factory.mktemp("drawn") / "drawn.json"
+        path.write_text(json.dumps(payload))
+        _, group = load_generator_file(str(path))
+        assert component_composition(group) == walked_composition(group)
 
 
 @settings(max_examples=50, deadline=None)

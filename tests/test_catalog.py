@@ -2,6 +2,7 @@
 
 import json
 from array import array
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -394,15 +395,29 @@ def reference_triples(pool, squares):
                 yield s1, s2, s3
 
 
+@dataclass
+class HintedClass:
+    """A class of the reference search: the representative's member mask,
+    the pool tuples its tuples map to (the hints), the hit, and the
+    representative as a standalone group, built on first need."""
+
+    key: int
+    images: list
+    hit: catalog.ModelHit
+    group: MatrixGroup | None = None
+
+
 def reference_coset_search(text, pool_name):
     """The coset search over every sign variant of every generator, with
     every signature enumerating its own triples (`reference_triples`).
 
     Each pair is closed by breadth-first search once per signature, and
     each triple's group is taken again per signature; every extension is
-    the normalizer-checked `reference_coset`. The rest is the search,
-    counters included. Returns the hits and the member masks of the
-    subgroups it meets, in order.
+    the normalizer-checked `reference_coset`. Classes are told apart by
+    generator-map hints certified on the pool table (`certified_map`):
+    the class's first tuple and the fallback's images of later ones.
+    The rest is the search, counters included. Returns the hits and the
+    member masks of the subgroups it meets, in order.
     """
     spec = SignatureSpec.parse(text)
     pool = pool_group(pool_name)
@@ -476,7 +491,7 @@ def reference_coset_search(text, pool_name):
                     group = group or catalog._standalone(pool, key)
                     identified = catalog.identify_stable(group)
                 hit = catalog.ModelHit(str(spec), pool_name, gens, order, identified)
-                classes.append(catalog._ModelClass(key, [gens], hit, group))
+                classes.append(HintedClass(key, [gens], hit, group))
         covered[base] = (members, taken)
     return [cls.hit for cls in classes], subgroups
 
@@ -591,6 +606,32 @@ class TestCosetSearch:
             assert len(set(level.masks)) == len(level.masks)
         assert sum(len(catalog._triple_level("penta8", sq).ids) for sq in TRIPLE_SQUARES) == 5120
         assert catalog._triple_level.cache_info().misses == 4
+
+    @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
+    def test_equal_kernel_masks_are_exactly_the_certified_maps(self, pool_name, kernel_masks):
+        # Over every sweep signature, two tuples of one signature have equal
+        # kernel masks exactly when s_i -> s_i' certifies on the pool table.
+        # Each tuple is certified onto the first tuple with its mask, and
+        # the first tuples of distinct masks onto none of each other; maps
+        # compose and invert, so that settles every pair. A kernel of k
+        # normal forms leaves a group of order 32 / k.
+        pool = pool_group(pool_name)
+        cay = pool.cayley()
+        for text in SWEEP_SIGNATURES:
+            kernel_masks.clear()
+            find_gamma_models(text, pool_name)
+            firsts = {}
+            for gens, mask in kernel_masks:
+                order = len(pool.closure_indices(gens))
+                assert order * mask.bit_count() == 32, (text, gens)
+                first = firsts.setdefault(mask, gens)
+                assert certified_map(cay, cay, gens, first, order) is not None, (text, gens)
+            for mask, gens in firsts.items():
+                order = len(pool.closure_indices(gens))
+                for other_mask, other in firsts.items():
+                    if other_mask != mask:
+                        assert certified_map(cay, cay, gens, other, order) is None, (text, gens)
+            assert len(firsts) < len(kernel_masks)
 
     def test_counters_add_up(self):
         clear_search_caches()

@@ -171,14 +171,13 @@ class TestAnalyze:
         assert sorted(counters) == COMPONENT_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
         # The scan checks the rows at most once per (table, square
         # signature) and once more per match: with four tables and at most
-        # eight signatures, 36 checks per scanned group. `analyze` scans
-        # every order-16 subgroup (composition) and each order-16 class of
-        # index-two subgroups (index_two).
-        group = catalog.catalog_group("pauli_c2")
-        scans = len(group.subgroups_of_order(16)) + len(
-            catalog.catalog_profile("pauli_c2").index_two["classes"]
-        )
-        assert 0 < counters["component.row_checks"] <= 36 * scans
+        # eight signatures, 36 checks per scanned order-16 group.
+        # `analyze` scans each order-16 class of index-two subgroups
+        # (index_two), and composition scans the group's own table once,
+        # checking the rows on one generating triple per signature: at
+        # most 32 checks.
+        scans = len(catalog.catalog_profile("pauli_c2").index_two["classes"])
+        assert 0 < counters["component.row_checks"] <= 32 + 36 * scans
         assert counters["component.triples"] >= counters["component.closures"] > 0
         _, small, _ = run_json(capsys, "analyze", "q8")
         small_counters = small["timings"]["counters"]
@@ -400,6 +399,19 @@ class TestVerify:
             "search.iso_hint": 4304,
             "search.iso_fallback": 5,
             "search.groups_built": 23,
+        }
+
+    def test_cold_verify_component_counters_are_pinned(self):
+        # The component scans of a cold verify: one scan of each order-16
+        # to 32 catalog group's own table for composition, plus the
+        # order-16 scans (components, extraction, index-two labels, roles).
+        # A change here is a change in which triples a scan visits or
+        # which rows it checks.
+        counters = run_cold("verify")["timings"]["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("component.")} == {
+            "component.closures": 629,
+            "component.row_checks": 229,
+            "component.triples": 5604,
         }
 
     def test_component_counters_are_reported_under_timings(self, capsys):

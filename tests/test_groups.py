@@ -601,6 +601,19 @@ class TestCommutationMasks:
         assert list(mask_indices(0b101001 | 1 << 130)) == [0, 3, 5, 130]
 
 
+def settled_by_kernel(met):
+    """(tuple, first tuple met with the same kernel mask) for each tuple of
+    ``met`` that the search settles by its mask: each whose mask an
+    earlier tuple had."""
+    first, settled = {}, []
+    for gens, mask in met:
+        if mask in first:
+            settled.append((gens, first[mask]))
+        else:
+            first[mask] = gens
+    return settled
+
+
 def is_isomorphism(group, other, phi):
     """Reference certificate: a bijection that respects all n^2 products."""
     n = group.order
@@ -794,35 +807,30 @@ class TestIsomorphism:
 
     @pytest.mark.parametrize("pool", ["dirac4", "penta8"])
     @pytest.mark.parametrize("signature", ["+++-", "+++|+", "++-|-"])
-    def test_hinted_search_maps_pass_the_full_table_check(self, signature, pool, monkeypatch):
-        # Every map the search accepts, from a hint on the pool table or
-        # from the fallback on standalone groups, respects all n^2 products.
-        cay = catalog.pool_group(pool).cayley()
-        hinted = catalog.certified_map
+    def test_hinted_search_maps_pass_the_full_table_check(
+        self, signature, pool, monkeypatch, kernel_masks
+    ):
+        # Every tuple the kernel mask settles maps onto the first tuple
+        # met with that mask by a certified map on the pool table that
+        # respects all n^2 products; every fallback map does too.
+        ambient = catalog.pool_group(pool)
+        cay = ambient.cayley()
         searched = MatrixGroup.isomorphism_map
-        accepted = []
-
-        def checking_hint(table, image_table, gens, images, size):
-            phi = hinted(table, image_table, gens, images, size)
-            if phi is not None:
-                assert sorted(phi.values()) == sorted(catalog.pool_group(pool).closure_indices(images))
-                assert all(phi[cay[a][b]] == cay[phi[a]][phi[b]] for a in phi for b in phi)
-                accepted.append("hint")
-            return phi
 
         def checking_search(group, other):
             phi = searched(group, other)
-            if phi is not None:
-                assert is_isomorphism(group, other, phi)
-                accepted.append("fallback")
+            assert phi is None or is_isomorphism(group, other, phi)
             return phi
 
-        catalog._gamma_models.cache_clear()
-        catalog._triple_level.cache_clear()
-        monkeypatch.setattr(catalog, "certified_map", checking_hint)
         monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
         catalog.find_gamma_models(signature, pool)
-        assert "hint" in accepted
+        settled = settled_by_kernel(kernel_masks)
+        assert settled
+        for gens, images in settled:
+            phi = certified_map(cay, cay, gens, images, len(ambient.closure_indices(gens)))
+            assert phi is not None
+            assert sorted(phi.values()) == sorted(ambient.closure_indices(images))
+            assert all(phi[cay[a][b]] == cay[phi[a]][phi[b]] for a in phi for b in phi)
 
     @pytest.mark.parametrize(
         "signature, pool",
@@ -830,12 +838,15 @@ class TestIsomorphism:
         + [(text, "penta8") for text in ("+++-", "+++|+", "++-|-")],
     )
     def test_pool_certificates_agree_with_the_standalone_reference(
-        self, signature, pool, monkeypatch
+        self, signature, pool, kernel_masks
     ):
-        # Each (subgroup, hint) pair the search certifies on the pool table
-        # is certified again on the two as_group tables,
-        # whose element order is the sorted member list.
+        # Each tuple the kernel mask settles certifies onto the first tuple
+        # met with that mask on the pool table, and again on the two
+        # as_group tables, whose element order is the sorted member list.
+        # A tuple with a new mask certifies onto no earlier mask's first
+        # tuple, on either table. Settled tuples are the search's iso_hint.
         ambient = catalog.pool_group(pool)
+        cay = ambient.cayley()
         standalone = {}
 
         def as_group(members):
@@ -843,30 +854,31 @@ class TestIsomorphism:
                 standalone[members] = (sorted(members), Subgroup(ambient, members).as_group())
             return standalone[members]
 
-        hinted = catalog.certified_map
-        verdicts = []
-
-        def differential(table, image_table, gens, images, size):
-            phi = hinted(table, image_table, gens, images, size)
+        def both_certificates(gens, images):
             order, group = as_group(ambient.closure_indices(gens))
             image_order, rep = as_group(ambient.closure_indices(images))
+            phi = certified_map(cay, cay, gens, images, group.order)
             reference = table_certificate(
                 group, rep, [order.index(g) for g in gens], [image_order.index(x) for x in images]
             )
             assert (phi is None) == (reference is None)
             if reference is not None:
                 assert is_isomorphism(group, rep, reference)
-                assert {order[j]: image_order[reference[j]] for j in range(size)} == phi
-            verdicts.append(phi is not None)
+                assert {order[j]: image_order[reference[j]] for j in range(group.order)} == phi
             return phi
 
-        catalog._gamma_models.cache_clear()
-        catalog._triple_level.cache_clear()
-        monkeypatch.setattr(catalog, "certified_map", differential)
         before = dict(catalog.SEARCH_COUNTERS)
         catalog.find_gamma_models(signature, pool)
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
-        assert verdicts.count(True) == done["search.iso_hint"]
+        settled = settled_by_kernel(kernel_masks)
+        for gens, images in settled:
+            assert both_certificates(gens, images) is not None
+        firsts = {}
+        for gens, mask in kernel_masks:
+            if mask not in firsts:
+                assert all(both_certificates(gens, first) is None for first in firsts.values())
+                firsts[mask] = gens
+        assert len(settled) == done["search.iso_hint"]
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
     def test_backtracking_matches_the_size_pruned_reference(self, name, monkeypatch):
