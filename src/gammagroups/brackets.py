@@ -30,7 +30,6 @@ TABLE_NAMES = ("d", "q2", "f", "b", "c")
 COMPONENT_TABLES = ("d", "f", "b", "c")
 
 _TWO = GaussianRational(2, 0)
-_MINUS_ONE = GaussianRational(-1, 0)
 
 
 @dataclass(frozen=True)
@@ -390,12 +389,6 @@ def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: 
 _SQUARE_SIGNATURES = tuple(itertools.product((1, -1), repeat=3))
 
 
-def _minus_index(group: MatrixGroup) -> int | None:
-    """Index of -1 in the group, or None when it is not there."""
-    minus = group.elements[0].scale(_MINUS_ONE)
-    return group.index_of(minus) if minus in group else None
-
-
 def _signature_triples(group: MatrixGroup, signs: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """The boost triples of one square signature, in increasing (s1, s2, s3).
 
@@ -438,7 +431,7 @@ def _component_scan(
     """
     if group.order != 16:
         raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
-    neg = _minus_index(group)
+    neg = group.minus_index()
     if neg is None:
         return
     if designated is not None:
@@ -508,7 +501,7 @@ def component_composition(group: MatrixGroup) -> frozenset[str]:
     its rows hold on the first generating triple of some signature, and
     each signature's rows are checked once, on that triple.
     """
-    neg = _minus_index(group)
+    neg = group.minus_index()
     if neg is None:
         return frozenset()
     cay = group.cayley()

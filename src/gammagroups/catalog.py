@@ -461,10 +461,10 @@ def _sign_representatives(pool: MatrixGroup) -> int:
 
     Raises ValueError for a group without -1, where the pairs do not exist.
     """
-    minus = pool.matrix(0).scale(_MINUS)
-    if minus not in pool:
+    neg = pool.minus_index()
+    if neg is None:
         raise ValueError("sign representatives need -1 in the group")
-    row = pool.cayley()[pool.index_of(minus)]
+    row = pool.cayley()[neg]
     return sum(1 << s for s in range(pool.order) if s <= row[s])
 
 
@@ -498,6 +498,26 @@ def _triples(
                 yield s1, s2, s3
 
 
+def _words(cay: Sequence[Sequence[int]], gens: Sequence[int]) -> list[int]:
+    """The 2^k words s1^b1 .. sk^bk of a generator tuple, as table indices.
+
+    Word j has b_i the bit i - 1 of j, so word 1 << (i - 1) is s_i. The
+    words are evaluated prefix by prefix, one lookup each (2^k - 1 in all).
+    """
+    words = [0]
+    for s in gens:
+        words += [cay[w][s] for w in words]
+    return words
+
+
+def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
+    """Member mask of the words and their negatives, by the row of -1."""
+    mask = 0
+    for w in words:
+        mask |= 1 << w | 1 << minus_row[w]
+    return mask
+
+
 @dataclass(frozen=True)
 class _TripleLevel:
     """The triples of one (pool, triple squares) and their subgroups, compact.
@@ -518,22 +538,18 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
     """The triple subgroups for every signature whose first three squares
     are ``squares``; the 13 sweep signatures share four such levels.
 
-    Each triple's group is grown from {1} by three `MatrixGroup.extend`
-    steps, <s1>, <s1, s2> and <s1, s2, s3>; the first two are taken once
-    per pair, since the triples come grouped by pair.
+    Each triple's group is read off its 8 words (`_words`): a pairwise
+    anticommuting triple whose squares are +-1 generates exactly the
+    words and their negatives (`_signed_mask`).
     """
     pool = pool_group(pool_name)
+    cay = pool.cayley()
+    minus_row = cay[pool.minus_index()]
     index: dict[int, int] = {}
     triples, ids = array("H"), array("H")
-    pair = None
-    for s1, s2, s3 in _triples(pool, squares):
-        if pair != (s1, s2):
-            pair = s1, s2
-            single = pool.extend([0], 1, (), s1)
-            pair_mask = pool.extend(list(mask_indices(single)), single, (s1,), s2)
-            pair_members = list(mask_indices(pair_mask))
-        base = pool.extend(pair_members, pair_mask, pair, s3)
-        triples.extend((s1, s2, s3))
+    for triple in _triples(pool, squares):
+        base = _signed_mask(_words(cay, triple), minus_row)
+        triples.extend(triple)
         ids.append(index.setdefault(base, len(index)))
     return _TripleLevel(triples, tuple(index), ids)
 
@@ -574,17 +590,13 @@ def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
     return Subgroup(pool, frozenset(mask_indices(key))).as_group()
 
 
-def _kernel_mask(cay: Sequence[Sequence[int]], gens: Sequence[int], neg: int) -> int:
+def _kernel_mask(words: Sequence[int], neg: int) -> int:
     """The normal forms a generator tuple sends to 1, as a 32-bit mask.
 
-    Word j is s1^b1 s2^b2 s3^b3 s4^b4 with j = b1 + 2*b2 + 4*b3 + 8*b4,
-    evaluated in the pool table prefix by prefix (15 lookups); bit j is
-    set when word j is 1 and bit 16 + j when it is -1 (index ``neg``),
-    that is when -1 times the word is 1.
+    ``words`` are the tuple's 16 words (`_words`); bit j is set when word
+    j is 1 and bit 16 + j when it is -1 (index ``neg``), that is when -1
+    times the word is 1.
     """
-    words = [0]
-    for s in gens:
-        words += [cay[w][s] for w in words]
     mask = 0
     for j, w in enumerate(words):
         if w == 0:
@@ -607,31 +619,32 @@ def find_gamma_models(
     generates and -s gives the same group as s. The hits, their first
     tuples and the order the subgroups are met in stay those of the
     search over both signs.
-    Tuples are enumerated deterministically and closed inside the pool's
-    Cayley table by `MatrixGroup.extend`: the triples and their groups H
+    Tuples are enumerated deterministically, and their groups are read
+    off the pool's Cayley table as words: the triples and their groups H
     come from the level shared per (pool, triple squares)
-    (`_triple_level`), and the tuple's group <H, s4> = H u H*s4 is one
-    extension limited to 2|H| elements, which fails with RuntimeError if
-    s4 does not normalize H. A fourth generator inside a right coset H*s4
-    already taken for the same H gives the same group and is skipped; a
-    triple whose fourths all lie in taken cosets is skipped whole. Groups
-    are deduplicated first by the generated subgroup and then by abstract
-    isomorphism, keyed by the kernel of the signature's presentation.
+    (`_triple_level`). Each s4 commutes or anticommutes with every s_i and
+    squares to +-1, so it normalizes H and <H, s4> = H u H*s4, whose new
+    members are +- the 8 words that end in s4 (`_words`). A fourth
+    generator inside a right coset H*s4 already taken for the same H
+    gives the same group and is skipped. Groups are deduplicated first by
+    the generated subgroup and then by abstract isomorphism, keyed by the
+    kernel of the signature's presentation.
     Every tuple obeys the relations of one group P: a central z with
     z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator z for
     anticommuting pairs, 1 for commuting ones. With z = -1 the tuple maps
     P onto its group (von Dyck), every element of P is a normal form
     z^a s1^b1..s4^b4, and the group is P/K for the kernel K of the normal
-    forms sent to 1 (`_kernel_mask`). So two tuples have equal kernels
-    exactly when s_i -> s_i' extends to an isomorphism of their groups.
-    A new group whose kernel an earlier tuple had joins that tuple's class
-    with no certificate; a kernel not met before falls back to
-    fingerprint and backtracking on standalone groups against the classes
-    of its order, and is kept for the tuples that come after. So a
-    subgroup gets a standalone group of its own only for that fallback or
-    when it starts a class, which `identify_stable` needs. Each class
-    reports the first generator tuple that produced it. An empty list
-    means the pool has no model for the spec.
+    forms sent to 1 (`_kernel_mask`, read off the same 16 words). So two
+    tuples have equal kernels exactly when s_i -> s_i' extends to an
+    isomorphism of their groups. A new group whose kernel an earlier
+    tuple had joins that tuple's class with no certificate; a kernel not
+    met before falls back to fingerprint and backtracking on standalone
+    groups against the classes of its order, and is kept for the tuples
+    that come after. So a subgroup gets a standalone group of its own
+    only for that fallback or when it starts a class, which
+    `identify_stable` needs. Each class reports the first generator tuple
+    that produced it. An empty list means the pool has no model for the
+    spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -654,13 +667,12 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         fourth_sign = spec.commuting_fourth
         fourth_masks = commute
     candidates = pool.unit_square_masks()[fourth_sign] & _sign_representatives(pool)
-    neg = pool.index_of(pool.matrix(0).scale(_MINUS))
+    neg = pool.minus_index()
+    minus_row = cay[neg]
 
     counters = SEARCH_COUNTERS
     level = _triple_level(pool_name, triple_squares)
-    # per triple subgroup: union of the groups <H, s4> taken, and its members
-    taken = [0] * len(level.masks)
-    members: dict[int, list[int]] = {}
+    taken = [0] * len(level.masks)  # per triple subgroup: union of the groups <H, s4> taken
     seen_subgroups: set[int] = set()
     classes: list[_ModelClass] = []
     kernels: set[int] = set()  # met so far: an equal mask means an isomorphic group
@@ -677,24 +689,18 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
             fourths &= -2 << s3
         counters["search.tuples"] += fourths.bit_count()
         fresh = fourths & ~taken[h]
-        if not fresh:
-            continue
-        if h not in members:
-            members[h] = list(mask_indices(base))
         while fresh:
             s4 = (fresh & -fresh).bit_length() - 1
-            # <H, s4> has 2|H| elements exactly when it is H u H*s4
-            key = pool.extend(members[h], base, (s1, s2, s3), s4, 2 * len(members[h]))
-            if key is None:
-                raise RuntimeError(f"pool element {s4} does not normalize the subgroup it extends")
+            gens = (s1, s2, s3, s4)
+            words = _words(cay, gens)
+            key = base | _signed_mask(words[8:], minus_row)  # H u H*s4
             taken[h] |= key
             fresh &= ~key  # the coset H*s4 holds s4 itself
             if key in seen_subgroups:
                 continue
             seen_subgroups.add(key)
             counters["search.subgroups"] += 1
-            gens = (s1, s2, s3, s4)
-            kernel = _kernel_mask(cay, gens, neg)
+            kernel = _kernel_mask(words, neg)
             if kernel in kernels:
                 counters["search.iso_hint"] += 1
                 continue

@@ -193,6 +193,10 @@ class MatrixGroup:
     def __contains__(self, matrix: ExactMatrix) -> bool:
         return matrix.key() in self._index
 
+    def minus_index(self) -> int | None:
+        """Index of -1 in the group, or None when it is not there."""
+        return self._index.get(self._elements[0].scale(GaussianRational(-1, 0)).key())
+
     def cayley(self) -> list[list[int]]:
         """Full multiplication table, as the group was built with it: the
         closure walk's table from `from_generators`, or the parent's table
@@ -209,16 +213,7 @@ class MatrixGroup:
 
     def element_order(self, a: int) -> int:
         if self._orders is None:
-            cay = self.cayley()
-            orders = [1] * self.order
-            for x in range(1, self.order):
-                power = x
-                count = 1
-                while power != 0:
-                    power = cay[power][x]
-                    count += 1
-                orders[x] = count
-            self._orders = orders
+            self._orders = _element_orders(self.cayley())
         return self._orders[a]
 
     def order_histogram(self) -> dict[int, int]:
@@ -274,8 +269,8 @@ class MatrixGroup:
         if self._commutation is None:
             cay = self.cayley()
             n = self.order
-            minus = self._elements[0].scale(GaussianRational(-1, 0))
-            neg_row = cay[self._index[minus.key()]] if minus.key() in self._index else None
+            neg = self.minus_index()
+            neg_row = cay[neg] if neg is not None else None
             commute = [0] * n
             anticommute = [0] * n
             for i in range(n):
@@ -418,16 +413,7 @@ class MatrixGroup:
         derived = self.derived_subgroup().indices
         coset_of, table = self._quotient(derived)
         q = len(table)
-        if q == 1:
-            return ()
-        orders = [1] * q
-        for x in range(1, q):
-            power = x
-            count = 1
-            while power != 0:
-                power = table[power][x]
-                count += 1
-            orders[x] = count
+        orders = _element_orders(table)
         invariants: list[int] = []
         for p in _prime_factors(q):
             # counts[k] = number of quotient elements x with x^(p^k) = identity
@@ -669,6 +655,19 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"
+
+
+def _element_orders(table: Sequence[Sequence[int]]) -> list[int]:
+    """The order of each element of a group table with the identity at 0,
+    by powering it up to the identity."""
+    orders = [1] * len(table)
+    for x in range(1, len(table)):
+        power, count = x, 1
+        while power != 0:
+            power = table[power][x]
+            count += 1
+        orders[x] = count
+    return orders
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -21,9 +21,9 @@ def kernel_masks(monkeypatch):
     meets, in order. The search caches are cleared, so searches run cold."""
     kernel_mask, met = catalog._kernel_mask, []
 
-    def recording(cay, gens, neg):
-        mask = kernel_mask(cay, gens, neg)
-        met.append((tuple(gens), mask))
+    def recording(words, neg):
+        mask = kernel_mask(words, neg)
+        met.append(((words[1], words[2], words[4], words[8]), mask))
         return mask
 
     catalog._gamma_models.cache_clear()

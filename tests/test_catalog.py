@@ -502,20 +502,11 @@ def clear_search_caches():
     catalog._triple_level.cache_clear()
 
 
-def record_search_subgroups(monkeypatch, pool):
-    """Keep, in order of first appearance, the groups <H, s4> that the
-    search's limited extensions of the pool build (the triple levels
-    extend without a limit)."""
-    extend, subgroups = pool.extend, {}
-
-    def recording(members, mask, gens, s, limit=None):
-        key = extend(members, mask, gens, s, limit)
-        if limit is not None:
-            subgroups.setdefault(key)
-        return key
-
-    monkeypatch.setattr(pool, "extend", recording)
-    return subgroups
+def met_subgroups(pool, kernel_masks):
+    """The member masks of the new groups <H, s4> the search met, in
+    order, each closed from its tuple apart from the search
+    (`closure_indices`)."""
+    return [sum(1 << x for x in pool.closure_indices(gens)) for gens, _ in kernel_masks]
 
 
 # The triple squares of the 13 sweep signatures, one shared level each.
@@ -534,25 +525,9 @@ class TestCosetSearch:
     def test_penta8_hits_are_pinned(self, text):
         assert hit_rows(find_gamma_models(text, "penta8")) == PENTA8_HITS[text]
 
-    def test_extension_by_a_non_normalizing_element_raises(self, monkeypatch):
-        # Every fourth of a real search normalizes its triple's group, so
-        # the search gets a level whose one "triple" (x, x, x) generates
-        # <x> = {1, x}: an anticommuting fourth sends x to -x, outside it.
-        pool = pool_group("dirac4")
-        square_masks = pool.unit_square_masks()
-        x = next(mask_indices(square_masks[1]))
-        assert pool.commutation_masks()[1][x] & square_masks[-1]
-        level = catalog._TripleLevel(
-            array("H", (x, x, x)), (1 | 1 << x,), array("H", (0,))
-        )
-        monkeypatch.setattr(catalog, "_triple_level", lambda pool_name, squares: level)
-        catalog._gamma_models.cache_clear()
-        with pytest.raises(RuntimeError, match="normalize"):
-            find_gamma_models("+++-", "dirac4")
-
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES + NONCANONICAL_SIGNATURES)
-    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name, monkeypatch):
+    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name, kernel_masks):
         # Hits, first tuples, the subgroups in the order met, and every
         # counter: the sign classes {s, -s} leave all but the tuple count
         # as the search over both signs has them, and divide that by 2^4.
@@ -561,26 +536,24 @@ class TestCosetSearch:
         want, want_subgroups = reference_coset_search(text, pool_name)
         want_done = {k: counters[k] - before[k] for k in before}
         clear_search_caches()
-        subgroups = record_search_subgroups(monkeypatch, pool_group(pool_name))
         before = dict(counters)
         hits = find_gamma_models(text, pool_name)
         done = {k: counters[k] - before[k] for k in before}
         assert hits == want  # first tuples included
-        assert list(subgroups) == want_subgroups
+        assert met_subgroups(pool_group(pool_name), kernel_masks) == want_subgroups
         assert 16 * done.pop("search.tuples") == want_done.pop("search.tuples")
         assert done == want_done
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
-    def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, monkeypatch):
+    def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, kernel_masks):
         # The premise of taking one of each {s, -s}: -1 lies in every group
         # the search builds, the triple groups and every <H, s4>.
         pool = pool_group(pool_name)
         minus = pool.index_of(pool.matrix(0).scale(MINUS))
-        clear_search_caches()
-        subgroups = record_search_subgroups(monkeypatch, pool)
         sweep_stable_models(pool_name)
+        subgroups = met_subgroups(pool, kernel_masks)
         levels = [catalog._triple_level(pool_name, sq) for sq in TRIPLE_SQUARES]
-        met = list(subgroups) + [key for level in levels for key in level.masks]
+        met = subgroups + [key for level in levels for key in level.masks]
         assert len(subgroups) > 0
         assert all(key >> minus & 1 for key in met)
 
@@ -606,6 +579,19 @@ class TestCosetSearch:
             assert len(set(level.masks)) == len(level.masks)
         assert sum(len(catalog._triple_level("penta8", sq).ids) for sq in TRIPLE_SQUARES) == 5120
         assert catalog._triple_level.cache_info().misses == 4
+
+    @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
+    @pytest.mark.parametrize("squares", TRIPLE_SQUARES)
+    def test_level_masks_are_the_closures_of_their_triples(self, squares, pool_name):
+        # The level reads each triple's group off its 8 words and their
+        # negatives; the reference closes the triple by `closure_indices`.
+        clear_search_caches()
+        pool = pool_group(pool_name)
+        level = catalog._triple_level(pool_name, squares)
+        it = iter(level.triples)
+        for triple, h in zip(zip(it, it, it), level.ids):
+            assert level.masks[h] == sum(1 << x for x in pool.closure_indices(triple)), triple
+        assert len(level.ids) > 0
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     def test_equal_kernel_masks_are_exactly_the_certified_maps(self, pool_name, kernel_masks):

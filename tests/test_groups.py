@@ -596,6 +596,18 @@ class TestCommutationMasks:
             assert (masks[1] >> i & 1) == (non_scalar and a * a == identity)
             assert (masks[-1] >> i & 1) == (non_scalar and a * a == identity.scale(MINUS))
 
+    @pytest.mark.parametrize("name", catalog.POOL_NAMES)
+    def test_minus_index_finds_minus_one_in_a_pool(self, name):
+        pool = catalog.pool_group(name)
+        neg = pool.minus_index()
+        assert neg is not None
+        assert pool.matrix(neg) == pool.elements[0].scale(MINUS)
+
+    def test_minus_index_is_none_without_minus_one(self):
+        group = MatrixGroup.from_generators(S3_GENS[:1])  # the 3-cycle's <c>
+        assert group.order == 3
+        assert group.minus_index() is None
+
     def test_mask_indices_are_increasing(self):
         assert list(mask_indices(0)) == []
         assert list(mask_indices(0b101001 | 1 << 130)) == [0, 3, 5, 130]
