@@ -5,14 +5,15 @@ basis split into three "rotation" labels and three "boost" labels (the
 three-label tables have no boost half). Tables live as JSON data files and
 are verified against explicit matrix assignments. The component classifier
 searches a concrete order-16 group for a boost triple whose derived
-rotations satisfy one of the known tables, in one scan that checks the
-rows once per table and square signature of the triple.
+rotations satisfy one of the known tables. One scan takes each boost-square
+signature's first triple that generates an order-16 subgroup and checks
+the rows on those triples alone; it classifies an order-16 group and gives
+the component composition of a larger one.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import json
 import re
@@ -308,44 +309,38 @@ class ComponentMatch:
 def _table_holds_on_indices(
     group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int
 ) -> bool:
-    """Integer-table check of all bracket rows, with a matrix fallback.
+    """Integer-table check of all bracket rows of a component table.
 
     Inside the group, [X, Y] is 0 when the pair commutes and 2XY when it
     anticommutes. So a commuting pair's row holds when it has no target,
     and an anticommuting pair's row holds when the table's row sign is
     +-1 (a real +-2 coefficient) and XY is +Z or -Z by that sign: both
-    are Cayley-row lookups. Rows of pairs that do neither (which valid
-    assignments never produce) fall back to matrices.
+    are Cayley-row lookups. A pair that does neither fails its row: every
+    component row is 0 or +-2 Z with Z in the group, and the finite group
+    is conjugate to a unitary one, where XY - YX = +-2Z (three unitaries)
+    forces XY = -YX.
     """
     cay = group.cayley()
     neg_row = cay[neg]
-    for x, y, sign, coeff, z in table.signed_rows:
+    for x, y, sign, _, z in table.signed_rows:
         ix, iy = roles[x], roles[y]
         ixy = cay[ix][iy]
         iyx = cay[iy][ix]
         if ixy == iyx:
             if z is not None:
                 return False
-            continue
-        if iyx == neg_row[ixy]:
-            if not sign or ixy != (roles[z] if sign > 0 else neg_row[roles[z]]):
-                return False
-            continue
-        got = commutator(group.elements[ix], group.elements[iy])
-        want_zero = z is None
-        if want_zero:
-            if not all(got[i, j].is_zero() for i in range(got.dim) for j in range(got.dim)):
-                return False
-        elif got != group.elements[roles[z]].scale(coeff):
+        elif iyx != neg_row[ixy] or not sign:
+            return False
+        elif ixy != (roles[z] if sign > 0 else neg_row[roles[z]]):
             return False
     return True
 
 
 # Work done by the component scan in this process: boost triples visited,
-# bracket-row checks (one per table and boost-square signature, plus one
-# per match) and triples tested for generating the whole group (by one
-# Cayley lookup, or a closure for a designated triple). Reports carry them
-# under `timings.counters`.
+# each tested for generating an order-16 group (by one Cayley lookup, or a
+# closure for a designated triple), and bracket-row checks (at most one per
+# table and generating triple). Reports carry them under
+# `timings.counters`.
 COMPONENT_COUNTERS: Counter[str] = Counter(
     dict.fromkeys(("component.triples", "component.row_checks", "component.closures"), 0)
 )
@@ -404,33 +399,46 @@ def _signature_triples(group: MatrixGroup, signs: Sequence[int]) -> Iterator[tup
                 yield s1, s2, s3
 
 
+def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, int]]:
+    """Each square signature's first boost triple, in increasing (s1, s2,
+    s3), that generates an order-16 subgroup; sorted into that scan order.
+
+    Each visited triple is tested by one Cayley lookup
+    (`_scanned_triple_generates`). The presentation group of a signature
+    (s_i^2 = eps_i, s_i s_j = -s_j s_i, -1 central of order two) has at
+    most 16 elements, so a triple that generates 16 generates it with
+    trivial kernel (von Dyck). Any two such triples of one signature are
+    then swapped by an isomorphism of their groups that fixes -1 and
+    carries the rotations r_k = e_k s_i s_j along, so a table's rows hold
+    on all of them or on none. A triple that generates fewer elements may
+    pass rows that no order-16 subgroup realizes on it (i times the Pauli
+    matrices, of order 8, pass table b in the Pauli group, which realizes
+    d and f), so it is never checked.
+    """
+    cay = group.cayley()
+    found = []
+    for signs in _SQUARE_SIGNATURES:
+        for boosts in _signature_triples(group, signs):
+            COMPONENT_COUNTERS["component.triples"] += 1
+            COMPONENT_COUNTERS["component.closures"] += 1
+            if _scanned_triple_generates(cay, boosts, neg):
+                found.append(boosts)
+                break
+    return sorted(found)
+
+
 def _component_scan(
     group: MatrixGroup, tables: Sequence[str], designated: Sequence[ExactMatrix] | None
 ) -> Iterator[ComponentMatch]:
-    """Each table's first boost triple, in scan order, realizing it on the group.
+    """Each table's first boost triple, in scan order, realizing it on an
+    order-16 subgroup of the group.
 
-    Matches are yielded in table order, and tables the group does not
-    realize are left out. The triples are the designated one, or else
-    every boost triple in increasing (s1, s2, s3): the scan order. They
-    are enumerated per square signature (`_signature_triples`), and
-    merged back into scan order per table.
-
-    The bracket rows depend only on the square signature (s1^2, s2^2,
-    s3^2): with s_i^2 = eps_i and r_k = e_k s_i s_j by the table's
-    `boost_signs`, every pair of roles commutes or anticommutes, and each
-    bracket is 0 or +-2 times the role with the remaining cyclic index,
-    with the sign fixed by (e, eps): e.g. [r1, s2] = -2 e1 eps2 s3. The
-    component tables name exactly those targets. So the rows are checked
-    once per (table, signature), on the signature's first triple. A
-    table's match is then the first triple of its admitted signatures
-    that generates the whole group (a triple like i times the rotations
-    satisfies the rows but generates only half of it), and its rows are
-    checked again on that triple. A scanned triple is tested by one
-    Cayley lookup (`_scanned_triple_generates`); a designated one, which
-    need not meet that test's premises, is closed.
+    Matches are yielded in table order, and tables no such subgroup
+    realizes are left out. The triples are the designated one, if it
+    generates the whole group (by closure: it need not meet the premises
+    of `_scanned_triple_generates`), or else `_generating_triples`; each
+    table's match is the first of them whose rows hold.
     """
-    if group.order != 16:
-        raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
     neg = group.minus_index()
     if neg is None:
         return
@@ -439,30 +447,19 @@ def _component_scan(
             raise ValueError("a designated boost triple needs exactly three matrices")
         if any(m not in group for m in designated):
             raise ValueError("designated boosts must belong to the group")
-        by_signature = [[tuple(group.index_of(m) for m in designated)]]
+        boosts = tuple(group.index_of(m) for m in designated)
+        COMPONENT_COUNTERS["component.triples"] += 1
+        COMPONENT_COUNTERS["component.closures"] += 1
+        triples = [boosts] if len(group.closure_indices(boosts)) == group.order else []
     else:
-        by_signature = [list(_signature_triples(group, signs)) for signs in _SQUARE_SIGNATURES]
-    COMPONENT_COUNTERS["component.triples"] += sum(map(len, by_signature))
-    cay = group.cayley()
+        triples = _generating_triples(group, neg)
     for table in map(BracketTable.load, tables):
         if not table.boosts:
             continue
         signs = table.boost_signs()
-        admitted = [
-            listed for listed in by_signature
-            if listed and _rotations_if_rows_hold(group, table, signs, listed[0], neg) is not None
-        ]
-        for boosts in heapq.merge(*admitted):
-            COMPONENT_COUNTERS["component.closures"] += 1
-            if (
-                _scanned_triple_generates(cay, boosts, neg) if designated is None
-                else len(group.closure_indices(boosts)) == group.order
-            ):
-                rotations = _rotations_if_rows_hold(group, table, signs, boosts, neg)
-                if rotations is None:
-                    raise RuntimeError(
-                        f"table {table.name!r}: rows differ between triples of one square signature"
-                    )
+        for boosts in triples:
+            rotations = _rotations_if_rows_hold(group, table, signs, boosts, neg)
+            if rotations is not None:
                 yield ComponentMatch(table.name, boosts, rotations)
                 break
 
@@ -473,48 +470,20 @@ def find_component_match(
     designated: Sequence[ExactMatrix] | None = None,
     tables: Sequence[str] = COMPONENT_TABLES,
 ) -> ComponentMatch | None:
-    """The first of the tables, in order, that the group realizes, with its
-    first boost triple in scan order (see `_component_scan`).
+    """The first of the tables, in order, that the order-16 group realizes,
+    with its first boost triple in scan order (see `_component_scan`).
 
     With three designated generators, only that triple is tried as boosts.
     """
+    if group.order != 16:
+        raise ValueError(f"component tables describe order-16 groups, got order {group.order}")
     return next(_component_scan(group, tables, designated), None)
-
-
-def admitted_components(group: MatrixGroup) -> frozenset[str]:
-    """Every component table the group realizes, from one scan."""
-    return frozenset(match.table for match in _component_scan(group, COMPONENT_TABLES, None))
 
 
 def component_composition(group: MatrixGroup) -> frozenset[str]:
     """Every component table that some order-16 subgroup of the group
-    realizes: the union of `admitted_components` over
-    `subgroups_of_order(16)`, from one scan of the group's own table.
+    realizes, from one scan of the group's own table (`_component_scan`).
 
-    A boost triple that passes `_scanned_triple_generates` generates an
-    order-16 subgroup, the three-generator presentation group with
-    trivial kernel (von Dyck), so any two such triples of one square
-    signature are swapped by an isomorphism of their groups, and a
-    table's rows hold on all of them or on none. Within one order-16
-    group the rows of a signature agree on every triple, generating or
-    not (`_component_scan`). So a table is in the composition exactly when
-    its rows hold on the first generating triple of some signature, and
-    each signature's rows are checked once, on that triple.
+    On an order-16 group, these are the tables it realizes.
     """
-    neg = group.minus_index()
-    if neg is None:
-        return frozenset()
-    cay = group.cayley()
-    tables = [(table, table.boost_signs()) for table in map(BracketTable.load, COMPONENT_TABLES)]
-    found: set[str] = set()
-    for signature in _SQUARE_SIGNATURES:
-        for boosts in _signature_triples(group, signature):
-            COMPONENT_COUNTERS["component.triples"] += 1
-            COMPONENT_COUNTERS["component.closures"] += 1
-            if _scanned_triple_generates(cay, boosts, neg):
-                found.update(
-                    table.name for table, signs in tables
-                    if _rotations_if_rows_hold(group, table, signs, boosts, neg) is not None
-                )
-                break
-    return frozenset(found)
+    return frozenset(match.table for match in _component_scan(group, COMPONENT_TABLES, None))

@@ -1,6 +1,7 @@
 """Bracket table and relation verification tests."""
 
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from gammagroups.brackets import (
     BracketTable,
     ComponentMatch,
     RelationSet,
-    admitted_components,
     commutator,
     component_composition,
     evaluate_word,
@@ -286,8 +286,8 @@ class TestClassification:
         scaled = [SX, SY.scale(IMAG), SZ.scale(IMAG)]
         assert find_component_match(group, designated=scaled).table == "f"
 
-    def test_admitted_components_pauli(self):
-        assert admitted_components(pauli_group()) == frozenset({"d", "f"})
+    def test_component_composition_pauli(self):
+        assert component_composition(pauli_group()) == frozenset({"d", "f"})
 
     def test_quaternion_double_admits_only_b(self):
         ri = parse_matrix("[[i,0],[0,-i]]")
@@ -296,7 +296,7 @@ class TestClassification:
         group = MatrixGroup.from_generators(mats)
         assert group.order == 16
         assert find_component_match(group).table == "b"
-        assert admitted_components(group) == frozenset({"b"})
+        assert component_composition(group) == frozenset({"b"})
 
     def test_dihedral_double_admits_only_c(self):
         r = parse_matrix("[[0,-1],[1,0]]")
@@ -306,7 +306,7 @@ class TestClassification:
         assert group.order == 16
         assert find_component_match(group).table == "c"
         assert find_component_match(group, designated=mats).table == "c"
-        assert admitted_components(group) == frozenset({"c"})
+        assert component_composition(group) == frozenset({"c"})
 
     def test_abelian_group_has_no_component(self):
         gens = [
@@ -316,15 +316,15 @@ class TestClassification:
         ]
         group = MatrixGroup.from_generators(gens)
         assert group.order == 16
-        assert admitted_components(group) == frozenset()
+        assert component_composition(group) == frozenset()
         assert find_component_match(group) is None
 
     def test_wrong_order_rejected(self):
         q8 = MatrixGroup.from_generators([A1, A2])
         with pytest.raises(ValueError, match="order-16"):
             find_component_match(q8)
-        with pytest.raises(ValueError, match="order-16"):
-            admitted_components(q8)
+        # Q8 has no order-16 subgroup to compose from.
+        assert component_composition(q8) == frozenset()
 
     def test_designated_validation(self):
         group = pauli_group()
@@ -397,6 +397,19 @@ def anticommuting_triples(group):
                 yield (s1, s2, s3)
 
 
+def scanned_triples(group):
+    """How many boost triples the scan visits (per square signature, those
+    up to and including its first generating one) and how many signatures
+    have a generating triple, both decided by closures."""
+    by_signature: dict[tuple[int, ...], list[bool]] = {}
+    for boosts in anticommuting_triples(group):
+        squares = tuple(group.mul(s, s) for s in boosts)
+        by_signature.setdefault(squares, []).append(len(group.closure_indices(boosts)) == 16)
+    seen = by_signature.values()
+    visited = sum(flags.index(True) + 1 if True in flags else len(flags) for flags in seen)
+    return visited, sum(True in flags for flags in seen)
+
+
 def boost_roles(group, table, signs, boosts, neg):
     """Rotation indices r_k = e_k s_i s_j and the label -> index map of a triple."""
     s1, s2, s3 = boosts
@@ -464,7 +477,7 @@ class TestSquareSignatureMemo:
                 assert find_component_match(group, tables=(name,)) == want[name]
             first = next((m for m in want.values() if m is not None), None)
             assert find_component_match(group) == first
-            assert admitted_components(group) == frozenset(
+            assert component_composition(group) == frozenset(
                 name for name, match in want.items() if match is not None
             )
 
@@ -508,29 +521,18 @@ class TestSquareSignatureMemo:
 
     @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
     def test_row_checks_stay_within_one_per_table_and_signature(self, source, sample):
-        # At most one row check per (table, square signature), plus one
-        # on each returned match; closures at most one per triple.
+        # The scan visits each signature's triples up to its first
+        # generating one, testing each once, and checks the rows at most
+        # once per (table, generating signature).
         counters = brackets.COMPONENT_COUNTERS
         for group in order16_groups(source, sample):
-            triples = list(anticommuting_triples(group))
-            signatures = {tuple(group.mul(s, s) for s in boosts) for boosts in triples}
-            for scan in (admitted_components, find_component_match):
+            visited, generated = scanned_triples(group)
+            for scan in (component_composition, find_component_match):
                 before = dict(counters)
-                result = scan(group)
-                matches = len(result) if isinstance(result, frozenset) else int(result is not None)
-                row_checks = counters["component.row_checks"] - before["component.row_checks"]
-                closures = counters["component.closures"] - before["component.closures"]
-                assert row_checks <= len(COMPONENT_TABLES) * len(signatures) + matches
-                assert closures <= len(triples)
-                assert counters["component.triples"] - before["component.triples"] == len(triples)
-
-    def test_scan_raises_when_a_match_fails_its_own_row_check(self, monkeypatch):
-        # The rows are read once per signature; a match whose own triple
-        # then failed them would break that premise, and the scan says so.
-        verdicts = iter([True, False])
-        monkeypatch.setattr(brackets, "_table_holds_on_indices", lambda *args: next(verdicts))
-        with pytest.raises(RuntimeError, match="rows differ"):
-            find_component_match(pauli_group(), designated=[SX, SY, SZ], tables=("d",))
+                scan(group)
+                done = {k: counters[k] - before[k] for k in before}
+                assert done["component.row_checks"] <= len(COMPONENT_TABLES) * generated
+                assert done["component.closures"] == done["component.triples"] == visited
 
     @pytest.mark.parametrize("source", ["pauli", "pauli_c2", "d4_v4"])
     def test_row_check_is_constant_per_square_signature(self, source):
@@ -599,6 +601,47 @@ class TestSquareSignatureMemo:
                     verdicts.add(holds)
         assert verdicts == {True, False}
 
+    def test_index_check_agrees_with_the_matrix_check_off_boost_triples(self, monkeypatch):
+        # D16 as signed 4x4 permutations contains -1, and arbitrary
+        # designated triples give role pairs that neither commute nor
+        # anticommute, whose rows the table check fails without matrices.
+        # A seeded sample of ordered triples, and of boost triples so that
+        # some pass, against verify_bracket_table and, as designated
+        # boosts, against the matrix check of a triple generating D16.
+        monkeypatch.setattr(brackets, "commutator", functools.cache(commutator))
+        monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
+        monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
+        r = parse_matrix("[[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]")
+        f = parse_matrix("[[1,0,0,0],[0,0,0,-1],[0,0,-1,0],[0,-1,0,0]]")
+        group = MatrixGroup.from_generators([r, f])
+        assert group.order == 16
+        neg = neg_index(group)
+        cay = group.cayley()
+        rng = random.Random("rows:d16")
+        triples = rng.sample(list(itertools.permutations(range(group.order), 3)), 96)
+        triples += rng.sample(list(anticommuting_triples(group)), 24)
+        verdicts, neither = set(), False
+        for name in COMPONENT_TABLES:
+            table = BracketTable.load(name)
+            signs = table.boost_signs()
+            for boosts in triples:
+                _, roles = boost_roles(group, table, signs, boosts, neg)
+                matrices = {label: group.elements[i] for label, i in roles.items()}
+                holds = _table_holds_on_indices(group, table, roles, neg)
+                assert holds == verify_bracket_table(table, matrices).passed, (name, boosts)
+                mats = [group.elements[i] for i in boosts]
+                whole = len(group.closure_indices(boosts)) == group.order
+                got = find_component_match(group, designated=mats, tables=(name,))
+                assert (got is not None) == (holds and whole), (name, boosts)
+                verdicts.add(holds)
+                products = [
+                    (cay[roles[x]][roles[y]], cay[roles[y]][roles[x]])
+                    for x, y, *_ in table.signed_rows
+                ]
+                neither |= any(yx not in (xy, cay[neg][xy]) for xy, yx in products)
+        assert verdicts == {True, False}
+        assert neither
+
     def test_row_signs_read_the_coefficients(self):
         for name in TABLE_NAMES:
             table = BracketTable.load(name)
@@ -617,7 +660,7 @@ def walked_composition(group):
     """The per-subgroup walk: the tables some order-16 subgroup admits."""
     found = set()
     for sub in group.subgroups_of_order(16):
-        found |= admitted_components(sub.as_group())
+        found |= component_composition(sub.as_group())
     return frozenset(found)
 
 
@@ -663,22 +706,19 @@ class TestComposition:
 
     def test_row_checks_are_one_per_table_and_generated_signature(self):
         # Every triple of the scan is tested for generating an order-16
-        # group, and each signature's rows are checked on its first
-        # generating triple alone.
+        # group, and the rows are checked only on each signature's first
+        # generating triple, at most once per table.
         counters = brackets.COMPONENT_COUNTERS
         for name in CATALOG_NAMES:
             group = catalog_group(name)
             neg = neg_index(group)
-            generated = {
-                tuple(group.mul(s, s) for s in boosts)
-                for boosts in anticommuting_triples(group)
-                if len(group.closure_indices(boosts)) == 16
-            }
+            visited, generated = scanned_triples(group)
             before = dict(counters)
-            component_composition(group)
+            found = component_composition(group)
             done = {k: counters[k] - before[k] for k in before}
-            assert done["component.row_checks"] == len(COMPONENT_TABLES) * len(generated), name
-            assert done["component.closures"] == done["component.triples"]
+            assert len(found) <= done["component.row_checks"], name
+            assert done["component.row_checks"] <= len(COMPONENT_TABLES) * generated, name
+            assert done["component.closures"] == done["component.triples"] == visited, name
             assert (neg is None) == (done["component.triples"] == 0), name
 
     def test_a_group_without_minus_one_has_no_composition(self):
