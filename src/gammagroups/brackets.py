@@ -8,7 +8,10 @@ searches a concrete order-16 group for a boost triple whose derived
 rotations satisfy one of the known tables. One scan takes each boost-square
 signature's first triple that generates an order-16 subgroup and checks
 the rows on those triples alone; it classifies an order-16 group and gives
-the component composition of a larger one.
+the component composition of a larger one. The triples come from
+`MatrixGroup.anticommuting_triples`, the enumerator the signature search
+uses too: one triple per sign class {s, -s} and per set of generators
+with equal squares.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import ExactMatrix, GaussianRational, format_matrix, parse_scalar
-from .groups import MatrixGroup, mask_indices
+from .groups import MatrixGroup
 
 TABLE_NAMES = ("d", "q2", "f", "b", "c")
 
@@ -107,11 +110,11 @@ class BracketTable:
             raise ValueError(
                 f"table {name!r} lists {len(self._entries)} pairs, expected {want}"
             )
-        # Each stored row as (x, y, sign, coeff, z): sign is +-1 for a real
-        # +-2 coefficient with a target and 0 otherwise, so that a row of an
+        # Each stored row as (x, y, sign, z): sign is +-1 for a real +-2
+        # coefficient with a target and 0 otherwise, so that a row of an
         # anticommuting pair is checked on the Cayley table alone.
         self.signed_rows = tuple(
-            (x, y, _row_sign(coeff, z), coeff, z) for (x, y), (coeff, z) in self._entries.items()
+            (x, y, _row_sign(coeff, z), z) for (x, y), (coeff, z) in self._entries.items()
         )
 
     @classmethod
@@ -322,7 +325,7 @@ def _table_holds_on_indices(
     """
     cay = group.cayley()
     neg_row = cay[neg]
-    for x, y, sign, _, z in table.signed_rows:
+    for x, y, sign, z in table.signed_rows:
         ix, iy = roles[x], roles[y]
         ixy = cay[ix][iy]
         iyx = cay[iy][ix]
@@ -337,12 +340,12 @@ def _table_holds_on_indices(
 
 
 # Work done by the component scan in this process: boost triples visited,
-# each tested for generating an order-16 group (by one Cayley lookup, or a
-# closure for a designated triple), and bracket-row checks (at most one per
-# table and generating triple). Reports carry them under
+# each tested once for generating an order-16 group (by one Cayley lookup,
+# or a closure for a designated triple), and bracket-row checks (at most
+# one per table and generating triple). Reports carry them under
 # `timings.counters`.
 COMPONENT_COUNTERS: Counter[str] = Counter(
-    dict.fromkeys(("component.triples", "component.row_checks", "component.closures"), 0)
+    dict.fromkeys(("component.triples", "component.row_checks"), 0)
 )
 
 
@@ -384,26 +387,17 @@ def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: 
 _SQUARE_SIGNATURES = tuple(itertools.product((1, -1), repeat=3))
 
 
-def _signature_triples(group: MatrixGroup, signs: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """The boost triples of one square signature, in increasing (s1, s2, s3).
-
-    A boost triple is an ordered triple of pairwise anticommuting
-    non-scalar elements whose squares are +1 or -1, here ``signs``.
-    """
-    squares = group.unit_square_masks()
-    anti = group.commutation_masks()[1]
-    e1, e2, e3 = signs
-    for s1 in mask_indices(squares[e1]):
-        for s2 in mask_indices(anti[s1] & squares[e2]):
-            for s3 in mask_indices(anti[s1] & anti[s2] & squares[e3]):
-                yield s1, s2, s3
-
-
 def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, int]]:
     """Each square signature's first boost triple, in increasing (s1, s2,
     s3), that generates an order-16 subgroup; sorted into that scan order.
 
-    Each visited triple is tested by one Cayley lookup
+    A boost triple is an ordered triple of pairwise anticommuting
+    non-scalar elements whose squares are +1 or -1. Only the canonical
+    ones are walked (`MatrixGroup.anticommuting_triples`), and the first
+    that generates is the full ordered scan's: negating a generator, or
+    swapping two with equal squares, keeps the squares, the
+    anticommutation and the group, and makes a non-canonical triple
+    smaller. Each visited triple is tested by one Cayley lookup
     (`_scanned_triple_generates`). The presentation group of a signature
     (s_i^2 = eps_i, s_i s_j = -s_j s_i, -1 central of order two) has at
     most 16 elements, so a triple that generates 16 generates it with
@@ -418,9 +412,8 @@ def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, in
     cay = group.cayley()
     found = []
     for signs in _SQUARE_SIGNATURES:
-        for boosts in _signature_triples(group, signs):
+        for boosts in group.anticommuting_triples(signs):
             COMPONENT_COUNTERS["component.triples"] += 1
-            COMPONENT_COUNTERS["component.closures"] += 1
             if _scanned_triple_generates(cay, boosts, neg):
                 found.append(boosts)
                 break
@@ -449,7 +442,6 @@ def _component_scan(
             raise ValueError("designated boosts must belong to the group")
         boosts = tuple(group.index_of(m) for m in designated)
         COMPONENT_COUNTERS["component.triples"] += 1
-        COMPONENT_COUNTERS["component.closures"] += 1
         triples = [boosts] if len(group.closure_indices(boosts)) == group.order else []
     else:
         triples = _generating_triples(group, neg)

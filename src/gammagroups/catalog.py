@@ -454,50 +454,6 @@ class ModelHit:
     identified: str | None
 
 
-@functools.cache
-def _sign_representatives(pool: MatrixGroup) -> int:
-    """Mask of one element of each pair {s, -s}: bit s is set when s is the
-    lower pool index of the two, read off the row of -1 in the Cayley table.
-
-    Raises ValueError for a group without -1, where the pairs do not exist.
-    """
-    neg = pool.minus_index()
-    if neg is None:
-        raise ValueError("sign representatives need -1 in the group")
-    row = pool.cayley()[neg]
-    return sum(1 << s for s in range(pool.order) if s <= row[s])
-
-
-def _triples(
-    pool: MatrixGroup, squares: tuple[int, int, int]
-) -> Iterable[tuple[int, int, int]]:
-    """Pairwise anticommuting triples of the pool, one representative per set.
-
-    Generators with equal squares are enumerated with increasing pool
-    index, which visits every unordered combination exactly once. Only the
-    lower index of each pair {s, -s} is taken (`_sign_representatives`).
-    This is exact: anticommuting s1, s2 give -1 = s1*s2*s1^-1*s2^-1, so
-    -s has the square, the commutation pattern and the generated group of
-    s, and a tuple of representatives, re-sorted within equal squares, is
-    elementwise no larger, so every subgroup keeps its first tuple.
-    """
-    anti = pool.commutation_masks()[1]
-    reps = _sign_representatives(pool)
-    masks = {sign: mask & reps for sign, mask in pool.unit_square_masks().items()}
-    for s1 in mask_indices(masks[squares[0]]):
-        second = anti[s1] & masks[squares[1]]
-        if squares[1] == squares[0]:
-            second &= -2 << s1  # only indices above s1
-        for s2 in mask_indices(second):
-            third = anti[s1] & anti[s2] & masks[squares[2]]
-            if squares[2] == squares[1]:
-                third &= -2 << s2
-            elif squares[2] == squares[0]:
-                third &= -2 << s1
-            for s3 in mask_indices(third):
-                yield s1, s2, s3
-
-
 def _words(cay: Sequence[Sequence[int]], gens: Sequence[int]) -> list[int]:
     """The 2^k words s1^b1 .. sk^bk of a generator tuple, as table indices.
 
@@ -522,9 +478,9 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
 class _TripleLevel:
     """The triples of one (pool, triple squares) and their subgroups, compact.
 
-    ``triples`` holds the triples of `_triples`, flat, three
-    entries each; ``masks`` the distinct member masks of <s1, s2, s3> in
-    order of first appearance; ``ids[k]`` the index in ``masks`` of the
+    ``triples`` holds the triples of `MatrixGroup.anticommuting_triples`,
+    flat, three entries each; ``masks`` the distinct member masks of
+    <s1, s2, s3> in order of first appearance; ``ids[k]`` the index in ``masks`` of the
     k-th triple's. Two bytes per entry keep the level small.
     """
 
@@ -547,7 +503,7 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
     minus_row = cay[pool.minus_index()]
     index: dict[int, int] = {}
     triples, ids = array("H"), array("H")
-    for triple in _triples(pool, squares):
+    for triple in pool.anticommuting_triples(squares):
         base = _signed_mask(_words(cay, triple), minus_row)
         triples.extend(triple)
         ids.append(index.setdefault(base, len(index)))
@@ -558,26 +514,12 @@ def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel
 # tuples matching a signature, distinct subgroups they generate, isomorphism
 # tests settled by the kernel mask of the signature's presentation or sent
 # on to the fingerprint-and-backtracking fallback, and the standalone
-# MatrixGroups built for new classes and for that fallback. Reports carry
-# them under `timings.counters`.
+# MatrixGroups built, one per kernel not met before. Reports carry them
+# under `timings.counters`.
 SEARCH_COUNTERS: Counter[str] = Counter(dict.fromkeys((
     "search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback",
     "search.groups_built",
 ), 0))
-
-
-@dataclass
-class _ModelClass:
-    """One isomorphism class met by a search, held on pool indices.
-
-    ``key`` is the member mask of the representative subgroup and
-    ``group`` the representative as a standalone MatrixGroup, built on
-    first need.
-    """
-
-    key: int
-    hit: ModelHit
-    group: MatrixGroup | None = None
 
 
 def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
@@ -640,11 +582,11 @@ def find_gamma_models(
     tuple had joins that tuple's class with no certificate; a kernel not
     met before falls back to fingerprint and backtracking on standalone
     groups against the classes of its order, and is kept for the tuples
-    that come after. So a subgroup gets a standalone group of its own
-    only for that fallback or when it starts a class, which
-    `identify_stable` needs. Each class reports the first generator tuple
-    that produced it. An empty list means the pool has no model for the
-    spec.
+    that come after. So a subgroup gets a standalone group of its own only
+    when its kernel is new: built once for that fallback and, when it
+    starts a class, kept as the class's group for `identify_stable` and
+    later fallbacks. Each class reports the first generator tuple that
+    produced it. An empty list means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -666,7 +608,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         triple_squares = spec.squares
         fourth_sign = spec.commuting_fourth
         fourth_masks = commute
-    candidates = pool.unit_square_masks()[fourth_sign] & _sign_representatives(pool)
+    candidates = pool.unit_square_masks()[fourth_sign] & pool.sign_representatives()
     neg = pool.minus_index()
     minus_row = cay[neg]
 
@@ -674,7 +616,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     level = _triple_level(pool_name, triple_squares)
     taken = [0] * len(level.masks)  # per triple subgroup: union of the groups <H, s4> taken
     seen_subgroups: set[int] = set()
-    classes: list[_ModelClass] = []
+    classes: list[tuple[MatrixGroup, ModelHit]] = []  # each with its standalone group
     kernels: set[int] = set()  # met so far: an equal mask means an isomorphic group
 
     it = iter(level.triples)
@@ -705,30 +647,22 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
                 counters["search.iso_hint"] += 1
                 continue
             kernels.add(kernel)
-            order = key.bit_count()
-            group = None  # this subgroup as a standalone group, on first need
-            for cls in classes:
-                if cls.hit.order != order:
-                    continue
-                counters["search.iso_fallback"] += 1
-                group = group or _standalone(pool, key)
-                cls.group = cls.group or _standalone(pool, cls.key)
-                if group.is_isomorphic(cls.group):
-                    break
+            group = _standalone(pool, key)
+            for other, hit in classes:
+                if hit.order == group.order:
+                    counters["search.iso_fallback"] += 1
+                    if group.is_isomorphic(other):
+                        break
             else:
-                identified = None
-                if order == 32:
-                    group = group or _standalone(pool, key)
-                    identified = identify_stable(group)
                 hit = ModelHit(
                     signature=str(spec),
                     pool=pool_name,
                     generator_indices=gens,
-                    order=order,
-                    identified=identified,
+                    order=group.order,
+                    identified=identify_stable(group) if group.order == 32 else None,
                 )
-                classes.append(_ModelClass(key, hit, group))
-    return tuple(cls.hit for cls in classes)
+                classes.append((group, hit))
+    return tuple(hit for _, hit in classes)
 
 
 def sweep_stable_models(pool_name: str = "penta8") -> dict[str, list[ModelHit]]:

@@ -12,9 +12,8 @@ identity.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from gammagroups.exact import ExactMatrix, GaussianRational
 
@@ -163,6 +162,7 @@ class MatrixGroup:
         self._fingerprint: tuple | None = None
         self._commutation: tuple[list[int], list[int]] | None = None
         self._unit_squares: dict[int, int] | None = None
+        self._sign_reps: int | None = None
 
     @classmethod
     def from_generators(
@@ -222,9 +222,6 @@ class MatrixGroup:
             k = self.element_order(a)
             histogram[k] = histogram.get(k, 0) + 1
         return histogram
-
-    def exponent(self) -> int:
-        return math.lcm(*(self.element_order(a) for a in range(self.order)))
 
     def center(self) -> tuple[int, ...]:
         if self._center is None:
@@ -299,6 +296,48 @@ class MatrixGroup:
                     masks[1 if cay[i][i] == 0 else -1] |= 1 << i
             self._unit_squares = masks
         return self._unit_squares
+
+    def sign_representatives(self) -> int:
+        """Mask of one element of each pair {s, -s}: bit s is set when s is the
+        lower index of the two, read off the row of -1 in the Cayley table.
+
+        Raises ValueError for a group without -1, where the pairs do not exist.
+        """
+        if self._sign_reps is None:
+            neg = self.minus_index()
+            if neg is None:
+                raise ValueError("sign representatives need -1 in the group")
+            row = self._cayley[neg]
+            self._sign_reps = sum(1 << s for s in range(self.order) if s <= row[s])
+        return self._sign_reps
+
+    def anticommuting_triples(self, squares: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+        """Pairwise anticommuting triples with these squares, one per set.
+
+        Generators with equal squares are enumerated with increasing index,
+        which visits every unordered combination exactly once, and only the
+        lower index of each pair {s, -s} is taken (`sign_representatives`).
+        This is exact: anticommuting s1, s2 give -1 = s1*s2*s1^-1*s2^-1, so
+        -s has the square, the commutation pattern and the generated group
+        of s, and a tuple of representatives, re-sorted within equal
+        squares, is elementwise no larger, so every subgroup keeps its
+        first tuple. Triples come in increasing (s1, s2, s3).
+        """
+        anti = self.commutation_masks()[1]
+        reps = self.sign_representatives()
+        masks = {sign: mask & reps for sign, mask in self.unit_square_masks().items()}
+        for s1 in mask_indices(masks[squares[0]]):
+            second = anti[s1] & masks[squares[1]]
+            if squares[1] == squares[0]:
+                second &= -2 << s1  # only indices above s1
+            for s2 in mask_indices(second):
+                third = anti[s1] & anti[s2] & masks[squares[2]]
+                if squares[2] == squares[1]:
+                    third &= -2 << s2
+                elif squares[2] == squares[0]:
+                    third &= -2 << s1
+                for s3 in mask_indices(third):
+                    yield s1, s2, s3
 
     def extend(
         self, members: Sequence[int], mask: int, gens: Sequence[int], s: int,
@@ -510,16 +549,14 @@ class MatrixGroup:
         return found
 
     def fingerprint(self) -> tuple:
-        """Cheap isomorphism invariants, used to reject mismatches early."""
+        """Cheap isomorphism invariants, used to reject mismatches early: the
+        order histogram, the class sizes and the abelian invariants, which fix
+        the order, exponent, center order and |[G, G]| = order / |G/[G, G]|."""
         if self._fingerprint is None:
             self._fingerprint = (
-                self.order,
                 tuple(sorted(self.order_histogram().items())),
                 tuple(len(cls) for cls in self.conjugacy_classes()),
-                len(self.center()),
-                self.derived_subgroup().order,
                 self.abelian_invariants(),
-                self.exponent(),
             )
         return self._fingerprint
 

@@ -191,7 +191,7 @@ class TestPools:
     @pytest.mark.parametrize("name", catalog.POOL_NAMES)
     def test_sign_representatives_hold_one_of_each_sign_pair(self, name):
         pool = pool_group(name)
-        reps = catalog._sign_representatives(pool)
+        reps = pool.sign_representatives()
         assert reps.bit_count() == pool.order // 2
         for s in range(pool.order):
             minus_s = pool.index_of(pool.matrix(s).scale(MINUS))
@@ -202,7 +202,7 @@ class TestPools:
         # <diag(1, -1)> = {1, diag(1, -1)} holds no -1, so no pair {s, -s}.
         group = MatrixGroup.from_generators([parse_matrix("[[1, 0], [0, -1]]")])
         with pytest.raises(ValueError, match="-1"):
-            catalog._sign_representatives(group)
+            group.sign_representatives()
 
 
 class TestSignatureSpec:
@@ -531,6 +531,7 @@ class TestCosetSearch:
         # Hits, first tuples, the subgroups in the order met, and every
         # counter: the sign classes {s, -s} leave all but the tuple count
         # as the search over both signs has them, and divide that by 2^4.
+        # The search builds one standalone group per kernel it meets first.
         counters = catalog.SEARCH_COUNTERS
         before = dict(counters)
         want, want_subgroups = reference_coset_search(text, pool_name)
@@ -542,6 +543,9 @@ class TestCosetSearch:
         assert hits == want  # first tuples included
         assert met_subgroups(pool_group(pool_name), kernel_masks) == want_subgroups
         assert 16 * done.pop("search.tuples") == want_done.pop("search.tuples")
+        new_kernels = len(kernel_masks) - done["search.iso_hint"]
+        assert done.pop("search.groups_built") == len({m for _, m in kernel_masks}) == new_kernels
+        del want_done["search.groups_built"]
         assert done == want_done
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
@@ -562,7 +566,7 @@ class TestCosetSearch:
         sweep_stable_models("penta8")
         assert catalog._triple_level.cache_info().misses == 4
         pool = pool_group("penta8")
-        reps = catalog._sign_representatives(pool)
+        reps = pool.sign_representatives()
         # (triples, distinct triple subgroups) per level: one triple per
         # sign class, 5,120 in all, against 40,960 over both signs
         sizes = {(1, 1, 1): (640, 640), (1, 1, -1): (1920, 660),
@@ -629,8 +633,9 @@ class TestCosetSearch:
         assert done["search.iso_hint"] + done["search.iso_fallback"] >= (
             done["search.subgroups"] - len(hits)
         )
-        # standalone groups only for new classes and each side of a fallback
-        assert done["search.groups_built"] <= len(hits) + 2 * done["search.iso_fallback"]
+        # one standalone group per new kernel: it starts a class or joins
+        # one by a fallback test
+        assert len(hits) <= done["search.groups_built"] <= len(hits) + done["search.iso_fallback"]
 
 
 class TestExtensions:

@@ -112,7 +112,7 @@ PROFILE_FILES = {
 }
 
 
-COMPONENT_COUNTER_KEYS = ["component.closures", "component.row_checks", "component.triples"]
+COMPONENT_COUNTER_KEYS = ["component.row_checks", "component.triples"]
 FORM_COUNTER_KEYS = ["form.elimination", "form.orbit"]
 ISO_COUNTER_KEYS = ["iso.calls", "iso.fingerprint_rejects", "iso.nodes"]
 PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
@@ -178,7 +178,7 @@ class TestAnalyze:
         # most 32 checks.
         scans = len(catalog.catalog_profile("pauli_c2").index_two["classes"])
         assert 0 < counters["component.row_checks"] <= 32 + 36 * scans
-        assert counters["component.triples"] >= counters["component.closures"] > 0
+        assert counters["component.triples"] > 0
         _, small, _ = run_json(capsys, "analyze", "q8")
         small_counters = small["timings"]["counters"]
         assert sorted(small_counters) == (
@@ -390,29 +390,28 @@ class TestVerify:
     def test_cold_verify_search_counters_are_pinned(self):
         # The search's work on both pools: a change here is a change in
         # enumeration, deduplication or isomorphism testing. Standalone
-        # groups are built only for new classes and the fallback. Tuples
-        # count one per sign class {s, -s} of each generator.
+        # groups are built once per kernel met first. Tuples count one per
+        # sign class {s, -s} of each generator.
         counters = run_cold("verify")["timings"]["counters"]
         assert {k: v for k, v in counters.items() if k.startswith("search.")} == {
             "search.tuples": 44400,
             "search.subgroups": 4328,
             "search.iso_hint": 4304,
             "search.iso_fallback": 5,
-            "search.groups_built": 23,
+            "search.groups_built": 24,
         }
 
     def test_cold_verify_component_counters_are_pinned(self):
         # The component scans of a cold verify: one scan of each order-16
         # to 32 catalog group's own table for composition, plus the
         # order-16 scans (components, extraction, index-two labels, roles).
-        # Every visited triple is tested for generating once. A change here
-        # is a change in which triples a scan visits or which rows it
-        # checks.
+        # Every visited triple, one per sign class and set of equal
+        # squares, is tested for generating once. A change here is a change
+        # in which triples a scan visits or which rows it checks.
         counters = run_cold("verify")["timings"]["counters"]
         assert {k: v for k, v in counters.items() if k.startswith("component.")} == {
-            "component.closures": 2388,
             "component.row_checks": 115,
-            "component.triples": 2388,
+            "component.triples": 202,
         }
 
     def test_component_counters_are_reported_under_timings(self, capsys):

@@ -1,6 +1,7 @@
 """Group engine tests against small groups with independent brute-force oracles."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -235,9 +236,20 @@ class TestCayleyStructure:
             assert (m ** k).is_identity()
             assert all(not (m ** j).is_identity() for j in range(1, k))
 
-    def test_exponent(self, pauli, q8):
-        assert pauli.exponent() == 4
-        assert q8.exponent() == 4
+    @pytest.mark.parametrize("name", ["pauli", "q8", "d4", "s3", "dirac"])
+    def test_fingerprint_fixes_the_dropped_invariants(self, name, request):
+        # The fingerprint keeps the order histogram, the class sizes and the
+        # abelian invariants. The order, the exponent (smallest e with
+        # every m^e = 1, on the matrices), the center order and |[G, G]|
+        # follow from them.
+        g = request.getfixturevalue(name)
+        histogram, class_sizes, invariants = g.fingerprint()
+        assert sum(count for _, count in histogram) == g.order
+        exponent = math.lcm(*(k for k, _ in histogram))
+        assert all((m ** exponent).is_identity() for m in g.elements)
+        assert not any(all((m ** e).is_identity() for m in g.elements) for e in range(1, exponent))
+        assert class_sizes.count(1) == len(brute_center(g))
+        assert g.order // math.prod(invariants) == len(brute_derived(g))
 
     def test_constructor_requires_identity_first(self, q8):
         shuffled = [q8.elements[1], q8.elements[0]] + list(q8.elements[2:])
