@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -474,44 +473,9 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class _TripleLevel:
-    """The triples of one (pool, triple squares) and their subgroups, compact.
-
-    ``triples`` holds the triples of `MatrixGroup.anticommuting_triples`,
-    flat, three entries each; ``masks`` the distinct member masks of
-    <s1, s2, s3> in order of first appearance; ``ids[k]`` the index in ``masks`` of the
-    k-th triple's. Two bytes per entry keep the level small.
-    """
-
-    triples: array
-    masks: tuple[int, ...]
-    ids: array
-
-
-@functools.cache
-def _triple_level(pool_name: str, squares: tuple[int, int, int]) -> _TripleLevel:
-    """The triple subgroups for every signature whose first three squares
-    are ``squares``; the 13 sweep signatures share four such levels.
-
-    Each triple's group is read off its 8 words (`_words`): a pairwise
-    anticommuting triple whose squares are +-1 generates exactly the
-    words and their negatives (`_signed_mask`).
-    """
-    pool = pool_group(pool_name)
-    cay = pool.cayley()
-    minus_row = cay[pool.minus_index()]
-    index: dict[int, int] = {}
-    triples, ids = array("H"), array("H")
-    for triple in pool.anticommuting_triples(squares):
-        base = _signed_mask(_words(cay, triple), minus_row)
-        triples.extend(triple)
-        ids.append(index.setdefault(base, len(index)))
-    return _TripleLevel(triples, tuple(index), ids)
-
-
-# Work done by uncached find_gamma_models calls in this process: generator
-# tuples matching a signature, distinct subgroups they generate, isomorphism
+# Work done by uncached find_gamma_models calls in this process, up to
+# each search's stop: generator tuples matching a signature over the
+# triples walked, distinct subgroups they generate, isomorphism
 # tests settled by the kernel mask of the signature's presentation or sent
 # on to the fingerprint-and-backtracking fallback, and the standalone
 # MatrixGroups built, one per kernel not met before. Reports carry them
@@ -548,6 +512,24 @@ def _kernel_mask(words: Sequence[int], neg: int) -> int:
     return mask
 
 
+def _admissible_kernels(spec: SignatureSpec) -> int:
+    """How many kernels (`_kernel_mask`) the tuples of a signature can have.
+
+    The kernel K of P -> <tuple> (see `find_gamma_models`) is normal in P
+    and avoids z = -1. Every commutator of P lies in <z>, so a g in K
+    outside the center would put some [g, x] = z in K: K is central. With
+    four anticommuting generators Z(P) = <z>, so K is trivial. With a
+    commuting fourth the search keeps s4 outside H = <s1, s2, s3>, so K
+    holds no word with s4 in it; that leaves K inside <z, w> for the
+    central w = s1 s2 s3, whose square is z s1^2 s2^2 s3^2. When the
+    triple's squares multiply to -1, w^2 = 1 and K is {1}, <w> or <z w>;
+    otherwise w^2 = z and K is trivial.
+    """
+    if spec.commuting_fourth is None:
+        return 1
+    return 3 if spec.squares.count(-1) % 2 else 1
+
+
 def find_gamma_models(
     spec: SignatureSpec | str, pool_name: str = "dirac4"
 ) -> list[ModelHit]:
@@ -561,16 +543,16 @@ def find_gamma_models(
     generates and -s gives the same group as s. The hits, their first
     tuples and the order the subgroups are met in stay those of the
     search over both signs.
-    Tuples are enumerated deterministically, and their groups are read
-    off the pool's Cayley table as words: the triples and their groups H
-    come from the level shared per (pool, triple squares)
-    (`_triple_level`). Each s4 commutes or anticommutes with every s_i and
-    squares to +-1, so it normalizes H and <H, s4> = H u H*s4, whose new
-    members are +- the 8 words that end in s4 (`_words`). A fourth
-    generator inside a right coset H*s4 already taken for the same H
-    gives the same group and is skipped. Groups are deduplicated first by
-    the generated subgroup and then by abstract isomorphism, keyed by the
-    kernel of the signature's presentation.
+    Tuples are enumerated deterministically, triple by triple
+    (`MatrixGroup.anticommuting_triples`), and their groups are read off
+    the pool's Cayley table as words (`_words`): a pairwise anticommuting
+    triple whose squares are +-1 generates exactly its 8 words and their
+    negatives (`_signed_mask`), its group H. Each s4 commutes or
+    anticommutes with every s_i and squares to +-1, so it normalizes H
+    and <H, s4> = H u H*s4, whose new members are +- the triple's words
+    times s4. Groups are deduplicated first by the generated subgroup and
+    then by abstract isomorphism, keyed by the kernel of the signature's
+    presentation.
     Every tuple obeys the relations of one group P: a central z with
     z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator z for
     anticommuting pairs, 1 for commuting ones. With z = -1 the tuple maps
@@ -585,8 +567,11 @@ def find_gamma_models(
     that come after. So a subgroup gets a standalone group of its own only
     when its kernel is new: built once for that fallback and, when it
     starts a class, kept as the class's group for `identify_stable` and
-    later fallbacks. Each class reports the first generator tuple that
-    produced it. An empty list means the pool has no model for the spec.
+    later fallbacks. A signature admits at most three kernels
+    (`_admissible_kernels`); once the search has met them all, no later
+    tuple can start a class, and the search ends there. Each class
+    reports the first generator tuple that produced it. An empty list
+    means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -613,15 +598,15 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     minus_row = cay[neg]
 
     counters = SEARCH_COUNTERS
-    level = _triple_level(pool_name, triple_squares)
-    taken = [0] * len(level.masks)  # per triple subgroup: union of the groups <H, s4> taken
+    admissible = _admissible_kernels(spec)
     seen_subgroups: set[int] = set()
     classes: list[tuple[MatrixGroup, ModelHit]] = []  # each with its standalone group
     kernels: set[int] = set()  # met so far: an equal mask means an isomorphic group
 
-    it = iter(level.triples)
-    for s1, s2, s3, h in zip(it, it, it, level.ids):
-        base = level.masks[h]
+    for triple in pool.anticommuting_triples(triple_squares):
+        s1, s2, s3 = triple
+        head = _words(cay, triple)
+        base = _signed_mask(head, minus_row)  # the triple's group H
         fourths = fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & candidates
         if spec.commuting_fourth is not None:
             # A commuting fourth already inside the triple's span adds
@@ -630,19 +615,14 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << s3
         counters["search.tuples"] += fourths.bit_count()
-        fresh = fourths & ~taken[h]
-        while fresh:
-            s4 = (fresh & -fresh).bit_length() - 1
-            gens = (s1, s2, s3, s4)
-            words = _words(cay, gens)
-            key = base | _signed_mask(words[8:], minus_row)  # H u H*s4
-            taken[h] |= key
-            fresh &= ~key  # the coset H*s4 holds s4 itself
+        for s4 in mask_indices(fourths):
+            tail = [cay[w][s4] for w in head]
+            key = base | _signed_mask(tail, minus_row)  # H u H*s4
             if key in seen_subgroups:
                 continue
             seen_subgroups.add(key)
             counters["search.subgroups"] += 1
-            kernel = _kernel_mask(words, neg)
+            kernel = _kernel_mask(head + tail, neg)
             if kernel in kernels:
                 counters["search.iso_hint"] += 1
                 continue
@@ -657,11 +637,13 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
                 hit = ModelHit(
                     signature=str(spec),
                     pool=pool_name,
-                    generator_indices=gens,
+                    generator_indices=(s1, s2, s3, s4),
                     order=group.order,
                     identified=identify_stable(group) if group.order == 32 else None,
                 )
                 classes.append((group, hit))
+            if len(kernels) == admissible:
+                return tuple(hit for _, hit in classes)
     return tuple(hit for _, hit in classes)
 
 

@@ -194,7 +194,7 @@ def _cmd_verify(args, started: float) -> tuple[dict, int]:
 
 def _cmd_subgroups(args, started: float) -> tuple[dict, int]:
     name, group, _ = _resolve_target(args.name, args.cap)
-    if args.order < 1 or group.order % args.order != 0:
+    if group.order % args.order != 0:
         raise UsageError(f"order {args.order} does not divide the group order {group.order}")
     rows = []
     for position, sub in enumerate(group.subgroups_of_order(args.order)):
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("subgroups", parents=[common],
                               help="enumerate subgroups of one order")
     sub.add_argument("name")
-    sub.add_argument("--order", type=int, required=True)
+    sub.add_argument("--order", type=_positive_int, required=True)
     sub.add_argument("--classify", action="store_true",
                      help="classify order-16 subgroups by bracket table")
 

@@ -1,7 +1,7 @@
 """Catalog data, profile validation, signature search, and extensions."""
 
+import itertools
 import json
-from array import array
 from dataclasses import dataclass
 
 import pytest
@@ -497,23 +497,93 @@ def reference_coset_search(text, pool_name):
 
 
 def clear_search_caches():
-    """Forget every search result and shared triple level, so a search runs cold."""
+    """Forget every search result, so a search runs cold."""
     catalog._gamma_models.cache_clear()
-    catalog._triple_level.cache_clear()
 
 
-def met_subgroups(pool, kernel_masks):
-    """The member masks of the new groups <H, s4> the search met, in
-    order, each closed from its tuple apart from the search
-    (`closure_indices`)."""
-    return [sum(1 << x for x in pool.closure_indices(gens)) for gens, _ in kernel_masks]
+def met_subgroups(pool, met):
+    """The member masks of the new groups <H, s4> met, in order, each
+    closed from its tuple apart from the search (`closure_indices`)."""
+    return [sum(1 << x for x in pool.closure_indices(gens)) for gens, _ in met]
 
 
-# The triple squares of the 13 sweep signatures, one shared level each.
+def triple_groups(pool, triples):
+    """The member masks of the triples' groups as the search reads them:
+    the 8 words and their negatives."""
+    cay = pool.cayley()
+    minus_row = cay[pool.minus_index()]
+    return [catalog._signed_mask(catalog._words(cay, t), minus_row) for t in triples]
+
+
+# The triple squares of the 13 sweep signatures.
 TRIPLE_SQUARES = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1))
 
 # Signatures whose sign order differs from the canonical sweep's.
 NONCANONICAL_SIGNATURES = ("-+-+", "+-+-", "-++-", "--++", "+-+|-", "-+-|+", "-++|-")
+
+FOUR_GENERATOR_SIGNATURES = tuple(
+    "".join(signs) for signs in itertools.product("+-", repeat=4)
+) + tuple(f"{''.join(signs[:3])}|{signs[3]}" for signs in itertools.product("+-", repeat=4))
+
+
+def presentation_group(spec):
+    """Product of the normal forms z^a s1^b1 .. s4^b4 of P, coded as
+    a << 4 | b with b_i the bit i - 1 of b, under the spec's relations."""
+    squares = spec.squares
+    anticommuting = {(i, j) for j in range(4) for i in range(j)}
+    if spec.commuting_fourth is not None:
+        squares += (spec.commuting_fourth,)
+        anticommuting -= {(0, 3), (1, 3), (2, 3)}
+
+    def mul(x, y):
+        a, b, c = (x >> 4) ^ (y >> 4), x & 15, y & 15
+        for i in range(4):
+            if b >> i & c >> i & 1 and squares[i] < 0:
+                a ^= 1  # s_i^2 = z
+            for j in range(i):
+                # s_j of the right factor passes s_i of the left one
+                if b >> i & c >> j & 1 and (j, i) in anticommuting:
+                    a ^= 1
+        return a << 4 | b ^ c
+
+    return mul
+
+
+def brute_force_kernels(spec):
+    """The subgroups of P that are normal, avoid z and, with a commuting
+    fourth, hold no word in s4: every subgroup is grown from {1} one
+    element at a time."""
+    mul = presentation_group(spec)
+    table = [[mul(x, y) for y in range(32)] for x in range(32)]
+    inverse = [row.index(0) for row in table]
+
+    def grown(gens):
+        members, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = table[x][g]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        return frozenset(members)
+
+    subgroups, frontier = {frozenset({0}): ()}, [frozenset({0})]
+    while frontier:
+        sub = frontier.pop()
+        for x in range(32):
+            if x not in sub:
+                bigger = grown((*subgroups[sub], x))
+                if bigger not in subgroups:
+                    subgroups[bigger] = (*subgroups[sub], x)
+                    frontier.append(bigger)
+    z = 1 << 4
+    return [
+        sub for sub in subgroups
+        if z not in sub
+        and all(table[table[g][k]][inverse[g]] in sub for g in range(32) for k in sub)
+        and (spec.commuting_fourth is None or not any(k >> 3 & 1 for k in sub))
+    ]
 
 
 class TestCosetSearch:
@@ -527,91 +597,100 @@ class TestCosetSearch:
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES + NONCANONICAL_SIGNATURES)
-    def test_shared_levels_match_the_per_signature_reference(self, text, pool_name, kernel_masks):
-        # Hits, first tuples, the subgroups in the order met, and every
-        # counter: the sign classes {s, -s} leave all but the tuple count
-        # as the search over both signs has them, and divide that by 2^4.
-        # The search builds one standalone group per kernel it meets first.
+    def test_search_matches_the_per_signature_reference(
+        self, text, pool_name, kernel_masks, kernel_walk
+    ):
+        # Hits and first tuples as the reference has them. The walk with no
+        # stop meets the reference's subgroups in its order, and the search
+        # meets a prefix of the walk: all of it, or up to the tuple whose
+        # kernel is the last the signature admits. The search builds one
+        # standalone group per kernel it meets first.
         counters = catalog.SEARCH_COUNTERS
-        before = dict(counters)
+        pool = pool_group(pool_name)
         want, want_subgroups = reference_coset_search(text, pool_name)
-        want_done = {k: counters[k] - before[k] for k in before}
         clear_search_caches()
         before = dict(counters)
         hits = find_gamma_models(text, pool_name)
         done = {k: counters[k] - before[k] for k in before}
         assert hits == want  # first tuples included
-        assert met_subgroups(pool_group(pool_name), kernel_masks) == want_subgroups
-        assert 16 * done.pop("search.tuples") == want_done.pop("search.tuples")
+        walk = kernel_walk(text, pool_name)
+        assert met_subgroups(pool, walk) == want_subgroups
+        assert tuple(kernel_masks) == walk[:len(kernel_masks)]
+        kernels = {m for _, m in kernel_masks}
+        admissible = catalog._admissible_kernels(SignatureSpec.parse(text))
+        assert len(kernels) <= admissible
+        if len(kernel_masks) < len(walk):  # stopped at its last admissible kernel
+            assert len(kernels) == admissible
+            assert kernel_masks[-1][1] not in {m for _, m in kernel_masks[:-1]}
+        assert done["search.subgroups"] == len(kernel_masks)
         new_kernels = len(kernel_masks) - done["search.iso_hint"]
-        assert done.pop("search.groups_built") == len({m for _, m in kernel_masks}) == new_kernels
-        del want_done["search.groups_built"]
-        assert done == want_done
+        assert done["search.groups_built"] == len(kernels) == new_kernels
+
+    @pytest.mark.parametrize("text", FOUR_GENERATOR_SIGNATURES)
+    def test_admissible_kernels_match_a_brute_force_count(self, text):
+        spec = SignatureSpec.parse(text)
+        kernels = brute_force_kernels(spec)
+        assert catalog._admissible_kernels(spec) == len(kernels)
+        assert frozenset({0}) in kernels
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
-    def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, kernel_masks):
+    def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, kernel_walk):
         # The premise of taking one of each {s, -s}: -1 lies in every group
-        # the search builds, the triple groups and every <H, s4>.
+        # the search builds, the triple groups and every <H, s4>, all
+        # closed from their generators.
         pool = pool_group(pool_name)
         minus = pool.index_of(pool.matrix(0).scale(MINUS))
-        sweep_stable_models(pool_name)
-        subgroups = met_subgroups(pool, kernel_masks)
-        levels = [catalog._triple_level(pool_name, sq) for sq in TRIPLE_SQUARES]
-        met = subgroups + [key for level in levels for key in level.masks]
+        subgroups = [
+            key for text in SWEEP_SIGNATURES for key in met_subgroups(pool, kernel_walk(text, pool_name))
+        ]
+        triples = {t for sq in TRIPLE_SQUARES for t in pool.anticommuting_triples(sq)}
         assert len(subgroups) > 0
-        assert all(key >> minus & 1 for key in met)
+        assert all(key >> minus & 1 for key in subgroups)
+        assert all(minus in pool.closure_indices(t) for t in triples)
 
-    def test_a_cold_sweep_builds_one_level_per_triple_square_pattern(self):
-        clear_search_caches()
-        sweep_stable_models("penta8")
-        assert catalog._triple_level.cache_info().misses == 4
+    def test_the_triple_enumerator_takes_one_triple_per_sign_class(self):
         pool = pool_group("penta8")
         reps = pool.sign_representatives()
-        # (triples, distinct triple subgroups) per level: one triple per
-        # sign class, 5,120 in all, against 40,960 over both signs
+        # (triples, distinct triple groups) per triple-square pattern: one
+        # triple per sign class, 5,120 in all, against 40,960 over both signs
         sizes = {(1, 1, 1): (640, 640), (1, 1, -1): (1920, 660),
                  (1, -1, -1): (1920, 640), (-1, -1, -1): (640, 220)}
+        total = 0
         for squares in TRIPLE_SQUARES:
-            level = catalog._triple_level("penta8", squares)
-            assert isinstance(level.ids, array) and isinstance(level.triples, array)
-            assert (len(level.ids), len(level.masks)) == sizes[squares]
-            assert all(reps >> s & 1 for s in level.triples)
-            want = [t for t in reference_triples(pool, squares) if all(reps >> s & 1 for s in t)]
-            assert list(level.triples) == [s for t in want for s in t]
-            assert len(level.ids) * 3 == len(level.triples)
-            assert set(level.ids) == set(range(len(level.masks)))
-            assert len(set(level.masks)) == len(level.masks)
-        assert sum(len(catalog._triple_level("penta8", sq).ids) for sq in TRIPLE_SQUARES) == 5120
-        assert catalog._triple_level.cache_info().misses == 4
+            triples = list(pool.anticommuting_triples(squares))
+            both_signs = list(reference_triples(pool, squares))
+            assert triples == [t for t in both_signs if all(reps >> s & 1 for s in t)]
+            assert len(both_signs) == 8 * len(triples)
+            assert (len(triples), len(set(triple_groups(pool, triples)))) == sizes[squares]
+            total += len(triples)
+        assert total == 5120
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     @pytest.mark.parametrize("squares", TRIPLE_SQUARES)
-    def test_level_masks_are_the_closures_of_their_triples(self, squares, pool_name):
-        # The level reads each triple's group off its 8 words and their
+    def test_triple_word_masks_are_the_closures_of_their_triples(self, squares, pool_name):
+        # The search reads each triple's group off its 8 words and their
         # negatives; the reference closes the triple by `closure_indices`.
-        clear_search_caches()
         pool = pool_group(pool_name)
-        level = catalog._triple_level(pool_name, squares)
-        it = iter(level.triples)
-        for triple, h in zip(zip(it, it, it), level.ids):
-            assert level.masks[h] == sum(1 << x for x in pool.closure_indices(triple)), triple
-        assert len(level.ids) > 0
+        triples = list(pool.anticommuting_triples(squares))
+        for triple, key in zip(triples, triple_groups(pool, triples)):
+            assert key == sum(1 << x for x in pool.closure_indices(triple)), triple
+        assert len(triples) > 0
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
-    def test_equal_kernel_masks_are_exactly_the_certified_maps(self, pool_name, kernel_masks):
+    def test_equal_kernel_masks_are_exactly_the_certified_maps(self, pool_name, kernel_walk):
         # Over every sweep signature, two tuples of one signature have equal
         # kernel masks exactly when s_i -> s_i' certifies on the pool table.
-        # Each tuple is certified onto the first tuple with its mask, and
-        # the first tuples of distinct masks onto none of each other; maps
-        # compose and invert, so that settles every pair. A kernel of k
-        # normal forms leaves a group of order 32 / k.
+        # Each tuple of the walk with no stop is certified onto the first
+        # tuple with its mask, and the first tuples of distinct masks onto
+        # none of each other; maps compose and invert, so that settles
+        # every pair. A kernel of k normal forms leaves a group of order
+        # 32 / k.
         pool = pool_group(pool_name)
         cay = pool.cayley()
         for text in SWEEP_SIGNATURES:
-            kernel_masks.clear()
-            find_gamma_models(text, pool_name)
+            walk = kernel_walk(text, pool_name)
             firsts = {}
-            for gens, mask in kernel_masks:
+            for gens, mask in walk:
                 order = len(pool.closure_indices(gens))
                 assert order * mask.bit_count() == 32, (text, gens)
                 first = firsts.setdefault(mask, gens)
@@ -621,7 +700,7 @@ class TestCosetSearch:
                 for other_mask, other in firsts.items():
                     if other_mask != mask:
                         assert certified_map(cay, cay, gens, other, order) is None, (text, gens)
-            assert len(firsts) < len(kernel_masks)
+            assert len(firsts) < len(walk)
 
     def test_counters_add_up(self):
         clear_search_caches()

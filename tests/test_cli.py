@@ -373,7 +373,6 @@ class TestVerify:
 
     def test_search_counters_are_reported_under_timings(self, capsys):
         catalog._gamma_models.cache_clear()
-        catalog._triple_level.cache_clear()
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (
@@ -389,14 +388,15 @@ class TestVerify:
 
     def test_cold_verify_search_counters_are_pinned(self):
         # The search's work on both pools: a change here is a change in
-        # enumeration, deduplication or isomorphism testing. Standalone
+        # enumeration, deduplication, isomorphism testing or where the
+        # search stops. Standalone
         # groups are built once per kernel met first. Tuples count one per
         # sign class {s, -s} of each generator.
         counters = run_cold("verify")["timings"]["counters"]
         assert {k: v for k, v in counters.items() if k.startswith("search.")} == {
-            "search.tuples": 44400,
-            "search.subgroups": 4328,
-            "search.iso_hint": 4304,
+            "search.tuples": 2130,
+            "search.subgroups": 569,
+            "search.iso_hint": 545,
             "search.iso_fallback": 5,
             "search.groups_built": 24,
         }
@@ -450,6 +450,15 @@ class TestSubgroups:
         code, _, err = run(capsys, "subgroups", "q8", "--order", "3")
         assert code == 2
         assert "divide" in err
+
+    @pytest.mark.parametrize("order", ["0", "-4"])
+    def test_nonpositive_order_is_a_parser_error(self, capsys, order):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["subgroups", "pauli", "--order", order])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert f"argument --order: must be at least 1, got {order}" in err
+        assert "divide" not in err and "Traceback" not in err
 
 
 class TestBrackets:

@@ -832,11 +832,12 @@ class TestIsomorphism:
     @pytest.mark.parametrize("pool", ["dirac4", "penta8"])
     @pytest.mark.parametrize("signature", ["+++-", "+++|+", "++-|-"])
     def test_hinted_search_maps_pass_the_full_table_check(
-        self, signature, pool, monkeypatch, kernel_masks
+        self, signature, pool, monkeypatch, kernel_masks, kernel_walk
     ):
-        # Every tuple the kernel mask settles maps onto the first tuple
-        # met with that mask by a certified map on the pool table that
-        # respects all n^2 products; every fallback map does too.
+        # Every tuple the kernel mask settles, over the walk with no stop,
+        # maps onto the first tuple met with that mask by a certified map
+        # on the pool table that respects all n^2 products; every fallback
+        # map of a cold search does too.
         ambient = catalog.pool_group(pool)
         cay = ambient.cayley()
         searched = MatrixGroup.isomorphism_map
@@ -848,7 +849,7 @@ class TestIsomorphism:
 
         monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
         catalog.find_gamma_models(signature, pool)
-        settled = settled_by_kernel(kernel_masks)
+        settled = settled_by_kernel(kernel_walk(signature, pool))
         assert settled
         for gens, images in settled:
             phi = certified_map(cay, cay, gens, images, len(ambient.closure_indices(gens)))
@@ -862,13 +863,14 @@ class TestIsomorphism:
         + [(text, "penta8") for text in ("+++-", "+++|+", "++-|-")],
     )
     def test_pool_certificates_agree_with_the_standalone_reference(
-        self, signature, pool, kernel_masks
+        self, signature, pool, kernel_masks, kernel_walk
     ):
-        # Each tuple the kernel mask settles certifies onto the first tuple
-        # met with that mask on the pool table, and again on the two
-        # as_group tables, whose element order is the sorted member list.
-        # A tuple with a new mask certifies onto no earlier mask's first
-        # tuple, on either table. Settled tuples are the search's iso_hint.
+        # Over the walk with no stop, each tuple the kernel mask settles
+        # certifies onto the first tuple met with that mask on the pool
+        # table, and again on the two as_group tables, whose element order
+        # is the sorted member list. A tuple with a new mask certifies onto
+        # no earlier mask's first tuple, on either table. The tuples of the
+        # search's prefix of the walk that are settled are its iso_hint.
         ambient = catalog.pool_group(pool)
         cay = ambient.cayley()
         standalone = {}
@@ -894,15 +896,16 @@ class TestIsomorphism:
         before = dict(catalog.SEARCH_COUNTERS)
         catalog.find_gamma_models(signature, pool)
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
-        settled = settled_by_kernel(kernel_masks)
-        for gens, images in settled:
+        walk = kernel_walk(signature, pool)
+        for gens, images in settled_by_kernel(walk):
             assert both_certificates(gens, images) is not None
         firsts = {}
-        for gens, mask in kernel_masks:
+        for gens, mask in walk:
             if mask not in firsts:
                 assert all(both_certificates(gens, first) is None for first in firsts.values())
                 firsts[mask] = gens
-        assert len(settled) == done["search.iso_hint"]
+        assert tuple(kernel_masks) == walk[:len(kernel_masks)]
+        assert len(settled_by_kernel(kernel_masks)) == done["search.iso_hint"]
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
     def test_backtracking_matches_the_size_pruned_reference(self, name, monkeypatch):
