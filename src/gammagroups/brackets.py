@@ -21,9 +21,8 @@ import itertools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup
@@ -36,8 +35,7 @@ COMPONENT_TABLES = ("d", "f", "b", "c")
 _TWO = GaussianRational(2, 0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     passed: bool
     detail: str = ""
@@ -46,10 +44,9 @@ class CheckResult:
         return {"id": self.check_id, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -263,7 +260,7 @@ def verify_bracket_table(
     missing = [lab for lab in table.labels if lab not in assignment]
     if missing:
         raise ValueError(f"assignment misses labels {missing} of table {table.name!r}")
-    report = VerificationReport(f"bracket-table-{table.name}")
+    report = VerificationReport(f"bracket-table-{table.name}", [])
     dim = assignment[table.labels[0]].dim
     zero = ExactMatrix.identity(dim).scale(GaussianRational(0, 0))
     for x, y, coeff, z in table.pairs():
@@ -280,7 +277,7 @@ def verify_bracket_table(
 def verify_relations(
     relations: RelationSet, assignment: Mapping[str, ExactMatrix]
 ) -> VerificationReport:
-    report = VerificationReport(f"relations-{relations.name}")
+    report = VerificationReport(f"relations-{relations.name}", [])
     for rel_id, lhs, rhs in relations.relations:
         left = evaluate_word(lhs, assignment)
         right = evaluate_word(rhs, assignment, dim=left.dim)
@@ -292,8 +289,7 @@ def verify_relations(
     return report
 
 
-@dataclass(frozen=True)
-class ComponentMatch:
+class ComponentMatch(NamedTuple):
     """A successful table fit: which table, and who plays which role."""
 
     table: str

@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import (
     BracketTable,
@@ -71,8 +70,7 @@ _PHASES = (
 )
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     dimension: int
     generators: list[ExactMatrix]
@@ -184,7 +182,10 @@ def catalog_group(name: str) -> MatrixGroup:
 def load_generator_file(path: str, *, cap: int = DEFAULT_CAP) -> tuple[str, MatrixGroup]:
     """Read an external {"name", "dimension", "generators"} JSON file."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nesting too deep") from None
     if not isinstance(payload, dict):
         raise ValueError("generator file must hold a JSON object")
     for key in ("name", "dimension", "generators"):
@@ -381,8 +382,7 @@ def pool_group(name: str) -> MatrixGroup:
     return MatrixGroup.from_generators(gens + [scalar_i])
 
 
-@dataclass(frozen=True)
-class SignatureSpec:
+class SignatureSpec(NamedTuple):
     """Square pattern for a generator tuple.
 
     Text form: one +/- per generator; all generators pairwise anticommute.
@@ -442,8 +442,7 @@ SWEEP_SIGNATURES = (
 )
 
 
-@dataclass(frozen=True)
-class ModelHit:
+class ModelHit(NamedTuple):
     """One isomorphism class found for a signature in a pool."""
 
     signature: str
@@ -664,14 +663,13 @@ def sweep_stable_models(pool_name: str = "penta8") -> dict[str, list[ModelHit]]:
 # Extensions by a fifth anticommuting generator
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     base: str
     square: int
     found: bool
     reason: str = ""
     phase: str = ""
-    generators: list[ExactMatrix] = field(default_factory=list)
+    generators: Sequence[ExactMatrix] = ()
     order: int = 0
     identified: str | None = None
     report: VerificationReport | None = None

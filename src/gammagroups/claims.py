@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .brackets import (
@@ -40,16 +39,14 @@ class UnknownClaimFilter(Exception):
     """Raised when a claim filter matches nothing in the registry."""
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     description: str
     expected: object
     compute: Callable[[], object]
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     description: str
     expected: object
@@ -57,7 +54,7 @@ class ClaimResult:
     status: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _report_verdict(report) -> str:

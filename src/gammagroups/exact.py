@@ -601,6 +601,8 @@ def _rows_from_json(text: str) -> list | None:
         doc = json.loads(text)
     except json.JSONDecodeError:
         return None
+    except RecursionError:
+        raise ParseError("JSON nesting too deep") from None
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise ParseError("matrix text must be a list of rows")
     return doc

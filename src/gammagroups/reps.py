@@ -16,9 +16,8 @@ elimination over the Gaussian rationals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational, format_scalar
 from .groups import MatrixGroup
@@ -483,8 +482,7 @@ def format_cyc8(value: Cyc8) -> str:
     return f"{real_str}{'' if imag_str.startswith('-') else '+'}{imag_str}"
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """Eigenvalue weights of one group element g: the spectrum of (i/2) g."""
 
     order: int

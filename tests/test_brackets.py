@@ -271,6 +271,14 @@ class TestRelations:
         assert not report.passed
         assert any("third-rotation-is-product" in c.check_id for c in report.failures())
 
+    def test_reports_do_not_share_their_check_lists(self):
+        relations = RelationSet.load("quaternion")
+        assignment = {"a1": A1, "a2": A2, "a3": A3}
+        first = verify_relations(relations, assignment)
+        second = verify_relations(relations, assignment)
+        assert first.checks is not second.checks
+        assert first.checks == second.checks
+
     def test_label_outside_set_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             RelationSet("bad", ["x"], [("r", "x y", "1")])

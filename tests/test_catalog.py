@@ -739,6 +739,11 @@ class TestExtensions:
         assert not result.found
         assert "no phase" in result.reason
 
+    def test_base_without_four_generators_has_no_generators(self):
+        result = enumerate_extensions("pauli", 1)
+        assert not result.found
+        assert result.generators == ()
+
     def test_extension_sweep_collapses_to_three_classes(self):
         results = sweep_extensions()
         assert len(results) == 10

@@ -86,6 +86,16 @@ class TestRunClaims:
         assert result.status == "FAIL"
         assert str(result.computed).startswith("error:")
 
+    def test_result_dicts_hold_the_five_fields(self):
+        for result in run_claims():
+            assert result.to_dict() == {
+                "claim_id": result.claim_id,
+                "description": result.description,
+                "expected": result.expected,
+                "computed": result.computed,
+                "status": result.status,
+            }
+
     def test_result_dict_shape(self):
         (result,) = run_claims("pauli.order")
         doc = result.to_dict()

@@ -569,6 +569,43 @@ class TestArgumentErrors:
             f"error: {str(tmp_path)!r} is neither a catalog entry nor a readable file\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("brackets", "--table", "d"),
+        ("subgroups", "--order", "2"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        json.dumps({"name": "deep", "dimension": 2, "generators": ["[" * 50_000 + "]" * 50_000]}),
+    ], ids=["file", "generator"])
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        command, *options = argv
+        code, out, err = run(capsys, command, str(path), *options)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot load generator file {str(path)!r}: JSON nesting too deep\n"
+
+
+def test_no_command_imports_dataclasses():
+    # -S keeps site-packages hooks out, so only the package's own imports count.
+    script = (
+        "import contextlib, io, sys\n"
+        "from gammagroups.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in (['catalog', 'list'], ['analyze', 'q8'],\n"
+        "                                     ['verify', '--format', 'json'])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'dataclasses' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+
 
 PHASES = ("1", "-1", "i", "-i")
 
