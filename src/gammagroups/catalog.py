@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
 from functools import cached_property
 from importlib import resources
@@ -473,15 +474,11 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
 
 
 # Work done by uncached find_gamma_models calls in this process, up to
-# each search's stop: generator tuples matching a signature over the
-# triples walked, distinct subgroups they generate, isomorphism
-# tests settled by the kernel mask of the signature's presentation or sent
-# on to the fingerprint-and-backtracking fallback, and the standalone
-# MatrixGroups built, one per kernel not met before. Reports carry them
+# each search's stop: the fourths visited, one per triple walked, and the
+# standalone MatrixGroups built to name order-32 hits. Reports carry them
 # under `timings.counters`.
 SEARCH_COUNTERS: Counter[str] = Counter(dict.fromkeys((
-    "search.tuples", "search.subgroups", "search.iso_hint", "search.iso_fallback",
-    "search.groups_built",
+    "search.tuples", "search.groups_built",
 ), 0))
 
 
@@ -495,38 +492,54 @@ def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
     return Subgroup(pool, frozenset(mask_indices(key))).as_group()
 
 
-def _kernel_mask(words: Sequence[int], neg: int) -> int:
-    """The normal forms a generator tuple sends to 1, as a 32-bit mask.
+def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
+    """The orders a group generated by the spec's tuples can have in a pool
+    of this dimension, read off the presentation P (see `find_gamma_models`).
 
-    ``words`` are the tuple's 16 words (`_words`); bit j is set when word
-    j is 1 and bit 16 + j when it is -1 (index ``neg``), that is when -1
-    times the word is 1.
+    P's 32 normal forms z^a s1^b1..s4^b4 are coded a << 4 | b, with b_i
+    the bit i - 1 of b. A tuple's group is P/K for a kernel K that is
+    normal in P and avoids z = -1. Every commutator of P lies in <z>, so a
+    g in K outside the center would put some [g, x] = z in K: K is
+    central. With a commuting fourth the search keeps s4 outside
+    H = <s1, s2, s3>, so K holds no word with s4 in it; that leaves K
+    inside <z, w> for w = s1 s2 s3 (with four anticommuting generators
+    Z(P) = <z>), so K is {1} or <c> for a central involution c other than
+    z, and Q = P/K has order 32/|K|.
+    The pool sends z to -1, so Q acts faithfully on the pool's space as a
+    sum of irreducibles chi with chi(z) = -chi(1). For g outside Z(Q) some
+    [g, x] is z, so chi(g) = -chi(g) = 0 and chi has degree
+    sqrt|Q : Z(Q)|. Their central characters must have kernels that meet
+    trivially, so at least rank Omega_1(Z(Q)) of them are needed (Isaacs,
+    Character Theory of Finite Groups, ch. 2). An order whose every Q needs
+    more than the pool's dimension cannot occur.
     """
-    mask = 0
-    for j, w in enumerate(words):
-        if w == 0:
-            mask |= 1 << j
-        elif w == neg:
-            mask |= 1 << 16 + j
-    return mask
+    squares = spec.squares if spec.commuting_fourth is None else (
+        *spec.squares, spec.commuting_fourth)
+    minus = sum(1 << i for i, s in enumerate(squares) if s < 0)
+    # The s_i, i > j, that s_j anticommutes with.
+    passing = [sum(1 << i for i in range(j + 1, 4) if spec.commuting_fourth is None or i < 3)
+               for j in range(4)]
 
+    def mul(x: int, y: int) -> int:
+        # Each s_j of y moves left past the s_i, i > j, of x it anticommutes
+        # with, then meets its own s_j in x, if any: one z per swap and per
+        # generator squaring to -1.
+        flips = (x & y & minus).bit_count() + sum(
+            (x & passing[j]).bit_count() for j in range(4) if y >> j & 1)
+        return x ^ y ^ (flips & 1) << 4
 
-def _admissible_kernels(spec: SignatureSpec) -> int:
-    """How many kernels (`_kernel_mask`) the tuples of a signature can have.
-
-    The kernel K of P -> <tuple> (see `find_gamma_models`) is normal in P
-    and avoids z = -1. Every commutator of P lies in <z>, so a g in K
-    outside the center would put some [g, x] = z in K: K is central. With
-    four anticommuting generators Z(P) = <z>, so K is trivial. With a
-    commuting fourth the search keeps s4 outside H = <s1, s2, s3>, so K
-    holds no word with s4 in it; that leaves K inside <z, w> for the
-    central w = s1 s2 s3, whose square is z s1^2 s2^2 s3^2. When the
-    triple's squares multiply to -1, w^2 = 1 and K is {1}, <w> or <z w>;
-    otherwise w^2 = z and K is trivial.
-    """
-    if spec.commuting_fourth is None:
-        return 1
-    return 3 if spec.squares.count(-1) % 2 else 1
+    gens = (1, 2, 4, 8)
+    central = [g for g in range(32) if all(mul(g, x) == mul(x, g) for x in gens)]
+    orders = set()
+    for kernel in [{0}] + [{0, c} for c in central
+                           if c not in (0, 16) and not c & 8 and mul(c, c) == 0]:
+        upper = [g for g in range(32)
+                 if all(mul(g, x) in {mul(k, mul(x, g)) for k in kernel} for x in gens)]
+        omega = [g for g in upper if mul(g, g) in kernel]  # over Omega_1(Z(Q))
+        rank = (len(omega) // len(kernel)).bit_length() - 1
+        if rank * math.isqrt(32 // len(upper)) <= dimension:
+            orders.add(32 // len(kernel))
+    return frozenset(orders)
 
 
 def find_gamma_models(
@@ -539,9 +552,8 @@ def find_gamma_models(
     per pool from its integer Cayley table), never by matrix products.
     Only one of each pair {s, -s} is a candidate, the lower pool index:
     every tuple holds an anticommuting pair, so -1 lies in the group it
-    generates and -s gives the same group as s. The hits, their first
-    tuples and the order the subgroups are met in stay those of the
-    search over both signs.
+    generates and -s gives the same group as s. The hits and their first
+    tuples stay those of the search over both signs.
     Tuples are enumerated deterministically, triple by triple
     (`MatrixGroup.anticommuting_triples`), and their groups are read off
     the pool's Cayley table as words (`_words`): a pairwise anticommuting
@@ -549,27 +561,22 @@ def find_gamma_models(
     negatives (`_signed_mask`), its group H. Each s4 commutes or
     anticommutes with every s_i and squares to +-1, so it normalizes H
     and <H, s4> = H u H*s4, whose new members are +- the triple's words
-    times s4. Groups are deduplicated first by the generated subgroup and
-    then by abstract isomorphism, keyed by the kernel of the signature's
-    presentation.
+    times s4.
     Every tuple obeys the relations of one group P: a central z with
     z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator z for
     anticommuting pairs, 1 for commuting ones. With z = -1 the tuple maps
-    P onto its group (von Dyck), every element of P is a normal form
-    z^a s1^b1..s4^b4, and the group is P/K for the kernel K of the normal
-    forms sent to 1 (`_kernel_mask`, read off the same 16 words). So two
-    tuples have equal kernels exactly when s_i -> s_i' extends to an
-    isomorphism of their groups. A new group whose kernel an earlier
-    tuple had joins that tuple's class with no certificate; a kernel not
-    met before falls back to fingerprint and backtracking on standalone
-    groups against the classes of its order, and is kept for the tuples
-    that come after. So a subgroup gets a standalone group of its own only
-    when its kernel is new: built once for that fallback and, when it
-    starts a class, kept as the class's group for `identify_stable` and
-    later fallbacks. A signature admits at most three kernels
-    (`_admissible_kernels`); once the search has met them all, no later
-    tuple can start a class, and the search ends there. Each class
-    reports the first generator tuple that produced it. An empty list
+    P onto its group (von Dyck), so the group is P/K for the kernel K of
+    the normal forms z^a s1^b1..s4^b4 sent to 1. K is {1}, or <w> or
+    <z w> for w = s1 s2 s3 when w^2 = 1 (`_admitted_orders`); s3 -> -s3
+    swaps the last two, so two tuples generate isomorphic groups exactly
+    when their groups have equal orders, 32/|K|. That order is twice |H|
+    for every s4, so the search reads one fourth per triple, its lowest,
+    and a tuple starts a class when its order is new. The orders that a
+    degree bound admits for the pool's dimension (`_admitted_orders`) are
+    the only ones that can occur; once the search has met them all, no
+    later tuple can start a class, and the search ends there. Each class
+    reports the first generator tuple that produced it; an order-32 class
+    is named by `identify_stable` on its standalone group. An empty list
     means the pool has no model for the spec.
     """
     if isinstance(spec, str):
@@ -593,16 +600,13 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         fourth_sign = spec.commuting_fourth
         fourth_masks = commute
     candidates = pool.unit_square_masks()[fourth_sign] & pool.sign_representatives()
-    neg = pool.minus_index()
-    minus_row = cay[neg]
+    minus_row = cay[pool.minus_index()]
+    admitted = _admitted_orders(spec, pool.dim)
 
-    counters = SEARCH_COUNTERS
-    admissible = _admissible_kernels(spec)
-    seen_subgroups: set[int] = set()
-    classes: list[tuple[MatrixGroup, ModelHit]] = []  # each with its standalone group
-    kernels: set[int] = set()  # met so far: an equal mask means an isomorphic group
-
+    hits: dict[int, ModelHit] = {}  # one class per order
     for triple in pool.anticommuting_triples(triple_squares):
+        if hits.keys() >= admitted:
+            break
         s1, s2, s3 = triple
         head = _words(cay, triple)
         base = _signed_mask(head, minus_row)  # the triple's group H
@@ -613,37 +617,21 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
             fourths &= ~base
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << s3
-        counters["search.tuples"] += fourths.bit_count()
-        for s4 in mask_indices(fourths):
-            tail = [cay[w][s4] for w in head]
-            key = base | _signed_mask(tail, minus_row)  # H u H*s4
-            if key in seen_subgroups:
-                continue
-            seen_subgroups.add(key)
-            counters["search.subgroups"] += 1
-            kernel = _kernel_mask(head + tail, neg)
-            if kernel in kernels:
-                counters["search.iso_hint"] += 1
-                continue
-            kernels.add(kernel)
-            group = _standalone(pool, key)
-            for other, hit in classes:
-                if hit.order == group.order:
-                    counters["search.iso_fallback"] += 1
-                    if group.is_isomorphic(other):
-                        break
-            else:
-                hit = ModelHit(
-                    signature=str(spec),
-                    pool=pool_name,
-                    generator_indices=(s1, s2, s3, s4),
-                    order=group.order,
-                    identified=identify_stable(group) if group.order == 32 else None,
-                )
-                classes.append((group, hit))
-            if len(kernels) == admissible:
-                return tuple(hit for _, hit in classes)
-    return tuple(hit for _, hit in classes)
+        if not fourths:
+            continue
+        SEARCH_COUNTERS["search.tuples"] += 1
+        s4 = (fourths & -fourths).bit_length() - 1
+        key = base | _signed_mask([cay[w][s4] for w in head], minus_row)  # H u H*s4
+        order = key.bit_count()
+        if order not in hits:
+            hits[order] = ModelHit(
+                signature=str(spec),
+                pool=pool_name,
+                generator_indices=(s1, s2, s3, s4),
+                order=order,
+                identified=identify_stable(_standalone(pool, key)) if order == 32 else None,
+            )
+    return tuple(hits.values())
 
 
 def sweep_stable_models(pool_name: str = "penta8") -> dict[str, list[ModelHit]]:

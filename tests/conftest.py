@@ -16,24 +16,21 @@ from gammagroups.groups import mask_indices
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-# Taken before `kernel_masks` patches it, so the walk records nothing.
-_kernel_mask = catalog._kernel_mask
+def kernel_mask(words, neg):
+    """The normal forms a generator tuple sends to 1, as a 32-bit mask.
 
-
-@pytest.fixture
-def kernel_masks(monkeypatch):
-    """The (tuple, kernel mask) of each new subgroup the signature search
-    meets, in order. The search cache is cleared, so searches run cold."""
-    met = []
-
-    def recording(words, neg):
-        mask = _kernel_mask(words, neg)
-        met.append(((words[1], words[2], words[4], words[8]), mask))
-        return mask
-
-    catalog._gamma_models.cache_clear()
-    monkeypatch.setattr(catalog, "_kernel_mask", recording)
-    return met
+    ``words`` are the tuple's 16 words (`catalog._words`); bit j is set
+    when word j is 1 and bit 16 + j when it is -1 (index ``neg``), that
+    is when -1 times the word is 1. A kernel of k normal forms leaves a
+    group of order 32 / k.
+    """
+    mask = 0
+    for j, w in enumerate(words):
+        if w == 0:
+            mask |= 1 << j
+        elif w == neg:
+            mask |= 1 << 16 + j
+    return mask
 
 
 @functools.cache
@@ -62,13 +59,13 @@ def _full_walk(text, pool_name):
             key = catalog._signed_mask(words, cay[neg])
             if key not in seen:
                 seen.add(key)
-                walk.append(((*triple, s4), _kernel_mask(words, neg)))
+                walk.append(((*triple, s4), kernel_mask(words, neg)))
     return tuple(walk)
 
 
 @pytest.fixture
 def kernel_walk():
-    """The search's walk with no stop: for a signature and a pool, the
-    (tuple, kernel mask) of each new subgroup met over every triple and
-    every fourth, in order. The search meets a prefix of it."""
+    """The search's walk with no stop and no class key: for a signature and
+    a pool, the (tuple, kernel mask) of each new subgroup met over every
+    triple and every fourth, in order."""
     return _full_walk

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -407,6 +408,11 @@ class HintedClass:
     group: MatrixGroup | None = None
 
 
+def standalone(pool, key):
+    """The pool subgroup with member mask ``key`` as its own group."""
+    return Subgroup(pool, frozenset(mask_indices(key))).as_group()
+
+
 def reference_coset_search(text, pool_name):
     """The coset search over every sign variant of every generator, with
     every signature enumerating its own triples (`reference_triples`).
@@ -415,9 +421,10 @@ def reference_coset_search(text, pool_name):
     each triple's group is taken again per signature; every extension is
     the normalizer-checked `reference_coset`. Classes are told apart by
     generator-map hints certified on the pool table (`certified_map`):
-    the class's first tuple and the fallback's images of later ones.
-    The rest is the search, counters included. Returns the hits and the
-    member masks of the subgroups it meets, in order.
+    the class's first tuple and the fallback's images of later ones, with
+    fingerprint and backtracking on standalone groups as the fallback.
+    Returns the hits and the member masks of the subgroups it meets, in
+    order.
     """
     spec = SignatureSpec.parse(text)
     pool = pool_group(pool_name)
@@ -430,7 +437,6 @@ def reference_coset_search(text, pool_name):
     else:
         triple_squares, fourth_sign = spec.squares, spec.commuting_fourth
         fourth_masks = commute
-    counters = catalog.SEARCH_COUNTERS
     pair_closure = {}
     covered = {}  # triple subgroup mask -> (its members, union of the cosets taken)
     seen_subgroups = set()
@@ -452,7 +458,6 @@ def reference_coset_search(text, pool_name):
             fourths &= ~base
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << s3
-        counters["search.tuples"] += fourths.bit_count()
         fresh = fourths & ~taken
         while fresh:
             s4 = (fresh & -fresh).bit_length() - 1
@@ -464,7 +469,6 @@ def reference_coset_search(text, pool_name):
                 continue
             seen_subgroups.add(key)
             subgroups.append(key)
-            counters["search.subgroups"] += 1
             gens = (s1, s2, s3, s4)
             order = key.bit_count()
             group = None
@@ -473,11 +477,9 @@ def reference_coset_search(text, pool_name):
                     continue
                 if any(certified_map(cay, cay, gens, images, order) is not None
                        for images in cls.images):
-                    counters["search.iso_hint"] += 1
                     break
-                counters["search.iso_fallback"] += 1
-                group = group or catalog._standalone(pool, key)
-                cls.group = cls.group or catalog._standalone(pool, cls.key)
+                group = group or standalone(pool, key)
+                cls.group = cls.group or standalone(pool, cls.key)
                 mapping = group.isomorphism_map(cls.group)
                 if mapping is not None:
                     rep_members = list(mask_indices(cls.key))
@@ -488,7 +490,7 @@ def reference_coset_search(text, pool_name):
             else:
                 identified = None
                 if order == 32:
-                    group = group or catalog._standalone(pool, key)
+                    group = group or standalone(pool, key)
                     identified = catalog.identify_stable(group)
                 hit = catalog.ModelHit(str(spec), pool_name, gens, order, identified)
                 classes.append(HintedClass(key, [gens], hit, group))
@@ -517,9 +519,6 @@ def triple_groups(pool, triples):
 
 # The triple squares of the 13 sweep signatures.
 TRIPLE_SQUARES = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1))
-
-# Signatures whose sign order differs from the canonical sweep's.
-NONCANONICAL_SIGNATURES = ("-+-+", "+-+-", "-++-", "--++", "+-+|-", "-+-|+", "-++|-")
 
 FOUR_GENERATOR_SIGNATURES = tuple(
     "".join(signs) for signs in itertools.product("+-", repeat=4)
@@ -586,6 +585,25 @@ def brute_force_kernels(spec):
     ]
 
 
+def reference_admitted_orders(spec, dimension):
+    """The orders 32 / |K| of the quotients Q = P / K, over every kernel of
+    `brute_force_kernels`, whose faithful degree bound rank Omega_1(Z(Q)) *
+    sqrt|Q : Z(Q)| fits the dimension; Q is worked in as its cosets."""
+    mul = presentation_group(spec)
+    orders = set()
+    for kernel in brute_force_kernels(spec):
+        coset = [min(mul(g, k) for k in kernel) for g in range(32)]
+        quotient = set(coset)
+        center = [
+            g for g in quotient if all(coset[mul(g, x)] == coset[mul(x, g)] for x in quotient)
+        ]
+        omega = [g for g in center if coset[mul(g, g)] == 0]
+        rank = len(omega).bit_length() - 1
+        if rank * math.isqrt(len(quotient) // len(center)) <= dimension:
+            orders.add(len(quotient))
+    return orders
+
+
 class TestCosetSearch:
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
     def test_matches_the_closure_search_on_the_small_pool(self, text):
@@ -596,15 +614,12 @@ class TestCosetSearch:
         assert hit_rows(find_gamma_models(text, "penta8")) == PENTA8_HITS[text]
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
-    @pytest.mark.parametrize("text", SWEEP_SIGNATURES + NONCANONICAL_SIGNATURES)
-    def test_search_matches_the_per_signature_reference(
-        self, text, pool_name, kernel_masks, kernel_walk
-    ):
+    @pytest.mark.parametrize("text", FOUR_GENERATOR_SIGNATURES)
+    def test_search_matches_the_per_signature_reference(self, text, pool_name, kernel_walk):
         # Hits and first tuples as the reference has them. The walk with no
-        # stop meets the reference's subgroups in its order, and the search
-        # meets a prefix of the walk: all of it, or up to the tuple whose
-        # kernel is the last the signature admits. The search builds one
-        # standalone group per kernel it meets first.
+        # stop meets the reference's subgroups in its order. Each class
+        # starts at a visited fourth, and the search builds a standalone
+        # group for each order-32 hit only.
         counters = catalog.SEARCH_COUNTERS
         pool = pool_group(pool_name)
         want, want_subgroups = reference_coset_search(text, pool_name)
@@ -615,23 +630,32 @@ class TestCosetSearch:
         assert hits == want  # first tuples included
         walk = kernel_walk(text, pool_name)
         assert met_subgroups(pool, walk) == want_subgroups
-        assert tuple(kernel_masks) == walk[:len(kernel_masks)]
-        kernels = {m for _, m in kernel_masks}
-        admissible = catalog._admissible_kernels(SignatureSpec.parse(text))
-        assert len(kernels) <= admissible
-        if len(kernel_masks) < len(walk):  # stopped at its last admissible kernel
-            assert len(kernels) == admissible
-            assert kernel_masks[-1][1] not in {m for _, m in kernel_masks[:-1]}
-        assert done["search.subgroups"] == len(kernel_masks)
-        new_kernels = len(kernel_masks) - done["search.iso_hint"]
-        assert done["search.groups_built"] == len(kernels) == new_kernels
+        assert done["search.tuples"] >= len(hits)
+        assert done["search.groups_built"] == sum(hit.order == 32 for hit in hits)
 
     @pytest.mark.parametrize("text", FOUR_GENERATOR_SIGNATURES)
-    def test_admissible_kernels_match_a_brute_force_count(self, text):
+    def test_admitted_orders_bound_the_walk(self, text, kernel_walk):
+        # The bound matches one computed on every brute-force kernel in the
+        # quotient itself. Every order the walk with no stop meets is
+        # admitted, penta8 meets every admitted order, and dirac4 admits no
+        # order 32 exactly where the triple's squares multiply to -1 and
+        # the commuting fourth squares to +1: `++-|+`, `---|+` and their
+        # reorderings, whose order-32 class has Z = C2^3 and needs degree 6.
         spec = SignatureSpec.parse(text)
-        kernels = brute_force_kernels(spec)
-        assert catalog._admissible_kernels(spec) == len(kernels)
-        assert frozenset({0}) in kernels
+        twisted = spec.commuting_fourth == 1 and spec.squares.count(-1) % 2 == 1
+        for pool_name, dimension in (("dirac4", 4), ("penta8", 8)):
+            admitted = catalog._admitted_orders(spec, dimension)
+            assert admitted == reference_admitted_orders(spec, dimension)
+            met = {32 // mask.bit_count() for _, mask in kernel_walk(text, pool_name)}
+            assert met <= admitted
+            if pool_name == "penta8":
+                assert met == admitted
+            else:
+                assert (32 not in admitted) == twisted
+        assert sum(
+            32 not in catalog._admitted_orders(SignatureSpec.parse(other), 4)
+            for other in FOUR_GENERATOR_SIGNATURES
+        ) == 4
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, kernel_walk):
@@ -684,9 +708,13 @@ class TestCosetSearch:
         # tuple with its mask, and the first tuples of distinct masks onto
         # none of each other; maps compose and invert, so that settles
         # every pair. A kernel of k normal forms leaves a group of order
-        # 32 / k.
+        # 32 / k, and two masks of one size are <w> and <z w>: the first
+        # tuple of one certifies onto the other's with s3 negated, so the
+        # class is fixed by |K|.
         pool = pool_group(pool_name)
         cay = pool.cayley()
+        minus_row = cay[pool.minus_index()]
+        swapped = 0
         for text in SWEEP_SIGNATURES:
             walk = kernel_walk(text, pool_name)
             firsts = {}
@@ -698,23 +726,27 @@ class TestCosetSearch:
             for mask, gens in firsts.items():
                 order = len(pool.closure_indices(gens))
                 for other_mask, other in firsts.items():
-                    if other_mask != mask:
-                        assert certified_map(cay, cay, gens, other, order) is None, (text, gens)
+                    if other_mask == mask:
+                        continue
+                    assert certified_map(cay, cay, gens, other, order) is None, (text, gens)
+                    if other_mask.bit_count() == mask.bit_count():
+                        s1, s2, s3, s4 = other
+                        images = (s1, s2, minus_row[s3], s4)
+                        assert certified_map(cay, cay, gens, images, order) is not None, text
+                        swapped += 1
             assert len(firsts) < len(walk)
+        assert swapped > 0
 
     def test_counters_add_up(self):
         clear_search_caches()
         before = dict(catalog.SEARCH_COUNTERS)
         hits = find_gamma_models("++-|-", "dirac4")
         done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
-        assert done["search.tuples"] >= done["search.subgroups"] > 0
-        # every subgroup is either a new class or matched by one test that ends the scan
-        assert done["search.iso_hint"] + done["search.iso_fallback"] >= (
-            done["search.subgroups"] - len(hits)
-        )
-        # one standalone group per new kernel: it starts a class or joins
-        # one by a fallback test
-        assert len(hits) <= done["search.groups_built"] <= len(hits) + done["search.iso_fallback"]
+        assert sorted(done) == ["search.groups_built", "search.tuples"]
+        # each class starts at a visited fourth; a standalone group names
+        # each order-32 hit, and nothing else builds one
+        assert done["search.tuples"] >= len(hits) == 2
+        assert done["search.groups_built"] == sum(hit.order == 32 for hit in hits) == 1
 
 
 class TestExtensions:

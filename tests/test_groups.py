@@ -322,8 +322,8 @@ class TestSubgroupTablesMatchProducts:
             assert standalone.cayley() == reference_cayley(standalone)
 
     def test_penta8_search_standalone_groups(self, monkeypatch):
-        # Every group the `---|+` search over penta8 builds for its classes
-        # and its fallback isomorphism tests.
+        # Every group the `---|+` search over penta8 builds: one, to name
+        # its order-32 hit.
         built = []
         standalone = catalog._standalone
 
@@ -335,7 +335,7 @@ class TestSubgroupTablesMatchProducts:
         monkeypatch.setattr(catalog, "_standalone", recording)
         hits = catalog._gamma_models.__wrapped__("---|+", "penta8")
         assert [hit.order for hit in hits] == [32, 16]
-        assert {group.order for group in built} == {32, 16}
+        assert [group.order for group in built] == [32]
         for group in built:
             assert group.cayley() == reference_cayley(group)
 
@@ -627,8 +627,7 @@ class TestCommutationMasks:
 
 def settled_by_kernel(met):
     """(tuple, first tuple met with the same kernel mask) for each tuple of
-    ``met`` that the search settles by its mask: each whose mask an
-    earlier tuple had."""
+    ``met`` whose mask an earlier tuple had."""
     first, settled = {}, []
     for gens, mask in met:
         if mask in first:
@@ -832,12 +831,12 @@ class TestIsomorphism:
     @pytest.mark.parametrize("pool", ["dirac4", "penta8"])
     @pytest.mark.parametrize("signature", ["+++-", "+++|+", "++-|-"])
     def test_hinted_search_maps_pass_the_full_table_check(
-        self, signature, pool, monkeypatch, kernel_masks, kernel_walk
+        self, signature, pool, monkeypatch, kernel_walk
     ):
         # Every tuple the kernel mask settles, over the walk with no stop,
         # maps onto the first tuple met with that mask by a certified map
-        # on the pool table that respects all n^2 products; every fallback
-        # map of a cold search does too.
+        # on the pool table that respects all n^2 products; every map a
+        # cold search finds to name its order-32 hit does too.
         ambient = catalog.pool_group(pool)
         cay = ambient.cayley()
         searched = MatrixGroup.isomorphism_map
@@ -848,6 +847,7 @@ class TestIsomorphism:
             return phi
 
         monkeypatch.setattr(MatrixGroup, "isomorphism_map", checking_search)
+        catalog._gamma_models.cache_clear()
         catalog.find_gamma_models(signature, pool)
         settled = settled_by_kernel(kernel_walk(signature, pool))
         assert settled
@@ -863,14 +863,13 @@ class TestIsomorphism:
         + [(text, "penta8") for text in ("+++-", "+++|+", "++-|-")],
     )
     def test_pool_certificates_agree_with_the_standalone_reference(
-        self, signature, pool, kernel_masks, kernel_walk
+        self, signature, pool, kernel_walk
     ):
         # Over the walk with no stop, each tuple the kernel mask settles
         # certifies onto the first tuple met with that mask on the pool
         # table, and again on the two as_group tables, whose element order
         # is the sorted member list. A tuple with a new mask certifies onto
-        # no earlier mask's first tuple, on either table. The tuples of the
-        # search's prefix of the walk that are settled are its iso_hint.
+        # no earlier mask's first tuple, on either table.
         ambient = catalog.pool_group(pool)
         cay = ambient.cayley()
         standalone = {}
@@ -893,9 +892,6 @@ class TestIsomorphism:
                 assert {order[j]: image_order[reference[j]] for j in range(group.order)} == phi
             return phi
 
-        before = dict(catalog.SEARCH_COUNTERS)
-        catalog.find_gamma_models(signature, pool)
-        done = {k: catalog.SEARCH_COUNTERS[k] - before[k] for k in before}
         walk = kernel_walk(signature, pool)
         for gens, images in settled_by_kernel(walk):
             assert both_certificates(gens, images) is not None
@@ -904,8 +900,6 @@ class TestIsomorphism:
             if mask not in firsts:
                 assert all(both_certificates(gens, first) is None for first in firsts.values())
                 firsts[mask] = gens
-        assert tuple(kernel_masks) == walk[:len(kernel_masks)]
-        assert len(settled_by_kernel(kernel_masks)) == done["search.iso_hint"]
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
     def test_backtracking_matches_the_size_pruned_reference(self, name, monkeypatch):
