@@ -10,7 +10,8 @@ holds only what computation reads; the frozen numbers and prose stay in
 the stored payload, which `catalog list` and the claims read directly.
 The search half enumerates generator tuples inside a fixed pool of
 monomial matrices, closes them, and identifies the resulting groups
-against the catalog by exact isomorphism.
+against the catalog by their squaring keys, which fix these groups up to
+isomorphism (`MatrixGroup.squaring_key`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .brackets import (
     verify_relations,
 )
 from .exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
-from .groups import DEFAULT_CAP, MatrixGroup, Subgroup, mask_indices
+from .groups import DEFAULT_CAP, MatrixGroup, Subgroup
 from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
 
 CATALOG_NAMES = (
@@ -322,11 +323,26 @@ def catalog_profile(name: str) -> GroupProfile:
 
 
 def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
-    """Index-two subgroups grouped by abstract isomorphism: (rep, count)."""
-    classes: list[tuple[MatrixGroup, int]] = []
+    """Index-two subgroups grouped by abstract isomorphism: (rep, count), in
+    the order each class is first met.
+
+    In a group in F (`MatrixGroup.squaring_key`) each subgroup is classed
+    by its squaring key, read off the group's own tables, and only each
+    class's first subgroup is built as a group. Elsewhere each subgroup is
+    built and tested against the classes so far by `is_isomorphic`.
+    """
     if group.order % 2:
-        return classes
-    for sub in group.subgroups_of_order(group.order // 2):
+        return []
+    subgroups = group.subgroups_of_order(group.order // 2)
+    if group.squaring_key() is not None:
+        keyed: dict[tuple[int, int, int], tuple[Subgroup, int]] = {}
+        for sub in subgroups:
+            key = group.squaring_key(sum(1 << i for i in sub.indices))
+            first, count = keyed.get(key, (sub, 0))
+            keyed[key] = (first, count + 1)
+        return [(sub.as_group(), count) for sub, count in keyed.values()]
+    classes: list[tuple[MatrixGroup, int]] = []
+    for sub in subgroups:
         candidate = sub.as_group()
         for k, (rep, count) in enumerate(classes):
             if candidate.is_isomorphic(rep):
@@ -337,8 +353,21 @@ def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
     return classes
 
 
+def _named_by_key(key: tuple[int, int, int] | None, names: Sequence[str]) -> str | None:
+    """The first of the named catalog groups with this squaring key, if any.
+
+    The named groups are all in F, where equal keys mean isomorphic groups;
+    None, the key of a group outside F, matches none of them.
+    """
+    return next((name for name in names if catalog_group(name).squaring_key() == key), None)
+
+
 def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:
-    """The first of the named catalog groups this one is isomorphic to, if any."""
+    """The first of the named catalog groups this one is isomorphic to, if any:
+    by squaring key for a group in F, by `is_isomorphic` otherwise."""
+    key = group.squaring_key()
+    if key is not None:
+        return _named_by_key(key, names)
     for name in names:
         if group.order == catalog_group(name).order and group.is_isomorphic(catalog_group(name)):
             return name
@@ -355,7 +384,9 @@ def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """Index-two subgroups of a catalog group, identified and counted.
 
     Returns sorted (identified catalog name, count) pairs; raises if some
-    subgroup matches none of the stable groups.
+    subgroup matches none of the stable groups. Each class is named by its
+    squaring key (`_identify`), so no isomorphism search runs for a group
+    in F.
     """
     tally: dict[str, int] = {}
     for rep, count in _index_two_classes(catalog_group(name)):
@@ -473,23 +504,10 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
     return mask
 
 
-# Work done by uncached find_gamma_models calls in this process, up to
-# each search's stop: the fourths visited, one per triple walked, and the
-# standalone MatrixGroups built to name order-32 hits. Reports carry them
-# under `timings.counters`.
-SEARCH_COUNTERS: Counter[str] = Counter(dict.fromkeys((
-    "search.tuples", "search.groups_built",
-), 0))
-
-
-def _standalone(pool: MatrixGroup, key: int) -> MatrixGroup:
-    """The pool subgroup with member mask ``key`` as its own group.
-
-    `as_group` orders it [0] + the other members sorted, so its element j
-    is the j-th set bit of ``key``.
-    """
-    SEARCH_COUNTERS["search.groups_built"] += 1
-    return Subgroup(pool, frozenset(mask_indices(key))).as_group()
+# Work done by uncached find_gamma_models calls in this process: the
+# fourths visited up to each search's stop, one per triple walked. Reports
+# carry it under `timings.counters`.
+SEARCH_COUNTERS: Counter[str] = Counter({"search.tuples": 0})
 
 
 def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
@@ -528,18 +546,15 @@ def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
             (x & passing[j]).bit_count() for j in range(4) if y >> j & 1)
         return x ^ y ^ (flips & 1) << 4
 
-    gens = (1, 2, 4, 8)
-    central = [g for g in range(32) if all(mul(g, x) == mul(x, g) for x in gens)]
-    orders = set()
-    for kernel in [{0}] + [{0, c} for c in central
-                           if c not in (0, 16) and not c & 8 and mul(c, c) == 0]:
-        upper = [g for g in range(32)
-                 if all(mul(g, x) in {mul(k, mul(x, g)) for k in kernel} for x in gens)]
-        omega = [g for g in upper if mul(g, g) in kernel]  # over Omega_1(Z(Q))
-        rank = (len(omega) // len(kernel)).bit_length() - 1
-        if rank * math.isqrt(32 // len(upper)) <= dimension:
-            orders.add(32 // len(kernel))
-    return frozenset(orders)
+    central = [g for g in range(32) if all(mul(g, x) == mul(x, g) for x in (1, 2, 4, 8))]
+    # Commutators and squares of P lie in <z>, which K avoids, so one lies
+    # in K only when it is 1: Z(Q) is Z(P)/K and Omega_1(Z(Q)) is
+    # {g in Z(P) : g^2 = 1}/K, whatever the kernel.
+    involutions = sum(mul(g, g) == 0 for g in central)
+    degree = math.isqrt(32 // len(central))
+    kernels = [1] + [2 for c in central if c not in (0, 16) and not c & 8 and mul(c, c) == 0]
+    return frozenset(32 // k for k in kernels
+                     if ((involutions // k).bit_length() - 1) * degree <= dimension)
 
 
 def find_gamma_models(
@@ -575,9 +590,10 @@ def find_gamma_models(
     degree bound admits for the pool's dimension (`_admitted_orders`) are
     the only ones that can occur; once the search has met them all, no
     later tuple can start a class, and the search ends there. Each class
-    reports the first generator tuple that produced it; an order-32 class
-    is named by `identify_stable` on its standalone group. An empty list
-    means the pool has no model for the spec.
+    reports the first generator tuple that produced it. The pool is in F
+    (`MatrixGroup.squaring_key`), so an order-32 class is named by the
+    squaring key of its member mask, read off the pool's tables with no
+    group built. An empty list means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
@@ -629,7 +645,8 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
                 pool=pool_name,
                 generator_indices=(s1, s2, s3, s4),
                 order=order,
-                identified=identify_stable(_standalone(pool, key)) if order == 32 else None,
+                identified=_named_by_key(pool.squaring_key(key), STABLE_NAMES)
+                if order == 32 else None,
             )
     return tuple(hits.values())
 

@@ -520,6 +520,12 @@ def _fraction(token: str, original: str) -> Fraction:
         raise ParseError(f"zero denominator in {original!r}") from None
 
 
+# The unit tokens stored matrices are made of, read without a regex; the
+# shared values are safe to hand out, as nothing changes a scalar after
+# __init__.
+_UNIT_TOKENS = dict(zip(("0", "1", "i", "-1", "-i"), (ZERO, *_UNITS)))
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse one scalar token.
 
@@ -528,6 +534,9 @@ def parse_scalar(text: str) -> GaussianRational:
     ("1-i", "-1/2+3/4i"). No interior whitespace.
     """
     token = text.strip()
+    unit = _UNIT_TOKENS.get(token)
+    if unit is not None:
+        return unit
     if not token:
         raise ParseError("empty scalar")
     if _REAL.fullmatch(token):

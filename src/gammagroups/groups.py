@@ -163,6 +163,7 @@ class MatrixGroup:
         self._commutation: tuple[list[int], list[int]] | None = None
         self._unit_squares: dict[int, int] | None = None
         self._sign_reps: int | None = None
+        self._square_ones: int | None = None
 
     @classmethod
     def from_generators(
@@ -296,6 +297,44 @@ class MatrixGroup:
                     masks[1 if cay[i][i] == 0 else -1] |= 1 << i
             self._unit_squares = masks
         return self._unit_squares
+
+    def _square_one_mask(self) -> int:
+        """Mask of the elements whose square is 1 when the group is in F
+        (see `squaring_key`), and 0 when it is not: one read of the diagonal."""
+        if self._square_ones is None:
+            neg, cay = self.minus_index(), self._cayley
+            squares = [cay[g][g] for g in range(self.order)]
+            self._square_ones = 0
+            if neg is not None and all(x == 0 or x == neg for x in squares):
+                self._square_ones = sum(1 << g for g, x in enumerate(squares) if x == 0)
+        return self._square_ones
+
+    def squaring_key(self, mask: int | None = None) -> tuple[int, int, int] | None:
+        """(order, #{g : g^2 = 1}, |Z|) of the subgroup with this member mask,
+        or of the whole group; None when the group is not in F.
+
+        F holds the groups that contain -1 and in which every square is 1
+        or -1. For G in F, G/<-1> is elementary abelian, so G is a central
+        extension of a space V over F2 by <-1>, fixed up to isomorphism by
+        the quadratic form q(x) = [x^2 = -1] on V up to isometry (Arf;
+        Quillen). Such a form is fixed by dim V, the rank 2r of its polar
+        form (the commutator) and the number of its zeros: |Z(G)| gives
+        the radical's dimension dim V - 2r, and with it the zero counts of
+        the two Arf classes and of a form nonzero on the radical all
+        differ. So two groups in F are isomorphic exactly when their keys
+        are equal. Every subgroup of a group in F is in F or, without -1,
+        elementary abelian with key (n, n, n), the key of no other class.
+        A whole group's key reads the diagonal and `center`; a subgroup's
+        reads the diagonal and `commutation_masks`, |H| lookups.
+        """
+        ones = self._square_one_mask()
+        if not ones:
+            return None
+        if mask is None:
+            return self.order, ones.bit_count(), len(self.center())
+        commute = self.commutation_masks()[0]
+        center = sum(1 for h in mask_indices(mask) if commute[h] & mask == mask)
+        return mask.bit_count(), (ones & mask).bit_count(), center
 
     def sign_representatives(self) -> int:
         """Mask of one element of each pair {s, -s}: bit s is set when s is the

@@ -188,13 +188,13 @@ class TestAnalyze:
 
     def test_cold_analyze_iso_counters_are_pinned(self):
         # Sorting the 31 index-two subgroups of gamma64_plus into classes
-        # and naming each class: a change here is a change in the
-        # fingerprint or in how the backtracking prunes.
+        # and naming each class reads squaring keys: gamma64_plus is in F,
+        # so no isomorphism test runs.
         counters = run_cold("analyze", "gamma64_plus")["timings"]["counters"]
         assert {k: v for k, v in counters.items() if k.startswith("iso.")} == {
-            "iso.calls": 62,
-            "iso.fingerprint_rejects": 31,
-            "iso.nodes": 273,
+            "iso.calls": 0,
+            "iso.fingerprint_rejects": 0,
+            "iso.nodes": 0,
         }
 
     def test_pauli_profile(self, capsys):
@@ -377,9 +377,9 @@ class TestVerify:
         counters = doc["timings"]["counters"]
         assert sorted(counters) == (
             COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
-            + ["search.groups_built", "search.tuples"]
+            + ["search.tuples"]
         )
-        assert counters["search.tuples"] >= counters["search.groups_built"] > 0
+        assert counters["search.tuples"] > 0
         _, again, _ = run_json(capsys, "verify", "--filter", "search.*")
         assert set(again["timings"]["counters"].values()) == {0}  # served from the cache
         del doc["timings"], again["timings"]
@@ -388,12 +388,23 @@ class TestVerify:
     def test_cold_verify_search_counters_are_pinned(self):
         # The search's work on both pools: a change here is a change in
         # enumeration or where the search stops. Tuples count the fourths
-        # visited, one per triple walked; a standalone group is built for
-        # each order-32 hit, one per sweep signature on penta8.
+        # visited, one per triple walked.
         counters = run_cold("verify")["timings"]["counters"]
         assert {k: v for k, v in counters.items() if k.startswith("search.")} == {
             "search.tuples": 23,
-            "search.groups_built": 13,
+        }
+
+    def test_cold_verify_iso_counters_are_pinned(self):
+        # Every group a verify names or classes is in F and goes by its
+        # squaring key; only the two claims that state a backtracking check
+        # (q8 against d4, rejected by fingerprint, and pauli against
+        # pauli_f) test isomorphism. A change here means a group fell out
+        # of F or a claim changed.
+        counters = run_cold("verify")["timings"]["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("iso.")} == {
+            "iso.calls": 2,
+            "iso.fingerprint_rejects": 1,
+            "iso.nodes": 3,
         }
 
     def test_cold_verify_component_counters_are_pinned(self):
@@ -491,7 +502,7 @@ class TestSearch:
         _, narrow, _ = run_json(capsys, "search", "--signature=---|+")
         assert [h for h in narrow["profile"]["hits"] if h["order"] == 32] == []
         assert sorted(narrow["timings"]["counters"]) == ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS + [
-            "search.groups_built", "search.tuples",
+            "search.tuples",
         ]
         _, wide, _ = run_json(
             capsys, "search", "--signature=---|+", "--pool", "penta8"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog
+from gammagroups import catalog, exact
 from gammagroups.exact import (
     PRODUCT_COUNTERS,
     ExactMatrix,
@@ -109,6 +109,16 @@ def test_scalar_canonical_text():
     assert format_scalar(GaussianRational(1, -1)) == "1-i"
     assert format_scalar(GaussianRational(Fraction(-1, 2), Fraction(3, 4))) == "-1/2+3/4i"
     assert format_scalar(parse_scalar("2/4i")) == "1/2i"
+
+
+@pytest.mark.parametrize("token", ["0", "1", "-1", "i", "-i"])
+@pytest.mark.parametrize("padding", ["", " ", "\t", " \n "])
+def test_unit_tokens_match_the_regex_path(token, padding, monkeypatch):
+    text = f"{padding}{token}{padding}"
+    looked_up = parse_scalar(text)
+    monkeypatch.setattr(exact, "_UNIT_TOKENS", {})
+    assert looked_up == parse_scalar(text)
+    assert format_scalar(looked_up) == token
 
 
 @pytest.mark.parametrize("bad", ["", "+1", "1++i", "i1", "1 + i", "2/0", "1/0i", "x"])

@@ -1,6 +1,7 @@
 """Group engine tests against small groups with independent brute-force oracles."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -320,24 +321,6 @@ class TestSubgroupTablesMatchProducts:
         for sub in subs:
             standalone = sub.as_group()
             assert standalone.cayley() == reference_cayley(standalone)
-
-    def test_penta8_search_standalone_groups(self, monkeypatch):
-        # Every group the `---|+` search over penta8 builds: one, to name
-        # its order-32 hit.
-        built = []
-        standalone = catalog._standalone
-
-        def recording(pool, key):
-            group = standalone(pool, key)
-            built.append(group)
-            return group
-
-        monkeypatch.setattr(catalog, "_standalone", recording)
-        hits = catalog._gamma_models.__wrapped__("---|+", "penta8")
-        assert [hit.order for hit in hits] == [32, 16]
-        assert [group.order for group in built] == [32]
-        for group in built:
-            assert group.cayley() == reference_cayley(group)
 
 
 class TestClassesAndCenter:
@@ -697,6 +680,30 @@ def reference_isomorphism_map(group, other):
     return extend(0, [])
 
 
+def backtracking_index_two_classes(group):
+    """Index-two subgroups classed by `isomorphism_map` alone: each one, built
+    as a group, joins the first class whose representative it maps onto.
+    Returns the (rep, count) classes in the order first met, and the
+    (subgroup, rep, map) of every comparison made."""
+    classes, compared = [], []
+    for sub in group.subgroups_of_order(group.order // 2) if group.order % 2 == 0 else ():
+        candidate = sub.as_group()
+        for k, (rep, count) in enumerate(classes):
+            phi = candidate.isomorphism_map(rep)
+            compared.append((candidate, rep, phi))
+            if phi is not None:
+                classes[k] = (rep, count + 1)
+                break
+        else:
+            classes.append((candidate, 1))
+    return classes, compared
+
+
+def class_rows(classes):
+    """(representative's elements, count) per class, comparable across runs."""
+    return [(rep.elements, count) for rep, count in classes]
+
+
 def conjugated(group, seed):
     """The group regenerated from its generators conjugated by a random
     signed permutation matrix, with a random word appended, in shuffled order."""
@@ -902,21 +909,17 @@ class TestIsomorphism:
                 firsts[mask] = gens
 
     @pytest.mark.parametrize("name", catalog.catalog_names())
-    def test_backtracking_matches_the_size_pruned_reference(self, name, monkeypatch):
-        # The same image list for every pair that `_index_two_classes`
-        # compares, on the catalog group and on two conjugated regenerations.
-        compared = []
-        search = MatrixGroup.isomorphism_map
-
-        def recording(group, other):
-            phi = search(group, other)
-            compared.append((group, other, phi))
-            return phi
-
-        monkeypatch.setattr(MatrixGroup, "isomorphism_map", recording)
+    def test_backtracking_matches_the_size_pruned_reference(self, name):
+        # The same image list for every pair that classing the index-two
+        # subgroups by backtracking compares, on the catalog group and on
+        # two conjugated regenerations; the classes by squaring key are the
+        # same, with the same first members.
         group = catalog.catalog_group(name)
+        compared = []
         for source in (group, conjugated(group, seed=1), conjugated(group, seed=2)):
-            catalog._index_two_classes(source)
+            classes, pairs = backtracking_index_two_classes(source)
+            assert class_rows(catalog._index_two_classes(source)) == class_rows(classes)
+            compared += pairs
         for group, other, phi in compared:
             assert phi == reference_isomorphism_map(group, other)
             assert phi is None or is_isomorphism(group, other, phi)
@@ -961,6 +964,74 @@ class TestIsomorphism:
         d4 = MatrixGroup.from_generators([A1, SY])
         assert c2cubed.order == 8
         assert not d4.is_isomorphic(c2cubed)
+
+
+# Groups outside F: S3 and Q8 x C3 (Q8 on two coordinates, a 3-cycle on
+# three more) lack -1; 2T and D16 hold it but have other squares. D16 is
+# a signed 4-cycle r of order 8 and a reflection s with s r s = r^-1.
+Q8_C3_GENS = [
+    parse_matrix("[[i,0,0,0,0],[0,-i,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]"),
+    parse_matrix("[[0,1,0,0,0],[-1,0,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]"),
+    parse_matrix("[[1,0,0,0,0],[0,1,0,0,0],[0,0,0,1,0],[0,0,0,0,1],[0,0,1,0,0]]"),
+]
+D16_GENS = [
+    parse_matrix("[[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]"),
+    parse_matrix("[[1,0,0,0],[0,0,0,-1],[0,0,-1,0],[0,-1,0,0]]"),
+]
+OUTSIDE_F = {"S3": S3_GENS, "Q8xC3": Q8_C3_GENS, "2T": BINARY_TETRAHEDRAL_GENS, "D16": D16_GENS}
+
+
+class TestSquaringKey:
+    """`squaring_key` against the backtracking isomorphism test."""
+
+    @pytest.mark.parametrize("name", [*catalog.POOL_NAMES, *catalog.catalog_names()])
+    def test_keys_split_subgroups_into_isomorphism_classes(self, name):
+        # Both pools and every catalog group are in F; the search and
+        # `catalog._identify` read their keys. Their proper subgroups of
+        # each order up to 32, classed by key: every member is isomorphic
+        # to its class's first member, and the first members of distinct
+        # keys are pairwise non-isomorphic. A first member holding -1 has
+        # the key as a group of its own; one without it is elementary
+        # abelian, keyed (n, n, n).
+        group = named_group(name)
+        assert group.squaring_key() is not None
+        for k in (2, 4, 8, 16, 32):
+            if k >= group.order:
+                break
+            classes = {}
+            for sub in group.subgroups_of_order(k):
+                key = group.squaring_key(sum(1 << i for i in sub.indices))
+                classes.setdefault(key, []).append(sub.as_group())
+            for key, (first, *rest) in classes.items():
+                if first.minus_index() is None:
+                    assert first.squaring_key() is None and key == (k, k, k)
+                else:
+                    assert first.squaring_key() == key
+                assert all(member.isomorphism_map(first) is not None for member in rest), key
+            firsts = [members[0] for members in classes.values()]
+            assert not any(a.is_isomorphic(b) for a, b in itertools.combinations(firsts, 2)), k
+
+    def test_the_center_tells_pauli_c2_from_c4_x_c2_cubed(self):
+        # Both have order 32 and 16 elements squaring to 1; only |Z| differs.
+        c4_c2_cubed = MatrixGroup.from_generators([
+            parse_matrix("[[i,0,0,0],[0,i,0,0],[0,0,i,0],[0,0,0,i]]"),
+            parse_matrix("[[-1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"),
+            parse_matrix("[[1,0,0,0],[0,-1,0,0],[0,0,1,0],[0,0,0,1]]"),
+            parse_matrix("[[1,0,0,0],[0,1,0,0],[0,0,-1,0],[0,0,0,1]]"),
+        ])
+        pauli_c2 = catalog.catalog_group("pauli_c2")
+        assert pauli_c2.squaring_key() == (32, 16, 8)
+        assert c4_c2_cubed.squaring_key() == (32, 16, 32)
+        assert not pauli_c2.is_isomorphic(c4_c2_cubed)
+
+    @pytest.mark.parametrize("name", list(OUTSIDE_F))
+    def test_groups_outside_f_are_classed_by_backtracking(self, name):
+        group = MatrixGroup.from_generators(OUTSIDE_F[name])
+        assert group.order == {"S3": 6, "Q8xC3": 24, "2T": 24, "D16": 16}[name]
+        assert group.squaring_key() is None
+        assert group.squaring_key(1) is None
+        want = backtracking_index_two_classes(group)[0]
+        assert class_rows(catalog._index_two_classes(group)) == class_rows(want)
 
 
 @settings(max_examples=30, deadline=None)
