@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog, cli
+from gammagroups import catalog, cli, reps
 from gammagroups.exact import format_matrix
 
 
@@ -610,6 +610,106 @@ def test_no_command_imports_dataclasses():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
     )
     assert out.returncode == 0, out.stderr
+
+
+# The modules that load on first use: the search and extensions, the
+# invariant forms and weights, and the claim checks.
+LAZY_MODULES = ("gammagroups.search", "gammagroups.forms", "gammagroups.paper")
+
+
+def run_fresh(script, *args, flags=("-S",)):
+    """Run a script in a fresh interpreter on the source tree; return stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_analyze_leaves_the_lazy_halves_uncompiled(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"name": "s3", "dimension": 3, "generators": [CYCLE, SWAP]}))
+    script = (
+        "import contextlib, io, sys\n"
+        "from gammagroups import catalog\n"
+        "from gammagroups.cli import main\n"
+        f"lazy = {LAZY_MODULES!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in (['catalog', 'list'], ['analyze', 'q8'],\n"
+        "                                     ['analyze', sys.argv[1]])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)\n"
+        "assert 'find_gamma_models' not in vars(catalog)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--filter', 'catalog.q8.*']) == 0\n"
+        "assert all(m in sys.modules for m in lazy), sorted(sys.modules)\n"
+    )
+    run_fresh(script, str(path))
+
+
+class TestForwarders:
+    def test_no_package_path(self):
+        assert not hasattr(catalog, "__path__")
+        assert not hasattr(reps, "__path__")
+
+    @pytest.mark.parametrize("module", [catalog, reps], ids=lambda m: m.__name__)
+    def test_unknown_name_is_an_attribute_error(self, module):
+        with pytest.raises(AttributeError):
+            module.no_such_name
+
+    def test_names_resolve_to_the_lazy_modules(self):
+        from gammagroups import forms, search
+
+        assert catalog.find_gamma_models is search.find_gamma_models
+        assert catalog.SEARCH_COUNTERS is search.SEARCH_COUNTERS
+        assert reps.spin_weights is forms.spin_weights
+        assert reps.invariant_bilinear_form is forms.invariant_bilinear_form
+
+    def test_importing_a_staying_name_loads_no_lazy_module(self):
+        script = (
+            "import sys\n"
+            "from gammagroups.catalog import catalog_entry\n"
+            "from gammagroups.reps import irrep_census\n"
+            "print(sorted(m for m in sys.modules if m.startswith('gammagroups.')))\n"
+        )
+        loaded = run_fresh(script)
+        assert not [m for m in LAZY_MODULES if m in loaded], loaded
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_traced_layer_resolves_after_importing_the_cli():
+    # The benchmark's tracer looks each LAYERS module up in sys.modules
+    # after importing only `gammagroups.cli`, then reads the attribute path.
+    script = (
+        "import sys\n"
+        "import gammagroups.cli\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import LAYERS\n"
+        "for layer, module, path in LAYERS:\n"
+        "    owner = sys.modules[module]\n"
+        "    for name in path.split('.'):\n"
+        "        owner = getattr(owner, name)\n"
+        "    assert callable(owner), (layer, module, path)\n"
+    )
+    run_fresh(script, str(PERFBENCH))
+
+
+def test_traced_cli_writes_a_trace(tmp_path):
+    trace = tmp_path / "trace.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(trace), "0",
+         "analyze", "q8", "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["profile"]["order"] == 8
+    summary = json.loads(trace.read_text())
+    assert summary["count"]["cli.main"] == 1
 
 
 PHASES = ("1", "-1", "i", "-i")
