@@ -18,21 +18,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
-from collections import Counter
-from importlib import resources
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact import ExactMatrix, GaussianRational, format_matrix, parse_scalar
+from .data import load_json
+from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup
 
 TABLE_NAMES = ("d", "q2", "f", "b", "c")
 
 # Tables eligible for component classification, tried in this order.
 COMPONENT_TABLES = ("d", "f", "b", "c")
-
-_TWO = GaussianRational(2, 0)
 
 
 class CheckResult(NamedTuple):
@@ -64,10 +60,6 @@ class VerificationReport(NamedTuple):
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def _data_text(subdir: str, filename: str) -> str:
-    return resources.files("gammagroups.data").joinpath(subdir, filename).read_text()
 
 
 class BracketTable:
@@ -128,7 +120,7 @@ class BracketTable:
         """The named data-file table, parsed once per process and shared."""
         if name not in TABLE_NAMES:
             raise KeyError(f"unknown bracket table {name!r}; have {TABLE_NAMES}")
-        return cls.from_dict(json.loads(_data_text("tables", f"{name}.json")))
+        return cls.from_dict(load_json("tables", f"{name}.json"))
 
     def pairs(self) -> list[tuple[str, str, GaussianRational, str | None]]:
         return [(x, y, c, z) for (x, y), (c, z) in self._entries.items()]
@@ -246,7 +238,7 @@ class RelationSet:
 
     @classmethod
     def load(cls, name: str) -> "RelationSet":
-        return cls.from_dict(json.loads(_data_text("relations", f"{name}.json")))
+        return cls.from_dict(load_json("relations", f"{name}.json"))
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -335,21 +327,11 @@ def _table_holds_on_indices(
     return True
 
 
-# Work done by the component scan in this process: boost triples visited,
-# each tested once for generating an order-16 group (by one Cayley lookup,
-# or a closure for a designated triple), and bracket-row checks (at most
-# one per table and generating triple). Reports carry them under
-# `timings.counters`.
-COMPONENT_COUNTERS: Counter[str] = Counter(
-    dict.fromkeys(("component.triples", "component.row_checks"), 0)
-)
-
-
 def _rotations_if_rows_hold(
     group: MatrixGroup, table: BracketTable, signs: Sequence[int], boosts: tuple, neg: int
 ) -> tuple[int, int, int] | None:
     """The rotations r_k = e_k s_i s_j of a boost triple, if every row holds."""
-    COMPONENT_COUNTERS["component.row_checks"] += 1
+    COUNTERS["component.row_checks"] += 1
     cay = group.cayley()
     s1, s2, s3 = boosts
     rotations = tuple(
@@ -409,7 +391,7 @@ def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, in
     found = []
     for signs in _SQUARE_SIGNATURES:
         for boosts in group.anticommuting_triples(signs):
-            COMPONENT_COUNTERS["component.triples"] += 1
+            COUNTERS["component.triples"] += 1
             if _scanned_triple_generates(cay, boosts, neg):
                 found.append(boosts)
                 break
@@ -437,7 +419,7 @@ def _component_scan(
         if any(m not in group for m in designated):
             raise ValueError("designated boosts must belong to the group")
         boosts = tuple(group.index_of(m) for m in designated)
-        COMPONENT_COUNTERS["component.triples"] += 1
+        COUNTERS["component.triples"] += 1
         triples = [boosts] if len(group.closure_indices(boosts)) == group.order else []
     else:
         triples = _generating_triples(group, neg)

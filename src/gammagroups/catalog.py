@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 import json
 from functools import cached_property
-from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
 from .brackets import BracketTable, component_composition, evaluate_word, find_component_match
+from .data import load_json
 from .exact import ExactMatrix, parse_matrix
 from .groups import DEFAULT_CAP, MatrixGroup, Subgroup
 from .reps import format_census, irreducibility_norm, irrep_census, structural_invariant
@@ -67,8 +67,7 @@ class CatalogEntry(NamedTuple):
 
 
 def _load_payload(name: str) -> dict:
-    path = resources.files("gammagroups.data").joinpath("catalog", f"{name}.json")
-    return json.loads(path.read_text())
+    return load_json("catalog", f"{name}.json")
 
 
 def catalog_names() -> tuple[str, ...]:

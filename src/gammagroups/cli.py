@@ -19,19 +19,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Mapping
 
 from . import __version__, catalog, claims
-from .brackets import (
-    COMPONENT_COUNTERS,
-    BracketTable,
-    TABLE_NAMES,
-    find_component_match,
-    verify_bracket_table,
-)
-from .exact import PRODUCT_COUNTERS, ParseError
-from .groups import DEFAULT_CAP, ISO_COUNTERS, MatrixGroup
-from .reps import FORM_COUNTERS, AmbiguousCensus
+from .brackets import BracketTable, TABLE_NAMES, find_component_match, verify_bracket_table
+from .exact import COUNTERS, ParseError
+from .groups import DEFAULT_CAP, MatrixGroup
+from .reps import AmbiguousCensus
 
 
 class UsageError(Exception):
@@ -117,12 +110,6 @@ def _document(
     }
 
 
-def _counting(*counters: Mapping[str, int]) -> Callable[[], dict[str, int]]:
-    """Snapshot the counters; the returned call gives the work counted since."""
-    before = {name: count for c in counters for name, count in c.items()}
-    return lambda: {name: count - before[name] for c in counters for name, count in c.items()}
-
-
 def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
     """Catalog name or generator-file path -> (name, group, entry or None)."""
     if target in catalog.catalog_names():
@@ -159,25 +146,17 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args, started: float) -> tuple[dict, int]:
-    counted = _counting(COMPONENT_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS)
     name, group, entry = _resolve_target(args.target, args.cap)
     try:
         profile = _analyze_profile(name, group, entry)
     except AmbiguousCensus as err:
         raise UsageError(f"cannot analyze {args.target!r}: {err}") from err
-    doc = _document(
-        "analyze", started, profile=profile, timings={"counters": counted()},
-        target=args.target,
-    )
+    doc = _document("analyze", started, profile=profile, target=args.target)
     return doc, 0
 
 
 def _cmd_verify(args, started: float) -> tuple[dict, int]:
     claims_ms: dict[str, int] = {}
-    counted = _counting(
-        catalog.SEARCH_COUNTERS, COMPONENT_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS,
-        FORM_COUNTERS,
-    )
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
@@ -186,8 +165,7 @@ def _cmd_verify(args, started: float) -> tuple[dict, int]:
     summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
     doc = _document(
         "verify", started, profile=summary, claim_results=results,
-        timings={"claims_ms": claims_ms, "counters": counted()},
-        filter=args.filter,
+        timings={"claims_ms": claims_ms}, filter=args.filter,
     )
     return doc, 0 if failed == 0 else 1
 
@@ -236,7 +214,6 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_search(args, started: float) -> tuple[dict, int]:
-    counted = _counting(catalog.SEARCH_COUNTERS, ISO_COUNTERS, PRODUCT_COUNTERS)
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:
@@ -254,8 +231,7 @@ def _cmd_search(args, started: float) -> tuple[dict, int]:
         ],
     }
     doc = _document(
-        "search", started, profile=profile, timings={"counters": counted()},
-        signature=args.signature, pool=args.pool,
+        "search", started, profile=profile, signature=args.signature, pool=args.pool,
     )
     return doc, 0
 
@@ -370,11 +346,13 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     started = time.perf_counter()
+    before = dict(COUNTERS)
     try:
         doc, code = _HANDLERS[args.command](args, started)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    doc["timings"]["counters"] = {name: COUNTERS[name] - before[name] for name in before}
     text = render_json(doc) if args.format == "json" else render_markdown(doc)
     sys.stdout.write(text)
     return code

@@ -142,10 +142,20 @@ MINUS_ONE = GaussianRational(-1)
 IMAG_UNIT = GaussianRational(0, 1)
 
 
-# Work done by matrix products in this process: products of two unit-monomial
-# matrices, taken on the (permutation, phase) form, and dense products of
-# Gaussian-rational entries. Reports carry them under `timings.counters`.
-PRODUCT_COUNTERS: Counter[str] = Counter(dict.fromkeys(("product.monomial", "product.dense"), 0))
+# Work done in this process, one count per key. `cli.main` reports each
+# command's share under `timings.counters`.
+COUNTERS: Counter[str] = Counter({
+    "product.monomial": 0,  # products of two unit-monomial matrices, on the (perm, phase) form
+    "product.dense": 0,  # products of Gaussian-rational entries
+    "iso.calls": 0,  # isomorphism tests
+    "iso.fingerprint_rejects": 0,  # tests ended because the fingerprints differ
+    "iso.nodes": 0,  # partial certificates tried by the backtracking
+    "component.triples": 0,  # boost triples a component scan tests for generating order 16
+    "component.row_checks": 0,  # bracket-row checks, at most one per table and generating triple
+    "form.orbit": 0,  # invariant-form systems solved by phase propagation over index-pair orbits
+    "form.elimination": 0,  # invariant-form systems solved by Gaussian elimination
+    "search.tuples": 0,  # fourths the signature search visits, one per triple walked
+})
 
 
 class ExactMatrix:
@@ -233,14 +243,14 @@ class ExactMatrix:
             if other.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
             if self._mono is not None and other._mono is not None:
-                PRODUCT_COUNTERS["product.monomial"] += 1
+                COUNTERS["product.monomial"] += 1
                 perm_a, phase_a = self._mono
                 perm_b, phase_b = other._mono
                 return _from_form(
                     tuple([perm_b[k] for k in perm_a]),
                     tuple([(p + phase_b[k]) & 3 for p, k in zip(phase_a, perm_a)]),
                 )
-            PRODUCT_COUNTERS["product.dense"] += 1
+            COUNTERS["product.dense"] += 1
             rows_b = other._rows_nonzero
             out: list[list[GaussianRational]] = [[ZERO] * self.dim for _ in range(self.dim)]
             for i, row in enumerate(self._rows_nonzero):
@@ -343,36 +353,18 @@ class ExactMatrix:
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse: the conjugate transpose of a unit-monomial matrix,
-        Gauss-Jordan elimination otherwise.
+        otherwise the right half of `row_reduce` on [A | I].
 
         Raises ValueError for singular matrices.
         """
         if self._mono is not None:
             return self._flipped(conjugate=True)
         n = self.dim
-        work = [list(row) for row in self._rows]
-        aug = [
-            [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if not work[r][col].is_zero()), None
-            )
-            if pivot_row is None:
-                raise ValueError("singular matrix")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv_pivot = ONE / work[col][col]
-            work[col] = [inv_pivot * v for v in work[col]]
-            aug[col] = [inv_pivot * v for v in aug[col]]
-            for r in range(n):
-                if r == col or work[r][col].is_zero():
-                    continue
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return ExactMatrix(aug)
+        augmented = [row + unit for row, unit in zip(self._rows, ExactMatrix.identity(n).rows())]
+        reduced, pivots = row_reduce(augmented, n)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        return ExactMatrix([row[n:] for row in reduced])
 
     def scalar_value(self) -> GaussianRational | None:
         """The scalar c when the matrix equals c times the identity, else None."""
@@ -491,6 +483,37 @@ def _row_texts(dim: int) -> tuple[tuple[str, ...], ...]:
         tuple("[" + ",".join(["0"] * col + [unit] + ["0"] * (dim - col - 1)) + "]" for unit in units)
         for col in range(dim)
     )
+
+
+def row_reduce(
+    rows: Iterable[Sequence[GaussianRational]], width: int
+) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form of ``rows`` on their first ``width`` columns.
+
+    Gauss-Jordan elimination: each pivot row is scaled to a leading 1 and
+    its column cleared in every other row; columns past ``width`` ride
+    along. Returns the reduced rows and the pivot columns, the pivot of
+    row r being ``pivots[r]``; the rows past the last pivot are zero on
+    the first ``width`` columns.
+    """
+    matrix = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(matrix)) if not matrix[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = ONE / matrix[r][col]
+        matrix[r] = [inv * v for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and not row[col].is_zero():
+                factor = row[col]
+                matrix[i] = [a - factor * b for a, b in zip(row, matrix[r])]
+        pivots.append(col)
+        if len(pivots) == len(matrix):
+            break
+    return matrix, pivots
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:

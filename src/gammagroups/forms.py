@@ -13,61 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational
+from .exact import (
+    COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational, row_reduce,
+)
 from .groups import MatrixGroup
-from .reps import FORM_COUNTERS, _check_block, structural_invariant
+from .reps import _check_block, structural_invariant
 
 
 def _submatrix(m: ExactMatrix, start: int, size: int) -> ExactMatrix:
     return ExactMatrix(
         [[m[i, j] for j in range(start, start + size)] for i in range(start, start + size)]
     )
-
-
-def _nullspace_dim_and_vector(
-    rows: list[list[GaussianRational]], unknowns: int
-) -> tuple[int, list[GaussianRational] | None]:
-    """Gaussian elimination over the exact complex rationals.
-
-    Returns the nullspace dimension and one nonzero solution (None if only
-    the zero solution exists).
-    """
-    zero = GaussianRational(0, 0)
-    matrix = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(unknowns):
-        pivot = None
-        for i in range(r, len(matrix)):
-            if not matrix[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = GaussianRational(1, 0) / matrix[r][col]
-        matrix[r] = [x * inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and not matrix[i][col].is_zero():
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(unknowns) if c not in pivots]
-    if not free:
-        return 0, None
-    # back-substitute with the first free variable set to one
-    solution = [zero] * unknowns
-    solution[free[0]] = GaussianRational(1, 0)
-    for row_idx, col in enumerate(pivots):
-        acc = zero
-        for c in free:
-            if not matrix[row_idx][c].is_zero():
-                acc = acc + matrix[row_idx][c] * solution[c]
-        solution[col] = -acc
-    return len(free), solution
 
 
 def _form_solution(
@@ -81,9 +37,9 @@ def _form_solution(
     """
     forms = [g.monomial_form() for g in gens]
     if None not in forms:
-        FORM_COUNTERS["form.orbit"] += 1
+        COUNTERS["form.orbit"] += 1
         return _form_by_orbits(forms, size, symmetric)
-    FORM_COUNTERS["form.elimination"] += 1
+    COUNTERS["form.elimination"] += 1
     return _form_by_elimination(gens, size, symmetric)
 
 
@@ -186,9 +142,16 @@ def _form_by_elimination(
                     k, s = hit
                     row[k] = row[k] - s
                 rows.append(row)
-    _, solution = _nullspace_dim_and_vector(rows, len(basis))
-    if solution is None:
+    reduced, pivots = row_reduce(rows, len(basis))
+    free = next((k for k in range(len(basis)) if k not in pivots), None)
+    if free is None:
         return None
+    # The first free unknown is 1 and the others 0, so each pivot unknown
+    # is minus its reduced row's entry in the free column.
+    solution = [zero] * len(basis)
+    solution[free] = ONE
+    for row, k in zip(reduced, pivots):
+        solution[k] = -row[free]
     entries = [[zero for _ in range(size)] for _ in range(size)]
     for (i, j), k in index.items():
         entries[i][j] = solution[k]

@@ -12,19 +12,11 @@ identity.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from gammagroups.exact import ExactMatrix, GaussianRational
+from gammagroups.exact import COUNTERS, ExactMatrix, GaussianRational
 
 DEFAULT_CAP = 4096
-
-# Work done by isomorphism tests in this process: calls, pairs rejected
-# because their fingerprints differ, and partial certificates tried by the
-# backtracking (its nodes). Reports carry them under `timings.counters`.
-ISO_COUNTERS: Counter[str] = Counter(
-    dict.fromkeys(("iso.calls", "iso.fingerprint_rejects", "iso.nodes"), 0)
-)
 
 
 def generate_closure(
@@ -638,10 +630,9 @@ class MatrixGroup:
         returns the same first map. At depth k the prefix subgroup is the
         whole group, so the last certificate certifies the returned map.
         """
-        counters = ISO_COUNTERS
-        counters["iso.calls"] += 1
+        COUNTERS["iso.calls"] += 1
         if self.fingerprint() != other.fingerprint():
-            counters["iso.fingerprint_rejects"] += 1
+            COUNTERS["iso.fingerprint_rejects"] += 1
             return None
         n = self.order
         if n == 1:
@@ -657,7 +648,7 @@ class MatrixGroup:
             for b in candidates[depth]:
                 if b in images:
                     continue
-                counters["iso.nodes"] += 1
+                COUNTERS["iso.nodes"] += 1
                 grown = images + [b]
                 mapping = certified_map(
                     table, other_table, gens[: depth + 1], grown, prefix_sizes[depth]

@@ -14,7 +14,6 @@ diagonal phases in integers. Dense matrices take entry reads.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -149,14 +148,6 @@ def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = Non
     if value not in (-1, 0, 1):
         raise ValueError(f"indicator {value} outside the expected range")
     return value
-
-
-# How invariant forms were solved in this process: one count per
-# (generators, symmetry) system, by phase propagation over orbits of index
-# pairs or by Gaussian elimination. Reports carry them under
-# `timings.counters`. `forms` counts them; they live here so that `cli`
-# imports them without loading `forms`.
-FORM_COUNTERS: Counter[str] = Counter(dict.fromkeys(("form.orbit", "form.elimination"), 0))
 
 
 def __getattr__(name: str):

@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .brackets import RelationSet, VerificationReport, verify_relations
 from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, CatalogEntry, catalog_entry
 from .catalog import _identify, _named_by_key
-from .exact import ExactMatrix, GaussianRational, block_diag
-from .groups import MatrixGroup
-
-_MINUS = GaussianRational(-1, 0)
-_IMAG = GaussianRational(0, 1)
-_PHASES = (
-    ("1", GaussianRational(1, 0)),
-    ("-1", _MINUS),
-    ("i", _IMAG),
-    ("-i", GaussianRational(0, -1)),
+from .exact import (
+    COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, GaussianRational, block_diag, format_scalar,
 )
+from .groups import MatrixGroup
 
 # ---------------------------------------------------------------------------
 # Pools and signature search
@@ -40,7 +32,7 @@ def pool_group(name: str) -> MatrixGroup:
         raise KeyError(f"unknown pool {name!r}; have {POOL_NAMES}")
     base = "gamma_minus" if name == "dirac4" else "gamma64_minus"
     gens = list(catalog_entry(base).generators)
-    scalar_i = ExactMatrix.identity(gens[0].dim).scale(_IMAG)
+    scalar_i = ExactMatrix.identity(gens[0].dim).scale(IMAG_UNIT)
     return MatrixGroup.from_generators(gens + [scalar_i])
 
 
@@ -132,12 +124,6 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
     for w in words:
         mask |= 1 << w | 1 << minus_row[w]
     return mask
-
-
-# Work done by uncached find_gamma_models calls in this process: the
-# fourths visited up to each search's stop, one per triple walked. Reports
-# carry it under `timings.counters`.
-SEARCH_COUNTERS: Counter[str] = Counter({"search.tuples": 0})
 
 
 def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
@@ -265,7 +251,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
             fourths &= -2 << s3
         if not fourths:
             continue
-        SEARCH_COUNTERS["search.tuples"] += 1
+        COUNTERS["search.tuples"] += 1
         s4 = (fourths & -fourths).bit_length() - 1
         key = base | _signed_mask([cay[w][s4] for w in head], minus_row)  # H u H*s4
         order = key.bit_count()
@@ -331,18 +317,14 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
             reason=f"{base_name} has {len(gens)} generators, need exactly 4",
         )
     product = gens[0] * gens[1] * gens[2] * gens[3]
-    witness = None
-    phase_name = ""
-    for name, phase in _PHASES:
-        candidate = product.scale(phase)
-        sq = (candidate * candidate).scalar_value()
-        if sq is None or sq != GaussianRational(square, 0):
-            continue
-        if all(candidate * g == (g * candidate).scale(_MINUS) for g in gens):
-            witness = candidate
-            phase_name = name
+    # The reported phase is the first that works, tried in this order.
+    for phase in (ONE, MINUS_ONE, IMAG_UNIT, -IMAG_UNIT):
+        witness = product.scale(phase)
+        if (witness * witness).scalar_value() == GaussianRational(square, 0) and all(
+            witness * g == (g * witness).scale(MINUS_ONE) for g in gens
+        ):
             break
-    if witness is None:
+    else:
         return ExtensionResult(
             base=base_name,
             square=square,
@@ -351,7 +333,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
             f"and squares to {square}",
         )
     doubled = [block_diag(g, g) for g in gens]
-    fifth = block_diag(witness, witness.scale(_MINUS))
+    fifth = block_diag(witness, witness.scale(MINUS_ONE))
     group = MatrixGroup.from_generators(doubled + [fifth])
     labels = ["G1", "G2", "G3", "G4", "G5", "G6"]
     assignment = dict(zip(labels, doubled + [fifth]))
@@ -364,7 +346,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
         base=base_name,
         square=square,
         found=True,
-        phase=phase_name,
+        phase=format_scalar(phase),
         generators=doubled + [fifth],
         order=group.order,
         identified=_identify(group, EXTENSION_NAMES),

@@ -35,7 +35,9 @@ from gammagroups.catalog import (
     load_generator_file,
     pool_group,
 )
-from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix
+from gammagroups.exact import (
+    COUNTERS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix,
+)
 from gammagroups.groups import MatrixGroup, mask_indices
 
 MINUS = GaussianRational(-1, 0)
@@ -588,7 +590,7 @@ class TestSquareSignatureMemo:
         # The scan visits each signature's triples up to its first
         # generating one, testing each once, and checks the rows at most
         # once per (table, generating signature).
-        counters = brackets.COMPONENT_COUNTERS
+        counters = COUNTERS
         for group in order16_groups(source, sample):
             visited, generated = scanned_triples(group)
             for scan in (component_composition, find_component_match):
@@ -773,7 +775,7 @@ class TestComposition:
         # Every triple of the scan is tested for generating an order-16
         # group, and the rows are checked only on each signature's first
         # generating triple, at most once per table.
-        counters = brackets.COMPONENT_COUNTERS
+        counters = COUNTERS
         for name in CATALOG_NAMES:
             group = catalog_group(name)
             neg = neg_index(group)

@@ -69,6 +69,14 @@ class TestReportShape:
         assert json.loads(before)["profile"] == json.loads(after)["profile"]
 
 
+    @pytest.mark.parametrize(
+        "argv", [("catalog", "list"), ("brackets", "pauli", "--table", "d")], ids=" ".join
+    )
+    def test_every_report_carries_every_counter(self, capsys, argv):
+        _, doc, _ = run_json(capsys, *argv)
+        assert sorted(doc["timings"]["counters"]) == ALL_COUNTER_KEYS
+
+
 class TestCatalogList:
     def test_lists_every_entry_with_its_order(self, capsys):
         _, doc, _ = run_json(capsys, "catalog", "list")
@@ -112,10 +120,19 @@ PROFILE_FILES = {
 }
 
 
-COMPONENT_COUNTER_KEYS = ["component.row_checks", "component.triples"]
-FORM_COUNTER_KEYS = ["form.elimination", "form.orbit"]
-ISO_COUNTER_KEYS = ["iso.calls", "iso.fingerprint_rejects", "iso.nodes"]
-PRODUCT_COUNTER_KEYS = ["product.dense", "product.monomial"]
+# Every report's timings.counters, whatever layers the command reaches.
+ALL_COUNTER_KEYS = [
+    "component.row_checks",
+    "component.triples",
+    "form.elimination",
+    "form.orbit",
+    "iso.calls",
+    "iso.fingerprint_rejects",
+    "iso.nodes",
+    "product.dense",
+    "product.monomial",
+    "search.tuples",
+]
 
 
 @functools.cache
@@ -168,7 +185,7 @@ class TestAnalyze:
         catalog.catalog_profile.cache_clear()  # count a cold profile
         _, doc, _ = run_json(capsys, "analyze", "pauli_c2")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == COMPONENT_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
+        assert sorted(counters) == ALL_COUNTER_KEYS
         # The scan checks the rows at most once per (table, square
         # signature) and once more per match: with four tables and at most
         # eight signatures, 36 checks per scanned order-16 group.
@@ -181,10 +198,8 @@ class TestAnalyze:
         assert counters["component.triples"] > 0
         _, small, _ = run_json(capsys, "analyze", "q8")
         small_counters = small["timings"]["counters"]
-        assert sorted(small_counters) == (
-            COMPONENT_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
-        )
-        assert {small_counters[key] for key in COMPONENT_COUNTER_KEYS} == {0}
+        assert sorted(small_counters) == ALL_COUNTER_KEYS
+        assert small_counters["component.row_checks"] == small_counters["component.triples"] == 0
 
     def test_cold_analyze_iso_counters_are_pinned(self):
         # Sorting the 31 index-two subgroups of gamma64_plus into classes
@@ -375,10 +390,7 @@ class TestVerify:
         catalog._gamma_models.cache_clear()
         _, doc, _ = run_json(capsys, "verify", "--filter", "search.*")
         counters = doc["timings"]["counters"]
-        assert sorted(counters) == (
-            COMPONENT_COUNTER_KEYS + FORM_COUNTER_KEYS + ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS
-            + ["search.tuples"]
-        )
+        assert sorted(counters) == ALL_COUNTER_KEYS
         assert counters["search.tuples"] > 0
         _, again, _ = run_json(capsys, "verify", "--filter", "search.*")
         assert set(again["timings"]["counters"].values()) == {0}  # served from the cache
@@ -425,7 +437,7 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "--filter", "catalog.pauli_c2.*")
         assert code == 0
         counters = doc["timings"]["counters"]
-        assert set(COMPONENT_COUNTER_KEYS) <= set(counters)
+        assert sorted(counters) == ALL_COUNTER_KEYS
         assert min(counters.values()) >= 0
         assert counters["component.row_checks"] > 0
 
@@ -501,9 +513,7 @@ class TestSearch:
     def test_twisted_signature_needs_the_wide_pool(self, capsys):
         _, narrow, _ = run_json(capsys, "search", "--signature=---|+")
         assert [h for h in narrow["profile"]["hits"] if h["order"] == 32] == []
-        assert sorted(narrow["timings"]["counters"]) == ISO_COUNTER_KEYS + PRODUCT_COUNTER_KEYS + [
-            "search.tuples",
-        ]
+        assert sorted(narrow["timings"]["counters"]) == ALL_COUNTER_KEYS
         _, wide, _ = run_json(
             capsys, "search", "--signature=---|+", "--pool", "penta8"
         )
@@ -643,10 +653,22 @@ def test_analyze_leaves_the_lazy_halves_uncompiled(tmp_path):
         "assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)\n"
         "assert 'find_gamma_models' not in vars(catalog)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['verify', '--filter', 'catalog.q8.*']) == 0\n"
+        "    assert main(['verify', '--filter', 'search.*']) == 0\n"
         "assert all(m in sys.modules for m in lazy), sorted(sys.modules)\n"
     )
     run_fresh(script, str(path))
+
+
+def test_verify_compiles_the_search_only_for_search_claims():
+    script = (
+        "import contextlib, io, sys\n"
+        "from gammagroups.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--filter', 'pauli.*']) == 0\n"
+        "assert 'gammagroups.search' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'importlib.resources' not in sys.modules, sorted(sys.modules)\n"
+    )
+    run_fresh(script)
 
 
 class TestForwarders:
@@ -663,7 +685,6 @@ class TestForwarders:
         from gammagroups import forms, search
 
         assert catalog.find_gamma_models is search.find_gamma_models
-        assert catalog.SEARCH_COUNTERS is search.SEARCH_COUNTERS
         assert reps.spin_weights is forms.spin_weights
         assert reps.invariant_bilinear_form is forms.invariant_bilinear_form
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gammagroups import catalog, exact
 from gammagroups.exact import (
-    PRODUCT_COUNTERS,
+    COUNTERS,
     ExactMatrix,
     GaussianRational,
     IMAG_UNIT,
@@ -170,6 +170,27 @@ def test_matrix_inverse_singular():
         parse_matrix("[[1,1],[1,1]]").inverse()
 
 
+def scalars(*texts):
+    return [parse_scalar(text) for text in texts]
+
+
+def test_row_reduce_gives_the_reduced_echelon_form():
+    # Rank 2 over four columns: the third row is the sum of the first two,
+    # and the first pivot sits in the second row.
+    rows = [
+        scalars("0", "1", "i", "1"),
+        scalars("2", "0", "4", "2i"),
+        scalars("2", "1", "4+i", "1+2i"),
+    ]
+    reduced, pivots = exact.row_reduce(rows, 4)
+    assert pivots == [0, 1]
+    assert reduced == [scalars("1", "0", "2", "i"), scalars("0", "1", "i", "1"), [ZERO] * 4]
+    # A swap of rows: the columns past the width ride along.
+    reduced, pivots = exact.row_reduce([scalars("0", "i", "1", "0"), scalars("2", "0", "0", "1")], 2)
+    assert pivots == [0, 1]
+    assert reduced == [scalars("1", "0", "0", "1/2"), scalars("0", "1", "-i", "0")]
+
+
 def test_matrix_scalar_value():
     assert parse_matrix("[[0,1],[1,0]]").scalar_value() is None
     assert parse_matrix("[[-i,0],[0,-i]]").scalar_value() == GaussianRational(0, -1)
@@ -272,9 +293,9 @@ def bare_text(rows):
 
 def product_path(a, b):
     """Which product counter a*b moves."""
-    before = dict(PRODUCT_COUNTERS)
+    before = dict(COUNTERS)
     a * b
-    moved = [name for name, count in PRODUCT_COUNTERS.items() if count != before[name]]
+    moved = [name for name, count in COUNTERS.items() if count != before[name]]
     assert len(moved) == 1
     return moved[0]
 

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog
-from gammagroups.exact import PRODUCT_COUNTERS, ExactMatrix, GaussianRational, parse_matrix
+from gammagroups.exact import COUNTERS, ExactMatrix, GaussianRational, parse_matrix
 from gammagroups.groups import (
     DEFAULT_CAP,
-    ISO_COUNTERS,
     MatrixGroup,
     Subgroup,
     certified_map,
@@ -299,9 +298,9 @@ class TestCayleyMatchesProducts:
 
     def test_generated_group_comes_with_its_table(self):
         group = MatrixGroup.from_generators(BINARY_TETRAHEDRAL_GENS)
-        before = dict(PRODUCT_COUNTERS)
+        before = dict(COUNTERS)
         table = group.cayley()
-        assert dict(PRODUCT_COUNTERS) == before
+        assert dict(COUNTERS) == before
         assert table == reference_cayley(group)
 
 
@@ -943,10 +942,10 @@ class TestIsomorphism:
         assert verdicts == {True, False}
 
     def test_iso_counters_count_calls_rejects_and_nodes(self, q8, pauli):
-        before = dict(ISO_COUNTERS)
+        before = dict(COUNTERS)
         assert q8.isomorphism_map(pauli) is None
         assert q8.isomorphism_map(MatrixGroup.from_generators([A2, A1])) is not None
-        done = {k: ISO_COUNTERS[k] - before[k] for k in before}
+        done = {k: COUNTERS[k] - before[k] for k in before}
         assert done["iso.calls"] == 2
         assert done["iso.fingerprint_rejects"] == 1
         assert done["iso.nodes"] >= 2  # one certificate per generator at least

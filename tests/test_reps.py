@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog
-from gammagroups.exact import ExactMatrix, GaussianRational, block_diag, parse_matrix
+from gammagroups.exact import COUNTERS, ExactMatrix, GaussianRational, block_diag, parse_matrix
 from gammagroups.groups import MatrixGroup
 from gammagroups.reps import (
-    FORM_COUNTERS,
     Cyc8,
     _form_by_elimination,
     _form_by_orbits,
@@ -183,9 +182,9 @@ class TestDenseGroups:
         assert sum(m.monomial_form() is None for m in group.elements) == 16
         assert irreducibility_norm(group) == 1
         assert structural_invariant(group) == -1
-        before = FORM_COUNTERS["form.elimination"]
+        before = COUNTERS["form.elimination"]
         kind, form = invariant_bilinear_form(group)
-        assert FORM_COUNTERS["form.elimination"] == before + 2
+        assert COUNTERS["form.elimination"] == before + 2
         assert kind == "antisymmetric"
         for g in group.elements:
             assert g.transpose() * form * g == form
@@ -319,10 +318,10 @@ class TestFormsByOrbits:
         )
 
     def test_cold_solutions_are_counted(self, q8):
-        before = dict(FORM_COUNTERS)
+        before = dict(COUNTERS)
         invariant_bilinear_form(q8)
-        assert FORM_COUNTERS["form.orbit"] == before["form.orbit"] + 2
-        assert FORM_COUNTERS["form.elimination"] == before["form.elimination"]
+        assert COUNTERS["form.orbit"] == before["form.orbit"] + 2
+        assert COUNTERS["form.elimination"] == before["form.elimination"]
 
 
 class TestBlockQueriesOnTheForm:
