@@ -11,55 +11,27 @@ the rows on those triples alone; it classifies an order-16 group and gives
 the component composition of a larger one. The triples come from
 `MatrixGroup.anticommuting_triples`, the enumerator the signature search
 uses too: one triple per sign class {s, -s} and per set of generators
-with equal squares.
+with equal squares. The relation words and the reports the two checks
+return live in `gammagroups.words`, which the checks import when called.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .data import load_json
 from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup
 
+if TYPE_CHECKING:
+    from .words import RelationSet, VerificationReport
+
 TABLE_NAMES = ("d", "q2", "f", "b", "c")
 
 # Tables eligible for component classification, tried in this order.
 COMPONENT_TABLES = ("d", "f", "b", "c")
-
-
-class CheckResult(NamedTuple):
-    check_id: str
-    passed: bool
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"id": self.check_id, "passed": self.passed, "detail": self.detail}
-
-
-class VerificationReport(NamedTuple):
-    name: str
-    checks: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, check_id: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(check_id, passed, detail))
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 class BracketTable:
@@ -163,92 +135,12 @@ def _row_sign(coeff: GaussianRational, z: str | None) -> int:
     return 1 if coeff.re > 0 else -1
 
 
-_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
-
-
-def parse_word(text: str) -> tuple[GaussianRational, list[tuple[str, int]]]:
-    """Split a relation word into a scalar prefix and (label, exponent) factors.
-
-    Grammar: an optional scalar glued to the first factor with '*', then
-    whitespace-separated factors `label` or `label^k`. A bare scalar literal
-    is a valid word with no factors and wins over a label of the same
-    spelling, so "i" always means the imaginary unit.
-    """
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty word")
-    scalar = GaussianRational(1, 0)
-    factors: list[tuple[str, int]] = []
-    first = parts[0]
-    if "*" in first:
-        head, _, rest = first.partition("*")
-        scalar = parse_scalar(head)
-        parts[0] = rest
-    elif len(parts) == 1:
-        try:
-            return parse_scalar(first), []
-        except ValueError:
-            pass
-    for part in parts:
-        m = _FACTOR.match(part)
-        if m is None:
-            raise ValueError(f"bad factor {part!r} in word {text!r}")
-        label, exp = m.group(1), m.group(2)
-        factors.append((label, int(exp) if exp is not None else 1))
-    return scalar, factors
-
-
-def evaluate_word(
-    text: str, assignment: Mapping[str, ExactMatrix], *, dim: int | None = None
-) -> ExactMatrix:
-    scalar, factors = parse_word(text)
-    if dim is None:
-        if not assignment:
-            raise ValueError("cannot size a scalar word without an assignment or dim")
-        dim = next(iter(assignment.values())).dim
-    acc = ExactMatrix.identity(dim)
-    for label, exp in factors:
-        if label not in assignment:
-            raise ValueError(f"word {text!r} uses unassigned label {label!r}")
-        acc = acc * (assignment[label] ** exp)
-    return acc.scale(scalar)
-
-
-class RelationSet:
-    """Named list of word equations over a fixed label set."""
-
-    def __init__(self, name: str, labels: Sequence[str], relations: Iterable[tuple[str, str, str]]):
-        self.name = name
-        self.labels = tuple(labels)
-        self.relations = []
-        for rel_id, lhs, rhs in relations:
-            for side in (lhs, rhs):
-                _, factors = parse_word(side)
-                for label, _ in factors:
-                    if label not in self.labels:
-                        raise ValueError(
-                            f"relation {rel_id!r} uses label {label!r} outside {self.labels}"
-                        )
-            self.relations.append((rel_id, lhs, rhs))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RelationSet":
-        rels = [(r["id"], r["lhs"], r["rhs"]) for r in payload["relations"]]
-        return cls(payload["name"], payload["labels"], rels)
-
-    @classmethod
-    def load(cls, name: str) -> "RelationSet":
-        return cls.from_dict(load_json("relations", f"{name}.json"))
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b - b * a
-
-
 def verify_bracket_table(
     table: BracketTable, assignment: Mapping[str, ExactMatrix]
 ) -> VerificationReport:
     """Check every stored bracket row against an explicit matrix assignment."""
+    from .words import VerificationReport, commutator
+
     missing = [lab for lab in table.labels if lab not in assignment]
     if missing:
         raise ValueError(f"assignment misses labels {missing} of table {table.name!r}")
@@ -269,6 +161,8 @@ def verify_bracket_table(
 def verify_relations(
     relations: RelationSet, assignment: Mapping[str, ExactMatrix]
 ) -> VerificationReport:
+    from .words import VerificationReport, evaluate_word
+
     report = VerificationReport(f"relations-{relations.name}", [])
     for rel_id, lhs, rhs in relations.relations:
         left = evaluate_word(lhs, assignment)

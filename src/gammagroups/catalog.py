@@ -19,7 +19,7 @@ import json
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .brackets import BracketTable, component_composition, evaluate_word, find_component_match
+from .brackets import component_composition, find_component_match
 from .data import load_json
 from .exact import ExactMatrix, parse_matrix
 from .groups import DEFAULT_CAP, MatrixGroup, Subgroup
@@ -128,30 +128,6 @@ def _resolve_extraction(payload: Mapping) -> CatalogEntry:
     raise LookupError(
         f"no order-{order} subgroup of {recipe['parent']!r} realizes component {component!r}"
     )
-
-
-def table_roles(
-    group: MatrixGroup, entry: CatalogEntry | None, table: BracketTable
-) -> dict[str, ExactMatrix] | None:
-    """The matrices that play the table's roles in the group, if any.
-
-    When the entry names this table, its stored words over the generators
-    give the roles, or else its three generators are the designated boost
-    triple. Otherwise the roles come from the first boost triple a scan of
-    the group finds for the table. Raises ValueError where the component
-    scan does (a group not of order 16, a bad designated triple).
-    """
-    designated = None
-    if entry is not None and entry.table == table.name:
-        if entry.table_assignment:
-            genmap = entry.generator_assignment()
-            return {
-                label: evaluate_word(word, genmap) for label, word in entry.table_assignment.items()
-            }
-        if len(entry.generators) == 3:
-            designated = entry.generators
-    match = find_component_match(group, designated=designated, tables=(table.name,))
-    return match.assignment(group, table) if match is not None else None
 
 
 @functools.cache

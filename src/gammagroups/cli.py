@@ -16,6 +16,7 @@ group whose irreducible dimensions counting cannot pin down).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -190,10 +191,12 @@ def _cmd_subgroups(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_brackets(args, started: float) -> tuple[dict, int]:
+    from .words import table_roles
+
     name, group, entry = _resolve_target(args.name, args.cap)
     table = BracketTable.load(args.table)
     try:
-        assignment = catalog.table_roles(group, entry, table)
+        assignment = table_roles(group, entry, table)
     except ValueError as err:
         raise UsageError(str(err)) from err
     if assignment is None:
@@ -358,5 +361,19 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> int:
+    """Process entry: `main` on `sys.argv`, then freeze the heap for exit.
+
+    Interpreter shutdown still collects garbage, GC enabled or not, and
+    walks every tracked object to do it; `gc.freeze()` moves them all into
+    the permanent generation, which no later collection visits. The
+    streams are still flushed at exit. `main` itself never freezes, so
+    in-process callers keep their collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -17,13 +17,11 @@ from __future__ import annotations
 import functools
 
 from . import catalog
-from .brackets import (
-    BracketTable, RelationSet, evaluate_word, verify_bracket_table, verify_relations,
-)
+from .brackets import BracketTable, verify_bracket_table, verify_relations
 from .claims import Claim
 from .exact import ExactMatrix, GaussianRational, format_scalar
-# The `forms` names come through `reps`, so a wrapper set on `reps` (perfbench) binds here.
-from .reps import format_census, invariant_bilinear_form, spin_weights, structural_invariant
+from .reps import format_census, structural_invariant
+from .words import RelationSet, evaluate_word, table_roles
 
 
 def _report_verdict(report) -> str:
@@ -39,7 +37,7 @@ def _table_verdict(entry_name: str) -> str:
     """Verify an entry's bracket table row by row on explicit matrices."""
     entry = catalog.catalog_entry(entry_name)
     table = BracketTable.load(entry.table)
-    assignment = catalog.table_roles(catalog.catalog_group(entry_name), entry, table)
+    assignment = table_roles(catalog.catalog_group(entry_name), entry, table)
     if assignment is None:
         return f"fail: no {entry.table} match"
     return _report_verdict(verify_bracket_table(table, assignment))
@@ -82,6 +80,10 @@ def _center_scalars(name: str) -> list[str]:
 
 
 def _weight_summary(name: str, word: str) -> dict:
+    # The `forms` names come through `reps`, so a wrapper set on `reps`
+    # (perfbench) binds here, and only the claims that read them load `forms`.
+    from .reps import spin_weights
+
     entry = catalog.catalog_entry(name)
     report = spin_weights(evaluate_word(word, entry.generator_assignment()))
     return {
@@ -99,6 +101,8 @@ def _generator_orders(name: str) -> list[int]:
 @functools.cache
 def _block_forms(name: str) -> tuple[tuple[str, ExactMatrix | None], ...]:
     """Invariant bilinear form (kind, matrix) on each declared block of an entry."""
+    from .reps import invariant_bilinear_form  # through `reps`, as in `_weight_summary`
+
     group = catalog.catalog_group(name)
     return tuple(
         invariant_bilinear_form(group, block) for block in catalog.catalog_entry(name).blocks or ()

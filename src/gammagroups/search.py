@@ -13,13 +13,14 @@ import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .brackets import RelationSet, VerificationReport, verify_relations
+from .brackets import verify_relations
 from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, CatalogEntry, catalog_entry
 from .catalog import _identify, _named_by_key
 from .exact import (
     COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, GaussianRational, block_diag, format_scalar,
 )
 from .groups import MatrixGroup
+from .words import RelationSet, VerificationReport
 
 # ---------------------------------------------------------------------------
 # Pools and signature search

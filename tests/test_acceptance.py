@@ -13,8 +13,6 @@ import pytest
 from gammagroups import catalog
 from gammagroups.brackets import (
     BracketTable,
-    RelationSet,
-    evaluate_word,
     find_component_match,
     verify_bracket_table,
     verify_relations,
@@ -27,6 +25,7 @@ from gammagroups.reps import (
     spin_weights,
     structural_invariant,
 )
+from gammagroups.words import RelationSet, evaluate_word
 
 # The five order-32 groups that survive the sweep, with the expected
 # value of the structural invariant on their irreducible blocks.

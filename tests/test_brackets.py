@@ -10,21 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import brackets
+from gammagroups import brackets, words
 from gammagroups.brackets import (
     COMPONENT_TABLES,
     TABLE_NAMES,
     BracketTable,
     ComponentMatch,
-    RelationSet,
-    commutator,
     component_composition,
-    evaluate_word,
     find_component_match,
-    parse_word,
     verify_bracket_table,
     verify_relations,
 )
+from gammagroups.words import RelationSet, commutator, evaluate_word, parse_word
 from gammagroups.brackets import _table_holds_on_indices
 from gammagroups.catalog import (
     CATALOG_NAMES,
@@ -644,7 +641,7 @@ class TestSquareSignatureMemo:
         # subgroup, on every component table. Triples share their role
         # matrices, so each exact commutator, scaling and failure text is
         # computed once.
-        monkeypatch.setattr(brackets, "commutator", functools.cache(commutator))
+        monkeypatch.setattr(words, "commutator", functools.cache(commutator))
         monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
         monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
         rng = random.Random(f"rows:{source}")
@@ -674,7 +671,7 @@ class TestSquareSignatureMemo:
         # A seeded sample of ordered triples, and of boost triples so that
         # some pass, against verify_bracket_table and, as designated
         # boosts, against the matrix check of a triple generating D16.
-        monkeypatch.setattr(brackets, "commutator", functools.cache(commutator))
+        monkeypatch.setattr(words, "commutator", functools.cache(commutator))
         monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
         monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
         r = parse_matrix("[[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]")

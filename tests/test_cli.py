@@ -623,8 +623,10 @@ def test_no_command_imports_dataclasses():
 
 
 # The modules that load on first use: the search and extensions, the
-# invariant forms and weights, and the claim checks.
-LAZY_MODULES = ("gammagroups.search", "gammagroups.forms", "gammagroups.paper")
+# invariant forms and weights, the claim checks, and the relation words.
+LAZY_MODULES = (
+    "gammagroups.search", "gammagroups.forms", "gammagroups.paper", "gammagroups.words",
+)
 
 
 def run_fresh(script, *args, flags=("-S",)):
@@ -654,6 +656,7 @@ def test_analyze_leaves_the_lazy_halves_uncompiled(tmp_path):
         "assert 'find_gamma_models' not in vars(catalog)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['verify', '--filter', 'search.*']) == 0\n"
+        "    assert main(['verify', '--filter', 'pauli.weights']) == 0\n"
         "assert all(m in sys.modules for m in lazy), sorted(sys.modules)\n"
     )
     run_fresh(script, str(path))
@@ -669,6 +672,58 @@ def test_verify_compiles_the_search_only_for_search_claims():
         "assert 'importlib.resources' not in sys.modules, sorted(sys.modules)\n"
     )
     run_fresh(script)
+
+
+@pytest.mark.parametrize("pattern, loads_forms", [("quaternion.*", False), ("pauli.weights", True)])
+def test_verify_compiles_the_forms_only_for_form_and_weight_claims(pattern, loads_forms):
+    script = (
+        "import contextlib, io, sys\n"
+        "from gammagroups.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--filter', sys.argv[1]]) == 0\n"
+        "print('gammagroups.forms' in sys.modules)\n"
+    )
+    assert run_fresh(script, pattern) == f"{loads_forms}\n"
+
+
+def test_the_process_entry_freezes_the_heap_and_main_does_not():
+    script = (
+        "import contextlib, gc, io, sys\n"
+        "from gammagroups import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', 'q8', '--format', 'json']) == 0\n"
+        "    assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+        "    sys.argv = ['gammagroups', 'analyze', 'q8', '--format', 'json']\n"
+        "    assert cli.run() == 0\n"
+        "assert gc.get_freeze_count() > 0\n"
+    )
+    run_fresh(script)
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [(("analyze", "q8"), 0), (("catalog", "list"), 0), (("analyze", "no_such_group"), 2)],
+    ids=["analyze", "catalog list", "unknown target"],
+)
+def test_module_entry_matches_in_process_main(capsys, argv, want_code):
+    argv = [*argv, "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammagroups.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+
+    def without_timings(text):
+        if not text:
+            return text
+        doc = json.loads(text)
+        del doc["timings"]
+        return doc
+
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert code == want_code
+    assert without_timings(proc.stdout) == without_timings(out)
 
 
 class TestForwarders:
