@@ -262,11 +262,9 @@ class GroupProfile:
         return {"count": sum(count for _, count in classes), "classes": classes}
 
 
-def compute_profile(
-    group: MatrixGroup, blocks: Sequence[tuple[int, int]] | None = None
-) -> GroupProfile:
+def compute_profile(group: MatrixGroup) -> GroupProfile:
     """The profile of a group outside the catalog; keys are computed on read."""
-    return GroupProfile(group, blocks)
+    return GroupProfile(group)
 
 
 @functools.cache
@@ -328,11 +326,6 @@ def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:
     return None
 
 
-def identify_stable(group: MatrixGroup) -> str | None:
-    """Name of the order-32 catalog group this one is isomorphic to, if any."""
-    return _identify(group, STABLE_NAMES)
-
-
 @functools.cache
 def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """Index-two subgroups of a catalog group, identified and counted.
@@ -344,7 +337,7 @@ def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """
     tally: dict[str, int] = {}
     for rep, count in _index_two_classes(catalog_group(name)):
-        identified = identify_stable(rep)
+        identified = _identify(rep, STABLE_NAMES)
         if identified is None:
             raise LookupError(
                 f"an index-two subgroup of {name!r} matches no stable catalog group"

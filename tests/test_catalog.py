@@ -3,13 +3,14 @@
 import itertools
 import json
 import math
+import pathlib
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog, claims
+from gammagroups import catalog, claims, data, forms, paper
 from gammagroups.catalog import (
     CATALOG_NAMES,
     STABLE_NAMES,
@@ -68,6 +69,14 @@ class TestCatalogData:
         for name in CATALOG_NAMES:
             assert catalog._load_payload(name)["summary"].strip(), name
 
+    def test_data_files_are_exactly_the_catalog_names(self):
+        # The JSON files are the only definition of the entries, so no file
+        # may go missing, linger, or carry another entry's name.
+        paths = sorted((pathlib.Path(data.__file__).parent / "catalog").glob("*.json"))
+        assert sorted(path.stem for path in paths) == sorted(CATALOG_NAMES)
+        for path in paths:
+            assert json.loads(path.read_text(encoding="utf-8"))["name"] == path.stem
+
 
 class TestValidation:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -96,6 +105,17 @@ class TestValidation:
             (result,) = claims.run_claims("catalog.q8.expected")
             assert result.status == "FAIL", result.computed
             assert result.computed != result.expected
+
+    def test_block_form_contradicting_its_indicator_fails_the_checks(self, monkeypatch):
+        # The form solver insists on agreeing with the trace indicator; a
+        # flipped indicator must surface as a failed checks claim.
+        indicator = forms.structural_invariant
+        monkeypatch.setattr(forms, "structural_invariant",
+                            lambda group, block=None: -indicator(group, block))
+        paper._block_forms.cache_clear()
+        (result,) = claims.run_claims("catalog.q8.checks")
+        assert result.status == "FAIL", result.computed
+        assert "contradicts trace indicator" in result.computed, result.computed
 
 
 class TestProfiles:
@@ -790,6 +810,16 @@ class TestExtensions:
     def test_invalid_square_rejected(self):
         with pytest.raises(ValueError):
             enumerate_extensions("gamma_minus", 2)
+
+    @pytest.mark.parametrize("name,base,square", [
+        ("gamma64_minus", "gamma_minus", 1),
+        ("gamma64_null", "gamma_minus", -1),
+        ("gamma64_plus", "gamma_plus", -1),
+    ])
+    def test_stored_order64_generators_are_the_constructed_extension(self, name, base, square):
+        result = enumerate_extensions(base, square)
+        assert result.identified == name
+        assert catalog_entry(name).generators == list(result.generators)
 
 
 class TestOrder64Models:
