@@ -314,30 +314,20 @@ def _named_by_key(key: tuple[int, int, int] | None, names: Sequence[str]) -> str
     return next((name for name in names if catalog_group(name).squaring_key() == key), None)
 
 
-def _identify(group: MatrixGroup, names: Sequence[str]) -> str | None:
-    """The first of the named catalog groups this one is isomorphic to, if any:
-    by squaring key for a group in F, by `is_isomorphic` otherwise."""
-    key = group.squaring_key()
-    if key is not None:
-        return _named_by_key(key, names)
-    for name in names:
-        if group.order == catalog_group(name).order and group.is_isomorphic(catalog_group(name)):
-            return name
-    return None
-
-
 @functools.cache
 def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """Index-two subgroups of a catalog group, identified and counted.
 
     Returns sorted (identified catalog name, count) pairs; raises if some
     subgroup matches none of the stable groups. Each class is named by its
-    squaring key (`_identify`), so no isomorphism search runs for a group
-    in F.
+    squaring key alone (`_named_by_key`), so no isomorphism search runs.
+    Its caller passes the order-64 entries, whose derived subgroup is
+    <-1>, so every index-two subgroup H holds -1 and lies in F: an H
+    without -1 would give G = H x <-1>, and then G' = H' could not be <-1>.
     """
     tally: dict[str, int] = {}
     for rep, count in _index_two_classes(catalog_group(name)):
-        identified = _identify(rep, STABLE_NAMES)
+        identified = _named_by_key(rep.squaring_key(), STABLE_NAMES)
         if identified is None:
             raise LookupError(
                 f"an index-two subgroup of {name!r} matches no stable catalog group"

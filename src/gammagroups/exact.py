@@ -1,13 +1,13 @@
 """Exact Gaussian-rational scalars and square matrices, plus a compact text form.
 
 Scalars are complex numbers whose real and imaginary parts are rational.
-Matrices are immutable and square, and hashable through a canonical string
-key, so they can serve directly as dictionary keys during group
-enumeration. A matrix with one unit entry (1, i, -1 or -i) per row, in
-distinct columns, is held as a (permutation, phase mod 4) form, the
-monomial group Z4 wr S_d: its products, keys and unit scalings are integer
-work, and its dense rows are built only when read. Every other matrix is
-held as dense rows of Gaussian rationals.
+Matrices are immutable and square, and hash by their entries, so they
+serve directly as dictionary keys during group enumeration. A matrix with
+one unit entry (1, i, -1 or -i) per row, in distinct columns, is held as a
+(permutation, phase mod 4) form, the monomial group Z4 wr S_d: its
+products, hashes and unit scalings are integer work, and its dense rows
+are built only when read. Every other matrix is held as dense rows of
+Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -164,14 +164,15 @@ class ExactMatrix:
     A unit-monomial matrix (one nonzero entry per row, each a power of i,
     in distinct columns) carries the form (perm, phase): row r has its
     entry i^phase[r] in column perm[r]. The form is detected once, when
-    the matrix is built from rows, and products, keys, scaling by a unit,
-    inverse, transpose, conjugate, trace and scalar tests of such matrices
-    work on it alone. Matrices made from the form build their dense rows
-    only when something reads them through ``rows()``. Every other matrix
-    is dense, and its products walk only the nonzero entries of each row.
+    the matrix is built from rows, and products, hashes, equality, scaling
+    by a unit, inverse, transpose, conjugate, trace and scalar tests of
+    such matrices work on it alone. Matrices made from the form build
+    their dense rows only when something reads them through ``rows()``.
+    Every other matrix is dense: it hashes by its rows, and its products
+    walk only the nonzero entries of each row.
     """
 
-    __slots__ = ("dim", "_rows", "_mono", "_nz", "_key", "_hash")
+    __slots__ = ("dim", "_rows", "_mono", "_nz", "_hash")
 
     def __init__(self, rows: Iterable[Sequence[Scalarish]]):
         normalized: list[tuple[GaussianRational, ...]] = []
@@ -193,7 +194,6 @@ class ExactMatrix:
         self._rows: tuple[tuple[GaussianRational, ...], ...] | None = tuple(normalized)
         self._mono = _monomial_form(normalized)
         self._nz: tuple[tuple[tuple[int, GaussianRational], ...], ...] | None = None
-        self._key: str | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -388,14 +388,8 @@ class ExactMatrix:
         return self._mono == _identity_form(self.dim)
 
     def key(self) -> str:
-        """Canonical bare-form string, usable as a dictionary key."""
-        if self._key is None:
-            if self._mono is not None:
-                texts = _row_texts(self.dim)
-                self._key = "[" + ",".join([texts[col][p] for col, p in zip(*self._mono)]) + "]"
-            else:
-                self._key = format_matrix(self, bare=True)
-        return self._key
+        """Canonical bare-form text of the matrix."""
+        return format_matrix(self, bare=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -410,7 +404,9 @@ class ExactMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.key())
+            # `__eq__` compares forms whenever either side has one, and a
+            # unit-monomial matrix always gets one, so equal matrices hash alike.
+            self._hash = hash(self._mono if self._mono is not None else self._rows)
         return self._hash
 
     def __str__(self) -> str:
@@ -465,7 +461,6 @@ def _from_form(perm: tuple[int, ...], phase: tuple[int, ...]) -> ExactMatrix:
     matrix._rows = None
     matrix._mono = (perm, phase)
     matrix._nz = None
-    matrix._key = None
     matrix._hash = None
     return matrix
 
@@ -473,16 +468,6 @@ def _from_form(perm: tuple[int, ...], phase: tuple[int, ...]) -> ExactMatrix:
 @functools.cache
 def _identity_form(dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(dim)), (0,) * dim
-
-
-@functools.cache
-def _row_texts(dim: int) -> tuple[tuple[str, ...], ...]:
-    """texts[col][p]: the canonical text of a row holding i**p in column col."""
-    units = [format_scalar(unit) for unit in _UNITS]
-    return tuple(
-        tuple("[" + ",".join(["0"] * col + [unit] + ["0"] * (dim - col - 1)) + "]" for unit in units)
-        for col in range(dim)
-    )
 
 
 def row_reduce(

@@ -17,7 +17,7 @@ from .exact import (
     COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational, row_reduce,
 )
 from .groups import MatrixGroup
-from .reps import _check_block, structural_invariant
+from .reps import structural_invariant
 
 
 def _submatrix(m: ExactMatrix, start: int, size: int) -> ExactMatrix:
@@ -169,8 +169,8 @@ def invariant_bilinear_form(
     insists the answer agree with the trace indicator; a mismatch means the
     arithmetic is broken and raises rather than reporting either value.
     """
-    start, size = _check_block(group, block)
-    indicator = structural_invariant(group, block)
+    indicator = structural_invariant(group, block)  # checks the block
+    start, size = block or (0, group.dim)
     gens = [_submatrix(group.elements[i], start, size) for i in group.generator_indices]
     if not gens:
         gens = [_submatrix(m, start, size) for m in group.elements]

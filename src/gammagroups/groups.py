@@ -46,18 +46,17 @@ def generate_closure(
             raise ValueError("generators must be invertible") from None
     identity = ExactMatrix.identity(dim)
     elements = [identity]
-    index = {identity.key(): 0}
+    index = {identity: 0}
     right: list[list[int]] = [[] for _ in gens]
     found_by = []  # (p, k) for each element after the identity, as p * g_k
     for x, current in enumerate(elements):
         for k, gen in enumerate(gens):
             product = current * gen
-            key = product.key()
-            y = index.get(key)
+            y = index.get(product)
             if y is None:
                 if len(elements) >= cap:
                     raise ValueError(f"closure exceeded cap of {cap} elements")
-                y = index[key] = len(elements)
+                y = index[product] = len(elements)
                 elements.append(product)
                 found_by.append((x, k))
             right[k].append(y)
@@ -134,14 +133,13 @@ class MatrixGroup:
         if not self._elements[0].is_identity():
             raise ValueError("elements[0] must be the identity matrix")
         self.dim = self._elements[0].dim
-        self._index: dict[str, int] = {}
+        self._index: dict[ExactMatrix, int] = {}
         for i, matrix in enumerate(self._elements):
             if matrix.dim != self.dim:
                 raise ValueError("group elements must share one dimension")
-            key = matrix.key()
-            if key in self._index:
+            if matrix in self._index:
                 raise ValueError("duplicate element in group")
-            self._index[key] = i
+            self._index[matrix] = i
         self.generator_indices: tuple[int, ...] = ()
         self._cayley = cayley  # kept as given, not copied
         self._inverse: list[int] | None = None
@@ -178,17 +176,17 @@ class MatrixGroup:
         return self._elements[i]
 
     def index_of(self, matrix: ExactMatrix) -> int:
-        i = self._index.get(matrix.key())
+        i = self._index.get(matrix)
         if i is None:
             raise ValueError("matrix is not an element of this group")
         return i
 
     def __contains__(self, matrix: ExactMatrix) -> bool:
-        return matrix.key() in self._index
+        return matrix in self._index
 
     def minus_index(self) -> int | None:
         """Index of -1 in the group, or None when it is not there."""
-        return self._index.get(self._elements[0].scale(GaussianRational(-1, 0)).key())
+        return self._index.get(self._elements[0].scale(GaussianRational(-1, 0)))
 
     def cayley(self) -> list[list[int]]:
         """Full multiplication table, as the group was built with it: the
@@ -281,7 +279,7 @@ class MatrixGroup:
         """
         if self._unit_squares is None:
             one, cay = self._elements[0], self.cayley()
-            units = [self._index.get(one.scale(GaussianRational(*c)).key())
+            units = [self._index.get(one.scale(GaussianRational(*c)))
                      for c in ((1, 0), (-1, 0), (0, 1), (0, -1))]
             masks = {1: 0, -1: 0}
             for i in set(range(self.order)).difference(units):

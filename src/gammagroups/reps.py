@@ -132,10 +132,10 @@ def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = Non
     The sign separates representations with a symmetric invariant form,
     no invariant form, and an antisymmetric one.
     """
-    start, size = _check_block(group, block)
-    norm = irreducibility_norm(group, block)
+    norm = irreducibility_norm(group, block)  # checks the block
     if norm != 1:
         raise ValueError(f"representation is reducible (norm {norm}); indicator undefined")
+    start, size = block or (0, group.dim)
     total_re = total_im = 0
     for i in range(group.order):
         re, im = _block_trace(group.elements[group.mul(i, i)], start, size)

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .brackets import verify_relations
 from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, CatalogEntry, catalog_entry
-from .catalog import _identify, _named_by_key
+from .catalog import _named_by_key
 from .exact import (
     COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, GaussianRational, block_diag, format_scalar,
 )
@@ -350,7 +350,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
         phase=format_scalar(phase),
         generators=doubled + [fifth],
         order=group.order,
-        identified=_identify(group, EXTENSION_NAMES),
+        identified=_named_by_key(group.squaring_key(), EXTENSION_NAMES),
         report=report,
     )
 

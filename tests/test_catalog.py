@@ -807,6 +807,14 @@ class TestExtensions:
         found = {r.identified for r in results if r.found}
         assert found == {"gamma64_minus", "gamma64_plus", "gamma64_null"}
 
+    def test_every_found_extension_is_in_f(self):
+        # `enumerate_extensions` names its group by squaring key alone.
+        found = [r for r in sweep_extensions() if r.found]
+        assert found
+        for result in found:
+            group = MatrixGroup.from_generators(result.generators)
+            assert group.squaring_key() is not None, (result.base, result.square)
+
     def test_invalid_square_rejected(self):
         with pytest.raises(ValueError):
             enumerate_extensions("gamma_minus", 2)
@@ -852,6 +860,16 @@ class TestOrder64Models:
     def test_exactly_three_subgroup_classes_of_half_order(self, name):
         assert len(decompose_index_two(name)) == 3
         assert sum(count for _, count in decompose_index_two(name)) == 31
+
+    @pytest.mark.parametrize("name", ["gamma64_minus", "gamma64_plus", "gamma64_null"])
+    def test_index_two_subgroups_are_in_f(self, name):
+        # `decompose_index_two` names each class by its squaring key alone:
+        # every index-two subgroup holds -1 and has a key of its own.
+        group = catalog_group(name)
+        subgroups = group.subgroups_of_order(group.order // 2)
+        assert subgroups
+        for sub in subgroups:
+            assert sub.as_group().squaring_key() is not None, sub.indices
 
     def test_the_three_models_are_pairwise_nonisomorphic(self):
         names = ["gamma64_minus", "gamma64_plus", "gamma64_null"]

@@ -215,6 +215,37 @@ class TestClosure:
             generate_closure([])
 
 
+def rebuilt(m):
+    """A copy of the matrix made from its dense rows."""
+    return ExactMatrix(m.rows())
+
+
+class TestMatrixKeys:
+    """The closure walk and the group index key by the matrix itself."""
+
+    @pytest.mark.parametrize("name", [*catalog.POOL_NAMES, *catalog.catalog_names(), "2T"])
+    def test_groups_are_indexed_without_text_keys(self, name, monkeypatch):
+        if name == "2T":
+            reference = MatrixGroup.from_generators(BINARY_TETRAHEDRAL_GENS)
+        else:
+            reference = named_group(name)
+        gens = [rebuilt(reference.elements[i]) for i in reference.generator_indices]
+
+        def no_text(self):
+            raise AssertionError("matrix rendered as text")
+
+        monkeypatch.setattr(ExactMatrix, "key", no_text)
+        group = MatrixGroup.from_generators(gens)
+        assert group.order == reference.order
+        assert group.cayley() == reference.cayley()
+        for i, m in enumerate(reference.elements):
+            assert group.elements[i] == m
+            assert group.index_of(rebuilt(m)) == i
+            assert rebuilt(m) in group
+        assert group.minus_index() == reference.minus_index()
+        assert group.unit_square_masks() == reference.unit_square_masks()
+
+
 class TestCayleyStructure:
     def test_latin_square_rows_and_columns(self, q8):
         n = q8.order
@@ -986,7 +1017,7 @@ class TestSquaringKey:
     @pytest.mark.parametrize("name", [*catalog.POOL_NAMES, *catalog.catalog_names()])
     def test_keys_split_subgroups_into_isomorphism_classes(self, name):
         # Both pools and every catalog group are in F; the search and
-        # `catalog._identify` read their keys. Their proper subgroups of
+        # `catalog._named_by_key` read their keys. Their proper subgroups of
         # each order up to 32, classed by key: every member is isomorphic
         # to its class's first member, and the first members of distinct
         # keys are pairwise non-isomorphic. A first member holding -1 has
