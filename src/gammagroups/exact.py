@@ -153,7 +153,6 @@ COUNTERS: Counter[str] = Counter({
     "component.triples": 0,  # boost triples a component scan tests for generating order 16
     "component.row_checks": 0,  # bracket-row checks, at most one per table and generating triple
     "form.orbit": 0,  # invariant-form systems solved by phase propagation over index-pair orbits
-    "form.elimination": 0,  # invariant-form systems solved by Gaussian elimination
     "search.tuples": 0,  # fourths the signature search visits, one per triple walked
 })
 

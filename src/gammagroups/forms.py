@@ -1,11 +1,12 @@
 """Invariant bilinear forms and eigenvalue weights of exact matrix groups.
 
-A block's invariant form is solved exactly and checked against the trace
-indicator of `gammagroups.reps`: on unit-monomial generators by phase
-propagation over orbits of index pairs, otherwise by Gaussian elimination
-over the Gaussian rationals. The eigenvalue weights of one element are
-computed in the ring of eighth roots of unity. `gammagroups.reps`
-forwards every name here and loads this module on the first such lookup.
+A block's invariant form is solved exactly on the unit-monomial
+(permutation, phase) form of its generators, by phase propagation over
+orbits of index pairs, and checked against the trace indicator of
+`gammagroups.reps`; a block with any other generator raises. The
+eigenvalue weights of one element are computed in the ring of eighth
+roots of unity. `gammagroups.reps` forwards every name here and loads
+this module on the first such lookup.
 """
 
 from __future__ import annotations
@@ -13,34 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import (
-    COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational, row_reduce,
-)
+from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational
 from .groups import MatrixGroup
 from .reps import structural_invariant
-
-
-def _submatrix(m: ExactMatrix, start: int, size: int) -> ExactMatrix:
-    return ExactMatrix(
-        [[m[i, j] for j in range(start, start + size)] for i in range(start, start + size)]
-    )
-
-
-def _form_solution(
-    gens: list[ExactMatrix], size: int, symmetric: bool
-) -> ExactMatrix | None:
-    """Solve g^T B g = B over the (anti)symmetric matrices B.
-
-    On unit-monomial generators the system splits into orbits of index
-    pairs (``_form_by_orbits``); any other generator set is eliminated.
-    Both return the same matrix.
-    """
-    forms = [g.monomial_form() for g in gens]
-    if None not in forms:
-        COUNTERS["form.orbit"] += 1
-        return _form_by_orbits(forms, size, symmetric)
-    COUNTERS["form.elimination"] += 1
-    return _form_by_elimination(gens, size, symmetric)
 
 
 def _form_by_orbits(
@@ -54,10 +30,12 @@ def _form_by_orbits(
     transpose sign. The pairs i <= j fall into orbits. An orbit carries a
     one-dimensional solution unless two paths give one pair different
     phases, or it holds a diagonal pair of an antisymmetric form, which is
-    forced to zero. The elimination in ``_form_by_elimination`` sets its
-    first free unknown to 1: that is the last pair of the consistent orbit
-    whose last pair comes first, so that orbit is returned, 1 there.
+    forced to zero. The tests' reference, a Gaussian elimination over the
+    pairs (`tests/test_reps.py`), sets its first free unknown to 1: that
+    is the last pair of the consistent orbit whose last pair comes first,
+    so that orbit is returned, 1 there, and the two give the same matrix.
     """
+    COUNTERS["form.orbit"] += 1
     flip = 0 if symmetric else 2  # B[j, i] = i**flip * B[i, j]
     phase_of: dict[tuple[int, int], int] = {}
     best: list[tuple[int, int]] | None = None
@@ -97,69 +75,6 @@ def _form_by_orbits(
     return ExactMatrix(entries)
 
 
-def _form_by_elimination(
-    gens: list[ExactMatrix], size: int, symmetric: bool
-) -> ExactMatrix | None:
-    """g^T B g = B by Gaussian elimination over the basis pairs of B."""
-    if symmetric:
-        basis = [(i, j) for i in range(size) for j in range(i, size)]
-    else:
-        basis = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    if not basis:
-        return None
-    index = {pair: k for k, pair in enumerate(basis)}
-    sign = GaussianRational(1 if symmetric else -1, 0)
-
-    def coeff_of(i: int, j: int) -> tuple[int, GaussianRational] | None:
-        if (i, j) in index:
-            return index[(i, j)], GaussianRational(1, 0)
-        if (j, i) in index:
-            return index[(j, i)], sign
-        return None  # diagonal of an antisymmetric form: identically zero
-
-    rows = []
-    zero = GaussianRational(0, 0)
-    for g in gens:
-        gt = g.transpose()
-        for p in range(size):
-            for q in range(size):
-                row = [zero] * len(basis)
-                # (g^T B g)[p][q] = sum_{i,j} g[i,p] B[i,j] g[j,q]
-                for i in range(size):
-                    if gt[p, i].is_zero():
-                        continue
-                    for j in range(size):
-                        if g[j, q].is_zero():
-                            continue
-                        hit = coeff_of(i, j)
-                        if hit is None:
-                            continue
-                        k, s = hit
-                        row[k] = row[k] + gt[p, i] * g[j, q] * s
-                # minus B[p][q]
-                hit = coeff_of(p, q)
-                if hit is not None:
-                    k, s = hit
-                    row[k] = row[k] - s
-                rows.append(row)
-    reduced, pivots = row_reduce(rows, len(basis))
-    free = next((k for k in range(len(basis)) if k not in pivots), None)
-    if free is None:
-        return None
-    # The first free unknown is 1 and the others 0, so each pivot unknown
-    # is minus its reduced row's entry in the free column.
-    solution = [zero] * len(basis)
-    solution[free] = ONE
-    for row, k in zip(reduced, pivots):
-        solution[k] = -row[free]
-    entries = [[zero for _ in range(size)] for _ in range(size)]
-    for (i, j), k in index.items():
-        entries[i][j] = solution[k]
-        if i != j:
-            entries[j][i] = solution[k] * sign
-    return ExactMatrix(entries)
-
-
 def invariant_bilinear_form(
     group: MatrixGroup, block: tuple[int, int] | None = None
 ) -> tuple[str, ExactMatrix | None]:
@@ -168,14 +83,24 @@ def invariant_bilinear_form(
     Returns ("symmetric", B), ("antisymmetric", B), or ("none", None), and
     insists the answer agree with the trace indicator; a mismatch means the
     arithmetic is broken and raises rather than reporting either value.
+    Every generator (every element, for a group without generators) must
+    be unit-monomial, or this raises ValueError. The indicator has already
+    refused a block coupled to the rest, so each generator's form
+    restricts to the block by slicing.
     """
     indicator = structural_invariant(group, block)  # checks the block
     start, size = block or (0, group.dim)
-    gens = [_submatrix(group.elements[i], start, size) for i in group.generator_indices]
-    if not gens:
-        gens = [_submatrix(m, start, size) for m in group.elements]
-    sym = _form_solution(gens, size, symmetric=True)
-    anti = _form_solution(gens, size, symmetric=False)
+    forms = []
+    for g in [group.elements[i] for i in group.generator_indices] or group.elements:
+        form = g.monomial_form()
+        if form is None:
+            raise ValueError(f"invariant forms need unit-monomial generators, not {g}")
+        perm, phase = form
+        forms.append((
+            tuple(p - start for p in perm[start:start + size]), phase[start:start + size]
+        ))
+    sym = _form_by_orbits(forms, size, symmetric=True)
+    anti = _form_by_orbits(forms, size, symmetric=False)
     if sym is not None and anti is not None:
         raise ValueError("both a symmetric and an antisymmetric invariant form exist")
     if sym is not None:

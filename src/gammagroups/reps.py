@@ -3,9 +3,9 @@
 Everything here works from traces and exact arithmetic: the irreducible
 dimension census from counting arguments, and the norm and indicator sums
 of the defining representation (optionally restricted to a diagonal
-block). Invariant bilinear forms and the eigenvalue weights of elements
-live in `gammagroups.forms`; `__getattr__` below forwards their names and
-loads it on first use.
+block). Invariant bilinear forms of unit-monomial blocks and the
+eigenvalue weights of elements live in `gammagroups.forms`; `__getattr__`
+below forwards their names and loads it on first use.
 
 Unit-monomial matrices are read on their (permutation, phase) form: a
 block check is a test of the permutation, and a block trace counts
@@ -14,6 +14,7 @@ diagonal phases in integers. Dense matrices take entry reads.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -126,11 +127,13 @@ def irreducibility_norm(group: MatrixGroup, block: tuple[int, int] | None = None
     return Fraction(total, group.order)
 
 
+@functools.cache
 def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = None) -> int:
     """Average trace of the squares: +1, 0, or -1 for an irreducible block.
 
     The sign separates representations with a symmetric invariant form,
-    no invariant form, and an antisymmetric one.
+    no invariant form, and an antisymmetric one. Computed once per (group,
+    block): a catalog profile and the form solver both ask for it.
     """
     norm = irreducibility_norm(group, block)  # checks the block
     if norm != 1:

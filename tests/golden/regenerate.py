@@ -1,0 +1,63 @@
+"""Write the golden reports that `tests/test_golden.py` compares byte for byte.
+
+Run it as `python tests/golden/regenerate.py`, from any directory: it
+imports the package from this checkout's `src/`, runs each command below
+in-process through `cli.main` and writes its report next to this file,
+without the timings that differ from run to run. A change that alters a
+report commits what this writes and says why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+# Golden file name -> the command line whose report it holds. Each exits 0
+# and writes nothing to stderr.
+CASES = {
+    "verify.json": ["verify", "--format", "json"],
+    "verify.md": ["verify", "--format", "markdown"],
+}
+
+
+def without_timings(text: str) -> str:
+    """A report without its timings: the JSON `timings` object, or the
+    markdown's closing `- total_ms:` line."""
+    lines = text.splitlines(keepends=True)
+    if lines[0] == "{\n":
+        start = lines.index('  "timings": {\n')
+        end = next(k for k in range(start, len(lines)) if lines[k].startswith("  }"))
+        del lines[start:end + 1]
+    else:
+        assert lines[-1].startswith("- total_ms: "), lines[-1]
+        del lines[-1]
+    return "".join(lines)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, report without timings, stderr) of one in-process call."""
+    from gammagroups import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, without_timings(out.getvalue()), err.getvalue()
+
+
+def main() -> int:
+    for name, argv in CASES.items():
+        code, text, err = run(argv)
+        if (code, err) != (0, ""):
+            print(f"{name}: exit {code}, stderr {err!r}", file=sys.stderr)
+            return 1
+        (HERE / name).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    sys.exit(main())

@@ -124,7 +124,6 @@ PROFILE_FILES = {
 ALL_COUNTER_KEYS = [
     "component.row_checks",
     "component.triples",
-    "form.elimination",
     "form.orbit",
     "iso.calls",
     "iso.fingerprint_rejects",
@@ -154,8 +153,7 @@ def run_cold(*argv):
 
 class TestProductCounters:
     # Every catalog group is unit-monomial. A broken form detection would
-    # fall back to dense products and eliminations silently and show only
-    # as a slowdown.
+    # fall back to dense products silently and show only as a slowdown.
     @pytest.mark.parametrize(
         "argv", [("verify",)] + [("analyze", n) for n in catalog.catalog_names()], ids=" ".join
     )
@@ -164,7 +162,6 @@ class TestProductCounters:
         assert counters["product.dense"] == 0
         assert counters["product.monomial"] > 0
         if argv == ("verify",):
-            assert counters["form.elimination"] == 0
             assert counters["form.orbit"] > 0
 
     def test_cold_analyze_of_a_dense_group_multiplies_once_per_closure_step(self, tmp_path):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog
-from gammagroups.exact import COUNTERS, ExactMatrix, GaussianRational, block_diag, parse_matrix
+from gammagroups import catalog, reps
+from gammagroups.exact import (
+    COUNTERS, ONE, ExactMatrix, GaussianRational, block_diag, parse_matrix, row_reduce,
+)
 from gammagroups.groups import MatrixGroup
 from gammagroups.reps import (
     Cyc8,
-    _form_by_elimination,
     _form_by_orbits,
-    _submatrix,
     format_census,
     format_cyc8,
     invariant_bilinear_form,
@@ -119,6 +119,21 @@ class TestNormAndIndicator:
         assert structural_invariant(doubled, (0, 2)) == 0
         assert structural_invariant(doubled, (2, 2)) == 0
 
+    def test_indicator_is_computed_once_per_block(self, monkeypatch):
+        # The catalog profile and the form solver both ask for each block's
+        # indicator; the second ask reads the first answer.
+        group = MatrixGroup.from_generators([block_diag(m, m) for m in (A1, SY)])
+        assert structural_invariant(group, (2, 2)) == 1
+
+        def recomputed(*args):
+            raise AssertionError("indicator computed twice")
+
+        monkeypatch.setattr(reps, "irreducibility_norm", recomputed)
+        assert structural_invariant(group, (2, 2)) == 1
+        assert invariant_bilinear_form(group, (2, 2))[0] == "symmetric"
+        with pytest.raises(AssertionError, match="computed twice"):
+            structural_invariant(group, (0, 2))
+
     def test_indicator_requires_irreducible(self, doubled):
         with pytest.raises(ValueError, match="reducible"):
             structural_invariant(doubled)
@@ -182,12 +197,13 @@ class TestDenseGroups:
         assert sum(m.monomial_form() is None for m in group.elements) == 16
         assert irreducibility_norm(group) == 1
         assert structural_invariant(group) == -1
-        before = COUNTERS["form.elimination"]
-        kind, form = invariant_bilinear_form(group)
-        assert COUNTERS["form.elimination"] == before + 2
-        assert kind == "antisymmetric"
+        gens = [group.elements[i] for i in group.generator_indices]
+        assert _form_by_elimination(gens, 2, symmetric=True) is None
+        form = _form_by_elimination(gens, 2, symmetric=False)
         for g in group.elements:
             assert g.transpose() * form * g == form
+        with pytest.raises(ValueError, match="need unit-monomial generators"):
+            invariant_bilinear_form(group)
 
     def test_dense_block_check_names_the_first_coupled_entry(self):
         group = MatrixGroup.from_generators(
@@ -241,6 +257,78 @@ def assert_block_queries_match_dense_reads(group: MatrixGroup) -> None:
             for i in range(group.order):
                 squares = squares + _dense_trace(group.elements[group.mul(i, i)], start, size)
             assert structural_invariant(group, block) == squares.re / group.order
+
+
+# The invariant-form solver `forms._form_by_orbits` replaces: Gaussian
+# elimination over the basis pairs of B, for generators of any shape.
+
+def _submatrix(m: ExactMatrix, start: int, size: int) -> ExactMatrix:
+    return ExactMatrix(
+        [[m[i, j] for j in range(start, start + size)] for i in range(start, start + size)]
+    )
+
+
+def _form_by_elimination(
+    gens: list[ExactMatrix], size: int, symmetric: bool
+) -> ExactMatrix | None:
+    """g^T B g = B by Gaussian elimination over the basis pairs of B."""
+    if symmetric:
+        basis = [(i, j) for i in range(size) for j in range(i, size)]
+    else:
+        basis = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    if not basis:
+        return None
+    index = {pair: k for k, pair in enumerate(basis)}
+    sign = GaussianRational(1 if symmetric else -1, 0)
+
+    def coeff_of(i: int, j: int) -> tuple[int, GaussianRational] | None:
+        if (i, j) in index:
+            return index[(i, j)], GaussianRational(1, 0)
+        if (j, i) in index:
+            return index[(j, i)], sign
+        return None  # diagonal of an antisymmetric form: identically zero
+
+    rows = []
+    zero = GaussianRational(0, 0)
+    for g in gens:
+        gt = g.transpose()
+        for p in range(size):
+            for q in range(size):
+                row = [zero] * len(basis)
+                # (g^T B g)[p][q] = sum_{i,j} g[i,p] B[i,j] g[j,q]
+                for i in range(size):
+                    if gt[p, i].is_zero():
+                        continue
+                    for j in range(size):
+                        if g[j, q].is_zero():
+                            continue
+                        hit = coeff_of(i, j)
+                        if hit is None:
+                            continue
+                        k, s = hit
+                        row[k] = row[k] + gt[p, i] * g[j, q] * s
+                # minus B[p][q]
+                hit = coeff_of(p, q)
+                if hit is not None:
+                    k, s = hit
+                    row[k] = row[k] - s
+                rows.append(row)
+    reduced, pivots = row_reduce(rows, len(basis))
+    free = next((k for k in range(len(basis)) if k not in pivots), None)
+    if free is None:
+        return None
+    # The first free unknown is 1 and the others 0, so each pivot unknown
+    # is minus its reduced row's entry in the free column.
+    solution = [zero] * len(basis)
+    solution[free] = ONE
+    for row, k in zip(reduced, pivots):
+        solution[k] = -row[free]
+    entries = [[zero for _ in range(size)] for _ in range(size)]
+    for (i, j), k in index.items():
+        entries[i][j] = solution[k]
+        if i != j:
+            entries[j][i] = solution[k] * sign
+    return ExactMatrix(entries)
 
 
 def assert_forms_agree(gens: list[ExactMatrix], size: int) -> None:
@@ -321,7 +409,6 @@ class TestFormsByOrbits:
         before = dict(COUNTERS)
         invariant_bilinear_form(q8)
         assert COUNTERS["form.orbit"] == before["form.orbit"] + 2
-        assert COUNTERS["form.elimination"] == before["form.elimination"]
 
 
 class TestBlockQueriesOnTheForm:
