@@ -22,6 +22,12 @@ CASES = {
     "verify.json": ["verify", "--format", "json"],
     "verify.md": ["verify", "--format", "markdown"],
 }
+# Each stored bracket table, checked on the entry that realizes it.
+CASES.update({
+    f"brackets_{name}_{table}.{suffix}": ["brackets", name, "--table", table, "--format", fmt]
+    for name, table in (("pauli", "d"), ("d4", "q2"), ("pauli_f", "f"), ("q8_c2", "b"), ("d4_c2", "c"))
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
 
 
 def without_timings(text: str) -> str:
