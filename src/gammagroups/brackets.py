@@ -2,17 +2,20 @@
 
 A bracket table records the commutators [x, y] = xy - yx of a six-element
 basis split into three "rotation" labels and three "boost" labels (the
-three-label tables have no boost half). Tables live as JSON data files and
-are verified against explicit matrix assignments. The component classifier
-searches a concrete order-16 group for a boost triple whose derived
-rotations satisfy one of the known tables. One scan takes each boost-square
+three-label tables have no boost half). Tables live as JSON data files.
+Every row is 0 or +-2 times a label, so one check on the Cayley table of
+a group that holds the roles (`_row_verdicts`) serves both
+`verify_bracket_table` and the component classifier, which searches a
+concrete order-16 group for a boost triple whose derived rotations
+satisfy one of the known tables. One scan takes each boost-square
 signature's first triple that generates an order-16 subgroup and checks
 the rows on those triples alone; it classifies an order-16 group and gives
 the component composition of a larger one. The triples come from
 `MatrixGroup.anticommuting_triples`, the enumerator the signature search
 uses too: one triple per sign class {s, -s} and per set of generators
-with equal squares. The relation words and the reports the two checks
-return live in `gammagroups.words`, which the checks import when called.
+with equal squares. Relation words are checked on explicit matrices; they
+and the reports the two checks return live in `gammagroups.words`, which
+the checks import when called.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .data import load_json
-from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
+from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, format_scalar, parse_scalar
 from .groups import MatrixGroup
 
 if TYPE_CHECKING:
@@ -65,17 +68,17 @@ class BracketTable:
                 raise ValueError(f"pair ({x},{y}) listed twice in table {name!r}")
             if coeff.is_zero() != (z is None):
                 raise ValueError(f"entry [{x},{y}]: zero coefficient must drop the target")
+            if coeff.im or abs(coeff.re) not in (0, 2):  # the rows `_row_verdicts` decides
+                raise ValueError(f"entry [{x},{y}]: coefficient {format_scalar(coeff)} is not 0, 2 or -2")
             self._entries[(x, y)] = (coeff, z)
         want = len(self.labels) * (len(self.labels) - 1) // 2
         if len(self._entries) != want:
             raise ValueError(
                 f"table {name!r} lists {len(self._entries)} pairs, expected {want}"
             )
-        # Each stored row as (x, y, sign, z): sign is +-1 for a real +-2
-        # coefficient with a target and 0 otherwise, so that a row of an
-        # anticommuting pair is checked on the Cayley table alone.
+        # Each stored row as (x, y, sign, z), with coefficient 2 * sign.
         self.signed_rows = tuple(
-            (x, y, _row_sign(coeff, z), z) for (x, y), (coeff, z) in self._entries.items()
+            (x, y, int(coeff.re) // 2, z) for (x, y), (coeff, z) in self._entries.items()
         )
 
     @classmethod
@@ -129,32 +132,32 @@ class BracketTable:
         return tuple(out)
 
 
-def _row_sign(coeff: GaussianRational, z: str | None) -> int:
-    if z is None or coeff.im != 0 or abs(coeff.re) != 2:
-        return 0
-    return 1 if coeff.re > 0 else -1
-
-
 def verify_bracket_table(
-    table: BracketTable, assignment: Mapping[str, ExactMatrix]
+    group: MatrixGroup, table: BracketTable, roles: Mapping[str, int]
 ) -> VerificationReport:
-    """Check every stored bracket row against an explicit matrix assignment."""
-    from .words import VerificationReport, commutator
+    """Check every stored bracket row on the group's Cayley table.
 
-    missing = [lab for lab in table.labels if lab not in assignment]
+    ``roles`` maps each label of the table to the index of its element.
+    A failing row's detail says whether the pair commutes, anticommutes
+    or does neither, with the matrix of their product.
+    """
+    from .words import VerificationReport
+
+    missing = [lab for lab in table.labels if lab not in roles]
     if missing:
-        raise ValueError(f"assignment misses labels {missing} of table {table.name!r}")
+        raise ValueError(f"the role map misses labels {missing} of table {table.name!r}")
     report = VerificationReport(f"bracket-table-{table.name}", [])
-    dim = assignment[table.labels[0]].dim
-    zero = ExactMatrix.identity(dim).scale(GaussianRational(0, 0))
-    for x, y, coeff, z in table.pairs():
-        got = commutator(assignment[x], assignment[y])
-        want = zero if z is None else assignment[z].scale(coeff)
-        ok = got == want
+    for x, y, found, holds in _row_verdicts(group, table, roles, group.minus_index()):
         detail = ""
-        if not ok:
-            detail = f"[{x},{y}] = {format_matrix(got, bare=True)}, expected {format_matrix(want, bare=True)}"
-        report.add(f"{table.name}:[{x},{y}]", ok, detail)
+        if not holds:
+            coeff, z = table.lookup(x, y)
+            want = "0" if z is None else f"{format_scalar(coeff)}*{z}"
+            product = group.elements[group.mul(roles[x], roles[y])]
+            detail = (
+                f"{x} and {y} {found}, with {x} {y} = {format_matrix(product, bare=True)};"
+                f" expected [{x},{y}] = {want}"
+            )
+        report.add(f"{table.name}:[{x},{y}]", holds, detail)
     return report
 
 
@@ -182,49 +185,47 @@ class ComponentMatch(NamedTuple):
     boosts: tuple[int, int, int]
     rotations: tuple[int, int, int]
 
-    def assignment(self, group: MatrixGroup, table: BracketTable) -> dict[str, ExactMatrix]:
-        out = {}
-        for lab, idx in zip(table.rotations, self.rotations):
-            out[lab] = group.elements[idx]
-        for lab, idx in zip(table.boosts, self.boosts):
-            out[lab] = group.elements[idx]
-        return out
+    def roles(self, table: BracketTable) -> dict[str, int]:
+        """The element index that plays each label of the table."""
+        roles = dict(zip(table.rotations, self.rotations))
+        roles.update(zip(table.boosts, self.boosts))
+        return roles
 
 
-def _table_holds_on_indices(
-    group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int
-) -> bool:
-    """Integer-table check of all bracket rows of a component table.
+def _row_verdicts(
+    group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int | None
+) -> Iterator[tuple[str, str, str, bool]]:
+    """(x, y, found, holds) of each stored row, in table order, read off the
+    Cayley table; ``found`` says whether the pair commutes, anticommutes or
+    does neither, and ``neg`` is the index of -1, None when the group lacks it.
 
     Inside the group, [X, Y] is 0 when the pair commutes and 2XY when it
     anticommutes. So a commuting pair's row holds when it has no target,
-    and an anticommuting pair's row holds when the table's row sign is
-    +-1 (a real +-2 coefficient) and XY is +Z or -Z by that sign: both
-    are Cayley-row lookups. A pair that does neither fails its row: every
-    component row is 0 or +-2 Z with Z in the group, and the finite group
-    is conjugate to a unitary one, where XY - YX = +-2Z (three unitaries)
+    and an anticommuting pair's row holds when it has one and XY is +Z or
+    -Z by the row's sign: both are Cayley-row lookups. A pair that does
+    neither fails its row: every row is 0 or +-2 Z with Z in the group
+    (`BracketTable` takes no other coefficient), and the finite group is
+    conjugate to a unitary one, where XY - YX = +-2Z (three unitaries)
     forces XY = -YX.
     """
     cay = group.cayley()
-    neg_row = cay[neg]
+    neg_row = cay[neg] if neg is not None else None
     for x, y, sign, z in table.signed_rows:
-        ix, iy = roles[x], roles[y]
-        ixy = cay[ix][iy]
-        iyx = cay[iy][ix]
+        ixy = cay[roles[x]][roles[y]]
+        iyx = cay[roles[y]][roles[x]]
         if ixy == iyx:
-            if z is not None:
-                return False
-        elif iyx != neg_row[ixy] or not sign:
-            return False
-        elif ixy != (roles[z] if sign > 0 else neg_row[roles[z]]):
-            return False
-    return True
+            yield x, y, "commute", z is None
+        elif neg_row is not None and iyx == neg_row[ixy]:
+            holds = z is not None and ixy == (roles[z] if sign > 0 else neg_row[roles[z]])
+            yield x, y, "anticommute", holds
+        else:
+            yield x, y, "neither commute nor anticommute", False
 
 
-def _rotations_if_rows_hold(
+def _match_if_rows_hold(
     group: MatrixGroup, table: BracketTable, signs: Sequence[int], boosts: tuple, neg: int
-) -> tuple[int, int, int] | None:
-    """The rotations r_k = e_k s_i s_j of a boost triple, if every row holds."""
+) -> ComponentMatch | None:
+    """The match of a boost triple, rotations r_k = e_k s_i s_j, if every row holds."""
     COUNTERS["component.row_checks"] += 1
     cay = group.cayley()
     s1, s2, s3 = boosts
@@ -232,9 +233,9 @@ def _rotations_if_rows_hold(
         cay[a][b] if e > 0 else cay[neg][cay[a][b]]
         for e, (a, b) in zip(signs, ((s2, s3), (s3, s1), (s1, s2)))
     )
-    roles = dict(zip(table.rotations, rotations))
-    roles.update(zip(table.boosts, boosts))
-    return rotations if _table_holds_on_indices(group, table, roles, neg) else None
+    match = ComponentMatch(table.name, boosts, rotations)
+    rows = _row_verdicts(group, table, match.roles(table), neg)
+    return match if all(holds for *_, holds in rows) else None
 
 
 def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: int) -> bool:
@@ -322,9 +323,9 @@ def _component_scan(
             continue
         signs = table.boost_signs()
         for boosts in triples:
-            rotations = _rotations_if_rows_hold(group, table, signs, boosts, neg)
-            if rotations is not None:
-                yield ComponentMatch(table.name, boosts, rotations)
+            match = _match_if_rows_hold(group, table, signs, boosts, neg)
+            if match is not None:
+                yield match
                 break
 
 

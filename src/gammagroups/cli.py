@@ -196,10 +196,10 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
     name, group, entry = _resolve_target(args.name, args.cap)
     table = BracketTable.load(args.table)
     try:
-        assignment = table_roles(group, entry, table)
+        roles = table_roles(group, entry, table)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    if assignment is None:
+    if roles is None:
         profile = {
             "name": name, "table": args.table, "passed": False,
             "detail": f"no realization of table {args.table} found in {name}",
@@ -207,7 +207,7 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
         }
         doc = _document("brackets", started, profile=profile, name=args.name, table=args.table)
         return doc, 1
-    report = verify_bracket_table(table, assignment)
+    report = verify_bracket_table(group, table, roles)
     profile = {
         "name": name, "table": args.table, "passed": report.passed,
         "checks": [c.to_dict() for c in report.checks],

@@ -34,13 +34,14 @@ def _report_verdict(report) -> str:
 # tables and relation sets.
 @functools.cache
 def _table_verdict(entry_name: str) -> str:
-    """Verify an entry's bracket table row by row on explicit matrices."""
+    """Verify an entry's bracket table row by row on its group's Cayley table."""
     entry = catalog.catalog_entry(entry_name)
     table = BracketTable.load(entry.table)
-    assignment = table_roles(catalog.catalog_group(entry_name), entry, table)
-    if assignment is None:
+    group = catalog.catalog_group(entry_name)
+    roles = table_roles(group, entry, table)
+    if roles is None:
         return f"fail: no {entry.table} match"
-    return _report_verdict(verify_bracket_table(table, assignment))
+    return _report_verdict(verify_bracket_table(group, table, roles))
 
 
 @functools.cache
@@ -55,19 +56,17 @@ def _relations_verdict(entry_name: str, relation_set: str) -> str:
 def _substituted_table_verdict() -> str:
     """Scaling the involution boosts by i turns a d-table pass into b."""
     entry = catalog.catalog_entry("pauli")
-    genmap = entry.generator_assignment()
+    group = catalog.catalog_group("pauli")
     d_table = BracketTable.load("d")
     b_table = BracketTable.load("b")
+    d_roles = table_roles(group, entry, d_table)
     imag = GaussianRational(0, 1)
-    d_assignment = {
-        label: evaluate_word(word, genmap)
-        for label, word in entry.table_assignment.items()
-    }
-    assignment = {}
+    roles = {}
     for k in range(3):
-        assignment[b_table.rotations[k]] = d_assignment[d_table.rotations[k]]
-        assignment[b_table.boosts[k]] = d_assignment[d_table.boosts[k]].scale(imag)
-    return _report_verdict(verify_bracket_table(b_table, assignment))
+        roles[b_table.rotations[k]] = d_roles[d_table.rotations[k]]
+        boost = group.elements[d_roles[d_table.boosts[k]]]
+        roles[b_table.boosts[k]] = group.index_of(boost.scale(imag))
+    return _report_verdict(verify_bracket_table(group, b_table, roles))
 
 
 def _center_scalars(name: str) -> list[str]:
@@ -188,10 +187,13 @@ def _expected_block_value(name: str, keys: tuple[str, ...]) -> dict:
 
 
 def _signature_matches(entry: catalog.CatalogEntry) -> bool:
-    """Check the declared square/commutation pattern on the generators."""
+    """Check the declared square/commutation pattern on the generators.
+
+    The squares are read off the Cayley table's diagonal, and which pairs
+    commute or anticommute off the group's commutation masks.
+    """
     spec = catalog.SignatureSpec.parse(entry.signature)
-    gens = entry.generators
-    if len(gens) != 4:
+    if len(entry.generators) != 4:
         return False
     if spec.commuting_fourth is None:
         squares = spec.squares
@@ -201,18 +203,16 @@ def _signature_matches(entry: catalog.CatalogEntry) -> bool:
         squares = spec.squares + (spec.commuting_fourth,)
         pairs_anticommute = [(0, 1), (0, 2), (1, 2)]
         pairs_commute = [(0, 3), (1, 3), (2, 3)]
-    for g, want in zip(gens, squares):
-        sq = (g * g).scalar_value()
-        if sq is None or sq != GaussianRational(want, 0):
-            return False
-    minus = GaussianRational(-1, 0)
-    for i, j in pairs_anticommute:
-        if gens[i] * gens[j] != (gens[j] * gens[i]).scale(minus):
-            return False
-    for i, j in pairs_commute:
-        if gens[i] * gens[j] != gens[j] * gens[i]:
-            return False
-    return True
+    group = catalog.catalog_group(entry.name)
+    gens = [group.index_of(g) for g in entry.generators]
+    cay = group.cayley()
+    square_index = {1: 0, -1: group.minus_index()}
+    if any(cay[g][g] != square_index[want] for g, want in zip(gens, squares)):
+        return False
+    commute, anticommute = group.commutation_masks()
+    return all(anticommute[gens[i]] >> gens[j] & 1 for i, j in pairs_anticommute) and all(
+        commute[gens[i]] >> gens[j] & 1 for i, j in pairs_commute
+    )
 
 
 def _checks_verdict(name: str) -> str:

@@ -128,29 +128,28 @@ class RelationSet:
         return cls.from_dict(load_json("relations", f"{name}.json"))
 
 
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b - b * a
-
-
 def table_roles(
     group: MatrixGroup, entry: CatalogEntry | None, table: BracketTable
-) -> dict[str, ExactMatrix] | None:
-    """The matrices that play the table's roles in the group, if any.
+) -> dict[str, int] | None:
+    """The index of the element that plays each of the table's roles in
+    the group, if any.
 
     When the entry names this table, its stored words over the generators
     give the roles, or else its three generators are the designated boost
     triple. Otherwise the roles come from the first boost triple a scan of
     the group finds for the table. Raises ValueError where the component
-    scan does (a group not of order 16, a bad designated triple).
+    scan does (a group not of order 16, a bad designated triple), and when
+    a stored word leaves the group.
     """
     designated = None
     if entry is not None and entry.table == table.name:
         if entry.table_assignment:
             genmap = entry.generator_assignment()
             return {
-                label: evaluate_word(word, genmap) for label, word in entry.table_assignment.items()
+                label: group.index_of(evaluate_word(word, genmap))
+                for label, word in entry.table_assignment.items()
             }
         if len(entry.generators) == 3:
             designated = entry.generators
     match = find_component_match(group, designated=designated, tables=(table.name,))
-    return match.assignment(group, table) if match is not None else None
+    return match.roles(table) if match is not None else None

@@ -83,6 +83,10 @@ def _assignment(entry, mapping):
     return {label: evaluate_word(word, genmap) for label, word in mapping.items()}
 
 
+def _roles(group, assignment):
+    return {label: group.index_of(m) for label, m in assignment.items()}
+
+
 def test_01_pauli_structure():
     """Order 16, 10 classes, scalar center of size 4, census, rank 3."""
     group = catalog.catalog_group("pauli")
@@ -107,8 +111,8 @@ def test_02_quaternion_subgroups():
     assert second.order == 8
     assert [second.element_order(i) for i in second.generator_indices] == [4, 2]
     table = BracketTable.load("q2")
-    assignment = _assignment(d4_entry, d4_entry.table_assignment)
-    assert verify_bracket_table(table, assignment).passed
+    roles = _roles(second, _assignment(d4_entry, d4_entry.table_assignment))
+    assert verify_bracket_table(second, table, roles).passed
 
     assert not q8.is_isomorphic(second)
     assert q8.isomorphism_map(second) is None
@@ -123,14 +127,14 @@ def test_03_bracket_tables():
         entry = catalog.catalog_entry(entry_name)
         assert entry.table == table_name
         table = BracketTable.load(table_name)
+        group = catalog.catalog_group(entry_name)
         if entry.table_assignment is not None:
-            assignment = _assignment(entry, entry.table_assignment)
+            roles = _roles(group, _assignment(entry, entry.table_assignment))
         else:
-            group = catalog.catalog_group(entry_name)
             match = find_component_match(group, designated=entry.generators)
             assert match is not None and match.table == table_name
-            assignment = match.assignment(group, table)
-        report = verify_bracket_table(table, assignment)
+            roles = match.roles(table)
+        report = verify_bracket_table(group, table, roles)
         assert report.passed, (table_name, [c.check_id for c in report.failures()])
 
     pauli = catalog.catalog_entry("pauli")
@@ -141,7 +145,8 @@ def test_03_bracket_tables():
     for k in range(3):
         substituted[b_table.rotations[k]] = d_assignment[d_table.rotations[k]]
         substituted[b_table.boosts[k]] = d_assignment[d_table.boosts[k]].scale(IMAG)
-    assert verify_bracket_table(b_table, substituted).passed
+    pauli_group = catalog.catalog_group("pauli")
+    assert verify_bracket_table(pauli_group, b_table, _roles(pauli_group, substituted)).passed
 
     products = _assignment(pauli, pauli.relations["pauli_products"])
     assert verify_relations(RelationSet.load("pauli_products"), products).passed

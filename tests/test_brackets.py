@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import brackets, words
+from gammagroups import brackets
 from gammagroups.brackets import (
     COMPONENT_TABLES,
     TABLE_NAMES,
@@ -21,8 +21,7 @@ from gammagroups.brackets import (
     verify_bracket_table,
     verify_relations,
 )
-from gammagroups.words import RelationSet, commutator, evaluate_word, parse_word
-from gammagroups.brackets import _table_holds_on_indices
+from gammagroups.words import RelationSet, VerificationReport, evaluate_word, parse_word
 from gammagroups.catalog import (
     CATALOG_NAMES,
     EXTENSION_NAMES,
@@ -53,6 +52,54 @@ D_ASSIGNMENT = {"a1": A1, "a2": A2, "a3": A3, "b1": SX, "b2": SY, "b3": SZ}
 
 def pauli_group():
     return MatrixGroup.from_generators([SX, SY, SZ])
+
+
+def commutator(a, b):
+    return a * b - b * a
+
+
+def matrix_bracket_report(table, assignment):
+    """The reference check: every stored row [x, y] = coeff * z of the
+    table, formed as exact matrices from an explicit assignment."""
+    report = VerificationReport(f"bracket-table-{table.name}", [])
+    dim = assignment[table.labels[0]].dim
+    zero = ExactMatrix.identity(dim).scale(GaussianRational(0, 0))
+    for x, y, coeff, z in table.pairs():
+        got = commutator(assignment[x], assignment[y])
+        want = zero if z is None else assignment[z].scale(coeff)
+        detail = ""
+        if got != want:
+            detail = f"[{x},{y}] = {format_matrix(got, bare=True)}, expected {format_matrix(want, bare=True)}"
+        report.add(f"{table.name}:[{x},{y}]", got == want, detail)
+    return report
+
+
+def cache_the_matrix_reference(monkeypatch):
+    """Memoize the reference's commutators, scalings and failure texts for
+    one test whose role assignments share their matrices."""
+    monkeypatch.setitem(globals(), "commutator", functools.cache(commutator))
+    monkeypatch.setitem(globals(), "format_matrix", functools.cache(format_matrix))
+    monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
+
+
+def row_outcomes(report):
+    return [(check.check_id, check.passed) for check in report.checks]
+
+
+def rows_hold(group, table, roles, neg):
+    """The component scan's yes/no row check, stopping at the first failure."""
+    return all(holds for *_, holds in brackets._row_verdicts(group, table, roles, neg))
+
+
+def verify_on_closure(table, assignment):
+    """verify_bracket_table on the group the assignment's matrices close
+    into, each label played by its matrix's index; every row's outcome is
+    first checked against the matrix reference."""
+    group = MatrixGroup.from_generators(list(assignment.values()))
+    roles = {label: group.index_of(m) for label, m in assignment.items()}
+    report = verify_bracket_table(group, table, roles)
+    assert row_outcomes(report) == row_outcomes(matrix_bracket_report(table, assignment))
+    return report
 
 
 class TestTableData:
@@ -102,6 +149,23 @@ class TestTableData:
                 [],
                 [("a1", "a2", GaussianRational(2, 0), "a3")],
             )
+
+    @pytest.mark.parametrize("coeff", ["2i", "1", "-4", "1/2"])
+    def test_coefficients_other_than_zero_and_two_rejected(self, coeff):
+        # The Cayley-table row check decides 0 and +-2 rows only.
+        payload = {
+            "name": "bad",
+            "rotations": ["a1", "a2", "a3"],
+            "brackets": [
+                {"x": "a1", "y": "a2", "coeff": coeff, "z": "a3"},
+                {"x": "a2", "y": "a3", "coeff": "2", "z": "a1"},
+                {"x": "a3", "y": "a1", "coeff": "-2", "z": "a2"},
+            ],
+        }
+        with pytest.raises(ValueError, match="not 0, 2 or -2"):
+            BracketTable.from_dict(payload)
+        payload["brackets"][0]["coeff"] = "2"
+        assert BracketTable.from_dict(payload).boost_signs() is None
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label"):
@@ -165,12 +229,12 @@ class TestWordGrammar:
 
 class TestTableVerification:
     def test_first_table_on_standard_assignment(self):
-        report = verify_bracket_table(BracketTable.load("d"), D_ASSIGNMENT)
+        report = verify_on_closure(BracketTable.load("d"), D_ASSIGNMENT)
         assert report.passed
         assert len(report.checks) == 15
 
     def test_three_label_table(self):
-        report = verify_bracket_table(
+        report = verify_on_closure(
             BracketTable.load("q2"), {"a1": A1, "ap2": SY, "ap3": SZ}
         )
         assert report.passed
@@ -184,7 +248,7 @@ class TestTableVerification:
             "bp2": SY.scale(IMAG),
             "bp3": SZ.scale(IMAG),
         }
-        assert verify_bracket_table(BracketTable.load("f"), assignment).passed
+        assert verify_on_closure(BracketTable.load("f"), assignment).passed
 
     def test_conjugate_table_on_alternative_boosts(self):
         # A second valid realization with a different rotation triple.
@@ -196,7 +260,7 @@ class TestTableVerification:
             "bp2": SY.scale(IMAG),
             "bp3": SX.scale(IMAG).scale(MINUS),
         }
-        assert verify_bracket_table(BracketTable.load("f"), assignment).passed
+        assert verify_on_closure(BracketTable.load("f"), assignment).passed
 
     def test_twisted_boosts_satisfy_second_table(self):
         # Scaling each boost by i turns a passing first-table assignment
@@ -204,27 +268,66 @@ class TestTableVerification:
         twisted = dict(D_ASSIGNMENT)
         for label, twist in (("b1", "bpp1"), ("b2", "bpp2"), ("b3", "bpp3")):
             twisted[twist] = twisted.pop(label).scale(IMAG)
-        assert verify_bracket_table(BracketTable.load("b"), twisted).passed
+        assert verify_on_closure(BracketTable.load("b"), twisted).passed
 
     def test_failure_carries_detail(self):
         broken = dict(D_ASSIGNMENT)
         broken["b3"] = SZ.scale(MINUS)
-        report = verify_bracket_table(BracketTable.load("d"), broken)
+        report = verify_on_closure(BracketTable.load("d"), broken)
         assert not report.passed
         bad = report.failures()
         assert bad
         assert all(item.detail for item in bad)
 
+    def test_failure_names_the_row_and_what_the_table_found(self):
+        # A flipped boost anticommutes with the wrong sign and the identity
+        # in every role commutes: each failing detail names the row's pair,
+        # what their products showed and the matrix of the product. Two
+        # D16 elements do neither.
+        table = BracketTable.load("d")
+        group = pauli_group()
+        broken = dict(D_ASSIGNMENT, b3=SZ.scale(MINUS))
+        flipped = {label: group.index_of(m) for label, m in broken.items()}
+        trivial = dict.fromkeys(table.labels, 0)
+        for roles, found in ((flipped, "anticommute"), (trivial, "commute")):
+            bad = verify_bracket_table(group, table, roles).failures()
+            assert bad, found
+            for check in bad:
+                x, y = check.check_id.partition("[")[2].rstrip("]").split(",")
+                product = group.elements[group.mul(roles[x], roles[y])]
+                assert check.detail.startswith(f"{x} and {y} {found}, "), check.detail
+                assert format_matrix(product, bare=True) in check.detail
+                assert f"expected [{x},{y}] = " in check.detail
+        r = parse_matrix("[[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]")
+        f = parse_matrix("[[1,0,0,0],[0,0,0,-1],[0,0,-1,0],[0,-1,0,0]]")
+        d16 = MatrixGroup.from_generators([r, f])
+        roles = dict(trivial, a1=d16.index_of(r), a2=d16.index_of(f))
+        assert verify_bracket_table(d16, table, roles).checks[0].detail == (
+            "a1 and a2 neither commute nor anticommute, with a1 a2 = "
+            + format_matrix(r * f, bare=True) + "; expected [a1,a2] = 2*a3"
+        )
+        # S3 as permutation matrices has no -1, so no pair anticommutes.
+        swap = parse_matrix("[[0,1,0],[1,0,0],[0,0,1]]")
+        cycle = parse_matrix("[[0,0,1],[1,0,0],[0,1,0]]")
+        s3 = MatrixGroup.from_generators([swap, cycle])
+        assert s3.minus_index() is None
+        roles = dict(trivial, a1=s3.index_of(swap), a2=s3.index_of(cycle))
+        first, *rest = verify_bracket_table(s3, table, roles).failures()
+        assert first.detail.startswith("a1 and a2 neither commute nor anticommute, ")
+        assert rest and all(" commute, " in check.detail for check in rest)
+
     def test_missing_label_raises(self):
         partial = {k: v for k, v in D_ASSIGNMENT.items() if k != "b2"}
+        group = pauli_group()
+        roles = {label: group.index_of(m) for label, m in partial.items()}
         with pytest.raises(ValueError, match="misses"):
-            verify_bracket_table(BracketTable.load("d"), partial)
+            verify_bracket_table(group, BracketTable.load("d"), roles)
 
     def test_conjugation_invariance(self):
         group = pauli_group()
         for g in group.elements:
             moved = {k: g * m * g.inverse() for k, m in D_ASSIGNMENT.items()}
-            assert verify_bracket_table(BracketTable.load("d"), moved).passed
+            assert verify_on_closure(BracketTable.load("d"), moved).passed
 
 
 class TestRelations:
@@ -346,8 +449,7 @@ class TestClassification:
         match = find_component_match(group)
         assert match is not None
         table = BracketTable.load(match.table)
-        assignment = match.assignment(group, table)
-        assert verify_bracket_table(table, assignment).passed
+        assert verify_bracket_table(group, table, match.roles(table)).passed
 
     def test_search_is_deterministic(self):
         group = pauli_group()
@@ -478,7 +580,7 @@ def reference_match(group, table_name, triples=None):
     signs = table.boost_signs()
     for boosts in anticommuting_triples(group) if triples is None else triples:
         rotations, roles = boost_roles(group, table, signs, boosts, neg)
-        if not _table_holds_on_indices(group, table, roles, neg):
+        if not rows_hold(group, table, roles, neg):
             continue
         if len(group.closure_indices(boosts)) == group.order:
             return ComponentMatch(table_name, boosts, rotations)
@@ -611,7 +713,7 @@ class TestSquareSignatureMemo:
                 for boosts in anticommuting_triples(group):
                     _, roles = boost_roles(group, table, signs, boosts, neg)
                     squares = tuple(group.mul(s, s) for s in boosts)
-                    holds = _table_holds_on_indices(group, table, roles, neg)
+                    holds = rows_hold(group, table, roles, neg)
                     by_squares.setdefault(squares, set()).add(holds)
                 assert all(len(seen) == 1 for seen in by_squares.values()), (name, by_squares)
                 outcomes_seen.update(*by_squares.values())
@@ -635,15 +737,11 @@ class TestSquareSignatureMemo:
 
     @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
     def test_index_check_agrees_with_the_matrix_check(self, source, sample, monkeypatch):
-        # The Cayley-table row check, with its integer row signs, against
-        # verify_bracket_table on the role matrices: every triple of an
-        # order-16 catalog entry and a seeded sample of the triples of each
-        # subgroup, on every component table. Triples share their role
-        # matrices, so each exact commutator, scaling and failure text is
-        # computed once.
-        monkeypatch.setattr(words, "commutator", functools.cache(commutator))
-        monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
-        monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
+        # The Cayley-table row check, row by row and as the scan's early
+        # exit, against the matrix reference on the role matrices: every
+        # triple of an order-16 catalog entry and a seeded sample of the
+        # triples of each subgroup, on every component table.
+        cache_the_matrix_reference(monkeypatch)
         rng = random.Random(f"rows:{source}")
         verdicts = set()
         for group in order16_groups(source, sample):
@@ -659,8 +757,11 @@ class TestSquareSignatureMemo:
                 for boosts in triples:
                     _, roles = boost_roles(group, table, signs, boosts, neg)
                     matrices = {label: group.elements[i] for label, i in roles.items()}
-                    holds = _table_holds_on_indices(group, table, roles, neg)
-                    assert holds == verify_bracket_table(table, matrices).passed, (name, boosts)
+                    want = row_outcomes(matrix_bracket_report(table, matrices))
+                    report = verify_bracket_table(group, table, roles)
+                    assert row_outcomes(report) == want, (name, boosts)
+                    holds = rows_hold(group, table, roles, neg)
+                    assert holds == report.passed, (name, boosts)
                     verdicts.add(holds)
         assert verdicts == {True, False}
 
@@ -669,11 +770,10 @@ class TestSquareSignatureMemo:
         # designated triples give role pairs that neither commute nor
         # anticommute, whose rows the table check fails without matrices.
         # A seeded sample of ordered triples, and of boost triples so that
-        # some pass, against verify_bracket_table and, as designated
-        # boosts, against the matrix check of a triple generating D16.
-        monkeypatch.setattr(words, "commutator", functools.cache(commutator))
-        monkeypatch.setattr(brackets, "format_matrix", functools.cache(format_matrix))
-        monkeypatch.setattr(ExactMatrix, "scale", functools.cache(ExactMatrix.scale))
+        # some pass, against the matrix reference row by row and, as
+        # designated boosts, against the matrix check of a triple
+        # generating D16.
+        cache_the_matrix_reference(monkeypatch)
         r = parse_matrix("[[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]")
         f = parse_matrix("[[1,0,0,0],[0,0,0,-1],[0,0,-1,0],[0,-1,0,0]]")
         group = MatrixGroup.from_generators([r, f])
@@ -690,8 +790,11 @@ class TestSquareSignatureMemo:
             for boosts in triples:
                 _, roles = boost_roles(group, table, signs, boosts, neg)
                 matrices = {label: group.elements[i] for label, i in roles.items()}
-                holds = _table_holds_on_indices(group, table, roles, neg)
-                assert holds == verify_bracket_table(table, matrices).passed, (name, boosts)
+                want = row_outcomes(matrix_bracket_report(table, matrices))
+                report = verify_bracket_table(group, table, roles)
+                assert row_outcomes(report) == want, (name, boosts)
+                holds = rows_hold(group, table, roles, neg)
+                assert holds == report.passed, (name, boosts)
                 mats = [group.elements[i] for i in boosts]
                 whole = len(group.closure_indices(boosts)) == group.order
                 got = find_component_match(group, designated=mats, tables=(name,))

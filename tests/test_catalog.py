@@ -106,6 +106,32 @@ class TestValidation:
             assert result.status == "FAIL", result.computed
             assert result.computed != result.expected
 
+    def test_flipped_signature_sign_fails_the_checks(self, monkeypatch):
+        # Each sign of each declared signature, flipped alone, and each
+        # commuting fourth generator declared anticommuting, must fail the
+        # entry's checks claim at its signature.
+        entry_of = catalog.catalog_entry
+        declared = {name: entry_of(name).signature for name in CATALOG_NAMES}
+        declared = {name: spec for name, spec in declared.items() if spec is not None}
+        assert len(declared) == 5
+        for name, spec in declared.items():
+            flips = [
+                spec[:k] + {"+": "-", "-": "+"}[spec[k]] + spec[k + 1:]
+                for k in range(len(spec)) if spec[k] != "|"
+            ]
+            if "|" in spec:
+                flips.append(spec.replace("|", ""))
+            for wrong in flips:
+                monkeypatch.setattr(
+                    catalog, "catalog_entry",
+                    lambda n, name=name, wrong=wrong: (
+                        entry_of(n)._replace(signature=wrong) if n == name else entry_of(n)
+                    ),
+                )
+                (result,) = claims.run_claims(f"catalog.{name}.checks")
+                assert result.status == "FAIL", (name, wrong)
+                assert f"signature {wrong}: fail" in result.computed, result.computed
+
     def test_block_form_contradicting_its_indicator_fails_the_checks(self, monkeypatch):
         # The form solver insists on agreeing with the trace indicator; a
         # flipped indicator must surface as a failed checks claim.
