@@ -4,7 +4,7 @@ A bracket table records the commutators [x, y] = xy - yx of a six-element
 basis split into three "rotation" labels and three "boost" labels (the
 three-label tables have no boost half). Tables live as JSON data files.
 Every row is 0 or +-2 times a label, so one check on the Cayley table of
-a group that holds the roles (`_row_verdicts`) serves both
+a group that holds the roles (`_failed_rows`) serves both
 `verify_bracket_table` and the component classifier, which searches a
 concrete order-16 group for a boost triple whose derived rotations
 satisfy one of the known tables. One scan takes each boost-square
@@ -68,8 +68,10 @@ class BracketTable:
                 raise ValueError(f"pair ({x},{y}) listed twice in table {name!r}")
             if coeff.is_zero() != (z is None):
                 raise ValueError(f"entry [{x},{y}]: zero coefficient must drop the target")
-            if coeff.im or abs(coeff.re) not in (0, 2):  # the rows `_row_verdicts` decides
-                raise ValueError(f"entry [{x},{y}]: coefficient {format_scalar(coeff)} is not 0, 2 or -2")
+            if coeff.im or abs(coeff.re) not in (0, 2):  # the rows `_failed_rows` decides
+                raise ValueError(
+                    f"entry [{x},{y}]: coefficient {format_scalar(coeff)} is not 0, 2 or -2"
+                )
             self._entries[(x, y)] = (coeff, z)
         want = len(self.labels) * (len(self.labels) - 1) // 2
         if len(self._entries) != want:
@@ -124,7 +126,7 @@ class BracketTable:
                             ((s3, s1), self.rotations[1]),
                             ((s1, s2), self.rotations[2])):
             coeff, z = self.lookup(x, y)
-            if z != rot or coeff.im != 0 or abs(coeff.re) != 2:
+            if z != rot:  # so coeff is 2 or -2
                 raise ValueError(
                     f"table {self.name!r}: row [{x},{y}] does not have the 2*{rot} shape"
                 )
@@ -146,10 +148,13 @@ def verify_bracket_table(
     missing = [lab for lab in table.labels if lab not in roles]
     if missing:
         raise ValueError(f"the role map misses labels {missing} of table {table.name!r}")
+    rows = _failed_rows(group, table, roles, group.minus_index())
+    failed = {(x, y): found for x, y, found in rows}
     report = VerificationReport(f"bracket-table-{table.name}", [])
-    for x, y, found, holds in _row_verdicts(group, table, roles, group.minus_index()):
+    for x, y, _, _ in table.signed_rows:
+        found = failed.get((x, y))
         detail = ""
-        if not holds:
+        if found is not None:
             coeff, z = table.lookup(x, y)
             want = "0" if z is None else f"{format_scalar(coeff)}*{z}"
             product = group.elements[group.mul(roles[x], roles[y])]
@@ -157,7 +162,7 @@ def verify_bracket_table(
                 f"{x} and {y} {found}, with {x} {y} = {format_matrix(product, bare=True)};"
                 f" expected [{x},{y}] = {want}"
             )
-        report.add(f"{table.name}:[{x},{y}]", holds, detail)
+        report.add(f"{table.name}:[{x},{y}]", found is None, detail)
     return report
 
 
@@ -192,12 +197,13 @@ class ComponentMatch(NamedTuple):
         return roles
 
 
-def _row_verdicts(
+def _failed_rows(
     group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int | None
-) -> Iterator[tuple[str, str, str, bool]]:
-    """(x, y, found, holds) of each stored row, in table order, read off the
-    Cayley table; ``found`` says whether the pair commutes, anticommutes or
-    does neither, and ``neg`` is the index of -1, None when the group lacks it.
+) -> Iterator[tuple[str, str, str]]:
+    """(x, y, found) of each stored row that fails, in table order, read off
+    the Cayley table; ``found`` says whether the pair commutes, anticommutes
+    or does neither, and ``neg`` is the index of -1, None when the group
+    lacks it.
 
     Inside the group, [X, Y] is 0 when the pair commutes and 2XY when it
     anticommutes. So a commuting pair's row holds when it has no target,
@@ -211,15 +217,16 @@ def _row_verdicts(
     cay = group.cayley()
     neg_row = cay[neg] if neg is not None else None
     for x, y, sign, z in table.signed_rows:
-        ixy = cay[roles[x]][roles[y]]
-        iyx = cay[roles[y]][roles[x]]
+        ix, iy = roles[x], roles[y]
+        ixy = cay[ix][iy]
+        iyx = cay[iy][ix]
         if ixy == iyx:
-            yield x, y, "commute", z is None
-        elif neg_row is not None and iyx == neg_row[ixy]:
-            holds = z is not None and ixy == (roles[z] if sign > 0 else neg_row[roles[z]])
-            yield x, y, "anticommute", holds
-        else:
-            yield x, y, "neither commute nor anticommute", False
+            if z is not None:
+                yield x, y, "commute"
+        elif neg_row is None or iyx != neg_row[ixy]:
+            yield x, y, "neither commute nor anticommute"
+        elif z is None or ixy != (roles[z] if sign > 0 else neg_row[roles[z]]):
+            yield x, y, "anticommute"
 
 
 def _match_if_rows_hold(
@@ -234,8 +241,8 @@ def _match_if_rows_hold(
         for e, (a, b) in zip(signs, ((s2, s3), (s3, s1), (s1, s2)))
     )
     match = ComponentMatch(table.name, boosts, rotations)
-    rows = _row_verdicts(group, table, match.roles(table), neg)
-    return match if all(holds for *_, holds in rows) else None
+    failed = next(_failed_rows(group, table, match.roles(table), neg), None)
+    return match if failed is None else None
 
 
 def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: int) -> bool:

@@ -31,6 +31,7 @@ from gammagroups.catalog import (
     load_generator_file,
     pool_group,
 )
+from gammagroups.data import load_json
 from gammagroups.exact import (
     COUNTERS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix,
 )
@@ -88,7 +89,7 @@ def row_outcomes(report):
 
 def rows_hold(group, table, roles, neg):
     """The component scan's yes/no row check, stopping at the first failure."""
-    return all(holds for *_, holds in brackets._row_verdicts(group, table, roles, neg))
+    return next(brackets._failed_rows(group, table, roles, neg), None) is None
 
 
 def verify_on_closure(table, assignment):
@@ -166,6 +167,13 @@ class TestTableData:
             BracketTable.from_dict(payload)
         payload["brackets"][0]["coeff"] = "2"
         assert BracketTable.from_dict(payload).boost_signs() is None
+
+    @pytest.mark.parametrize("row", [{"coeff": "0"}, {"coeff": "-2", "z": "b1"}])
+    def test_boost_row_without_its_rotation_has_no_signs(self, row):
+        payload = load_json("tables", "d.json")
+        payload["brackets"][4] = {"x": "b2", "y": "b3", **row}
+        with pytest.raises(ValueError, match=r"\[b2,b3\] does not have the 2\*a1 shape"):
+            BracketTable.from_dict(payload).boost_signs()
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label"):
