@@ -25,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .data import load_json
-from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, format_scalar, parse_scalar
+from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup
 
 if TYPE_CHECKING:
@@ -69,9 +69,7 @@ class BracketTable:
             if coeff.is_zero() != (z is None):
                 raise ValueError(f"entry [{x},{y}]: zero coefficient must drop the target")
             if coeff.im or abs(coeff.re) not in (0, 2):  # the rows `_failed_rows` decides
-                raise ValueError(
-                    f"entry [{x},{y}]: coefficient {format_scalar(coeff)} is not 0, 2 or -2"
-                )
+                raise ValueError(f"entry [{x},{y}]: coefficient {coeff} is not 0, 2 or -2")
             self._entries[(x, y)] = (coeff, z)
         want = len(self.labels) * (len(self.labels) - 1) // 2
         if len(self._entries) != want:
@@ -156,7 +154,7 @@ def verify_bracket_table(
         detail = ""
         if found is not None:
             coeff, z = table.lookup(x, y)
-            want = "0" if z is None else f"{format_scalar(coeff)}*{z}"
+            want = "0" if z is None else f"{coeff}*{z}"
             product = group.elements[group.mul(roles[x], roles[y])]
             detail = (
                 f"{x} and {y} {found}, with {x} {y} = {format_matrix(product, bare=True)};"
