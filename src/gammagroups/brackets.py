@@ -80,6 +80,24 @@ class BracketTable:
         self.signed_rows = tuple(
             (x, y, int(coeff.re) // 2, z) for (x, y), (coeff, z) in self._entries.items()
         )
+        self._boost_signs = self._read_boost_signs() if self.boosts else None
+
+    def _read_boost_signs(self) -> tuple[int, int, int]:
+        """The signs `boost_signs` returns, from the boost-boost rows."""
+        signed = {}
+        for x, y, sign, z in self.signed_rows:
+            signed[(x, y)] = (sign, z)
+            signed[(y, x)] = (-sign, z)
+        s1, s2, s3 = self.boosts
+        out = []
+        for (x, y), rot in zip(((s2, s3), (s3, s1), (s1, s2)), self.rotations):
+            sign, z = signed[(x, y)]
+            if z != rot:  # so sign is 1 or -1
+                raise ValueError(
+                    f"table {self.name!r}: row [{x},{y}] does not have the 2*{rot} shape"
+                )
+            out.append(sign)
+        return tuple(out)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "BracketTable":
@@ -114,22 +132,10 @@ class BracketTable:
 
         Read off the boost-boost rows: with anticommuting boosts,
         [s_i, s_j] = 2 s_i s_j, so an entry [s_i, s_j] = 2e * r_k pins
-        r_k = e * s_i * s_j. Returns None for tables without boosts.
+        r_k = e * s_i * s_j. Returns None for tables without boosts. A
+        table whose boost-boost rows lack that shape does not build.
         """
-        if not self.boosts:
-            return None
-        s1, s2, s3 = self.boosts
-        out = []
-        for (x, y), rot in (((s2, s3), self.rotations[0]),
-                            ((s3, s1), self.rotations[1]),
-                            ((s1, s2), self.rotations[2])):
-            coeff, z = self.lookup(x, y)
-            if z != rot:  # so coeff is 2 or -2
-                raise ValueError(
-                    f"table {self.name!r}: row [{x},{y}] does not have the 2*{rot} shape"
-                )
-            out.append(1 if coeff.re > 0 else -1)
-        return tuple(out)
+        return self._boost_signs
 
 
 def verify_bracket_table(

@@ -4,8 +4,8 @@ A block's invariant form is solved exactly on the unit-monomial
 (permutation, phase) form of its generators, by phase propagation over
 orbits of index pairs, and checked against the trace indicator of
 `gammagroups.reps`; a block with any other generator raises. The
-eigenvalue weights of one element are computed in the ring of eighth
-roots of unity. `gammagroups.reps` forwards every name here and loads
+eigenvalue weights of one unit-monomial element are read off the cycles
+of its form. `gammagroups.reps` forwards every name here and loads
 this module on the first such lookup.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix, GaussianRational
+from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix
 from .groups import MatrixGroup
 from .reps import structural_invariant
 
@@ -117,118 +117,6 @@ def invariant_bilinear_form(
     return kind, form
 
 
-class Cyc8:
-    """Exact arithmetic in Q(zeta_8): c0 + c1 z + c2 z^2 + c3 z^3, z^4 = -1."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.coeffs = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    @classmethod
-    def zeta_power(cls, k: int) -> "Cyc8":
-        k %= 8
-        sign = 1 if k < 4 else -1
-        coeffs = [0, 0, 0, 0]
-        coeffs[k % 4] = sign
-        return cls(*coeffs)
-
-    @classmethod
-    def from_gaussian(cls, value: GaussianRational) -> "Cyc8":
-        return cls(value.re, 0, value.im, 0)
-
-    def __add__(self, other: "Cyc8") -> "Cyc8":
-        return Cyc8(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cyc8") -> "Cyc8":
-        return Cyc8(*(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "Cyc8") -> "Cyc8":
-        out = [Fraction(0)] * 4
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a * b
-                else:
-                    out[k - 4] -= a * b
-        return Cyc8(*out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cyc8):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Cyc8{self.coeffs}"
-
-    def scale(self, factor: Fraction) -> "Cyc8":
-        return Cyc8(*(c * factor for c in self.coeffs))
-
-    def real_parts(self) -> tuple[Fraction, Fraction]:
-        """Real value as (rational, coefficient of sqrt(2))."""
-        c0, c1, c2, c3 = self.coeffs
-        return (c0, (c1 - c3) / 2)
-
-    def imag_parts(self) -> tuple[Fraction, Fraction]:
-        c0, c1, c2, c3 = self.coeffs
-        return (c2, (c1 + c3) / 2)
-
-    @property
-    def is_real(self) -> bool:
-        return self.imag_parts() == (0, 0)
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self.real_parts() == (0, 0) and not self.is_zero
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def rational_value(self) -> Fraction:
-        rat, root = self.real_parts()
-        if not self.is_real or root != 0:
-            raise ValueError(f"{self!r} is not rational")
-        return rat
-
-
-def _fmt_part(rat: Fraction, root: Fraction) -> str:
-    """One real quantity rat + root*sqrt(2) in the `a+b*r2` spelling."""
-    if root == 0:
-        return str(rat)
-    if root == 1:
-        root_str = "r2"
-    elif root == -1:
-        root_str = "-r2"
-    else:
-        root_str = f"{root}*r2"
-    if rat == 0:
-        return root_str
-    joiner = "+" if root > 0 else ""
-    return f"{rat}{joiner}{root_str}"
-
-
-def format_cyc8(value: Cyc8) -> str:
-    """Render with rationals, `r2` for sqrt(2), and a trailing `i` part."""
-    re_rat, re_root = value.real_parts()
-    im_rat, im_root = value.imag_parts()
-    real_str = _fmt_part(re_rat, re_root)
-    if (im_rat, im_root) == (0, 0):
-        return real_str
-    imag_str = _fmt_part(im_rat, im_root) + "i"
-    if (re_rat, re_root) == (0, 0):
-        return imag_str
-    return f"{real_str}{'' if imag_str.startswith('-') else '+'}{imag_str}"
-
-
 class WeightReport(NamedTuple):
     """Eigenvalue weights of one group element g: the spectrum of (i/2) g."""
 
@@ -248,80 +136,58 @@ class WeightReport(NamedTuple):
         }
 
 
+# (i/2) z**e for z = exp(i pi/4), spelled with rationals, `r2` for sqrt(2)
+# and a trailing `i` part, as the Q(zeta_8) reference in `tests/test_reps.py`
+# formats it.
+_WEIGHTS = (
+    "1/2i", "-1/4*r2+1/4*r2i", "-1/2", "-1/4*r2-1/4*r2i",
+    "-1/2i", "1/4*r2-1/4*r2i", "1/2", "1/4*r2+1/4*r2i",
+)
+
+
 def spin_weights(matrix: ExactMatrix) -> WeightReport:
-    """Diagonalize (i/2) g by Fourier analysis over the power traces of g.
+    """Eigenvalues of a unit-monomial g read off its cycles, weighed as (i/2) g.
 
-    Works for elements of order 1, 2, 4, or 8: the eigenvalues of g are
-    n-th roots of unity, and their multiplicities come out of an exact
-    discrete Fourier transform of tr(g^j) in the eighth-root field.
+    A cycle of length L whose phases sum to s has characteristic polynomial
+    x^L - i^s, so its eigenvalues are the z**e, z = exp(i pi/4), with
+    e L = 2s (mod 8). For an element of order 1, 2, 4 or 8 every cycle has
+    L such e; any other order leaves some cycle fewer and raises
+    ValueError, as does a matrix without a monomial form.
     """
-    order = None
-    power = ExactMatrix.identity(matrix.dim)
-    traces = []
-    for j in range(1, 9):
-        power = power * matrix
-        if power.is_identity():
-            order = j
-            break
-    if order is None or order not in (1, 2, 4, 8):
-        raise ValueError("element order must be 1, 2, 4, or 8 for weight analysis")
-
-    step = 8 // order
-    power = ExactMatrix.identity(matrix.dim)
-    traces = [Cyc8.from_gaussian(power.trace())]
-    for _ in range(order - 1):
-        power = power * matrix
-        traces.append(Cyc8.from_gaussian(power.trace()))
-
-    multiplicities = []
-    for k in range(order):
-        total = Cyc8()
-        for j, tr in enumerate(traces):
-            total = total + tr * Cyc8.zeta_power(-j * k * step)
-        scaled = total.scale(Fraction(1, order))
-        value = scaled.rational_value()
-        if value.denominator != 1 or value < 0:
-            raise ValueError(f"multiplicity of root {k} came out as {value}")
-        multiplicities.append(int(value))
-    if sum(multiplicities) != matrix.dim:
-        raise ValueError("eigenvalue multiplicities do not fill the dimension")
-    recon = Cyc8()
-    for k, m in enumerate(multiplicities):
-        recon = recon + Cyc8.zeta_power(k * step).scale(Fraction(m))
-    if recon != traces[1 % order]:
-        raise ValueError("eigenvalue multiplicities do not reproduce the trace")
-
-    half_i = Cyc8(0, 0, Fraction(1, 2), 0)
-    weights = []
-    reals: list[Fraction] = []
-    all_real = True
-    all_imag = True
-    for k, m in enumerate(multiplicities):
-        if m == 0:
+    form = matrix.monomial_form()
+    if form is None:
+        raise ValueError(f"weights need a unit-monomial matrix, not {matrix}")
+    perm, phase = form
+    counts = [0] * 8  # multiplicity of the eigenvalue z**e, by e
+    seen = [False] * matrix.dim
+    for start in range(matrix.dim):
+        if seen[start]:
             continue
-        w = half_i * Cyc8.zeta_power(k * step)
-        weights.append((format_cyc8(w), m))
-        if w.is_real:
-            all_imag = False
-            reals.append(w.rational_value())
-        elif w.is_imaginary:
-            all_real = False
-        else:
-            all_real = False
-            all_imag = False
-    if all_real:
+        r, length, total = start, 0, 0
+        while not seen[r]:
+            seen[r] = True
+            length += 1
+            total += phase[r]
+            r = perm[r]
+        roots = [e for e in range(8) if (e * length - 2 * total) % 8 == 0]
+        if len(roots) != length:
+            raise ValueError("element order must be 1, 2, 4, or 8 for weight analysis")
+        for e in roots:
+            counts[e] += 1
+    present = {e for e in range(8) if counts[e]}
+    order = next(n for n in (1, 2, 4, 8) if all(e * n % 8 == 0 for e in present))
+    step = 8 // order
+    if present <= {2, 6}:  # weights -1/2 and 1/2
         classification = "real-half-integer"
-        l0 = max(reals)
-    elif all_imag:
-        classification = "pure-imaginary"
-        l0 = None
+        l0 = Fraction(1 if 6 in present else -1, 2)
+    elif present <= {0, 4}:  # weights 1/2i and -1/2i
+        classification, l0 = "pure-imaginary", None
     else:
-        classification = "mixed"
-        l0 = None
+        classification, l0 = "mixed", None
     return WeightReport(
         order=order,
-        multiplicities=tuple(multiplicities),
-        weights=tuple(weights),
+        multiplicities=tuple(counts[e] for e in range(0, 8, step)),
+        weights=tuple((_WEIGHTS[e], counts[e]) for e in range(0, 8, step) if counts[e]),
         classification=classification,
         l0=l0,
     )

@@ -4,8 +4,8 @@ Everything here works from traces and exact arithmetic: the irreducible
 dimension census from counting arguments, and the norm and indicator sums
 of the defining representation (optionally restricted to a diagonal
 block). Invariant bilinear forms of unit-monomial blocks and the
-eigenvalue weights of elements live in `gammagroups.forms`; `__getattr__`
-below forwards their names and loads it on first use.
+eigenvalue weights of unit-monomial elements live in `gammagroups.forms`;
+`__getattr__` below forwards their names and loads it on first use.
 
 Unit-monomial matrices are read on their (permutation, phase) form: a
 block check is a test of the permutation, and a block trace counts

@@ -22,6 +22,19 @@ CASES = {
     "verify.json": ["verify", "--format", "json"],
     "verify.md": ["verify", "--format", "markdown"],
 }
+CASES.update({
+    f"catalog_list.{suffix}": ["catalog", "list", "--format", fmt]
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
+# Every catalog entry's profile.
+CASES.update({
+    f"analyze_{name}.{suffix}": ["analyze", name, "--format", fmt]
+    for name in (
+        "pauli", "pauli_f", "q8", "d4", "gamma_minus", "gamma_plus", "pauli_c2",
+        "q8_v4", "d4_v4", "q8_c2", "d4_c2", "gamma64_minus", "gamma64_plus", "gamma64_null",
+    )
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
 # Each stored bracket table, checked on the entry that realizes it.
 CASES.update({
     f"brackets_{name}_{table}.{suffix}": ["brackets", name, "--table", table, "--format", fmt]

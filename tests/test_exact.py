@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -125,6 +127,15 @@ def test_unit_tokens_match_the_regex_path(token, padding, monkeypatch):
 def test_scalar_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
+
+
+def test_readme_scalar_spellings_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme[readme.index("scalars accept forms like"):]
+    spellings = re.findall(r"`([^`]+)`", listing[:listing.index(":")])
+    assert len(spellings) >= 5, spellings
+    for text in spellings:
+        assert format_scalar(parse_scalar(text)) == text
 
 
 @given(square_matrices)

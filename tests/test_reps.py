@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog, reps
+from gammagroups import catalog, forms, reps
 from gammagroups.exact import (
     COUNTERS, ONE, ExactMatrix, GaussianRational, block_diag, parse_matrix, row_reduce,
 )
 from gammagroups.groups import MatrixGroup
 from gammagroups.reps import (
-    Cyc8,
+    WeightReport,
     _form_by_orbits,
     format_census,
-    format_cyc8,
     invariant_bilinear_form,
     irreducibility_norm,
     irrep_census,
@@ -345,14 +344,19 @@ def assert_forms_agree(gens: list[ExactMatrix], size: int) -> None:
                 assert g.transpose() * solved * g == solved
 
 
+def _monomial(perm: list[int], phase: list[int]) -> ExactMatrix:
+    """Row r holds i**phase[r] in column perm[r]."""
+    units = ("1", "i", "-1", "-i")
+    rows = [["0"] * len(perm) for _ in perm]
+    for r, col in enumerate(perm):
+        rows[r][col] = units[phase[r]]
+    return parse_matrix("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]")
+
+
 def _random_monomial(rng: random.Random, dim: int, phases: tuple[int, ...]) -> ExactMatrix:
     perm = list(range(dim))
     rng.shuffle(perm)
-    units = ("1", "i", "-1", "-i")
-    rows = [["0"] * dim for _ in range(dim)]
-    for r, col in enumerate(perm):
-        rows[r][col] = units[rng.choice(phases)]
-    return parse_matrix("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]")
+    return _monomial(perm, [rng.choice(phases) for _ in range(dim)])
 
 
 def _random_monomial_gens(rng: random.Random, dim: int) -> list[ExactMatrix]:
@@ -429,6 +433,209 @@ class TestBlockQueriesOnTheForm:
                 continue  # closure past the cap: draw again
             assert_block_queries_match_dense_reads(group)
             groups += 1
+
+
+# The weights `forms.spin_weights` reads off the monomial form's cycles, by
+# the engine it replaces: an exact discrete Fourier transform of the power
+# traces of g in Q(zeta_8), for matrices of any shape.
+
+class Cyc8:
+    """Exact arithmetic in Q(zeta_8): c0 + c1 z + c2 z^2 + c3 z^3, z^4 = -1."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+        self.coeffs = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+
+    @classmethod
+    def zeta_power(cls, k: int) -> "Cyc8":
+        k %= 8
+        sign = 1 if k < 4 else -1
+        coeffs = [0, 0, 0, 0]
+        coeffs[k % 4] = sign
+        return cls(*coeffs)
+
+    @classmethod
+    def from_gaussian(cls, value: GaussianRational) -> "Cyc8":
+        return cls(value.re, 0, value.im, 0)
+
+    def __add__(self, other: "Cyc8") -> "Cyc8":
+        return Cyc8(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other: "Cyc8") -> "Cyc8":
+        out = [Fraction(0)] * 4
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b == 0:
+                    continue
+                k = i + j
+                if k < 4:
+                    out[k] += a * b
+                else:
+                    out[k - 4] -= a * b
+        return Cyc8(*out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cyc8):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Cyc8{self.coeffs}"
+
+    def scale(self, factor: Fraction) -> "Cyc8":
+        return Cyc8(*(c * factor for c in self.coeffs))
+
+    def real_parts(self) -> tuple[Fraction, Fraction]:
+        """Real value as (rational, coefficient of sqrt(2))."""
+        c0, c1, c2, c3 = self.coeffs
+        return (c0, (c1 - c3) / 2)
+
+    def imag_parts(self) -> tuple[Fraction, Fraction]:
+        c0, c1, c2, c3 = self.coeffs
+        return (c2, (c1 + c3) / 2)
+
+    @property
+    def is_real(self) -> bool:
+        return self.imag_parts() == (0, 0)
+
+    @property
+    def is_imaginary(self) -> bool:
+        return self.real_parts() == (0, 0) and not self.is_zero
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def rational_value(self) -> Fraction:
+        rat, root = self.real_parts()
+        if not self.is_real or root != 0:
+            raise ValueError(f"{self!r} is not rational")
+        return rat
+
+
+def _fmt_part(rat: Fraction, root: Fraction) -> str:
+    """One real quantity rat + root*sqrt(2) in the `a+b*r2` spelling."""
+    if root == 0:
+        return str(rat)
+    if root == 1:
+        root_str = "r2"
+    elif root == -1:
+        root_str = "-r2"
+    else:
+        root_str = f"{root}*r2"
+    if rat == 0:
+        return root_str
+    joiner = "+" if root > 0 else ""
+    return f"{rat}{joiner}{root_str}"
+
+
+def format_cyc8(value: Cyc8) -> str:
+    """Render with rationals, `r2` for sqrt(2), and a trailing `i` part."""
+    re_rat, re_root = value.real_parts()
+    im_rat, im_root = value.imag_parts()
+    real_str = _fmt_part(re_rat, re_root)
+    if (im_rat, im_root) == (0, 0):
+        return real_str
+    imag_str = _fmt_part(im_rat, im_root) + "i"
+    if (re_rat, re_root) == (0, 0):
+        return imag_str
+    return f"{real_str}{'' if imag_str.startswith('-') else '+'}{imag_str}"
+
+
+def _weights_by_power_traces(matrix: ExactMatrix) -> WeightReport:
+    """Diagonalize (i/2) g by Fourier analysis over the power traces of g.
+
+    Works for elements of order 1, 2, 4, or 8: the eigenvalues of g are
+    n-th roots of unity, and their multiplicities come out of an exact
+    discrete Fourier transform of tr(g^j) in the eighth-root field.
+    """
+    order = None
+    power = ExactMatrix.identity(matrix.dim)
+    for j in range(1, 9):
+        power = power * matrix
+        if power.is_identity():
+            order = j
+            break
+    if order is None or order not in (1, 2, 4, 8):
+        raise ValueError("element order must be 1, 2, 4, or 8 for weight analysis")
+
+    step = 8 // order
+    power = ExactMatrix.identity(matrix.dim)
+    traces = [Cyc8.from_gaussian(power.trace())]
+    for _ in range(order - 1):
+        power = power * matrix
+        traces.append(Cyc8.from_gaussian(power.trace()))
+
+    multiplicities = []
+    for k in range(order):
+        total = Cyc8()
+        for j, tr in enumerate(traces):
+            total = total + tr * Cyc8.zeta_power(-j * k * step)
+        value = total.scale(Fraction(1, order)).rational_value()
+        if value.denominator != 1 or value < 0:
+            raise ValueError(f"multiplicity of root {k} came out as {value}")
+        multiplicities.append(int(value))
+    if sum(multiplicities) != matrix.dim:
+        raise ValueError("eigenvalue multiplicities do not fill the dimension")
+    recon = Cyc8()
+    for k, m in enumerate(multiplicities):
+        recon = recon + Cyc8.zeta_power(k * step).scale(Fraction(m))
+    if recon != traces[1 % order]:
+        raise ValueError("eigenvalue multiplicities do not reproduce the trace")
+
+    half_i = Cyc8(0, 0, Fraction(1, 2), 0)
+    weights = []
+    reals: list[Fraction] = []
+    all_real = True
+    all_imag = True
+    for k, m in enumerate(multiplicities):
+        if m == 0:
+            continue
+        w = half_i * Cyc8.zeta_power(k * step)
+        weights.append((format_cyc8(w), m))
+        if w.is_real:
+            all_imag = False
+            reals.append(w.rational_value())
+        elif w.is_imaginary:
+            all_real = False
+        else:
+            all_real = False
+            all_imag = False
+    if all_real:
+        classification = "real-half-integer"
+        l0 = max(reals)
+    elif all_imag:
+        classification = "pure-imaginary"
+        l0 = None
+    else:
+        classification = "mixed"
+        l0 = None
+    return WeightReport(
+        order=order,
+        multiplicities=tuple(multiplicities),
+        weights=tuple(weights),
+        classification=classification,
+        l0=l0,
+    )
+
+
+def assert_weights_match_power_traces(matrix: ExactMatrix) -> None:
+    """The cycle reading against the Fourier transform: the same report,
+    or the same ValueError."""
+    try:
+        reference = _weights_by_power_traces(matrix)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            spin_weights(matrix)
+        assert str(err.value) == str(exc), matrix.key()
+        return
+    assert spin_weights(matrix) == reference, matrix.key()
 
 
 class TestCyc8:
@@ -514,6 +721,39 @@ class TestSpinWeights:
         assert payload["classification"] == "real-half-integer"
         assert payload["l0"] == "1/2"
         assert payload["order"] == 4
+
+
+class TestWeightsByCycles:
+    """The cycle reading against the power-trace Fourier transform."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_group_elements(self, name):
+        for m in catalog.catalog_group(name).elements:
+            assert_weights_match_power_traces(m)
+
+    @pytest.mark.parametrize("name", catalog.POOL_NAMES)
+    def test_pool_elements(self, name):
+        for m in catalog.pool_group(name).elements:
+            assert_weights_match_power_traces(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda dim: st.tuples(
+            st.permutations(range(dim)),
+            st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+        )
+    ))
+    def test_unit_monomial_matrices(self, form):
+        assert_weights_match_power_traces(_monomial(*form))
+
+    def test_weight_spellings(self):
+        half_i = Cyc8(0, 0, Fraction(1, 2), 0)
+        assert forms._WEIGHTS == tuple(format_cyc8(half_i * Cyc8.zeta_power(e)) for e in range(8))
+
+    def test_dense_matrix_rejected(self):
+        dense = parse_matrix("[[1/2+1/2i,1/2+1/2i],[-1/2+1/2i,1/2-1/2i]]")
+        with pytest.raises(ValueError, match="unit-monomial"):
+            spin_weights(dense)
 
 
 @settings(max_examples=30, deadline=None)
