@@ -41,6 +41,25 @@ CASES.update({
     for name, table in (("pauli", "d"), ("d4", "q2"), ("pauli_f", "f"), ("q8_c2", "b"), ("d4_c2", "c"))
     for suffix, fmt in (("json", "json"), ("md", "markdown"))
 })
+# Both fifth-generator squares over every stable base.
+CASES.update({
+    f"extensions_{base}_{square}.{suffix}": [
+        "extensions", "--base", base, "--square", square, "--format", fmt,
+    ]
+    for base in ("gamma_minus", "gamma_plus", "pauli_c2", "q8_v4", "d4_v4")
+    for square in ("plus", "minus")
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
+# Two penta8 signatures, one with a commuting fourth, and a classified subgroup list.
+CASES.update({
+    f"{stem}.{suffix}": [*argv, "--format", fmt]
+    for stem, argv in (
+        ("search_twisted_penta8", ["search", "--signature=---|+", "--pool", "penta8"]),
+        ("search_mixed_penta8", ["search", "--signature=++--", "--pool", "penta8"]),
+        ("subgroups_gamma_minus_16", ["subgroups", "gamma_minus", "--order", "16", "--classify"]),
+    )
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
 
 
 def without_timings(text: str) -> str:
