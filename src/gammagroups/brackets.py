@@ -13,9 +13,9 @@ the rows on those triples alone; it classifies an order-16 group and gives
 the component composition of a larger one. The triples come from
 `MatrixGroup.anticommuting_triples`, the enumerator the signature search
 uses too: one triple per sign class {s, -s} and per set of generators
-with equal squares. Relation words are checked on explicit matrices; they
-and the reports the two checks return live in `gammagroups.words`, which
-the checks import when called.
+with equal squares. Relation words are checked on the Cayley table too;
+they and the reports the two checks return live in `gammagroups.words`,
+which the checks import when called.
 """
 
 from __future__ import annotations
@@ -171,17 +171,22 @@ def verify_bracket_table(
 
 
 def verify_relations(
-    relations: RelationSet, assignment: Mapping[str, ExactMatrix]
+    group: MatrixGroup, relations: RelationSet, roles: Mapping[str, int]
 ) -> VerificationReport:
-    from .words import VerificationReport, evaluate_word
+    """Check each word equation on the Cayley table, ``roles`` mapping each
+    label to its element's index. A side reads as c times an element
+    (`words.word_index`), and c_l A = c_r B exactly when (c_r / c_l) B is A,
+    so a scalar outside the group (i beside Q8) needs no matrix."""
+    from .words import VerificationReport, word_index
 
+    elements = group.elements
     report = VerificationReport(f"relations-{relations.name}", [])
     for rel_id, lhs, rhs in relations.relations:
-        left = evaluate_word(lhs, assignment)
-        right = evaluate_word(rhs, assignment, dim=left.dim)
-        ok = left == right
+        (ls, li), (rs, ri) = word_index(group, lhs, roles), word_index(group, rhs, roles)
+        ok = elements[ri].scale(rs / ls) == elements[li]
         detail = ""
         if not ok:
+            left, right = elements[li].scale(ls), elements[ri].scale(rs)
             detail = f"{lhs} = {format_matrix(left, bare=True)} but {rhs} = {format_matrix(right, bare=True)}"
         report.add(f"{relations.name}:{rel_id}", ok, detail)
     return report

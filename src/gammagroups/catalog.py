@@ -62,8 +62,9 @@ class CatalogEntry(NamedTuple):
     signature: str | None
     extracted_from: str | None = None
 
-    def generator_assignment(self) -> dict[str, ExactMatrix]:
-        return {f"g{k + 1}": m for k, m in enumerate(self.generators)}
+    def generator_roles(self, group: MatrixGroup) -> dict[str, int]:
+        """The index in the group of each generator, labelled g1, g2, ..."""
+        return {f"g{k + 1}": group.index_of(m) for k, m in enumerate(self.generators)}
 
 
 def _load_payload(name: str) -> dict:

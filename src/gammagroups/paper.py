@@ -21,7 +21,7 @@ from .brackets import BracketTable, verify_bracket_table, verify_relations
 from .claims import Claim
 from .exact import ExactMatrix, GaussianRational, format_scalar
 from .reps import format_census
-from .words import RelationSet, evaluate_word, table_roles
+from .words import RelationSet, table_roles, word_element
 
 
 def _report_verdict(report) -> str:
@@ -47,10 +47,11 @@ def _table_verdict(entry_name: str) -> str:
 @functools.cache
 def _relations_verdict(entry_name: str, relation_set: str) -> str:
     entry = catalog.catalog_entry(entry_name)
-    genmap = entry.generator_assignment()
-    mapping = entry.relations[relation_set]
-    assignment = {label: evaluate_word(word, genmap) for label, word in mapping.items()}
-    return _report_verdict(verify_relations(RelationSet.load(relation_set), assignment))
+    group = catalog.catalog_group(entry_name)
+    gens = entry.generator_roles(group)
+    words = entry.relations[relation_set]
+    roles = {label: word_element(group, word, gens) for label, word in words.items()}
+    return _report_verdict(verify_relations(group, RelationSet.load(relation_set), roles))
 
 
 def _substituted_table_verdict() -> str:
@@ -83,8 +84,9 @@ def _weight_summary(name: str, word: str) -> dict:
     # (perfbench) binds here, and only the claims that read them load `forms`.
     from .reps import spin_weights
 
-    entry = catalog.catalog_entry(name)
-    report = spin_weights(evaluate_word(word, entry.generator_assignment()))
+    group = catalog.catalog_group(name)
+    gens = catalog.catalog_entry(name).generator_roles(group)
+    report = spin_weights(group.elements[word_element(group, word, gens)])
     return {
         "weights": [[v, m] for v, m in report.weights],
         "l0": str(report.l0) if report.l0 is not None else None,

@@ -14,11 +14,9 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .brackets import verify_relations
-from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, CatalogEntry, catalog_entry
+from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, catalog_entry, catalog_group
 from .catalog import _named_by_key
-from .exact import (
-    COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, GaussianRational, block_diag, format_scalar,
-)
+from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, block_diag, format_scalar
 from .groups import MatrixGroup
 from .words import RelationSet, VerificationReport
 
@@ -300,85 +298,66 @@ class ExtensionResult(NamedTuple):
 def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
     """Extend a four-generator model by a fifth anticommuting generator.
 
-    The fifth generator is sought among phase multiples of the product of
-    the four base generators; the doubled model puts the base in both
-    diagonal blocks and the fifth with opposite signs, which keeps the
-    sixth-generator product central but not scalar. The result carries a
-    relation check of the whole construction.
+    The fifth generator is sought among phase multiples cP of the product
+    P of the four base generators, read off the base group's table. cP
+    anticommutes with the base when P does and squares to c^2 P^2, c^2 =
+    +-1, so one works exactly when P anticommutes with every generator and
+    P^2 is +-1; the first of 1, -1, i, -i that does is 1 when P^2 is the
+    requested square and i otherwise. The doubled model puts the base in
+    both diagonal blocks and the fifth with opposite signs, which keeps
+    the sixth-generator product central but not scalar. The result carries
+    a relation check of the whole construction.
     """
     if square not in (1, -1):
         raise ValueError("the fifth generator square must be 1 or -1")
-    entry = catalog_entry(base_name)
-    gens = entry.generators
+    gens = catalog_entry(base_name).generators
     if len(gens) != 4:
-        return ExtensionResult(
-            base=base_name,
-            square=square,
-            found=False,
-            reason=f"{base_name} has {len(gens)} generators, need exactly 4",
-        )
-    product = gens[0] * gens[1] * gens[2] * gens[3]
-    # The reported phase is the first that works, tried in this order.
-    for phase in (ONE, MINUS_ONE, IMAG_UNIT, -IMAG_UNIT):
-        witness = product.scale(phase)
-        if (witness * witness).scalar_value() == GaussianRational(square, 0) and all(
-            witness * g == (g * witness).scale(MINUS_ONE) for g in gens
-        ):
-            break
-    else:
-        return ExtensionResult(
-            base=base_name,
-            square=square,
-            found=False,
-            reason="no phase of the generator product anticommutes with the base "
-            f"and squares to {square}",
-        )
-    doubled = [block_diag(g, g) for g in gens]
-    fifth = block_diag(witness, witness.scale(MINUS_ONE))
-    group = MatrixGroup.from_generators(doubled + [fifth])
-    labels = ["G1", "G2", "G3", "G4", "G5", "G6"]
-    assignment = dict(zip(labels, doubled + [fifth]))
-    assignment["G6"] = assignment["G1"] * assignment["G2"] * assignment["G3"] * assignment[
-        "G4"
-    ] * assignment["G5"]
-    relations = _extension_relations(entry, gens, square, assignment["G6"])
-    report = verify_relations(relations, assignment)
+        return ExtensionResult(base_name, square, False,
+                               reason=f"{base_name} has {len(gens)} generators, need exactly 4")
+    base = catalog_group(base_name)
+    cay = base.cayley()
+    g1, g2, g3, g4 = indices = [base.index_of(g) for g in gens]
+    product = cay[cay[cay[g1][g2]][g3]][g4]
+    sign_index = {1: 0, -1: base.minus_index()}
+    product_square = cay[product][product]
+    anticommuting = all(base.commutation_masks()[1][product] >> g & 1 for g in indices)
+    if not anticommuting or product_square not in sign_index.values():
+        reason = ("no phase of the generator product anticommutes with the base "
+                  f"and squares to {square}")
+        return ExtensionResult(base_name, square, False, reason=reason)
+    phase = ONE if product_square == sign_index[square] else IMAG_UNIT
+    witness = base.elements[product].scale(phase)
+    generators = [block_diag(g, g) for g in gens]
+    generators.append(block_diag(witness, witness.scale(MINUS_ONE)))
+    group = MatrixGroup.from_generators(generators)
+    ext = group.cayley()
+    roles = {f"G{k}": group.index_of(g) for k, g in enumerate(generators, start=1)}
+    roles["G6"] = sixth = functools.reduce(lambda a, g: ext[a][g], roles.values(), 0)
+    squares = [1 if cay[g][g] == 0 else -1 for g in indices] + [square]
+    relations = _extension_relations(base_name, squares, 1 if ext[sixth][sixth] == 0 else -1)
     return ExtensionResult(
         base=base_name,
         square=square,
         found=True,
         phase=format_scalar(phase),
-        generators=doubled + [fifth],
+        generators=generators,
         order=group.order,
         identified=_named_by_key(group.squaring_key(), EXTENSION_NAMES),
-        report=report,
+        report=verify_relations(group, relations, roles),
     )
 
 
-def _extension_relations(
-    entry: CatalogEntry, gens: list[ExactMatrix], square: int, sixth: ExactMatrix
-) -> RelationSet:
-    labels = ["G1", "G2", "G3", "G4", "G5", "G6"]
-    rels: list[tuple[str, str, str]] = []
-    for k, g in enumerate(gens, start=1):
-        sq = (g * g).scalar_value()
-        rels.append((f"square-{k}", f"G{k}^2", "1" if sq.re > 0 else "-1"))
-    rels.append(("square-5", "G5^2", "1" if square > 0 else "-1"))
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            rels.append((f"anticommute-{i}{j}", f"G{i} G{j}", f"-1*G{j} G{i}"))
+def _extension_relations(base_name: str, squares: Sequence[int], sixth_square: int) -> RelationSet:
+    """G1..G5 square to ``squares`` and pairwise anticommute, and G6 =
+    G1 G2 G3 G4 G5 is central with square ``sixth_square``."""
+    rels = [(f"square-{k}", f"G{k}^2", str(sq)) for k, sq in enumerate(squares, start=1)]
+    rels += [(f"anticommute-{i}{j}", f"G{i} G{j}", f"-1*G{j} G{i}")
+             for i in range(1, 6) for j in range(i + 1, 6)]
     rels.append(("sixth-is-total-product", "G6", "G1 G2 G3 G4 G5"))
-    for k in range(1, 6):
-        rels.append((f"sixth-commutes-{k}", f"G6 G{k}", f"G{k} G6"))
-    sixth_sq = (sixth * sixth).scalar_value()
-    rels.append(
-        (
-            "sixth-squares-to-one" if sixth_sq.re > 0 else "sixth-squares-to-minus-one",
-            "G6^2",
-            "1" if sixth_sq.re > 0 else "-1",
-        )
-    )
-    return RelationSet(f"extension-{entry.name}", labels, rels)
+    rels += [(f"sixth-commutes-{k}", f"G6 G{k}", f"G{k} G6") for k in range(1, 6)]
+    rel_id = "sixth-squares-to-one" if sixth_square > 0 else "sixth-squares-to-minus-one"
+    rels.append((rel_id, "G6^2", str(sixth_square)))
+    return RelationSet(f"extension-{base_name}", [f"G{k}" for k in range(1, 7)], rels)
 
 
 def sweep_extensions() -> list[ExtensionResult]:

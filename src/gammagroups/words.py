@@ -1,10 +1,11 @@
 """Relation words, verification reports and the table roles of a group.
 
 A relation word is an optional scalar times a product of labelled factors;
-a `RelationSet` is a named list of word equations. The checks in
-`gammagroups.brackets` return a `VerificationReport`. Only the commands
-that evaluate words (`verify`, `brackets`, `search`, `extensions`) import
-this module, so `analyze` and `catalog list` do not compile it.
+a `RelationSet` is a named list of word equations. A word over element
+indices reads as (scalar, index) off the Cayley table (`word_index`). The
+checks in `gammagroups.brackets` return a `VerificationReport`. Only the
+commands that check words (`verify`, `brackets`, `search`, `extensions`)
+import this module, so `analyze` and `catalog list` do not compile it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .brackets import BracketTable, find_component_match
 from .catalog import CatalogEntry
 from .data import load_json
-from .exact import ExactMatrix, GaussianRational, parse_scalar
+from .exact import ONE, GaussianRational, parse_scalar
 from .groups import MatrixGroup
 
 
@@ -85,20 +86,28 @@ def parse_word(text: str) -> tuple[GaussianRational, list[tuple[str, int]]]:
     return scalar, factors
 
 
-def evaluate_word(
-    text: str, assignment: Mapping[str, ExactMatrix], *, dim: int | None = None
-) -> ExactMatrix:
+def word_index(
+    group: MatrixGroup, text: str, roles: Mapping[str, int]
+) -> tuple[GaussianRational, int]:
+    """(c, k) with the word equal to c times element k of the group, read
+    off the Cayley table: ``roles`` maps each label to its element's index,
+    and a power g^e takes e mod ord(g) lookups."""
     scalar, factors = parse_word(text)
-    if dim is None:
-        if not assignment:
-            raise ValueError("cannot size a scalar word without an assignment or dim")
-        dim = next(iter(assignment.values())).dim
-    acc = ExactMatrix.identity(dim)
+    cay = group.cayley()
+    acc = 0
     for label, exp in factors:
-        if label not in assignment:
+        if label not in roles:
             raise ValueError(f"word {text!r} uses unassigned label {label!r}")
-        acc = acc * (assignment[label] ** exp)
-    return acc.scale(scalar)
+        for _ in range(exp % group.element_order(roles[label])):
+            acc = cay[acc][roles[label]]
+    return scalar, acc
+
+
+def word_element(group: MatrixGroup, text: str, roles: Mapping[str, int]) -> int:
+    """The index of the element a word names; raises `index_of`'s ValueError
+    when its scalar carries it outside the group."""
+    scalar, k = word_index(group, text, roles)
+    return k if scalar == ONE else group.index_of(group.elements[k].scale(scalar))
 
 
 class RelationSet:
@@ -110,7 +119,9 @@ class RelationSet:
         self.relations = []
         for rel_id, lhs, rhs in relations:
             for side in (lhs, rhs):
-                _, factors = parse_word(side)
+                scalar, factors = parse_word(side)
+                if scalar.is_zero():  # no group element, and the check divides by it
+                    raise ValueError(f"relation {rel_id!r} has a side with scalar 0")
                 for label, _ in factors:
                     if label not in self.labels:
                         raise ValueError(
@@ -144,11 +155,8 @@ def table_roles(
     designated = None
     if entry is not None and entry.table == table.name:
         if entry.table_assignment:
-            genmap = entry.generator_assignment()
-            return {
-                label: group.index_of(evaluate_word(word, genmap))
-                for label, word in entry.table_assignment.items()
-            }
+            gens, words = entry.generator_roles(group), entry.table_assignment
+            return {label: word_element(group, w, gens) for label, w in words.items()}
         if len(entry.generators) == 3:
             designated = entry.generators
     match = find_component_match(group, designated=designated, tables=(table.name,))

@@ -25,7 +25,7 @@ from gammagroups.reps import (
     spin_weights,
     structural_invariant,
 )
-from gammagroups.words import RelationSet, evaluate_word
+from gammagroups.words import RelationSet, word_element
 
 # The five order-32 groups that survive the sweep, with the expected
 # value of the structural invariant on their irreducible blocks.
@@ -78,9 +78,16 @@ def extension_sweep():
     return catalog.sweep_extensions()
 
 
+def _word_roles(entry, mapping):
+    """The index of each label's word in the entry's catalog group."""
+    group = catalog.catalog_group(entry.name)
+    gens = entry.generator_roles(group)
+    return {label: word_element(group, word, gens) for label, word in mapping.items()}
+
+
 def _assignment(entry, mapping):
-    genmap = entry.generator_assignment()
-    return {label: evaluate_word(word, genmap) for label, word in mapping.items()}
+    group = catalog.catalog_group(entry.name)
+    return {label: group.matrix(k) for label, k in _word_roles(entry, mapping).items()}
 
 
 def _roles(group, assignment):
@@ -104,7 +111,9 @@ def test_02_quaternion_subgroups():
     quaternion = _assignment(pauli, pauli.relations["quaternion"])
     q8 = MatrixGroup.from_generators([quaternion["a1"], quaternion["a2"]])
     assert q8.order == 8
-    assert verify_relations(RelationSet.load("quaternion"), quaternion).passed
+    quaternion_roles = _word_roles(pauli, pauli.relations["quaternion"])
+    pauli_group = catalog.catalog_group("pauli")
+    assert verify_relations(pauli_group, RelationSet.load("quaternion"), quaternion_roles).passed
 
     d4_entry = catalog.catalog_entry("d4")
     second = MatrixGroup.from_generators(d4_entry.generators)
@@ -148,8 +157,8 @@ def test_03_bracket_tables():
     pauli_group = catalog.catalog_group("pauli")
     assert verify_bracket_table(pauli_group, b_table, _roles(pauli_group, substituted)).passed
 
-    products = _assignment(pauli, pauli.relations["pauli_products"])
-    assert verify_relations(RelationSet.load("pauli_products"), products).passed
+    products = _word_roles(pauli, pauli.relations["pauli_products"])
+    assert verify_relations(pauli_group, RelationSet.load("pauli_products"), products).passed
 
 
 def test_04_spin_weights():
@@ -220,8 +229,9 @@ def test_08_delta_structure():
             assert structural_invariant(group, block) == DELTA_INVARIANTS[name]
 
         set_name = DELTA_RELATION_SETS[name]
+        roles = _word_roles(entry, entry.relations[set_name])
+        assert verify_relations(group, RelationSet.load(set_name), roles).passed
         assignment = _assignment(entry, entry.relations[set_name])
-        assert verify_relations(RelationSet.load(set_name), assignment).passed
         sixth = assignment["G6"]
         for g in entry.generators:
             assert sixth * g == g * sixth

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import brackets
+from gammagroups import brackets, search
 from gammagroups.brackets import (
     COMPONENT_TABLES,
     TABLE_NAMES,
@@ -21,7 +21,9 @@ from gammagroups.brackets import (
     verify_bracket_table,
     verify_relations,
 )
-from gammagroups.words import RelationSet, VerificationReport, evaluate_word, parse_word
+from gammagroups.words import (
+    RelationSet, VerificationReport, parse_word, table_roles, word_element, word_index,
+)
 from gammagroups.catalog import (
     CATALOG_NAMES,
     EXTENSION_NAMES,
@@ -29,11 +31,13 @@ from gammagroups.catalog import (
     catalog_entry,
     catalog_group,
     load_generator_file,
+    enumerate_extensions,
     pool_group,
+    sweep_extensions,
 )
 from gammagroups.data import load_json
 from gammagroups.exact import (
-    COUNTERS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix,
+    COUNTERS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix, parse_scalar,
 )
 from gammagroups.groups import MatrixGroup, mask_indices
 
@@ -72,6 +76,47 @@ def matrix_bracket_report(table, assignment):
         if got != want:
             detail = f"[{x},{y}] = {format_matrix(got, bare=True)}, expected {format_matrix(want, bare=True)}"
         report.add(f"{table.name}:[{x},{y}]", got == want, detail)
+    return report
+
+
+def evaluate_word(text, assignment, *, dim=None):
+    """The reference value of a relation word: the exact matrix product of
+    its factors' powers over an explicit assignment, times its scalar."""
+    scalar, factors = parse_word(text)
+    if dim is None:
+        if not assignment:
+            raise ValueError("cannot size a scalar word without an assignment or dim")
+        dim = next(iter(assignment.values())).dim
+    acc = ExactMatrix.identity(dim)
+    for label, exp in factors:
+        if label not in assignment:
+            raise ValueError(f"word {text!r} uses unassigned label {label!r}")
+        acc = acc * (assignment[label] ** exp)
+    return acc.scale(scalar)
+
+
+def matrix_relations_report(relations, assignment):
+    """The reference check: both sides of every relation formed as exact
+    matrices from an explicit assignment and compared."""
+    report = VerificationReport(f"relations-{relations.name}", [])
+    for rel_id, lhs, rhs in relations.relations:
+        left = evaluate_word(lhs, assignment)
+        right = evaluate_word(rhs, assignment, dim=left.dim)
+        detail = ""
+        if left != right:
+            detail = f"{lhs} = {format_matrix(left, bare=True)} but {rhs} = {format_matrix(right, bare=True)}"
+        report.add(f"{relations.name}:{rel_id}", left == right, detail)
+    return report
+
+
+def relations_on_closure(relations, assignment):
+    """verify_relations on the group the assignment's matrices close into,
+    each label played by its matrix's index; the whole report, details
+    included, is first checked against the matrix reference."""
+    group = MatrixGroup.from_generators(list(assignment.values()))
+    roles = {label: group.index_of(m) for label, m in assignment.items()}
+    report = verify_relations(group, relations, roles)
+    assert report == matrix_relations_report(relations, assignment)
     return report
 
 
@@ -349,18 +394,18 @@ class TestRelations:
 
     def test_pauli_product_identities(self):
         assignment = dict(D_ASSIGNMENT, c=CENTRAL)
-        report = verify_relations(RelationSet.load("pauli_products"), assignment)
+        report = relations_on_closure(RelationSet.load("pauli_products"), assignment)
         assert report.passed
         assert len(report.checks) == 12
 
     def test_quaternion_relations(self):
-        report = verify_relations(
+        report = relations_on_closure(
             RelationSet.load("quaternion"), {"a1": A1, "a2": A2, "a3": A3}
         )
         assert report.passed
 
     def test_dihedral_relations(self):
-        report = verify_relations(
+        report = relations_on_closure(
             RelationSet.load("dihedral"), {"a1": A1, "ap2": SY, "ap3": A1 * SY}
         )
         assert report.passed
@@ -372,26 +417,187 @@ class TestRelations:
             "g3": parse_matrix("[[0,0,-i,0],[0,0,0,i],[i,0,0,0],[0,-i,0,0]]"),
             "g4": parse_matrix("[[1,0,0,0],[0,1,0,0],[0,0,-1,0],[0,0,0,-1]]"),
         }
-        assert verify_relations(RelationSet.load("dirac"), gammas).passed
+        assert relations_on_closure(RelationSet.load("dirac"), gammas).passed
 
     def test_failing_relation_reports_detail(self):
-        report = verify_relations(
+        report = relations_on_closure(
             RelationSet.load("quaternion"), {"a1": A1, "a2": A2, "a3": A3.scale(MINUS)}
         )
         assert not report.passed
-        assert any("third-rotation-is-product" in c.check_id for c in report.failures())
+        (failed,) = [c for c in report.failures() if "third-rotation-is-product" in c.check_id]
+        # both sides as matrices, as the reference writes them
+        assert " but " in failed.detail and "[[" in failed.detail
+
+    def test_scalar_outside_the_group_checks_without_it(self):
+        # i is not in Q8, yet A1 = i * (-i A1) reads as a ratio of scalars.
+        group = MatrixGroup.from_generators([A1, A2])
+        assert group.order == 8 and ExactMatrix.identity(2).scale(IMAG) not in group
+        relations = RelationSet("ratio", ["x", "y"], [
+            ("holds", "i*x", "-i*y^-1 x y"), ("fails", "i*x", "x"), ("scalars", "-i", "-i*x^4"),
+        ])
+        roles = {"x": group.index_of(A1), "y": group.index_of(A2)}
+        report = verify_relations(group, relations, roles)
+        assert [c.passed for c in report.checks] == [True, False, True]
+        assert report == matrix_relations_report(relations, {"x": A1, "y": A2})
+        relations = RelationSet("ratio", ["x", "y"], [("holds", "i*x", "-i*y^-1 x^5 y^4 y")])
+        assert verify_relations(group, relations, roles).passed
 
     def test_reports_do_not_share_their_check_lists(self):
         relations = RelationSet.load("quaternion")
-        assignment = {"a1": A1, "a2": A2, "a3": A3}
-        first = verify_relations(relations, assignment)
-        second = verify_relations(relations, assignment)
+        group = MatrixGroup.from_generators([A1, A2])
+        roles = {label: group.index_of(m) for label, m in (("a1", A1), ("a2", A2), ("a3", A3))}
+        first = verify_relations(group, relations, roles)
+        second = verify_relations(group, relations, roles)
         assert first.checks is not second.checks
         assert first.checks == second.checks
 
     def test_label_outside_set_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             RelationSet("bad", ["x"], [("r", "x y", "1")])
+
+    @pytest.mark.parametrize("side", ["0", "0*x", "0*x y"])
+    def test_zero_scalar_side_rejected(self, side):
+        with pytest.raises(ValueError, match="'r0' has a side with scalar 0"):
+            RelationSet("bad", ["x", "y"], [("r0", "x", side)])
+        with pytest.raises(ValueError, match="'r0'"):
+            RelationSet("bad", ["x", "y"], [("r0", side, "x")])
+
+
+class TestWordIndex:
+    def test_factors_read_off_the_table(self):
+        group = pauli_group()
+        roles = {"b1": group.index_of(SX), "b2": group.index_of(SY)}
+        scalar, k = word_index(group, "-1*b1 b2", roles)
+        assert scalar == MINUS and group.elements[k] == SX * SY
+
+    def test_exponents_reduce_modulo_the_order(self):
+        group = MatrixGroup.from_generators([A1, A2])
+        roles = {"a": group.index_of(A1)}
+        for exp in range(-9, 10):
+            _, k = word_index(group, f"a^{exp}", roles)
+            assert group.elements[k] == A1 ** exp
+
+    def test_scalar_word_is_the_identity(self):
+        scalar, k = word_index(pauli_group(), "i", {})
+        assert (scalar, k) == (IMAG, 0)
+
+    def test_unassigned_label_raises(self):
+        group = pauli_group()
+        with pytest.raises(ValueError, match="unassigned"):
+            word_index(group, "a1 zz", {"a1": group.index_of(SX)})
+
+    def test_word_element_scales_into_the_group(self):
+        group = pauli_group()
+        roles = {"b1": group.index_of(SX)}
+        assert group.elements[word_element(group, "-i*b1", roles)] == SX.scale(-IMAG)
+        q8 = MatrixGroup.from_generators([A1, A2])
+        with pytest.raises(ValueError, match="not an element"):
+            word_element(q8, "i*a", {"a": q8.index_of(A1)})
+
+
+def entry_assignment(entry, words):
+    """The reference's matrix for each label word over the entry's generators."""
+    genmap = {f"g{k + 1}": m for k, m in enumerate(entry.generators)}
+    return {label: evaluate_word(word, genmap) for label, word in words.items()}
+
+
+STORED_RELATION_SETS = [
+    (name, set_name)
+    for name in CATALOG_NAMES
+    for set_name in catalog_entry(name).relations
+]
+
+
+@functools.cache
+def stored_roles(name, set_name):
+    """(group, index roles, reference matrices) of a stored relation set's
+    labels on its catalog entry."""
+    entry = catalog_entry(name)
+    group = catalog_group(name)
+    words = entry.relations[set_name]
+    gens = entry.generator_roles(group)
+    roles = {label: word_element(group, word, gens) for label, word in words.items()}
+    return group, roles, entry_assignment(entry, words)
+
+
+@st.composite
+def drawn_words(draw, labels):
+    """A word of 0-4 factors over the labels, exponents -3..3, scalar +-1 or +-i."""
+    scalar = draw(st.sampled_from(["1", "-1", "i", "-i"]))
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.integers(min_value=-3, max_value=3)), max_size=4,
+    ))
+    if not factors:
+        return scalar
+    body = " ".join(label if exp == 1 else f"{label}^{exp}" for label, exp in factors)
+    return body if scalar == "1" else f"{scalar}*{body}"
+
+
+class TestRelationsOnTheTable:
+    """The table engine against the matrix reference, report for report."""
+
+    @pytest.mark.parametrize("name,set_name", STORED_RELATION_SETS)
+    def test_stored_sets_on_their_entries(self, name, set_name):
+        group, roles, assignment = stored_roles(name, set_name)
+        assert all(group.elements[roles[label]] == m for label, m in assignment.items())
+        relations = RelationSet.load(set_name)
+        report = verify_relations(group, relations, roles)
+        assert report.passed
+        assert report == matrix_relations_report(relations, assignment)
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if catalog_entry(n).table_assignment])
+    def test_stored_table_words_name_the_reference_matrices(self, name):
+        entry = catalog_entry(name)
+        group = catalog_group(name)
+        roles = table_roles(group, entry, BracketTable.load(entry.table))
+        assignment = entry_assignment(entry, entry.table_assignment)
+        assert {label: group.elements[k] for label, k in roles.items()} == assignment
+
+    @pytest.mark.parametrize("name,set_name", STORED_RELATION_SETS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_drawn_relations_on_stored_entries(self, name, set_name, data):
+        group, roles, assignment = stored_roles(name, set_name)
+        labels = sorted(roles)
+        pairs = data.draw(st.lists(
+            st.tuples(drawn_words(labels), drawn_words(labels)), min_size=10, max_size=14,
+        ))
+        relations = RelationSet(set_name, labels, [
+            (f"r{k}", lhs, rhs) for k, (lhs, rhs) in enumerate(pairs)
+        ])
+        report = verify_relations(group, relations, roles)
+        assert report == matrix_relations_report(relations, assignment)
+
+    def test_found_extensions(self):
+        found = [r for r in sweep_extensions() if r.found]
+        assert len(found) == 4
+        for result in found:
+            assignment = dict(zip(["G1", "G2", "G3", "G4", "G5"], result.generators))
+            assignment["G6"] = evaluate_word("G1 G2 G3 G4 G5", assignment)
+            squares = [int((g * g).scalar_value().re) for g in result.generators]
+            sixth_square = int((assignment["G6"] * assignment["G6"]).scalar_value().re)
+            relations = search._extension_relations(result.base, squares, sixth_square)
+            assert result.report == matrix_relations_report(relations, assignment)
+
+    @pytest.mark.parametrize("base", ["gamma_minus", "gamma_plus", "pauli_c2", "q8_v4", "d4_v4"])
+    @pytest.mark.parametrize("square", [1, -1])
+    def test_extension_witness_matches_the_phase_loop(self, base, square):
+        # The reference: each phase of the generator product, by matrices.
+        gens = catalog_entry(base).generators
+        product = gens[0] * gens[1] * gens[2] * gens[3]
+        for phase in ("1", "-1", "i", "-i"):
+            witness = product.scale(parse_scalar(phase))
+            if (witness * witness).scalar_value() == GaussianRational(square, 0) and all(
+                witness * g == (g * witness).scale(MINUS) for g in gens
+            ):
+                break
+        else:
+            phase = None
+        result = enumerate_extensions(base, square)
+        assert result.found == (phase is not None)
+        if phase is not None:
+            assert result.phase == phase
+            assert result.generators[-1] == block_diag(witness, witness.scale(MINUS))
 
 
 class TestClassification:

@@ -164,6 +164,28 @@ class TestProductCounters:
         if argv == ("verify",):
             assert counters["form.orbit"] > 0
 
+    def test_cold_verify_counters_are_pinned(self):
+        # Relation words and the extension witness are read off Cayley
+        # tables, so every product of a cold verify is a closure product:
+        # n*k for each of its 20 closures of n elements from k generators.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-S", "-m", "gammagroups.cli", "verify", "--format", "json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["timings"]["counters"] == {
+            "component.row_checks": 115,
+            "component.triples": 202,
+            "form.orbit": 40,
+            "iso.calls": 2,
+            "iso.fingerprint_rejects": 1,
+            "iso.nodes": 3,
+            "product.dense": 0,
+            "product.monomial": 4192,
+            "search.tuples": 23,
+        }
+
     def test_cold_analyze_of_a_dense_group_multiplies_once_per_closure_step(self, tmp_path):
         # The closure walk makes 24 elements x 3 generators products and
         # builds the Cayley table from them; the table costs no product.
