@@ -2,22 +2,28 @@
 
 Run it as `python tests/golden/regenerate.py`, from any directory: it
 imports the package from this checkout's `src/`, runs each command below
-in-process through `cli.main` and writes its report next to this file,
-without the timings that differ from run to run. A change that alters a
-report commits what this writes and says why.
+in-process through `cli.main`, inside this directory, and writes its report
+next to this file, without the timings that differ from run to run. A
+command that exits non-zero or writes to stderr has its exit code and
+stderr recorded after the report. A change that alters a report commits
+what this writes and says why.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-# Golden file name -> the command line whose report it holds. Each exits 0
-# and writes nothing to stderr.
+# The generator files the cases below read, by path relative to this
+# directory, so each report's `input` reads the same on every machine.
+INPUTS = ("two_t.json", "s3.json", "d8_perm.json", "s5.json")
+
+# Golden file name -> the command line whose report it holds.
 CASES = {
     "verify.json": ["verify", "--format", "json"],
     "verify.md": ["verify", "--format", "markdown"],
@@ -60,12 +66,46 @@ CASES.update({
     )
     for suffix, fmt in (("json", "json"), ("md", "markdown"))
 })
+# Groups outside the catalog: the dense 2T, whose abelianization is C3; S3;
+# the order-8 dihedral group as permutation matrices, without -1 and so
+# outside F, whose index-two subgroups are classed by isomorphism; and the
+# subgroup walk on S5, whose order is not a power of two.
+CASES.update({
+    f"{stem}.{suffix}": [*argv, "--format", fmt]
+    for stem, argv in (
+        ("analyze_two_t", ["analyze", "two_t.json"]),
+        ("analyze_s3", ["analyze", "s3.json"]),
+        ("analyze_d8_perm", ["analyze", "d8_perm.json"]),
+        ("subgroups_s5_12", ["subgroups", "s5.json", "--order", "12"]),
+    )
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
+# Reports that exit 1: tables pauli does not realize.
+CASES.update({
+    f"brackets_pauli_{table}.{suffix}": ["brackets", "pauli", "--table", table, "--format", fmt]
+    for table in ("q2", "b", "c")
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
+# Usage errors, which exit 2 and write to stderr only.
+CASES.update({
+    f"{stem}.{suffix}": [*argv, "--format", fmt]
+    for stem, argv in (
+        ("error_analyze_nonexistent", ["analyze", "nonexistent"]),
+        ("error_verify_filter", ["verify", "--filter", "nonexistent.*"]),
+        ("error_search_short_signature", ["search", "--signature=+-", "--pool", "penta8"]),
+        ("error_subgroups_q8_3", ["subgroups", "q8", "--order", "3"]),
+    )
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
 
 
 def without_timings(text: str) -> str:
     """A report without its timings: the JSON `timings` object, or the
-    markdown's closing `- total_ms:` line."""
+    markdown's closing `- total_ms:` line. A run that wrote no report
+    stays empty."""
     lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
     if lines[0] == "{\n":
         start = lines.index('  "timings": {\n')
         end = next(k for k in range(start, len(lines)) if lines[k].startswith("  }"))
@@ -76,23 +116,30 @@ def without_timings(text: str) -> str:
     return "".join(lines)
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, report without timings, stderr) of one in-process call."""
+def run(argv: list[str]) -> str:
+    """What one in-process call's golden file holds: the report without
+    timings and, when the call exits non-zero or writes to stderr, an
+    `exit` line and the stderr after it. The call runs inside this
+    directory, where the input files are."""
     from gammagroups import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, without_timings(out.getvalue()), err.getvalue()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    text = without_timings(out.getvalue())
+    if (code, err.getvalue()) == (0, ""):
+        return text
+    return f"{text}--- exit {code}, stderr:\n{err.getvalue()}"
 
 
 def main() -> int:
     for name, argv in CASES.items():
-        code, text, err = run(argv)
-        if (code, err) != (0, ""):
-            print(f"{name}: exit {code}, stderr {err!r}", file=sys.stderr)
-            return 1
-        (HERE / name).write_text(text)
+        (HERE / name).write_text(run(argv))
     return 0
 
 
