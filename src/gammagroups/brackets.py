@@ -152,7 +152,7 @@ def verify_bracket_table(
     missing = [lab for lab in table.labels if lab not in roles]
     if missing:
         raise ValueError(f"the role map misses labels {missing} of table {table.name!r}")
-    rows = _failed_rows(group, table, roles, group.minus_index())
+    rows = _failed_rows(group, table, roles)
     failed = {(x, y): found for x, y, found in rows}
     report = VerificationReport(f"bracket-table-{table.name}", [])
     for x, y, _, _ in table.signed_rows:
@@ -207,12 +207,11 @@ class ComponentMatch(NamedTuple):
 
 
 def _failed_rows(
-    group: MatrixGroup, table: BracketTable, roles: Mapping[str, int], neg: int | None
+    group: MatrixGroup, table: BracketTable, roles: Mapping[str, int]
 ) -> Iterator[tuple[str, str, str]]:
     """(x, y, found) of each stored row that fails, in table order, read off
     the Cayley table; ``found`` says whether the pair commutes, anticommutes
-    or does neither, and ``neg`` is the index of -1, None when the group
-    lacks it.
+    or does neither.
 
     Inside the group, [X, Y] is 0 when the pair commutes and 2XY when it
     anticommutes. So a commuting pair's row holds when it has no target,
@@ -223,7 +222,7 @@ def _failed_rows(
     conjugate to a unitary one, where XY - YX = +-2Z (three unitaries)
     forces XY = -YX.
     """
-    cay = group.cayley()
+    cay, neg = group.cayley(), group.minus_index()
     neg_row = cay[neg] if neg is not None else None
     for x, y, sign, z in table.signed_rows:
         ix, iy = roles[x], roles[y]
@@ -239,27 +238,27 @@ def _failed_rows(
 
 
 def _match_if_rows_hold(
-    group: MatrixGroup, table: BracketTable, signs: Sequence[int], boosts: tuple, neg: int
+    group: MatrixGroup, table: BracketTable, signs: Sequence[int], boosts: tuple
 ) -> ComponentMatch | None:
     """The match of a boost triple, rotations r_k = e_k s_i s_j, if every row holds."""
     COUNTERS["component.row_checks"] += 1
-    cay = group.cayley()
+    cay, neg = group.cayley(), group.minus_index()
     s1, s2, s3 = boosts
     rotations = tuple(
         cay[a][b] if e > 0 else cay[neg][cay[a][b]]
         for e, (a, b) in zip(signs, ((s2, s3), (s3, s1), (s1, s2)))
     )
     match = ComponentMatch(table.name, boosts, rotations)
-    failed = next(_failed_rows(group, table, match.roles(table), neg), None)
+    failed = next(_failed_rows(group, table, match.roles(table)), None)
     return match if failed is None else None
 
 
-def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: int) -> bool:
+def _scanned_triple_generates(group: MatrixGroup, boosts: tuple) -> bool:
     """Whether a scanned boost triple generates a group of order 16.
 
     The premises, which the scan guarantees: s1, s2, s3 pairwise
-    anticommute, each squares to +1 or -1, and -1 (index ``neg``) lies in
-    the scanned group. Then <s1, s2, s3> has order 16 exactly when
+    anticommute, each squares to +1 or -1, and -1 lies in the scanned
+    group. Then <s1, s2, s3> has order 16 exactly when
     s1*s2*s3 is neither 1 nor -1. Proof: P = <s1, s2> = +-{1, s1, s2,
     s1s2} has order 8. s3 conjugates s1 and s2 to -s1 and -s2 and squares
     into P, so it normalizes P and <P, s3> = P u P*s3, of order 16 unless
@@ -268,15 +267,15 @@ def _scanned_triple_generates(cay: Sequence[Sequence[int]], boosts: tuple, neg: 
     so s3 lies in P exactly when s3 = +-s1s2, that is when s1*s2*s3 =
     +-s1s2s1s2 = -+s1^2 s2^2 is 1 or -1.
     """
-    s1, s2, s3 = boosts
-    return cay[cay[s1][s2]][s3] not in (0, neg)
+    cay, (s1, s2, s3) = group.cayley(), boosts
+    return cay[cay[s1][s2]][s3] not in (0, group.minus_index())
 
 
 # The square signatures (s1^2, s2^2, s3^2) of a boost triple, in scan order.
 _SQUARE_SIGNATURES = tuple(itertools.product((1, -1), repeat=3))
 
 
-def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, int]]:
+def _generating_triples(group: MatrixGroup) -> list[tuple[int, int, int]]:
     """Each square signature's first boost triple, in increasing (s1, s2,
     s3), that generates an order-16 subgroup; sorted into that scan order.
 
@@ -298,12 +297,11 @@ def _generating_triples(group: MatrixGroup, neg: int) -> list[tuple[int, int, in
     matrices, of order 8, pass table b in the Pauli group, which realizes
     d and f), so it is never checked.
     """
-    cay = group.cayley()
     found = []
     for signs in _SQUARE_SIGNATURES:
         for boosts in group.anticommuting_triples(signs):
             COUNTERS["component.triples"] += 1
-            if _scanned_triple_generates(cay, boosts, neg):
+            if _scanned_triple_generates(group, boosts):
                 found.append(boosts)
                 break
     return sorted(found)
@@ -321,8 +319,7 @@ def _component_scan(
     of `_scanned_triple_generates`), or else `_generating_triples`; each
     table's match is the first of them whose rows hold.
     """
-    neg = group.minus_index()
-    if neg is None:
+    if group.minus_index() is None:
         return
     if designated is not None:
         if len(designated) != 3:
@@ -333,13 +330,13 @@ def _component_scan(
         COUNTERS["component.triples"] += 1
         triples = [boosts] if len(group.closure_indices(boosts)) == group.order else []
     else:
-        triples = _generating_triples(group, neg)
+        triples = _generating_triples(group)
     for table in map(BracketTable.load, tables):
         if not table.boosts:
             continue
         signs = table.boost_signs()
         for boosts in triples:
-            match = _match_if_rows_hold(group, table, signs, boosts, neg)
+            match = _match_if_rows_hold(group, table, signs, boosts)
             if match is not None:
                 yield match
                 break

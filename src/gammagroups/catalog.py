@@ -290,7 +290,7 @@ def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
     if group.squaring_key() is not None:
         keyed: dict[tuple[int, int, int], tuple[Subgroup, int]] = {}
         for sub in subgroups:
-            key = group.squaring_key(sum(1 << i for i in sub.indices))
+            key = group.squaring_key(sub.mask)
             first, count = keyed.get(key, (sub, 0))
             keyed[key] = (first, count + 1)
         return [(sub.as_group(), count) for sub, count in keyed.values()]

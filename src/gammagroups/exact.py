@@ -207,14 +207,14 @@ class ExactMatrix:
             perm, phase = self._mono
             # range() indexes like the rows would: negative j counts from
             # the end, and a column outside the matrix raises IndexError.
-            return _UNITS[phase[i]] if perm[i] == range(self.dim)[j] else ZERO
+            return UNITS[phase[i]] if perm[i] == range(self.dim)[j] else ZERO
         return self._rows[i][j]
 
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
         if self._rows is None:
             zeros = (ZERO,) * self.dim
             self._rows = tuple(
-                zeros[:col] + (_UNITS[p],) + zeros[col + 1 :] for col, p in zip(*self._mono)
+                zeros[:col] + (UNITS[p],) + zeros[col + 1 :] for col, p in zip(*self._mono)
             )
         return self._rows
 
@@ -229,7 +229,7 @@ class ExactMatrix:
     def _rows_nonzero(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
         if self._nz is None:
             if self._mono is not None:
-                self._nz = tuple(((col, _UNITS[p]),) for col, p in zip(*self._mono))
+                self._nz = tuple(((col, UNITS[p]),) for col, p in zip(*self._mono))
             else:
                 self._nz = tuple(
                     tuple((j, value) for j, value in enumerate(row) if not value.is_zero())
@@ -371,7 +371,7 @@ class ExactMatrix:
             perm, phase = self._mono
             if perm != _identity_form(self.dim)[0] or phase.count(phase[0]) != self.dim:
                 return None
-            return _UNITS[phase[0]]
+            return UNITS[phase[0]]
         diagonal = self._rows[0][0]
         for i in range(self.dim):
             for j in range(self.dim):
@@ -416,7 +416,7 @@ class ExactMatrix:
 
 
 # The unit phases: i**p for p = 0..3.
-_UNITS = (ONE, IMAG_UNIT, MINUS_ONE, GaussianRational(0, -1))
+UNITS = (ONE, IMAG_UNIT, MINUS_ONE, GaussianRational(0, -1))
 
 
 def _unit_phase(value: GaussianRational) -> int | None:
@@ -530,7 +530,7 @@ def _fraction(token: str, original: str) -> Fraction:
 # The unit tokens stored matrices are made of, read without a regex; the
 # shared values are safe to hand out, as nothing changes a scalar after
 # __init__.
-_UNIT_TOKENS = dict(zip(("0", "1", "i", "-1", "-i"), (ZERO, *_UNITS)))
+_UNIT_TOKENS = dict(zip(("0", "1", "i", "-1", "-i"), (ZERO, *UNITS)))
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -8,13 +8,19 @@ table of its closure walk (n*k exact products for n elements and k
 generators, then n^2 integer lookups), and `Subgroup.as_group` takes the
 parent's table restricted to the subgroup. Element 0 is always the
 identity.
+
+A subgroup is one integer, the bitmask of its members' indices, from the
+closures to `Subgroup` itself. The center is read off the conjugacy
+classes, and the scalars 1, i, -1, -i are looked up once per group, so -1
+and the elements squaring to +-1 are reads.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
-from gammagroups.exact import COUNTERS, ExactMatrix, GaussianRational
+from gammagroups.exact import COUNTERS, UNITS, ExactMatrix
 
 DEFAULT_CAP = 4096
 
@@ -64,10 +70,6 @@ def generate_closure(
     for p, k in found_by:
         columns.append(list(map(right[k].__getitem__, columns[p])))
     return elements, [list(row) for row in zip(*columns)]
-
-
-def _parity(value: int) -> int:
-    return value.bit_count() & 1
 
 
 def mask_indices(mask: int) -> Iterable[int]:
@@ -144,16 +146,15 @@ class MatrixGroup:
         self._cayley = cayley  # kept as given, not copied
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
-        self._center: tuple[int, ...] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_sizes: list[int] | None = None
         self._greedy: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._derived: frozenset[int] | None = None
+        self._derived: int | None = None
         self._fingerprint: tuple | None = None
         self._commutation: tuple[list[int], list[int]] | None = None
+        self._scalars: tuple[int | None, ...] | None = None
         self._unit_squares: dict[int, int] | None = None
         self._sign_reps: int | None = None
-        self._square_ones: int | None = None
 
     @classmethod
     def from_generators(
@@ -184,9 +185,17 @@ class MatrixGroup:
     def __contains__(self, matrix: ExactMatrix) -> bool:
         return matrix in self._index
 
+    def scalar_indices(self) -> tuple[int | None, ...]:
+        """Indices of the scalars i^p, p = 0..3 (1, i, -1, -i), each None
+        when the group lacks it; looked up once."""
+        if self._scalars is None:
+            one = self._elements[0]
+            self._scalars = tuple(self._index.get(one.scale(unit)) for unit in UNITS)
+        return self._scalars
+
     def minus_index(self) -> int | None:
         """Index of -1 in the group, or None when it is not there."""
-        return self._index.get(self._elements[0].scale(GaussianRational(-1, 0)))
+        return self.scalar_indices()[2]
 
     def cayley(self) -> list[list[int]]:
         """Full multiplication table, as the group was built with it: the
@@ -215,13 +224,9 @@ class MatrixGroup:
         return histogram
 
     def center(self) -> tuple[int, ...]:
-        if self._center is None:
-            cay = self.cayley()
-            n = self.order
-            self._center = tuple(
-                a for a in range(n) if all(cay[a][b] == cay[b][a] for b in range(n))
-            )
-        return self._center
+        """The central elements, in index order: the one-element classes,
+        which `conjugacy_classes` puts first."""
+        return tuple(cls[0] for cls in self.conjugacy_classes() if len(cls) == 1)
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted index tuples, ordered by (size, smallest member)."""
@@ -275,29 +280,31 @@ class MatrixGroup:
     def unit_square_masks(self) -> dict[int, int]:
         """Bitmasks of the non-scalar elements whose square is +1 and -1.
 
-        Keyed by the sign of the square; the scalars 1, -1, i, -i are in neither.
+        Keyed by the sign of the square; the scalars 1, -1, i, -i are in
+        neither. One read of the diagonal.
         """
         if self._unit_squares is None:
-            one, cay = self._elements[0], self.cayley()
-            units = [self._index.get(one.scale(GaussianRational(*c)))
-                     for c in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+            scalars, cay = self.scalar_indices(), self._cayley
             masks = {1: 0, -1: 0}
-            for i in set(range(self.order)).difference(units):
-                if cay[i][i] in units[:2]:
-                    masks[1 if cay[i][i] == 0 else -1] |= 1 << i
+            sign = {0: 1, scalars[2]: -1}
+            for g in set(range(self.order)).difference(scalars):
+                square = sign.get(cay[g][g])
+                if square is not None:
+                    masks[square] |= 1 << g
             self._unit_squares = masks
         return self._unit_squares
 
     def _square_one_mask(self) -> int:
         """Mask of the elements whose square is 1 when the group is in F
-        (see `squaring_key`), and 0 when it is not: one read of the diagonal."""
-        if self._square_ones is None:
-            neg, cay = self.minus_index(), self._cayley
-            squares = [cay[g][g] for g in range(self.order)]
-            self._square_ones = 0
-            if neg is not None and all(x == 0 or x == neg for x in squares):
-                self._square_ones = sum(1 << g for g, x in enumerate(squares) if x == 0)
-        return self._square_ones
+        (see `squaring_key`), and 0 when it is not. With -1 there, the
+        group is in F exactly when the scalars and the elements squaring
+        to +-1 (`unit_square_masks`) cover it; the scalars squaring to 1
+        are 1 and -1."""
+        scalars, masks = self.scalar_indices(), self.unit_square_masks()
+        covered = masks[1] | masks[-1] | sum(1 << s for s in scalars if s is not None)
+        if scalars[2] is None or covered != (1 << self.order) - 1:
+            return 0
+        return masks[1] | 1 | 1 << scalars[2]
 
     def squaring_key(self, mask: int | None = None) -> tuple[int, int, int] | None:
         """(order, #{g : g^2 = 1}, |Z|) of the subgroup with this member mask,
@@ -314,8 +321,10 @@ class MatrixGroup:
         differ. So two groups in F are isomorphic exactly when their keys
         are equal. Every subgroup of a group in F is in F or, without -1,
         elementary abelian with key (n, n, n), the key of no other class.
-        A whole group's key reads the diagonal and `center`; a subgroup's
-        reads the diagonal and `commutation_masks`, |H| lookups.
+        A subgroup is given by its member mask (`Subgroup.mask`). Both
+        keys read the squares off `unit_square_masks`; a whole group's
+        center is its one-element classes (`center`), a subgroup's is read
+        off `commutation_masks`, |H| lookups.
         """
         ones = self._square_one_mask()
         if not ones:
@@ -400,16 +409,22 @@ class MatrixGroup:
                 reps.append(x)
         return mask
 
-    def closure_indices(self, seed: Iterable[int]) -> frozenset[int]:
-        """The subgroup that ``seed`` generates: one `extend` per seed
+    def _grow(self, seed: Iterable[int]) -> tuple[int, list[int], list[int]]:
+        """Member mask of the subgroup ``seed`` generates, the seed elements
+        that grew it and its order after each: one `extend` per seed
         element not yet inside."""
-        mask, members, gens = 1, [0], []
+        mask, members, gens, sizes = 1, [0], [], []
         for s in seed:
             if not mask >> s & 1:
                 mask = self.extend(members, mask, gens, s)
                 members = list(mask_indices(mask))
                 gens.append(s)
-        return frozenset(members)
+                sizes.append(len(members))
+        return mask, gens, sizes
+
+    def closure_indices(self, seed: Iterable[int]) -> frozenset[int]:
+        """The indices of the subgroup that ``seed`` generates (`_grow`)."""
+        return frozenset(mask_indices(self._grow(seed)[0]))
 
     def _commutator(self, a: int, b: int) -> int:
         cay = self.cayley()
@@ -429,18 +444,17 @@ class MatrixGroup:
             cay = self.cayley()
             gens = self._greedy_generators()[0]
             commutators = {self._commutator(a, b) for a in gens for b in gens}
-            self._derived = self.closure_indices(
+            self._derived = self._grow(
                 cay[cay[self.inv(g)][c]][g] for c in commutators for g in range(self.order)
-            )
+            )[0]
         return Subgroup(self, self._derived)
 
-    def _squares_commutators_closure(self) -> frozenset[int]:
+    def _squares_commutators_closure(self) -> int:
         # <squares, commutators> = <squares, [G, G]>, and the derived
         # subgroup already holds every commutator.
         cay = self.cayley()
-        seed = {cay[a][a] for a in range(self.order)}
-        seed.update(self.derived_subgroup().indices)
-        return self.closure_indices(seed)
+        derived = mask_indices(self.derived_subgroup().mask)
+        return self._grow(itertools.chain(derived, (cay[a][a] for a in range(self.order))))[0]
 
     def frattini_subgroup(self) -> "Subgroup":
         """Frattini subgroup, via the squares-and-commutators formula.
@@ -457,10 +471,12 @@ class MatrixGroup:
         quotient = self.order // self.frattini_subgroup().order
         return quotient.bit_length() - 1
 
-    def _quotient(self, normal: frozenset[int]) -> tuple[list[int], list[list[int]]]:
-        """Coset id per element and the coset multiplication table."""
+    def _quotient(self, normal: int) -> tuple[list[int], list[list[int]]]:
+        """Coset id per element and the coset multiplication table, for the
+        normal subgroup with this member mask."""
         cay = self.cayley()
         n = self.order
+        members = list(mask_indices(normal))
         coset_of = [-1] * n
         reps: list[int] = []
         for a in range(n):
@@ -468,18 +484,13 @@ class MatrixGroup:
                 continue
             cid = len(reps)
             reps.append(a)
-            for h in normal:
+            for h in members:
                 coset_of[cay[a][h]] = cid
-        table = [
-            [coset_of[cay[ra][rb]] for rb in reps]
-            for ra in reps
-        ]
-        return coset_of, table
+        return coset_of, [[coset_of[cay[ra][rb]] for rb in reps] for ra in reps]
 
     def abelian_invariants(self) -> tuple[int, ...]:
         """Elementary divisors of the abelianization, sorted ascending."""
-        derived = self.derived_subgroup().indices
-        coset_of, table = self._quotient(derived)
+        coset_of, table = self._quotient(self.derived_subgroup().mask)
         q = len(table)
         orders = _element_orders(table)
         invariants: list[int] = []
@@ -491,7 +502,7 @@ class MatrixGroup:
             ]
             # layer[k-1] = number of cyclic factors of order at least p^k
             layer = [
-                _int_log(counts[k] // counts[k - 1], p)
+                _max_p_exp(counts[k] // counts[k - 1], p)
                 for k in range(1, len(counts))
             ]
             for k in range(len(layer)):
@@ -499,32 +510,25 @@ class MatrixGroup:
                 invariants.extend([p ** (k + 1)] * copies)
         return tuple(sorted(invariants))
 
-    def _index_two_subgroup_sets(self) -> list[frozenset[int]]:
-        n = self.order
-        normal = self._squares_commutators_closure()
-        vectors, rank = self._elementary_quotient_vectors(normal)
-        sets = []
-        for mask in range(1, 1 << rank):
-            sets.append(
-                frozenset(a for a in range(n) if _parity(vectors[a] & mask) == 0)
-            )
-        return sets
-
-    def _elementary_quotient_vectors(self, normal: frozenset[int]) -> tuple[list[int], int]:
-        coset_of, table = self._quotient(normal)
-        q = len(table)
-        vec: dict[int, int] = {0: 0}
-        rank = 0
-        for c in range(q):
-            if c in vec:
-                continue
-            bit = 1 << rank
-            rank += 1
-            for a, v in list(vec.items()):
-                vec[table[a][c]] = v | bit
-        if len(vec) != q:
+    def _index_two_subgroup_masks(self) -> list[int]:
+        """Member masks of the index-two subgroups: the kernels of the
+        nonzero characters of G/N onto F2, N = <squares, commutators>.
+        Each coset of N gets its vector over F2, one new bit for each
+        coset outside the span of those before it."""
+        coset_of, table = self._quotient(self._squares_commutators_closure())
+        vec, rank = {0: 0}, 0
+        for c in range(len(table)):
+            if c not in vec:
+                for a, v in list(vec.items()):
+                    vec[table[a][c]] = v | 1 << rank
+                rank += 1
+        if len(vec) != len(table):
             raise ValueError("quotient is not elementary abelian")
-        return [vec[coset_of[a]] for a in range(self.order)], rank
+        vectors = [vec[c] for c in coset_of]
+        return [
+            sum(1 << a for a, v in enumerate(vectors) if not (v & character).bit_count() & 1)
+            for character in range(1, 1 << rank)
+        ]
 
     def subgroups_of_order(self, k: int) -> list["Subgroup"]:
         """All subgroups of the given order, sorted by their index tuples.
@@ -537,15 +541,15 @@ class MatrixGroup:
         if k <= 0 or n % k:
             return []
         if k == 1:
-            return [Subgroup(self, frozenset({0}))]
+            return [Subgroup(self, 1)]
         if k == n:
-            return [Subgroup(self, frozenset(range(n)))]
+            return [Subgroup(self, (1 << n) - 1)]
         if k * 2 == n:
-            sets = self._index_two_subgroup_sets()
+            masks = self._index_two_subgroup_masks()
         else:
-            sets = [frozenset(mask_indices(m)) for m in self._subgroup_masks(k) if m.bit_count() == k]
-        subs = [Subgroup(self, s) for s in sets]
-        subs.sort(key=lambda sub: sub.sorted_indices())
+            masks = [m for m in self._subgroup_masks(k) if m.bit_count() == k]
+        subs = [Subgroup(self, m) for m in masks]
+        subs.sort(key=Subgroup.sorted_indices)
         return subs
 
     def _subgroup_masks(self, k: int) -> set[int]:
@@ -592,22 +596,11 @@ class MatrixGroup:
     def _greedy_generators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Greedy generators g_1..g_k and the orders of <g_1..g_j>, j = 1..k.
 
-        Each g_j is the smallest index outside <g_1..g_(j-1)>, and each
-        prefix group is one `extend` of the one before.
+        Each g_j is the smallest index outside <g_1..g_(j-1)>: `_grow`
+        over every index in turn.
         """
         if self._greedy is None:
-            gens: list[int] = []
-            sizes: list[int] = []
-            mask, members = 1, [0]
-            for a in range(1, self.order):
-                if len(members) == self.order:
-                    break
-                if mask >> a & 1:
-                    continue
-                mask = self.extend(members, mask, gens, a)
-                members = list(mask_indices(mask))
-                gens.append(a)
-                sizes.append(len(members))
+            _, gens, sizes = self._grow(range(1, self.order))
             self._greedy = (tuple(gens), tuple(sizes))
         return self._greedy
 
@@ -676,23 +669,29 @@ class MatrixGroup:
 
 
 class Subgroup:
-    """A subgroup of a MatrixGroup, held as a frozen set of element indices."""
+    """A subgroup of a MatrixGroup, held as its member mask: bit i is set
+    when the parent's element i is a member."""
 
-    def __init__(self, parent: MatrixGroup, indices: frozenset[int]):
+    def __init__(self, parent: MatrixGroup, mask: int):
         self.parent = parent
-        self.indices = frozenset(indices)
-        self._sorted = tuple(sorted(self.indices))
+        self.mask = mask
 
     @property
     def order(self) -> int:
-        return len(self.indices)
+        return self.mask.bit_count()
+
+    @property
+    def indices(self) -> frozenset[int]:
+        """The member indices, as a read-only set."""
+        return frozenset(mask_indices(self.mask))
 
     def sorted_indices(self) -> tuple[int, ...]:
-        return self._sorted
+        """The member indices, ascending, so the identity comes first."""
+        return tuple(mask_indices(self.mask))
 
     def as_group(self) -> MatrixGroup:
         """Standalone group over the same matrices, reusing the parent table."""
-        local_order = [0] + [i for i in self._sorted if i != 0]
+        local_order = self.sorted_indices()
         local_of = {parent_i: j for j, parent_i in enumerate(local_order)}
         parent_cay = self.parent.cayley()
         cayley = [
@@ -707,16 +706,16 @@ class Subgroup:
         if isinstance(item, ExactMatrix):
             if item not in self.parent:
                 return False
-            return self.parent.index_of(item) in self.indices
-        return item in self.indices
+            item = self.parent.index_of(item)
+        return bool(self.mask >> item & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent is other.parent and self.indices == other.indices
+        return self.parent is other.parent and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.indices))
+        return hash((id(self.parent), self.mask))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"
@@ -754,12 +753,4 @@ def _max_p_exp(n: int, p: int) -> int:
     while n % p == 0:
         exp += 1
         n //= p
-    return exp
-
-
-def _int_log(n: int, p: int) -> int:
-    exp = 0
-    while n > 1:
-        n //= p
-        exp += 1
     return exp

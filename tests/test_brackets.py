@@ -132,9 +132,9 @@ def row_outcomes(report):
     return [(check.check_id, check.passed) for check in report.checks]
 
 
-def rows_hold(group, table, roles, neg):
+def rows_hold(group, table, roles):
     """The component scan's yes/no row check, stopping at the first failure."""
-    return next(brackets._failed_rows(group, table, roles, neg), None) is None
+    return next(brackets._failed_rows(group, table, roles), None) is None
 
 
 def verify_on_closure(table, assignment):
@@ -794,7 +794,7 @@ def reference_match(group, table_name, triples=None):
     signs = table.boost_signs()
     for boosts in anticommuting_triples(group) if triples is None else triples:
         rotations, roles = boost_roles(group, table, signs, boosts, neg)
-        if not rows_hold(group, table, roles, neg):
+        if not rows_hold(group, table, roles):
             continue
         if len(group.closure_indices(boosts)) == group.order:
             return ComponentMatch(table_name, boosts, rotations)
@@ -856,7 +856,7 @@ class TestSquareSignatureMemo:
             if neg is None:
                 assert want == []
                 continue
-            assert brackets._generating_triples(group, neg) == want
+            assert brackets._generating_triples(group) == want
             found |= bool(want)
         assert found == (parent.order >= 16)  # q8 and d4 have order 8
 
@@ -866,10 +866,9 @@ class TestSquareSignatureMemo:
         # closure does; the scan takes the lookup in place of the closure.
         verdicts = []
         for group in order16_groups(source, sample):
-            neg = neg_index(group)
             for boosts in anticommuting_triples(group):
                 whole = len(group.closure_indices(boosts)) == group.order
-                assert brackets._scanned_triple_generates(group.cayley(), boosts, neg) == whole
+                assert brackets._scanned_triple_generates(group, boosts) == whole
                 verdicts.append(whole)
         assert True in verdicts
 
@@ -927,7 +926,7 @@ class TestSquareSignatureMemo:
                 for boosts in anticommuting_triples(group):
                     _, roles = boost_roles(group, table, signs, boosts, neg)
                     squares = tuple(group.mul(s, s) for s in boosts)
-                    holds = rows_hold(group, table, roles, neg)
+                    holds = rows_hold(group, table, roles)
                     by_squares.setdefault(squares, set()).add(holds)
                 assert all(len(seen) == 1 for seen in by_squares.values()), (name, by_squares)
                 outcomes_seen.update(*by_squares.values())
@@ -974,7 +973,7 @@ class TestSquareSignatureMemo:
                     want = row_outcomes(matrix_bracket_report(table, matrices))
                     report = verify_bracket_table(group, table, roles)
                     assert row_outcomes(report) == want, (name, boosts)
-                    holds = rows_hold(group, table, roles, neg)
+                    holds = rows_hold(group, table, roles)
                     assert holds == report.passed, (name, boosts)
                     verdicts.add(holds)
         assert verdicts == {True, False}
@@ -1007,7 +1006,7 @@ class TestSquareSignatureMemo:
                 want = row_outcomes(matrix_bracket_report(table, matrices))
                 report = verify_bracket_table(group, table, roles)
                 assert row_outcomes(report) == want, (name, boosts)
-                holds = rows_hold(group, table, roles, neg)
+                holds = rows_hold(group, table, roles)
                 assert holds == report.passed, (name, boosts)
                 mats = [group.elements[i] for i in boosts]
                 whole = len(group.closure_indices(boosts)) == group.order

@@ -378,7 +378,7 @@ def reference_search(text, pool_name):
                     if key in seen:
                         continue
                     seen.add(key)
-                    group = Subgroup(pool, key).as_group()
+                    group = Subgroup(pool, sum(1 << x for x in key)).as_group()
                     if any(group.order == rep.order and group.is_isomorphic(rep) for rep, _ in classes):
                         continue
                     identified = reference_identify(group)
@@ -457,7 +457,7 @@ class HintedClass:
 
 def standalone(pool, key):
     """The pool subgroup with member mask ``key`` as its own group."""
-    return Subgroup(pool, frozenset(mask_indices(key))).as_group()
+    return Subgroup(pool, key).as_group()
 
 
 def reference_identify(group):

@@ -913,7 +913,8 @@ class TestIsomorphism:
 
         def as_group(members):
             if members not in standalone:
-                standalone[members] = (sorted(members), Subgroup(ambient, members).as_group())
+                sub = Subgroup(ambient, sum(1 << x for x in members))
+                standalone[members] = (sorted(members), sub.as_group())
             return standalone[members]
 
         def both_certificates(gens, images):
