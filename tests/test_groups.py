@@ -19,6 +19,7 @@ from gammagroups.groups import (
     generate_closure,
     mask_indices,
 )
+from gammagroups.reps import irrep_census
 
 SX = parse_matrix("[[0,1],[1,0]]")
 SY = parse_matrix("[[0,-i],[i,0]]")
@@ -1063,6 +1064,46 @@ class TestSquaringKey:
         assert group.squaring_key(1) is None
         want = backtracking_index_two_classes(group)[0]
         assert class_rows(catalog._index_two_classes(group)) == class_rows(want)
+
+
+class TestClosedFormsInF:
+    """The profile numbers of a non-abelian group G in F in closed form.
+
+    G/<-1> is elementary abelian and G is not abelian, so G' = Phi(G) =
+    <-1>. With |G| = 2^(m+1) and |Z| = 2^(r+1): G/G' = C2^m, which gives
+    2^m linear characters, abelian invariants (2,)*m, m minimal
+    generators and 2^m - 1 index-two subgroups, each holding Phi(G) and so
+    -1, and so in F. A noncentral g has the class {g, -g}, so there are
+    |Z| + (|G| - |Z|)/2 classes; the rest of the irreducibles are the
+    |Z|/2 on which -1 acts as -1, each fully ramified over Z, of degree
+    2^((m-r)/2).
+    """
+
+    @pytest.mark.parametrize("name", [*catalog.catalog_names(), *catalog.POOL_NAMES])
+    def test_a_group_and_its_index_two_subgroups_match(self, name):
+        # The catalog groups and both pools are all non-abelian in F, and
+        # so are their index-two subgroups but 27 abelian ones of 296.
+        parent = named_group(name)
+        subgroups = [sub.as_group() for sub in parent.subgroups_of_order(parent.order // 2)]
+        checked = []
+        for group in [parent, *subgroups]:
+            assert group.squaring_key() is not None
+            if group.derived_subgroup().order == 1:
+                continue
+            checked.append(group)
+            n, z = group.order, len(group.center())
+            m, r = n.bit_length() - 2, z.bit_length() - 2
+            assert group.derived_subgroup().sorted_indices() == (0, group.minus_index())
+            assert len(group.conjugacy_classes()) == z + (n - z) // 2
+            assert irrep_census(group) == ((1, 2**m), (2 ** ((m - r) // 2), z // 2))
+            assert group.abelian_invariants() == (2,) * m
+            assert group.minimal_generator_count() == m
+            halves = group.subgroups_of_order(n // 2)
+            assert len(halves) == 2**m - 1
+            for sub in halves:
+                assert group.minus_index() in sub
+                assert sub.as_group().squaring_key() is not None
+        assert checked[0] is parent
 
 
 @settings(max_examples=30, deadline=None)
