@@ -86,6 +86,11 @@ CASES.update({
     for table in ("q2", "b", "c")
     for suffix, fmt in (("json", "json"), ("md", "markdown"))
 })
+# A table pauli realizes besides its own d: the roles come from the scan.
+CASES.update({
+    f"brackets_pauli_f.{suffix}": ["brackets", "pauli", "--table", "f", "--format", fmt]
+    for suffix, fmt in (("json", "json"), ("md", "markdown"))
+})
 # Usage errors, which exit 2 and write to stderr only.
 CASES.update({
     f"{stem}.{suffix}": [*argv, "--format", fmt]
