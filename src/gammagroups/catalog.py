@@ -60,7 +60,6 @@ class CatalogEntry(NamedTuple):
     table: str | None
     table_assignment: dict[str, str] | None  # None means search
     signature: str | None
-    extracted_from: str | None = None
 
     def generator_roles(self, group: MatrixGroup) -> dict[str, int]:
         """The index in the group of each generator, labelled g1, g2, ..."""
@@ -87,9 +86,7 @@ def catalog_entry(name: str) -> CatalogEntry:
     return _entry(payload, generators)
 
 
-def _entry(
-    payload: Mapping, generators: list[ExactMatrix], extracted_from: str | None = None
-) -> CatalogEntry:
+def _entry(payload: Mapping, generators: list[ExactMatrix]) -> CatalogEntry:
     table = payload.get("table") or {}
     return CatalogEntry(
         name=payload["name"],
@@ -100,7 +97,6 @@ def _entry(
         table=table.get("name"),
         table_assignment=table.get("assignment"),
         signature=payload.get("signature"),
-        extracted_from=extracted_from,
     )
 
 
@@ -125,7 +121,7 @@ def _resolve_extraction(payload: Mapping) -> CatalogEntry:
         match = find_component_match(group)
         if match is not None and match.table == component:
             boosts = [group.elements[i] for i in match.boosts]
-            return _entry(payload, boosts, recipe["parent"])
+            return _entry(payload, boosts)
     raise LookupError(
         f"no order-{order} subgroup of {recipe['parent']!r} realizes component {component!r}"
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ZERO, ExactMatrix
+from .exact import COUNTERS, UNITS, ZERO, ExactMatrix
 from .groups import MatrixGroup
 from .reps import structural_invariant
 
@@ -66,12 +66,11 @@ def _form_by_orbits(
     if best is None:
         return None
     shift = phase_of[max(best)]
-    units = (ONE, IMAG_UNIT, MINUS_ONE, -IMAG_UNIT)
     entries = [[ZERO] * size for _ in range(size)]
     for i, j in best:
         p = phase_of[(i, j)] - shift
-        entries[j][i] = units[(p + flip) & 3]
-        entries[i][j] = units[p & 3]
+        entries[j][i] = UNITS[(p + flip) & 3]
+        entries[i][j] = UNITS[p & 3]
     return ExactMatrix(entries)
 
 

@@ -19,7 +19,7 @@ import functools
 from . import catalog
 from .brackets import BracketTable, verify_bracket_table, verify_relations
 from .claims import Claim
-from .exact import ExactMatrix, GaussianRational, format_scalar
+from .exact import IMAG_UNIT, ExactMatrix, format_scalar
 from .reps import format_census
 from .words import RelationSet, table_roles, word_element
 
@@ -61,12 +61,11 @@ def _substituted_table_verdict() -> str:
     d_table = BracketTable.load("d")
     b_table = BracketTable.load("b")
     d_roles = table_roles(group, entry, d_table)
-    imag = GaussianRational(0, 1)
     roles = {}
     for k in range(3):
         roles[b_table.rotations[k]] = d_roles[d_table.rotations[k]]
         boost = group.elements[d_roles[d_table.boosts[k]]]
-        roles[b_table.boosts[k]] = group.index_of(boost.scale(imag))
+        roles[b_table.boosts[k]] = group.index_of(boost.scale(IMAG_UNIT))
     return _report_verdict(verify_bracket_table(group, b_table, roles))
 
 
@@ -188,33 +187,14 @@ def _expected_block_value(name: str, keys: tuple[str, ...]) -> dict:
     return {key: stored[key]() if key in stored else profile.value(key) for key in keys}
 
 
-def _signature_matches(entry: catalog.CatalogEntry) -> bool:
-    """Check the declared square/commutation pattern on the generators.
-
-    The squares are read off the Cayley table's diagonal, and which pairs
-    commute or anticommute off the group's commutation masks.
-    """
-    spec = catalog.SignatureSpec.parse(entry.signature)
+def _signature_verdict(entry: catalog.CatalogEntry) -> str:
+    """The declared square/commutation pattern, checked as relation words
+    on the generators; an entry without four generators fails."""
     if len(entry.generators) != 4:
-        return False
-    if spec.commuting_fourth is None:
-        squares = spec.squares
-        pairs_anticommute = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        pairs_commute = []
-    else:
-        squares = spec.squares + (spec.commuting_fourth,)
-        pairs_anticommute = [(0, 1), (0, 2), (1, 2)]
-        pairs_commute = [(0, 3), (1, 3), (2, 3)]
+        return "fail"
     group = catalog.catalog_group(entry.name)
-    gens = [group.index_of(g) for g in entry.generators]
-    cay = group.cayley()
-    square_index = {1: 0, -1: group.minus_index()}
-    if any(cay[g][g] != square_index[want] for g, want in zip(gens, squares)):
-        return False
-    commute, anticommute = group.commutation_masks()
-    return all(anticommute[gens[i]] >> gens[j] & 1 for i, j in pairs_anticommute) and all(
-        commute[gens[i]] >> gens[j] & 1 for i, j in pairs_commute
-    )
+    relations = catalog.SignatureSpec.parse(entry.signature).relations()
+    return _report_verdict(verify_relations(group, relations, entry.generator_roles(group)))
 
 
 def _checks_verdict(name: str) -> str:
@@ -228,8 +208,7 @@ def _checks_verdict(name: str) -> str:
     if entry.table is not None:
         verdicts.append((f"table {entry.table}", _table_verdict(name)))
     if entry.signature is not None:
-        verdicts.append((f"signature {entry.signature}",
-                         "pass" if _signature_matches(entry) else "fail"))
+        verdicts.append((f"signature {entry.signature}", _signature_verdict(entry)))
     _block_forms(name)
     failures = [f"{label}: {verdict}" for label, verdict in verdicts if verdict != "pass"]
     return "fail: " + "; ".join(failures) if failures else "pass"

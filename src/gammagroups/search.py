@@ -10,6 +10,7 @@ here and loads this module on the first such lookup.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,30 +37,27 @@ def pool_group(name: str) -> MatrixGroup:
 
 
 class SignatureSpec(NamedTuple):
-    """Square pattern for a generator tuple.
+    """Square pattern for a four-generator tuple: the four squares, and
+    whether the fourth generator commutes with the other three.
 
     Text form: one +/- per generator; all generators pairwise anticommute.
     With a pipe, the part before it is the anticommuting triple and the
     single sign after it is a fourth generator that commutes instead.
     """
 
-    squares: tuple[int, ...]
-    commuting_fourth: int | None = None
+    squares: tuple[int, int, int, int]
+    fourth_commutes: bool = False
 
     @classmethod
     def parse(cls, text: str) -> "SignatureSpec":
         text = text.strip()
-        if "|" in text:
-            head, _, tail = text.partition("|")
-            squares = tuple(cls._sign(ch) for ch in head.strip())
-            fourth = tuple(cls._sign(ch) for ch in tail.strip())
-            if len(squares) != 3 or len(fourth) != 1:
-                raise ValueError(f"signature {text!r} needs three signs, a pipe, one sign")
-            return cls(squares, fourth[0])
-        squares = tuple(cls._sign(ch) for ch in text)
+        head, pipe, tail = (part.strip() for part in text.partition("|"))
+        squares = tuple(cls._sign(ch) for ch in head + tail)
+        if pipe and (len(head), len(tail)) != (3, 1):
+            raise ValueError(f"signature {text!r} needs three signs, a pipe, one sign")
         if len(squares) != 4:
             raise ValueError(f"signature {text!r} needs four signs")
-        return cls(squares, None)
+        return cls(squares, bool(pipe))
 
     @staticmethod
     def _sign(ch: str) -> int:
@@ -70,10 +68,19 @@ class SignatureSpec(NamedTuple):
         raise ValueError(f"signature signs must be + or -, got {ch!r}")
 
     def __str__(self) -> str:
-        head = "".join("+" if s > 0 else "-" for s in self.squares)
-        if self.commuting_fourth is None:
-            return head
-        return f"{head}|{'+' if self.commuting_fourth > 0 else '-'}"
+        signs = "".join("+" if s > 0 else "-" for s in self.squares)
+        return f"{signs[:3]}|{signs[3]}" if self.fourth_commutes else signs
+
+    def relations(self) -> RelationSet:
+        """The pattern as word equations over g1..g4: each square, then
+        each pair, which anticommutes unless it holds a commuting fourth."""
+        squares = [(f"square-{k}", f"g{k}^2", str(s)) for k, s in enumerate(self.squares, 1)]
+        pairs = [
+            (f"commute-{i}{j}", f"g{i} g{j}", f"g{j} g{i}") if self.fourth_commutes and j == 4
+            else (f"anticommute-{i}{j}", f"g{i} g{j}", f"-1*g{j} g{i}")
+            for i, j in itertools.combinations(range(1, 5), 2)
+        ]
+        return RelationSet(f"signature-{self}", ("g1", "g2", "g3", "g4"), squares + pairs)
 
 
 # Canonical sweep order: the five all-anticommuting square patterns, then
@@ -146,11 +153,9 @@ def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
     Character Theory of Finite Groups, ch. 2). An order whose every Q needs
     more than the pool's dimension cannot occur.
     """
-    squares = spec.squares if spec.commuting_fourth is None else (
-        *spec.squares, spec.commuting_fourth)
-    minus = sum(1 << i for i, s in enumerate(squares) if s < 0)
+    minus = sum(1 << i for i, s in enumerate(spec.squares) if s < 0)
     # The s_i, i > j, that s_j anticommutes with.
-    passing = [sum(1 << i for i in range(j + 1, 4) if spec.commuting_fourth is None or i < 3)
+    passing = [sum(1 << i for i in range(j + 1, 4) if i < 3 or not spec.fourth_commutes)
                for j in range(4)]
 
     def mul(x: int, y: int) -> int:
@@ -222,14 +227,8 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
     pool = pool_group(pool_name)
     cay = pool.cayley()
     commute, anticommute = pool.commutation_masks()
-    if spec.commuting_fourth is None:
-        triple_squares = spec.squares[:3]
-        fourth_sign = spec.squares[3]
-        fourth_masks = anticommute
-    else:
-        triple_squares = spec.squares
-        fourth_sign = spec.commuting_fourth
-        fourth_masks = commute
+    triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
+    fourth_masks = commute if spec.fourth_commutes else anticommute
     candidates = pool.unit_square_masks()[fourth_sign] & pool.sign_representatives()
     minus_row = cay[pool.minus_index()]
     admitted = _admitted_orders(spec, pool.dim)
@@ -242,7 +241,7 @@ def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
         head = _words(cay, triple)
         base = _signed_mask(head, minus_row)  # the triple's group H
         fourths = fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & candidates
-        if spec.commuting_fourth is not None:
+        if spec.fourth_commutes:
             # A commuting fourth already inside the triple's span adds
             # nothing; skip the degenerate tuple.
             fourths &= ~base

@@ -10,6 +10,7 @@ import this module, so `analyze` and `catalog list` do not compile it.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -54,18 +55,20 @@ class VerificationReport(NamedTuple):
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 
-def parse_word(text: str) -> tuple[GaussianRational, list[tuple[str, int]]]:
+@functools.cache
+def parse_word(text: str) -> tuple[GaussianRational, tuple[tuple[str, int], ...]]:
     """Split a relation word into a scalar prefix and (label, exponent) factors.
 
     Grammar: an optional scalar glued to the first factor with '*', then
     whitespace-separated factors `label` or `label^k`. A bare scalar literal
     is a valid word with no factors and wins over a label of the same
-    spelling, so "i" always means the imaginary unit.
+    spelling, so "i" always means the imaginary unit. Cached: every check
+    reads the same few words, and the result is immutable.
     """
     parts = text.split()
     if not parts:
         raise ValueError("empty word")
-    scalar = GaussianRational(1, 0)
+    scalar = ONE
     factors: list[tuple[str, int]] = []
     first = parts[0]
     if "*" in first:
@@ -74,7 +77,7 @@ def parse_word(text: str) -> tuple[GaussianRational, list[tuple[str, int]]]:
         parts[0] = rest
     elif len(parts) == 1:
         try:
-            return parse_scalar(first), []
+            return parse_scalar(first), ()
         except ValueError:
             pass
     for part in parts:
@@ -83,7 +86,7 @@ def parse_word(text: str) -> tuple[GaussianRational, list[tuple[str, int]]]:
             raise ValueError(f"bad factor {part!r} in word {text!r}")
         label, exp = m.group(1), m.group(2)
         factors.append((label, int(exp) if exp is not None else 1))
-    return scalar, factors
+    return scalar, tuple(factors)
 
 
 def word_index(

@@ -40,17 +40,15 @@ def _full_walk(text, pool_name):
     cay = pool.cayley()
     neg = pool.minus_index()
     commute, anticommute = pool.commutation_masks()
-    if spec.commuting_fourth is None:
-        triple_squares, fourth_sign, fourth_masks = spec.squares[:3], spec.squares[3], anticommute
-    else:
-        triple_squares, fourth_sign, fourth_masks = spec.squares, spec.commuting_fourth, commute
+    triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
+    fourth_masks = commute if spec.fourth_commutes else anticommute
     candidates = pool.unit_square_masks()[fourth_sign] & pool.sign_representatives()
     seen, walk = set(), []
     for triple in pool.anticommuting_triples(triple_squares):
         fourths = candidates
         for s in triple:
             fourths &= fourth_masks[s]
-        if spec.commuting_fourth is not None:
+        if spec.fourth_commutes:
             fourths &= ~catalog._signed_mask(catalog._words(cay, triple), cay[neg])
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << triple[2]

@@ -238,24 +238,24 @@ class TestWordGrammar:
     def test_plain_factors(self):
         scalar, factors = parse_word("a1 b2 a1")
         assert scalar == GaussianRational(1, 0)
-        assert factors == [("a1", 1), ("b2", 1), ("a1", 1)]
+        assert factors == (("a1", 1), ("b2", 1), ("a1", 1))
 
     def test_exponents(self):
         _, factors = parse_word("a1^3 b2^-1")
-        assert factors == [("a1", 3), ("b2", -1)]
+        assert factors == (("a1", 3), ("b2", -1))
 
     def test_scalar_prefix(self):
         scalar, factors = parse_word("-1*a2 a1")
         assert scalar == MINUS
-        assert factors == [("a2", 1), ("a1", 1)]
+        assert factors == (("a2", 1), ("a1", 1))
 
     def test_bare_scalar_word(self):
         scalar, factors = parse_word("i")
         assert scalar == IMAG
-        assert factors == []
+        assert factors == ()
         scalar, factors = parse_word("-2/3")
         assert scalar == GaussianRational(Fraction(-2, 3), 0)
-        assert factors == []
+        assert factors == ()
 
     @pytest.mark.parametrize("bad", ["", "a1^", "^2", "a1**b2", "3a1", "a1 ^2"])
     def test_malformed_words(self, bad):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog, claims, data, forms, paper
+from gammagroups.brackets import verify_relations
 from gammagroups.catalog import (
     CATALOG_NAMES,
     STABLE_NAMES,
@@ -38,6 +39,7 @@ from gammagroups.exact import (
     parse_scalar,
 )
 from gammagroups.groups import MatrixGroup, Subgroup, certified_map, mask_indices
+from gammagroups.words import RelationSet
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -188,7 +190,7 @@ class TestExtraction:
     def test_extracted_entries_sit_inside_their_parents(self):
         for name, parent in (("q8_c2", "gamma_minus"), ("d4_c2", "gamma_plus")):
             entry = catalog_entry(name)
-            assert entry.extracted_from == parent
+            assert catalog._load_payload(name)["extract"]["parent"] == parent
             parent_group = catalog_group(parent)
             assert all(g in parent_group for g in entry.generators)
 
@@ -253,6 +255,48 @@ class TestPools:
             group.sign_representatives()
 
 
+def signature_matches(group, gens, text):
+    """Reference for a signature's relation words: the declared
+    square/commutation pattern on generator indices, the squares read off
+    the Cayley table's diagonal and which pairs commute or anticommute off
+    the group's commutation masks."""
+    spec = SignatureSpec.parse(text)
+    if len(gens) != 4:
+        return False
+    if spec.fourth_commutes:
+        pairs_anticommute = [(0, 1), (0, 2), (1, 2)]
+        pairs_commute = [(0, 3), (1, 3), (2, 3)]
+    else:
+        pairs_anticommute = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        pairs_commute = []
+    cay = group.cayley()
+    square_index = {1: 0, -1: group.minus_index()}
+    if any(cay[g][g] != square_index[want] for g, want in zip(gens, spec.squares)):
+        return False
+    commute, anticommute = group.commutation_masks()
+    return all(anticommute[gens[i]] >> gens[j] & 1 for i, j in pairs_anticommute) and all(
+        commute[gens[i]] >> gens[j] & 1 for i, j in pairs_commute
+    )
+
+
+def four_generator_tuples():
+    """(label, group, roles g1..g4) of every four-generator catalog entry
+    and of every search hit of the sweep signatures in both pools."""
+    out = []
+    for name in CATALOG_NAMES:
+        entry = catalog_entry(name)
+        if len(entry.generators) == 4:
+            group = catalog_group(name)
+            out.append((name, group, entry.generator_roles(group)))
+    for pool_name in catalog.POOL_NAMES:
+        pool = pool_group(pool_name)
+        for text in SWEEP_SIGNATURES:
+            for hit in find_gamma_models(text, pool_name):
+                roles = {f"g{k}": s for k, s in enumerate(hit.generator_indices, 1)}
+                out.append((f"{pool_name} {text} {hit.order}", pool, roles))
+    return out
+
+
 class TestSignatureSpec:
     @pytest.mark.parametrize("text", SWEEP_SIGNATURES)
     def test_round_trip(self, text):
@@ -261,12 +305,32 @@ class TestSignatureSpec:
     def test_anticommuting_spec_shape(self):
         spec = SignatureSpec.parse("++--")
         assert spec.squares == (1, 1, -1, -1)
-        assert spec.commuting_fourth is None
+        assert not spec.fourth_commutes
 
     def test_commuting_spec_shape(self):
         spec = SignatureSpec.parse("+--|+")
-        assert spec.squares == (1, -1, -1)
-        assert spec.commuting_fourth == 1
+        assert spec.squares == (1, -1, -1, 1)
+        assert spec.fourth_commutes
+
+    @pytest.mark.parametrize("text, stored", [("++++", "dirac"), ("+++-", "dirac_plus")])
+    def test_anticommuting_relations_are_the_stored_dirac_sets(self, text, stored):
+        relations = SignatureSpec.parse(text).relations()
+        assert relations.labels == RelationSet.load(stored).labels
+        assert relations.relations == RelationSet.load(stored).relations
+
+    def test_relation_words_agree_with_the_table_reference(self):
+        # Every four-generator tuple the catalog and the search know, under
+        # the 13 sweep signatures and the 8 commuting ones with the pipe
+        # dropped: the words pass exactly where the table reading does.
+        texts = SWEEP_SIGNATURES + tuple(t.replace("|", "") for t in SWEEP_SIGNATURES if "|" in t)
+        outcomes = []
+        for label, group, roles in four_generator_tuples():
+            gens = [roles[f"g{k}"] for k in range(1, 5)]
+            for text in texts:
+                report = verify_relations(group, SignatureSpec.parse(text).relations(), roles)
+                assert report.passed == signature_matches(group, gens, text), (label, text)
+                outcomes.append(report.passed)
+        assert (len(outcomes), sum(outcomes)) == (777, 49)
 
     @pytest.mark.parametrize("text", ["+++", "+++++", "++|++", "|+++", "+-x-"])
     def test_malformed_specs_rejected(self, text):
@@ -352,10 +416,8 @@ def reference_search(text, pool_name):
     def comm(i, j):
         return pool.mul(i, j) == pool.mul(j, i)
 
-    if spec.commuting_fourth is None:
-        sq, fourth, related = spec.squares[:3], spec.squares[3], anti
-    else:
-        sq, fourth, related = spec.squares, spec.commuting_fourth, comm
+    sq, fourth = spec.squares[:3], spec.squares[3]
+    related = comm if spec.fourth_commutes else anti
     seen, classes = set(), []
     for s1 in candidates(sq[0]):
         for s2 in candidates(sq[1]):
@@ -370,9 +432,9 @@ def reference_search(text, pool_name):
                 for s4 in candidates(fourth):
                     if s4 in (s1, s2, s3) or not all(related(s4, s) for s in (s1, s2, s3)):
                         continue
-                    if spec.commuting_fourth is not None and s4 in base:
+                    if spec.fourth_commutes and s4 in base:
                         continue
-                    if spec.commuting_fourth is None and fourth == sq[2] and s4 <= s3:
+                    if not spec.fourth_commutes and fourth == sq[2] and s4 <= s3:
                         continue
                     key = pool.closure_indices((s1, s2, s3, s4))
                     if key in seen:
@@ -485,12 +547,8 @@ def reference_coset_search(text, pool_name):
     cay = pool.cayley()
     commute, anticommute = pool.commutation_masks()
     square_masks = pool.unit_square_masks()
-    if spec.commuting_fourth is None:
-        triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
-        fourth_masks = anticommute
-    else:
-        triple_squares, fourth_sign = spec.squares, spec.commuting_fourth
-        fourth_masks = commute
+    triple_squares, fourth_sign = spec.squares[:3], spec.squares[3]
+    fourth_masks = commute if spec.fourth_commutes else anticommute
     pair_closure = {}
     covered = {}  # triple subgroup mask -> (its members, union of the cosets taken)
     seen_subgroups = set()
@@ -508,7 +566,7 @@ def reference_coset_search(text, pool_name):
         fourths = (
             fourth_masks[s1] & fourth_masks[s2] & fourth_masks[s3] & square_masks[fourth_sign]
         )
-        if spec.commuting_fourth is not None:
+        if spec.fourth_commutes:
             fourths &= ~base
         elif fourth_sign == triple_squares[2]:
             fourths &= -2 << s3
@@ -584,8 +642,7 @@ def presentation_group(spec):
     a << 4 | b with b_i the bit i - 1 of b, under the spec's relations."""
     squares = spec.squares
     anticommuting = {(i, j) for j in range(4) for i in range(j)}
-    if spec.commuting_fourth is not None:
-        squares += (spec.commuting_fourth,)
+    if spec.fourth_commutes:
         anticommuting -= {(0, 3), (1, 3), (2, 3)}
 
     def mul(x, y):
@@ -635,7 +692,7 @@ def brute_force_kernels(spec):
         sub for sub in subgroups
         if z not in sub
         and all(table[table[g][k]][inverse[g]] in sub for g in range(32) for k in sub)
-        and (spec.commuting_fourth is None or not any(k >> 3 & 1 for k in sub))
+        and (not spec.fourth_commutes or not any(k >> 3 & 1 for k in sub))
     ]
 
 
@@ -694,7 +751,8 @@ class TestCosetSearch:
         # the commuting fourth squares to +1: `++-|+`, `---|+` and their
         # reorderings, whose order-32 class has Z = C2^3 and needs degree 6.
         spec = SignatureSpec.parse(text)
-        twisted = spec.commuting_fourth == 1 and spec.squares.count(-1) % 2 == 1
+        odd_triple = spec.squares[:3].count(-1) % 2 == 1
+        twisted = spec.fourth_commutes and spec.squares[3] == 1 and odd_triple
         for pool_name, dimension in (("dirac4", 4), ("penta8", 8)):
             admitted = catalog._admitted_orders(spec, dimension)
             assert admitted == reference_admitted_orders(spec, dimension)
