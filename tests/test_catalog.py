@@ -134,6 +134,15 @@ class TestValidation:
                 assert result.status == "FAIL", (name, wrong)
                 assert f"signature {wrong}: fail" in result.computed, result.computed
 
+    def test_signature_on_other_than_four_generators_fails_the_checks(self, monkeypatch):
+        entry_of = catalog.catalog_entry
+        monkeypatch.setattr(
+            catalog, "catalog_entry",
+            lambda n: entry_of(n)._replace(signature="++++") if n == "pauli" else entry_of(n),
+        )
+        (result,) = claims.run_claims("catalog.pauli.checks")
+        assert (result.status, result.computed) == ("FAIL", "fail: signature ++++: fail")
+
     def test_block_form_contradicting_its_indicator_fails_the_checks(self, monkeypatch):
         # The form solver insists on agreeing with the trace indicator; a
         # flipped indicator must surface as a failed checks claim.
@@ -261,8 +270,6 @@ def signature_matches(group, gens, text):
     the Cayley table's diagonal and which pairs commute or anticommute off
     the group's commutation masks."""
     spec = SignatureSpec.parse(text)
-    if len(gens) != 4:
-        return False
     if spec.fourth_commutes:
         pairs_anticommute = [(0, 1), (0, 2), (1, 2)]
         pairs_commute = [(0, 3), (1, 3), (2, 3)]
