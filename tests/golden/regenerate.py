@@ -98,6 +98,7 @@ CASES.update({
         ("error_analyze_nonexistent", ["analyze", "nonexistent"]),
         ("error_verify_filter", ["verify", "--filter", "nonexistent.*"]),
         ("error_search_short_signature", ["search", "--signature=+-", "--pool", "penta8"]),
+        ("error_search_five_signs", ["search", "--signature=+++++"]),
         ("error_subgroups_q8_3", ["subgroups", "q8", "--order", "3"]),
     )
     for suffix, fmt in (("json", "json"), ("md", "markdown"))
