@@ -37,15 +37,15 @@ def pool_group(name: str) -> MatrixGroup:
 
 
 class SignatureSpec(NamedTuple):
-    """Square pattern for a four-generator tuple: the four squares, and
-    whether the fourth generator commutes with the other three.
+    """Square pattern for a generator tuple: the squares, and whether the
+    fourth of four generators commutes with the other three.
 
     Text form: one +/- per generator; all generators pairwise anticommute.
     With a pipe, the part before it is the anticommuting triple and the
     single sign after it is a fourth generator that commutes instead.
     """
 
-    squares: tuple[int, int, int, int]
+    squares: tuple[int, ...]
     fourth_commutes: bool = False
 
     @classmethod
@@ -55,8 +55,6 @@ class SignatureSpec(NamedTuple):
         squares = tuple(cls._sign(ch) for ch in head + tail)
         if pipe and (len(head), len(tail)) != (3, 1):
             raise ValueError(f"signature {text!r} needs three signs, a pipe, one sign")
-        if len(squares) != 4:
-            raise ValueError(f"signature {text!r} needs four signs")
         return cls(squares, bool(pipe))
 
     @staticmethod
@@ -72,15 +70,27 @@ class SignatureSpec(NamedTuple):
         return f"{signs[:3]}|{signs[3]}" if self.fourth_commutes else signs
 
     def relations(self) -> RelationSet:
-        """The pattern as word equations over g1..g4: each square, then
-        each pair, which anticommutes unless it holds a commuting fourth."""
-        squares = [(f"square-{k}", f"g{k}^2", str(s)) for k, s in enumerate(self.squares, 1)]
-        pairs = [
+        """The pattern as word equations over g1..gn: each square, then
+        each pair, which anticommutes unless it holds a commuting fourth.
+        For odd n with no commuting fourth, the product w = g1..gn is
+        central, and w^2 is the product of the squares times
+        (-1)^(n(n-1)/2), the sign of reversing n factors."""
+        n = len(self.squares)
+        labels = tuple(f"g{k}" for k in range(1, n + 1))
+        rels = [(f"square-{k}", f"g{k}^2", str(s)) for k, s in enumerate(self.squares, 1)]
+        rels += [
             (f"commute-{i}{j}", f"g{i} g{j}", f"g{j} g{i}") if self.fourth_commutes and j == 4
             else (f"anticommute-{i}{j}", f"g{i} g{j}", f"-1*g{j} g{i}")
-            for i, j in itertools.combinations(range(1, 5), 2)
+            for i, j in itertools.combinations(range(1, n + 1), 2)
         ]
-        return RelationSet(f"signature-{self}", ("g1", "g2", "g3", "g4"), squares + pairs)
+        if n % 2 and not self.fourth_commutes:
+            product = " ".join(labels)
+            rels += [(f"product-commutes-{k}", f"{product} g{k}", f"g{k} {product}")
+                     for k in range(1, n + 1)]
+            square = math.prod(self.squares) * (-1) ** (n * (n - 1) // 2)
+            rels.append((f"product-squares-to-{'one' if square > 0 else 'minus-one'}",
+                         f"{product} {product}", str(square)))
+        return RelationSet(f"signature-{self}", labels, rels)
 
 
 # Canonical sweep order: the five all-anticommuting square patterns, then
@@ -217,6 +227,8 @@ def find_gamma_models(
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)
+    if len(spec.squares) != 4:
+        raise ValueError(f"signature '{spec}' needs four signs")
     return list(_gamma_models(str(spec), pool_name))
 
 
@@ -305,7 +317,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
     requested square and i otherwise. The doubled model puts the base in
     both diagonal blocks and the fifth with opposite signs, which keeps
     the sixth-generator product central but not scalar. The result carries
-    a relation check of the whole construction.
+    a check of its five-sign signature's relations.
     """
     if square not in (1, -1):
         raise ValueError("the fifth generator square must be 1 or -1")
@@ -329,11 +341,8 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
     generators = [block_diag(g, g) for g in gens]
     generators.append(block_diag(witness, witness.scale(MINUS_ONE)))
     group = MatrixGroup.from_generators(generators)
-    ext = group.cayley()
-    roles = {f"G{k}": group.index_of(g) for k, g in enumerate(generators, start=1)}
-    roles["G6"] = sixth = functools.reduce(lambda a, g: ext[a][g], roles.values(), 0)
-    squares = [1 if cay[g][g] == 0 else -1 for g in indices] + [square]
-    relations = _extension_relations(base_name, squares, 1 if ext[sixth][sixth] == 0 else -1)
+    spec = SignatureSpec((*(1 if cay[g][g] == 0 else -1 for g in indices), square))
+    roles = {f"g{k}": group.index_of(g) for k, g in enumerate(generators, 1)}
     return ExtensionResult(
         base=base_name,
         square=square,
@@ -342,21 +351,8 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
         generators=generators,
         order=group.order,
         identified=_named_by_key(group.squaring_key(), EXTENSION_NAMES),
-        report=verify_relations(group, relations, roles),
+        report=verify_relations(group, spec.relations(), roles),
     )
-
-
-def _extension_relations(base_name: str, squares: Sequence[int], sixth_square: int) -> RelationSet:
-    """G1..G5 square to ``squares`` and pairwise anticommute, and G6 =
-    G1 G2 G3 G4 G5 is central with square ``sixth_square``."""
-    rels = [(f"square-{k}", f"G{k}^2", str(sq)) for k, sq in enumerate(squares, start=1)]
-    rels += [(f"anticommute-{i}{j}", f"G{i} G{j}", f"-1*G{j} G{i}")
-             for i in range(1, 6) for j in range(i + 1, 6)]
-    rels.append(("sixth-is-total-product", "G6", "G1 G2 G3 G4 G5"))
-    rels += [(f"sixth-commutes-{k}", f"G6 G{k}", f"G{k} G6") for k in range(1, 6)]
-    rel_id = "sixth-squares-to-one" if sixth_square > 0 else "sixth-squares-to-minus-one"
-    rels.append((rel_id, "G6^2", str(sixth_square)))
-    return RelationSet(f"extension-{base_name}", [f"G{k}" for k in range(1, 7)], rels)
 
 
 def sweep_extensions() -> list[ExtensionResult]:

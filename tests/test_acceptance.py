@@ -6,6 +6,7 @@ the suites enumerate exhaustively instead of sampling, so there is no
 seed to vary. Expensive sweeps run once per module via fixtures.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -43,12 +44,6 @@ DELTA_DECOMPOSITIONS = {
     "gamma64_minus": (("gamma_minus", 16), ("pauli_c2", 10), ("q8_v4", 5)),
     "gamma64_plus": (("d4_v4", 9), ("gamma_plus", 16), ("pauli_c2", 6)),
     "gamma64_null": (("gamma_minus", 6), ("gamma_plus", 10), ("pauli_c2", 15)),
-}
-
-DELTA_RELATION_SETS = {
-    "gamma64_minus": "delta1",
-    "gamma64_plus": "delta2",
-    "gamma64_null": "delta3",
 }
 
 DELTA_SIXTH_SQUARES = {"gamma64_minus": 1, "gamma64_plus": 1, "gamma64_null": -1}
@@ -228,11 +223,10 @@ def test_08_delta_structure():
         for block in entry.blocks:
             assert structural_invariant(group, block) == DELTA_INVARIANTS[name]
 
-        set_name = DELTA_RELATION_SETS[name]
-        roles = _word_roles(entry, entry.relations[set_name])
-        assert verify_relations(group, RelationSet.load(set_name), roles).passed
-        assignment = _assignment(entry, entry.relations[set_name])
-        sixth = assignment["G6"]
+        relations = catalog.SignatureSpec.parse(entry.signature).relations()
+        assert len(relations.labels) == 5
+        assert verify_relations(group, relations, entry.generator_roles(group)).passed
+        sixth = functools.reduce(lambda a, b: a * b, entry.generators)
         for g in entry.generators:
             assert sixth * g == g * sixth
         square = (sixth * sixth).scalar_value()

@@ -384,10 +384,7 @@ class TestTableVerification:
 
 
 class TestRelations:
-    @pytest.mark.parametrize(
-        "name",
-        ["pauli_products", "quaternion", "dihedral", "dirac", "delta1", "delta2", "delta3"],
-    )
+    @pytest.mark.parametrize("name", ["pauli_products", "quaternion", "dihedral"])
     def test_relation_sets_load(self, name):
         rels = RelationSet.load(name)
         assert rels.relations
@@ -417,7 +414,7 @@ class TestRelations:
             "g3": parse_matrix("[[0,0,-i,0],[0,0,0,i],[i,0,0,0],[0,-i,0,0]]"),
             "g4": parse_matrix("[[1,0,0,0],[0,1,0,0],[0,0,-1,0],[0,0,0,-1]]"),
         }
-        assert relations_on_closure(RelationSet.load("dirac"), gammas).passed
+        assert relations_on_closure(search.SignatureSpec.parse("++++").relations(), gammas).passed
 
     def test_failing_relation_reports_detail(self):
         report = relations_on_closure(
@@ -501,23 +498,29 @@ def entry_assignment(entry, words):
     return {label: evaluate_word(word, genmap) for label, word in words.items()}
 
 
+# Each stored relation set on every entry that names it, and each declared
+# signature, as "signature", on its entry's generators.
 STORED_RELATION_SETS = [
     (name, set_name)
     for name in CATALOG_NAMES
     for set_name in catalog_entry(name).relations
-]
+] + [(name, "signature") for name in CATALOG_NAMES if catalog_entry(name).signature]
 
 
 @functools.cache
 def stored_roles(name, set_name):
-    """(group, index roles, reference matrices) of a stored relation set's
-    labels on its catalog entry."""
+    """(relations, group, index roles, reference matrices) of a stored
+    relation set's labels, or a declared signature's generators, on its
+    catalog entry."""
     entry = catalog_entry(name)
     group = catalog_group(name)
-    words = entry.relations[set_name]
     gens = entry.generator_roles(group)
+    if set_name == "signature":
+        relations = search.SignatureSpec.parse(entry.signature).relations()
+        return relations, group, gens, dict(zip(gens, entry.generators))
+    words = entry.relations[set_name]
     roles = {label: word_element(group, word, gens) for label, word in words.items()}
-    return group, roles, entry_assignment(entry, words)
+    return RelationSet.load(set_name), group, roles, entry_assignment(entry, words)
 
 
 @st.composite
@@ -538,9 +541,8 @@ class TestRelationsOnTheTable:
 
     @pytest.mark.parametrize("name,set_name", STORED_RELATION_SETS)
     def test_stored_sets_on_their_entries(self, name, set_name):
-        group, roles, assignment = stored_roles(name, set_name)
+        relations, group, roles, assignment = stored_roles(name, set_name)
         assert all(group.elements[roles[label]] == m for label, m in assignment.items())
-        relations = RelationSet.load(set_name)
         report = verify_relations(group, relations, roles)
         assert report.passed
         assert report == matrix_relations_report(relations, assignment)
@@ -557,7 +559,7 @@ class TestRelationsOnTheTable:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_drawn_relations_on_stored_entries(self, name, set_name, data):
-        group, roles, assignment = stored_roles(name, set_name)
+        _, group, roles, assignment = stored_roles(name, set_name)
         labels = sorted(roles)
         pairs = data.draw(st.lists(
             st.tuples(drawn_words(labels), drawn_words(labels)), min_size=10, max_size=14,
@@ -572,11 +574,10 @@ class TestRelationsOnTheTable:
         found = [r for r in sweep_extensions() if r.found]
         assert len(found) == 4
         for result in found:
-            assignment = dict(zip(["G1", "G2", "G3", "G4", "G5"], result.generators))
-            assignment["G6"] = evaluate_word("G1 G2 G3 G4 G5", assignment)
-            squares = [int((g * g).scalar_value().re) for g in result.generators]
-            sixth_square = int((assignment["G6"] * assignment["G6"]).scalar_value().re)
-            relations = search._extension_relations(result.base, squares, sixth_square)
+            assignment = {f"g{k}": g for k, g in enumerate(result.generators, 1)}
+            squares = tuple(int((g * g).scalar_value().re) for g in result.generators)
+            relations = search.SignatureSpec(squares).relations()
+            assert len(relations.relations) == 5 + 10 + 5 + 1
             assert result.report == matrix_relations_report(relations, assignment)
 
     @pytest.mark.parametrize("base", ["gamma_minus", "gamma_plus", "pauli_c2", "q8_v4", "d4_v4"])

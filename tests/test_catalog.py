@@ -1,9 +1,11 @@
 """Catalog data, profile validation, signature search, and extensions."""
 
+import functools
 import itertools
 import json
 import math
 import pathlib
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -39,7 +41,6 @@ from gammagroups.exact import (
     parse_scalar,
 )
 from gammagroups.groups import MatrixGroup, Subgroup, certified_map, mask_indices
-from gammagroups.words import RelationSet
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -80,6 +81,16 @@ class TestCatalogData:
             assert json.loads(path.read_text(encoding="utf-8"))["name"] == path.stem
 
 
+@pytest.fixture
+def cold_signature_verdicts(monkeypatch):
+    """A cache of its own for `paper._signature_verdict`, which keys its
+    verdicts by entry name, so that a test that alters an entry's
+    signature neither reads a verdict cached before it nor leaves one."""
+    verdicts = functools.cache(paper._signature_verdict.__wrapped__)
+    monkeypatch.setattr(paper, "_signature_verdict", verdicts)
+    return verdicts
+
+
 class TestValidation:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_entry_validates(self, name):
@@ -108,14 +119,14 @@ class TestValidation:
             assert result.status == "FAIL", result.computed
             assert result.computed != result.expected
 
-    def test_flipped_signature_sign_fails_the_checks(self, monkeypatch):
+    def test_flipped_signature_sign_fails_the_checks(self, monkeypatch, cold_signature_verdicts):
         # Each sign of each declared signature, flipped alone, and each
         # commuting fourth generator declared anticommuting, must fail the
         # entry's checks claim at its signature.
         entry_of = catalog.catalog_entry
         declared = {name: entry_of(name).signature for name in CATALOG_NAMES}
         declared = {name: spec for name, spec in declared.items() if spec is not None}
-        assert len(declared) == 5
+        assert len(declared) == 8
         for name, spec in declared.items():
             flips = [
                 spec[:k] + {"+": "-", "-": "+"}[spec[k]] + spec[k + 1:]
@@ -130,11 +141,14 @@ class TestValidation:
                         entry_of(n)._replace(signature=wrong) if n == name else entry_of(n)
                     ),
                 )
+                cold_signature_verdicts.cache_clear()
                 (result,) = claims.run_claims(f"catalog.{name}.checks")
                 assert result.status == "FAIL", (name, wrong)
                 assert f"signature {wrong}: fail" in result.computed, result.computed
 
-    def test_signature_on_other_than_four_generators_fails_the_checks(self, monkeypatch):
+    def test_signature_on_other_than_four_generators_fails_the_checks(
+        self, monkeypatch, cold_signature_verdicts
+    ):
         entry_of = catalog.catalog_entry
         monkeypatch.setattr(
             catalog, "catalog_entry",
@@ -319,11 +333,48 @@ class TestSignatureSpec:
         assert spec.squares == (1, -1, -1, 1)
         assert spec.fourth_commutes
 
-    @pytest.mark.parametrize("text, stored", [("++++", "dirac"), ("+++-", "dirac_plus")])
-    def test_anticommuting_relations_are_the_stored_dirac_sets(self, text, stored):
+    @pytest.mark.parametrize("text, extra", [
+        ("++++", []),
+        ("+++++", [
+            *((f"product-commutes-{k}", f"g1 g2 g3 g4 g5 g{k}", f"g{k} g1 g2 g3 g4 g5")
+              for k in range(1, 6)),
+            ("product-squares-to-one", "g1 g2 g3 g4 g5 g1 g2 g3 g4 g5", "1"),
+        ]),
+    ])
+    def test_anticommuting_relations_are_the_dirac_and_delta_sets(self, text, extra):
+        # The words the Dirac (four generators) and delta (five, with
+        # their central product) relation sets stated, one by one.
+        n = len(text)
         relations = SignatureSpec.parse(text).relations()
-        assert relations.labels == RelationSet.load(stored).labels
-        assert relations.relations == RelationSet.load(stored).relations
+        assert relations.name == f"signature-{text}"
+        assert relations.labels == tuple(f"g{k}" for k in range(1, n + 1))
+        assert relations.relations == [
+            *((f"square-{k}", f"g{k}^2", "1") for k in range(1, n + 1)),
+            *((f"anticommute-{i}{j}", f"g{i} g{j}", f"-1*g{j} g{i}")
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+            *extra,
+        ]
+
+    @pytest.mark.parametrize("text, square", [
+        ("+", 1), ("-", -1), ("+++", -1), ("---", 1), ("+++--", 1), ("++++-", -1),
+        ("+++++++", -1), ("-------", 1), ("++", None), ("+-+-", None), ("+++|+", None),
+    ])
+    def test_odd_counts_state_the_central_product(self, text, square):
+        # w = g1..gn is central for odd n, with w^2 = (product of the
+        # squares) * (-1)^(n(n-1)/2); even counts and the pipe state no w.
+        product = [rel for rel in SignatureSpec.parse(text).relations().relations
+                   if rel[0].startswith("product-")]
+        if square is None:
+            assert not product
+        else:
+            assert len(product) == len(text) + 1
+            assert product[-1][2] == str(square)
+
+    def test_the_pauli_matrices_obey_three_plus_signs(self):
+        # Three anticommuting involutions whose product i*1 squares to -1.
+        group = catalog_group("pauli")
+        roles = catalog_entry("pauli").generator_roles(group)
+        assert verify_relations(group, SignatureSpec.parse("+++").relations(), roles).passed
 
     def test_relation_words_agree_with_the_table_reference(self):
         # Every four-generator tuple the catalog and the search know, under
@@ -339,10 +390,18 @@ class TestSignatureSpec:
                 outcomes.append(report.passed)
         assert (len(outcomes), sum(outcomes)) == (777, 49)
 
-    @pytest.mark.parametrize("text", ["+++", "+++++", "++|++", "|+++", "+-x-"])
+    @pytest.mark.parametrize("text", ["++|++", "|+++", "+-x-"])
     def test_malformed_specs_rejected(self, text):
         with pytest.raises(ValueError):
             SignatureSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["+++", "+++++", ""])
+    def test_the_search_rejects_other_than_four_signs(self, text):
+        # The relations take any count; the search walks four generators.
+        with pytest.raises(ValueError, match=f"^signature '{re.escape(text)}' needs four signs$"):
+            find_gamma_models(text)
+        with pytest.raises(ValueError, match="needs four signs"):
+            find_gamma_models(SignatureSpec.parse(text))
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(alphabet="+-", min_size=4, max_size=4))

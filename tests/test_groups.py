@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -1104,6 +1105,46 @@ class TestClosedFormsInF:
                 assert group.minus_index() in sub
                 assert sub.as_group().squaring_key() is not None
         assert checked[0] is parent
+
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden"
+
+
+def identity_groups():
+    """The catalog groups, both pools and the golden corpus's s3, d8_perm
+    and two_t files, each followed by up to 40 of its index-two subgroups."""
+    parents = [named_group(name) for name in (*catalog.catalog_names(), *catalog.POOL_NAMES)]
+    parents += [catalog.load_generator_file(str(GOLDEN_INPUTS / f"{name}.json"))[1]
+                for name in ("s3", "d8_perm", "two_t")]
+    out = []
+    for parent in parents:
+        out.append(parent)
+        out += [sub.as_group() for sub in parent.subgroups_of_order(parent.order // 2)[:40]]
+    return out
+
+
+def test_identities_that_hold_in_every_finite_group():
+    # Oracles that tie the census, the abelianization, the commuting-pair
+    # masks, the center, the Frattini path and the index-two kernels to
+    # one another, on groups inside F and outside it.
+    groups = identity_groups()
+    for group in groups:
+        n = group.order
+        census = irrep_census(group)
+        classes = len(group.conjugacy_classes())
+        invariants = group.abelian_invariants()
+        assert sum(count * d * d for d, count in census) == n
+        assert sum(count for _, count in census) == classes
+        linear = sum(count for d, count in census if d == 1)
+        assert linear == math.prod(invariants) == n // group.derived_subgroup().order
+        assert sum(mask.bit_count() for mask in group.commutation_masks()[0]) == classes * n
+        assert all(n // len(group.center()) % d == 0 for d, _ in census)
+        if n & (n - 1) == 0:  # Burnside's basis theorem
+            assert group.minimal_generator_count() == len(invariants)
+        if n % 2 == 0:
+            even = sum(1 for q in invariants if q % 2 == 0)
+            assert len(group.subgroups_of_order(n // 2)) == 2**even - 1
+    assert len(groups) == 296
 
 
 @settings(max_examples=30, deadline=None)
