@@ -1,15 +1,16 @@
 """Catalog of concrete gamma-matrix groups and their profiles.
 
-Catalog entries are JSON data files holding explicit generator matrices (or
-an extraction recipe), the relation sets and bracket table each model must
-satisfy, and frozen expected numbers. `GroupProfile` recomputes a group's
-profile numbers from scratch; `analyze` prints one, and the `catalog.*`
-claims in `gammagroups.paper` check the frozen numbers against the
-entry's profile and verify the relation sets and tables. A `CatalogEntry`
-holds only what computation reads; the frozen numbers and prose stay in
-the stored payload, which `catalog list` and the claims read directly.
-The signature search and the extensions live in `gammagroups.search`;
-`__getattr__` below forwards their names and loads it on first use.
+Catalog entries are JSON data files holding explicit generator matrices (or an
+extraction recipe), the names of the relation sets and bracket table each model
+must satisfy, one `roles` map writing each of their labels once as a word over
+the generators, and frozen expected numbers. `GroupProfile` recomputes a
+group's profile numbers from scratch; `analyze` prints one, and the `catalog.*`
+claims in `gammagroups.paper` check the frozen numbers against the entry's
+profile and verify the relation sets and tables. A `CatalogEntry` holds only
+what computation reads; the frozen numbers and prose stay in the stored
+payload, which `catalog list` and the claims read directly. The signature
+search and the extensions live in `gammagroups.search`; `__getattr__` below
+forwards their names and loads it on first use.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class CatalogEntry(NamedTuple):
     dimension: int
     generators: list[ExactMatrix]
     blocks: tuple[tuple[int, int], ...] | None
-    relations: dict[str, dict[str, str]]
+    roles: dict[str, str]  # label -> word over g1..gn; empty: a search finds the table roles
+    relations: tuple[str, ...]
     table: str | None
-    table_assignment: dict[str, str] | None  # None means search
     signature: str | None
 
     def generator_roles(self, group: MatrixGroup) -> dict[str, int]:
@@ -87,15 +88,14 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def _entry(payload: Mapping, generators: list[ExactMatrix]) -> CatalogEntry:
-    table = payload.get("table") or {}
     return CatalogEntry(
         name=payload["name"],
         dimension=generators[0].dim,
         generators=generators,
         blocks=_parse_blocks(payload.get("blocks")),
-        relations=payload.get("relations", {}),
-        table=table.get("name"),
-        table_assignment=table.get("assignment"),
+        roles=payload.get("roles", {}),
+        relations=tuple(payload.get("relations", ())),
+        table=payload.get("table"),
         signature=payload.get("signature"),
     )
 
@@ -107,14 +107,14 @@ def _parse_blocks(raw) -> tuple[tuple[int, int], ...] | None:
 
 
 def _resolve_extraction(payload: Mapping) -> CatalogEntry:
-    """Pick the first index-two subgroup of the parent realizing a component.
+    """Pick the first index-two subgroup of the parent whose component is the table.
 
     The subgroup scan is deterministic (sorted index sets), so the chosen
     generators are stable across runs.
     """
     recipe = payload["extract"]
     parent = catalog_group(recipe["parent"])
-    component = recipe["component"]
+    component = payload["table"]
     order = int(recipe["order"])
     for sub in parent.subgroups_of_order(order):
         group = sub.as_group()

@@ -21,7 +21,7 @@ from .brackets import BracketTable, verify_bracket_table, verify_relations
 from .claims import Claim
 from .exact import IMAG_UNIT, ExactMatrix, format_scalar
 from .reps import format_census
-from .words import RelationSet, table_roles, word_element
+from .words import RelationSet, entry_roles, table_roles
 
 
 def _report_verdict(report) -> str:
@@ -46,12 +46,10 @@ def _table_verdict(entry_name: str) -> str:
 
 @functools.cache
 def _relations_verdict(entry_name: str, relation_set: str) -> str:
-    entry = catalog.catalog_entry(entry_name)
     group = catalog.catalog_group(entry_name)
-    gens = entry.generator_roles(group)
-    words = entry.relations[relation_set]
-    roles = {label: word_element(group, word, gens) for label, word in words.items()}
-    return _report_verdict(verify_relations(group, RelationSet.load(relation_set), roles))
+    relations = RelationSet.load(relation_set)
+    roles = entry_roles(group, catalog.catalog_entry(entry_name), relations.labels)
+    return _report_verdict(verify_relations(group, relations, roles))
 
 
 def _substituted_table_verdict() -> str:
@@ -78,14 +76,15 @@ def _center_scalars(name: str) -> list[str]:
     return sorted(out)
 
 
-def _weight_summary(name: str, word: str) -> dict:
+def _weight_summary(name: str, label: str) -> dict:
+    """The spin weights of the element playing one of the entry's roles."""
     # The `forms` names come through `reps`, so a wrapper set on `reps`
     # (perfbench) binds here, and only the claims that read them load `forms`.
     from .reps import spin_weights
 
     group = catalog.catalog_group(name)
-    gens = catalog.catalog_entry(name).generator_roles(group)
-    report = spin_weights(group.elements[word_element(group, word, gens)])
+    role = entry_roles(group, catalog.catalog_entry(name), (label,))[label]
+    report = spin_weights(group.elements[role])
     return {
         "weights": [[v, m] for v, m in report.weights],
         "l0": str(report.l0) if report.l0 is not None else None,
@@ -268,7 +267,7 @@ def build_registry() -> list[Claim]:
                 "l0": "1/2",
                 "classification": "real-half-integer",
             },
-            lambda: _weight_summary("pauli", "g3 g2"),
+            lambda: _weight_summary("pauli", "a1"),
         ),
         Claim(
             "quaternion.order", "The two order-4 generators close into a group of order 8.",
@@ -325,13 +324,13 @@ def build_registry() -> list[Claim]:
             "weights.imaginary_second",
             "The second rotation of the f realization has pure imaginary weights.",
             "pure-imaginary",
-            lambda: _weight_summary("pauli_f", "-i*g2")["classification"],
+            lambda: _weight_summary("pauli_f", "ap2")["classification"],
         ),
         Claim(
             "weights.imaginary_third",
             "The third rotation of the f realization has pure imaginary weights.",
             "pure-imaginary",
-            lambda: _weight_summary("pauli_f", "-i*g3")["classification"],
+            lambda: _weight_summary("pauli_f", "ap3")["classification"],
         ),
         Claim(
             "dirac.order", "Four anticommuting involutions close into a group of order 32.",

@@ -142,25 +142,26 @@ class RelationSet:
         return cls.from_dict(load_json("relations", f"{name}.json"))
 
 
+def entry_roles(group: MatrixGroup, entry: CatalogEntry, labels: Sequence[str]) -> dict[str, int]:
+    """Each label's element index, from its word in the entry's `roles` map."""
+    gens = entry.generator_roles(group)
+    return {label: word_element(group, entry.roles[label], gens) for label in labels}
+
+
 def table_roles(
     group: MatrixGroup, entry: CatalogEntry | None, table: BracketTable
 ) -> dict[str, int] | None:
-    """The index of the element that plays each of the table's roles in
-    the group, if any.
+    """The index of the element playing each of the table's roles in the group, if any.
 
-    When the entry names this table, its stored words over the generators
-    give the roles, or else its three generators are the designated boost
-    triple. Otherwise the roles come from the first boost triple a scan of
-    the group finds for the table. Raises ValueError where the component
-    scan does (a group not of order 16, a bad designated triple), and when
-    a stored word leaves the group.
+    When the entry names this table, its `roles` words give the roles, or, if it has
+    none, its three generators are the designated boost triple. Otherwise the roles
+    come from the first boost triple a scan of the group finds for the table. Raises
+    ValueError where the component scan does (a group not of order 16, a bad
+    designated triple), and when a word leaves the group.
     """
-    designated = None
-    if entry is not None and entry.table == table.name:
-        if entry.table_assignment:
-            gens, words = entry.generator_roles(group), entry.table_assignment
-            return {label: word_element(group, w, gens) for label, w in words.items()}
-        if len(entry.generators) == 3:
-            designated = entry.generators
+    named = entry is not None and entry.table == table.name
+    if named and entry.roles:
+        return entry_roles(group, entry, table.labels)
+    designated = entry.generators if named and len(entry.generators) == 3 else None
     match = find_component_match(group, designated=designated, tables=(table.name,))
     return match.roles(table) if match is not None else None

@@ -80,6 +80,11 @@ def _word_roles(entry, mapping):
     return {label: word_element(group, word, gens) for label, word in mapping.items()}
 
 
+def _role_words(entry, labelled):
+    """The entry's role words for the labels of a relation set or bracket table."""
+    return {label: entry.roles[label] for label in labelled.labels}
+
+
 def _assignment(entry, mapping):
     group = catalog.catalog_group(entry.name)
     return {label: group.matrix(k) for label, k in _word_roles(entry, mapping).items()}
@@ -103,19 +108,20 @@ def test_01_pauli_structure():
 def test_02_quaternion_subgroups():
     """Both order-8 rotation groups check out and are not isomorphic."""
     pauli = catalog.catalog_entry("pauli")
-    quaternion = _assignment(pauli, pauli.relations["quaternion"])
+    quaternion_set = RelationSet.load("quaternion")
+    quaternion = _assignment(pauli, _role_words(pauli, quaternion_set))
     q8 = MatrixGroup.from_generators([quaternion["a1"], quaternion["a2"]])
     assert q8.order == 8
-    quaternion_roles = _word_roles(pauli, pauli.relations["quaternion"])
+    quaternion_roles = _word_roles(pauli, _role_words(pauli, quaternion_set))
     pauli_group = catalog.catalog_group("pauli")
-    assert verify_relations(pauli_group, RelationSet.load("quaternion"), quaternion_roles).passed
+    assert verify_relations(pauli_group, quaternion_set, quaternion_roles).passed
 
     d4_entry = catalog.catalog_entry("d4")
     second = MatrixGroup.from_generators(d4_entry.generators)
     assert second.order == 8
     assert [second.element_order(i) for i in second.generator_indices] == [4, 2]
     table = BracketTable.load("q2")
-    roles = _roles(second, _assignment(d4_entry, d4_entry.table_assignment))
+    roles = _roles(second, _assignment(d4_entry, _role_words(d4_entry, table)))
     assert verify_bracket_table(second, table, roles).passed
 
     assert not q8.is_isomorphic(second)
@@ -132,8 +138,8 @@ def test_03_bracket_tables():
         assert entry.table == table_name
         table = BracketTable.load(table_name)
         group = catalog.catalog_group(entry_name)
-        if entry.table_assignment is not None:
-            roles = _roles(group, _assignment(entry, entry.table_assignment))
+        if entry.roles:
+            roles = _roles(group, _assignment(entry, _role_words(entry, table)))
         else:
             match = find_component_match(group, designated=entry.generators)
             assert match is not None and match.table == table_name
@@ -144,7 +150,7 @@ def test_03_bracket_tables():
     pauli = catalog.catalog_entry("pauli")
     d_table = BracketTable.load("d")
     b_table = BracketTable.load("b")
-    d_assignment = _assignment(pauli, pauli.table_assignment)
+    d_assignment = _assignment(pauli, _role_words(pauli, d_table))
     substituted = {}
     for k in range(3):
         substituted[b_table.rotations[k]] = d_assignment[d_table.rotations[k]]
@@ -152,21 +158,22 @@ def test_03_bracket_tables():
     pauli_group = catalog.catalog_group("pauli")
     assert verify_bracket_table(pauli_group, b_table, _roles(pauli_group, substituted)).passed
 
-    products = _word_roles(pauli, pauli.relations["pauli_products"])
-    assert verify_relations(pauli_group, RelationSet.load("pauli_products"), products).passed
+    products_set = RelationSet.load("pauli_products")
+    products = _word_roles(pauli, _role_words(pauli, products_set))
+    assert verify_relations(pauli_group, products_set, products).passed
 
 
 def test_04_spin_weights():
     """Rotation weights are +-1/2 for d and pure imaginary for f."""
     pauli = catalog.catalog_entry("pauli")
-    d_assignment = _assignment(pauli, pauli.table_assignment)
+    d_assignment = _assignment(pauli, _role_words(pauli, BracketTable.load("d")))
     report = spin_weights(d_assignment["a1"])
     assert report.weights == (("-1/2", 1), ("1/2", 1))
     assert report.l0 == Fraction(1, 2)
     assert report.classification == "real-half-integer"
 
     pauli_f = catalog.catalog_entry("pauli_f")
-    f_assignment = _assignment(pauli_f, pauli_f.table_assignment)
+    f_assignment = _assignment(pauli_f, _role_words(pauli_f, BracketTable.load("f")))
     for label in ("ap2", "ap3"):
         assert spin_weights(f_assignment[label]).classification == "pure-imaginary"
 

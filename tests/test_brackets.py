@@ -518,9 +518,10 @@ def stored_roles(name, set_name):
     if set_name == "signature":
         relations = search.SignatureSpec.parse(entry.signature).relations()
         return relations, group, gens, dict(zip(gens, entry.generators))
-    words = entry.relations[set_name]
+    relations = RelationSet.load(set_name)
+    words = {label: entry.roles[label] for label in relations.labels}
     roles = {label: word_element(group, word, gens) for label, word in words.items()}
-    return RelationSet.load(set_name), group, roles, entry_assignment(entry, words)
+    return relations, group, roles, entry_assignment(entry, words)
 
 
 @st.composite
@@ -547,12 +548,15 @@ class TestRelationsOnTheTable:
         assert report.passed
         assert report == matrix_relations_report(relations, assignment)
 
-    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if catalog_entry(n).table_assignment])
+    @pytest.mark.parametrize("name", [
+        n for n in CATALOG_NAMES if catalog_entry(n).table and catalog_entry(n).roles
+    ])
     def test_stored_table_words_name_the_reference_matrices(self, name):
         entry = catalog_entry(name)
         group = catalog_group(name)
-        roles = table_roles(group, entry, BracketTable.load(entry.table))
-        assignment = entry_assignment(entry, entry.table_assignment)
+        table = BracketTable.load(entry.table)
+        roles = table_roles(group, entry, table)
+        assignment = entry_assignment(entry, {label: entry.roles[label] for label in table.labels})
         assert {label: group.elements[k] for label, k in roles.items()} == assignment
 
     @pytest.mark.parametrize("name,set_name", STORED_RELATION_SETS)

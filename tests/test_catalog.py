@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammagroups import catalog, claims, data, forms, paper
-from gammagroups.brackets import verify_relations
+from gammagroups.brackets import BracketTable, verify_relations
 from gammagroups.catalog import (
     CATALOG_NAMES,
     STABLE_NAMES,
@@ -41,6 +41,7 @@ from gammagroups.exact import (
     parse_scalar,
 )
 from gammagroups.groups import MatrixGroup, Subgroup, certified_map, mask_indices
+from gammagroups.words import RelationSet, word_element
 
 MINUS = GaussianRational(-1, 0)
 IMAG = GaussianRational(0, 1)
@@ -79,6 +80,32 @@ class TestCatalogData:
         assert sorted(path.stem for path in paths) == sorted(CATALOG_NAMES)
         for path in paths:
             assert json.loads(path.read_text(encoding="utf-8"))["name"] == path.stem
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_role_map_is_complete_and_has_no_stale_words(self, name):
+        # Each role word is written once, in `roles`, and the relation sets
+        # and the table read their labels' words from it; a role that
+        # neither reads is stale.
+        entry = catalog_entry(name)
+        used = set()
+        for set_name in entry.relations:
+            labels = RelationSet.load(set_name).labels
+            assert set(labels) <= entry.roles.keys(), (set_name, labels)
+            used.update(labels)
+        if entry.table is not None:
+            labels = BracketTable.load(entry.table).labels
+            if entry.roles:
+                assert set(labels) <= entry.roles.keys(), (entry.table, labels)
+                used.update(labels)
+            else:  # the boost search finds the roles on designated generators
+                assert len(entry.generators) == 3
+        assert entry.roles.keys() <= used, sorted(entry.roles.keys() - used)
+        group = catalog_group(name)
+        gens = entry.generator_roles(group)
+        for word in entry.roles.values():
+            word_element(group, word, gens)  # raises for a word outside the group
+        extract = catalog._load_payload(name).get("extract")
+        assert extract is None or extract.keys() == {"parent", "order"}
 
 
 @pytest.fixture
