@@ -25,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .data import load_json
-from .exact import COUNTERS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
+from .exact import COUNTERS, UNITS, ExactMatrix, GaussianRational, format_matrix, parse_scalar
 from .groups import MatrixGroup
 
 if TYPE_CHECKING:
@@ -57,29 +57,26 @@ class BracketTable:
         self.labels = self.rotations + self.boosts
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in table {name!r}")
-        self._entries: dict[tuple[str, str], tuple[GaussianRational, str | None]] = {}
+        rows, seen = [], set()
         for x, y, coeff, z in brackets:
             for lab in (x, y) + ((z,) if z is not None else ()):
                 if lab not in self.labels:
                     raise ValueError(f"unknown label {lab!r} in table {name!r}")
             if x == y:
                 raise ValueError(f"bracket [{x},{x}] is identically zero; drop it")
-            if (x, y) in self._entries or (y, x) in self._entries:
+            if frozenset((x, y)) in seen:
                 raise ValueError(f"pair ({x},{y}) listed twice in table {name!r}")
             if coeff.is_zero() != (z is None):
                 raise ValueError(f"entry [{x},{y}]: zero coefficient must drop the target")
             if coeff.im or abs(coeff.re) not in (0, 2):  # the rows `_failed_rows` decides
                 raise ValueError(f"entry [{x},{y}]: coefficient {coeff} is not 0, 2 or -2")
-            self._entries[(x, y)] = (coeff, z)
+            seen.add(frozenset((x, y)))
+            rows.append((x, y, int(coeff.re) // 2, z))
         want = len(self.labels) * (len(self.labels) - 1) // 2
-        if len(self._entries) != want:
-            raise ValueError(
-                f"table {name!r} lists {len(self._entries)} pairs, expected {want}"
-            )
-        # Each stored row as (x, y, sign, z), with coefficient 2 * sign.
-        self.signed_rows = tuple(
-            (x, y, int(coeff.re) // 2, z) for (x, y), (coeff, z) in self._entries.items()
-        )
+        if len(rows) != want:
+            raise ValueError(f"table {name!r} lists {len(rows)} pairs, expected {want}")
+        # Each stored row as (x, y, sign, z): [x, y] = 2 * sign * z.
+        self.signed_rows = tuple(rows)
         self._boost_signs = self._read_boost_signs() if self.boosts else None
 
     def _read_boost_signs(self) -> tuple[int, int, int]:
@@ -115,18 +112,6 @@ class BracketTable:
             raise KeyError(f"unknown bracket table {name!r}; have {TABLE_NAMES}")
         return cls.from_dict(load_json("tables", f"{name}.json"))
 
-    def pairs(self) -> list[tuple[str, str, GaussianRational, str | None]]:
-        return [(x, y, c, z) for (x, y), (c, z) in self._entries.items()]
-
-    def lookup(self, x: str, y: str) -> tuple[GaussianRational, str | None]:
-        """Commutator [x, y]; antisymmetry fills in the unstored order."""
-        if x == y:
-            return GaussianRational(0, 0), None
-        if (x, y) in self._entries:
-            return self._entries[(x, y)]
-        coeff, z = self._entries[(y, x)]
-        return -coeff, z
-
     def boost_signs(self) -> tuple[int, int, int] | None:
         """Signs e_k with r_k = e_k * s_i * s_j for cyclic (i, j, k).
 
@@ -155,12 +140,11 @@ def verify_bracket_table(
     rows = _failed_rows(group, table, roles)
     failed = {(x, y): found for x, y, found in rows}
     report = VerificationReport(f"bracket-table-{table.name}", [])
-    for x, y, _, _ in table.signed_rows:
+    for x, y, sign, z in table.signed_rows:
         found = failed.get((x, y))
         detail = ""
         if found is not None:
-            coeff, z = table.lookup(x, y)
-            want = "0" if z is None else f"{coeff}*{z}"
+            want = "0" if z is None else f"{2 * sign}*{z}"
             product = group.elements[group.mul(roles[x], roles[y])]
             detail = (
                 f"{x} and {y} {found}, with {x} {y} = {format_matrix(product, bare=True)};"
@@ -174,19 +158,22 @@ def verify_relations(
     group: MatrixGroup, relations: RelationSet, roles: Mapping[str, int]
 ) -> VerificationReport:
     """Check each word equation on the Cayley table, ``roles`` mapping each
-    label to its element's index. A side reads as c times an element
-    (`words.word_index`), and c_l A = c_r B exactly when (c_r / c_l) B is A,
-    so a scalar outside the group (i beside Q8) needs no matrix."""
+    label to its element's index. A side reads as i^p times an element
+    (`words.word_index`), and i^l A = i^r B exactly when i^(r-l) B is A:
+    one lookup in the row of that scalar. A group that lacks the scalar
+    (i beside Q8) fails the relation, as no two of its elements differ by
+    it. Matrices are formed only for a failure's detail."""
     from .words import VerificationReport, word_index
 
-    elements = group.elements
+    cay, scalars, elements = group.cayley(), group.scalar_indices(), group.elements
     report = VerificationReport(f"relations-{relations.name}", [])
     for rel_id, lhs, rhs in relations.relations:
-        (ls, li), (rs, ri) = word_index(group, lhs, roles), word_index(group, rhs, roles)
-        ok = elements[ri].scale(rs / ls) == elements[li]
+        (lp, li), (rp, ri) = word_index(group, lhs, roles), word_index(group, rhs, roles)
+        ratio = scalars[(rp - lp) % 4]
+        ok = ratio is not None and cay[ratio][ri] == li
         detail = ""
         if not ok:
-            left, right = elements[li].scale(ls), elements[ri].scale(rs)
+            left, right = elements[li].scale(UNITS[lp]), elements[ri].scale(UNITS[rp])
             detail = f"{lhs} = {format_matrix(left, bare=True)} but {rhs} = {format_matrix(right, bare=True)}"
         report.add(f"{relations.name}:{rel_id}", ok, detail)
     return report

@@ -170,16 +170,16 @@ class GroupProfile:
     that decides which keys a group reports: the base numbers, `blocks`
     and `composition` (null outside orders 16 to 32) always, `component`
     at order 16 and `index_two` at orders 2 to 64. ``entry`` is the
-    catalog entry the group comes from, if any: its three designated
-    boosts, when it has them, fix `component`, and at order 64 its
-    index-two classes are named by the stable catalog groups they match.
+    catalog entry the group comes from, if any: its declared blocks are
+    the profile's, its three designated boosts, when it has them, fix
+    `component`, and at order 64 its index-two classes are named by the
+    stable catalog groups they match.
     """
 
-    def __init__(self, group: MatrixGroup, blocks: Sequence[tuple[int, int]] | None = None,
-                 *, entry: CatalogEntry | None = None):
+    def __init__(self, group: MatrixGroup, *, entry: CatalogEntry | None = None):
         self.group = group
         self.order = group.order
-        self.blocks = blocks
+        self.blocks = entry.blocks if entry is not None else None
         self.entry = entry
 
     def keys(self) -> tuple[str, ...]:
@@ -268,7 +268,7 @@ def compute_profile(group: MatrixGroup) -> GroupProfile:
 def catalog_profile(name: str) -> GroupProfile:
     """The one profile of a catalog entry, shared by `analyze` and the claims."""
     entry = catalog_entry(name)
-    return GroupProfile(catalog_group(name), entry.blocks, entry=entry)
+    return GroupProfile(catalog_group(name), entry=entry)
 
 
 def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:

@@ -125,15 +125,6 @@ class WeightReport(NamedTuple):
     classification: str
     l0: Fraction | None
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "multiplicities": list(self.multiplicities),
-            "weights": [{"value": v, "multiplicity": m} for v, m in self.weights],
-            "classification": self.classification,
-            "l0": str(self.l0) if self.l0 is not None else None,
-        }
-
 
 # (i/2) z**e for z = exp(i pi/4), spelled with rationals, `r2` for sqrt(2)
 # and a trailing `i` part, as the Q(zeta_8) reference in `tests/test_reps.py`

@@ -19,9 +19,9 @@ import functools
 from . import catalog
 from .brackets import BracketTable, verify_bracket_table, verify_relations
 from .claims import Claim
-from .exact import IMAG_UNIT, ExactMatrix, format_scalar
+from .exact import ExactMatrix
 from .reps import format_census
-from .words import RelationSet, entry_roles, table_roles
+from .words import UNIT_NAMES, RelationSet, entry_roles, table_roles
 
 
 def _report_verdict(report) -> str:
@@ -59,21 +59,18 @@ def _substituted_table_verdict() -> str:
     d_table = BracketTable.load("d")
     b_table = BracketTable.load("b")
     d_roles = table_roles(group, entry, d_table)
+    i_row = group.cayley()[group.scalar_indices()[1]]
     roles = {}
     for k in range(3):
         roles[b_table.rotations[k]] = d_roles[d_table.rotations[k]]
-        boost = group.elements[d_roles[d_table.boosts[k]]]
-        roles[b_table.boosts[k]] = group.index_of(boost.scale(IMAG_UNIT))
+        roles[b_table.boosts[k]] = i_row[d_roles[d_table.boosts[k]]]
     return _report_verdict(verify_bracket_table(group, b_table, roles))
 
 
 def _center_scalars(name: str) -> list[str]:
     group = catalog.catalog_group(name)
-    out = []
-    for idx in group.center():
-        value = group.elements[idx].scalar_value()
-        out.append(format_scalar(value) if value is not None else "nonscalar")
-    return sorted(out)
+    names = dict(zip(group.scalar_indices(), UNIT_NAMES))
+    return sorted(names.get(idx, "nonscalar") for idx in group.center())
 
 
 def _weight_summary(name: str, label: str) -> dict:

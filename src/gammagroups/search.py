@@ -229,13 +229,12 @@ def find_gamma_models(
         spec = SignatureSpec.parse(spec)
     if len(spec.squares) != 4:
         raise ValueError(f"signature '{spec}' needs four signs")
-    return list(_gamma_models(str(spec), pool_name))
+    return list(_gamma_models(spec, pool_name))
 
 
 @functools.cache
-def _gamma_models(spec_text: str, pool_name: str) -> tuple[ModelHit, ...]:
+def _gamma_models(spec: SignatureSpec, pool_name: str) -> tuple[ModelHit, ...]:
     """The search behind `find_gamma_models`, kept per (signature, pool)."""
-    spec = SignatureSpec.parse(spec_text)
     pool = pool_group(pool_name)
     cay = pool.cayley()
     commute, anticommute = pool.commutation_masks()

@@ -1,11 +1,13 @@
 """Relation words, verification reports and the table roles of a group.
 
-A relation word is an optional scalar times a product of labelled factors;
-a `RelationSet` is a named list of word equations. A word over element
-indices reads as (scalar, index) off the Cayley table (`word_index`). The
-checks in `gammagroups.brackets` return a `VerificationReport`. Only the
-commands that check words (`verify`, `brackets`, `search`, `extensions`)
-import this module, so `analyze` and `catalog list` do not compile it.
+A relation word is an optional unit scalar i^p times a product of labelled
+factors; a `RelationSet` is a named list of word equations. A word over
+element indices reads as (p, index) off the Cayley table (`word_index`),
+and the element it names is one more lookup, in the row of i^p
+(`word_element`). The checks in `gammagroups.brackets` return a
+`VerificationReport`. Only the commands that check words (`verify`,
+`brackets`, `search`, `extensions`) import this module, so `analyze` and
+`catalog list` do not compile it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .brackets import BracketTable, find_component_match
 from .catalog import CatalogEntry
 from .data import load_json
-from .exact import ONE, GaussianRational, parse_scalar
 from .groups import MatrixGroup
 
 
@@ -44,58 +45,52 @@ class VerificationReport(NamedTuple):
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
 
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
+# The unit scalars i^p a word may carry, by phase p; `scalar_indices` order.
+UNIT_NAMES = ("1", "i", "-1", "-i")
+_PHASES = {name: p for p, name in enumerate(UNIT_NAMES)}
+
 
 @functools.cache
-def parse_word(text: str) -> tuple[GaussianRational, tuple[tuple[str, int], ...]]:
-    """Split a relation word into a scalar prefix and (label, exponent) factors.
+def parse_word(text: str) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """Split a relation word into the phase p of its scalar i^p and
+    (label, exponent) factors.
 
-    Grammar: an optional scalar glued to the first factor with '*', then
-    whitespace-separated factors `label` or `label^k`. A bare scalar literal
-    is a valid word with no factors and wins over a label of the same
-    spelling, so "i" always means the imaginary unit. Cached: every check
-    reads the same few words, and the result is immutable.
+    Grammar: an optional scalar 1, i, -1 or -i glued to the first factor
+    with '*', then whitespace-separated factors `label` or `label^k`. A
+    bare scalar is a valid word with no factors and wins over a label of
+    the same spelling, so "i" always means the imaginary unit. Cached:
+    every check reads the same few words, and the result is immutable.
     """
     parts = text.split()
     if not parts:
         raise ValueError("empty word")
-    scalar = ONE
-    factors: list[tuple[str, int]] = []
+    phase = 0
     first = parts[0]
     if "*" in first:
-        head, _, rest = first.partition("*")
-        scalar = parse_scalar(head)
-        parts[0] = rest
-    elif len(parts) == 1:
-        try:
-            return parse_scalar(first), ()
-        except ValueError:
-            pass
+        head, _, parts[0] = first.partition("*")
+        if head not in _PHASES:
+            raise ValueError(f"scalar {head!r} in word {text!r} is not 1, i, -1 or -i")
+        phase = _PHASES[head]
+    elif len(parts) == 1 and first in _PHASES:
+        return _PHASES[first], ()
+    factors = []
     for part in parts:
         m = _FACTOR.match(part)
         if m is None:
             raise ValueError(f"bad factor {part!r} in word {text!r}")
         label, exp = m.group(1), m.group(2)
         factors.append((label, int(exp) if exp is not None else 1))
-    return scalar, tuple(factors)
+    return phase, tuple(factors)
 
 
-def word_index(
-    group: MatrixGroup, text: str, roles: Mapping[str, int]
-) -> tuple[GaussianRational, int]:
-    """(c, k) with the word equal to c times element k of the group, read
+def word_index(group: MatrixGroup, text: str, roles: Mapping[str, int]) -> tuple[int, int]:
+    """(p, k) with the word equal to i^p times element k of the group, read
     off the Cayley table: ``roles`` maps each label to its element's index,
     and a power g^e takes e mod ord(g) lookups."""
-    scalar, factors = parse_word(text)
+    phase, factors = parse_word(text)
     cay = group.cayley()
     acc = 0
     for label, exp in factors:
@@ -103,14 +98,18 @@ def word_index(
             raise ValueError(f"word {text!r} uses unassigned label {label!r}")
         for _ in range(exp % group.element_order(roles[label])):
             acc = cay[acc][roles[label]]
-    return scalar, acc
+    return phase, acc
 
 
 def word_element(group: MatrixGroup, text: str, roles: Mapping[str, int]) -> int:
-    """The index of the element a word names; raises `index_of`'s ValueError
-    when its scalar carries it outside the group."""
-    scalar, k = word_index(group, text, roles)
-    return k if scalar == ONE else group.index_of(group.elements[k].scale(scalar))
+    """The index of the element a word names, i^p * k: a lookup in the row
+    of the scalar i^p. Raises ValueError when the group lacks that scalar,
+    since then i^p * k lies outside the group too."""
+    phase, k = word_index(group, text, roles)
+    scalar = group.scalar_indices()[phase]
+    if scalar is None:
+        raise ValueError(f"word {text!r} is not an element of this group")
+    return group.cayley()[scalar][k]
 
 
 class RelationSet:
@@ -122,9 +121,7 @@ class RelationSet:
         self.relations = []
         for rel_id, lhs, rhs in relations:
             for side in (lhs, rhs):
-                scalar, factors = parse_word(side)
-                if scalar.is_zero():  # no group element, and the check divides by it
-                    raise ValueError(f"relation {rel_id!r} has a side with scalar 0")
+                _, factors = parse_word(side)
                 for label, _ in factors:
                     if label not in self.labels:
                         raise ValueError(

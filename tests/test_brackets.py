@@ -4,7 +4,7 @@ import functools
 import itertools
 import json
 import random
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,8 @@ from gammagroups.catalog import (
 )
 from gammagroups.data import load_json
 from gammagroups.exact import (
-    COUNTERS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix, parse_scalar,
+    COUNTERS, UNITS, ExactMatrix, GaussianRational, block_diag, format_matrix, parse_matrix,
+    parse_scalar,
 )
 from gammagroups.groups import MatrixGroup, mask_indices
 
@@ -69,9 +70,9 @@ def matrix_bracket_report(table, assignment):
     report = VerificationReport(f"bracket-table-{table.name}", [])
     dim = assignment[table.labels[0]].dim
     zero = ExactMatrix.identity(dim).scale(GaussianRational(0, 0))
-    for x, y, coeff, z in table.pairs():
+    for x, y, sign, z in table.signed_rows:
         got = commutator(assignment[x], assignment[y])
-        want = zero if z is None else assignment[z].scale(coeff)
+        want = zero if z is None else assignment[z].scale(GaussianRational(2 * sign))
         detail = ""
         if got != want:
             detail = f"[{x},{y}] = {format_matrix(got, bare=True)}, expected {format_matrix(want, bare=True)}"
@@ -81,8 +82,8 @@ def matrix_bracket_report(table, assignment):
 
 def evaluate_word(text, assignment, *, dim=None):
     """The reference value of a relation word: the exact matrix product of
-    its factors' powers over an explicit assignment, times its scalar."""
-    scalar, factors = parse_word(text)
+    its factors' powers over an explicit assignment, times its scalar i^p."""
+    phase, factors = parse_word(text)
     if dim is None:
         if not assignment:
             raise ValueError("cannot size a scalar word without an assignment or dim")
@@ -92,7 +93,7 @@ def evaluate_word(text, assignment, *, dim=None):
         if label not in assignment:
             raise ValueError(f"word {text!r} uses unassigned label {label!r}")
         acc = acc * (assignment[label] ** exp)
-    return acc.scale(scalar)
+    return acc.scale(UNITS[phase])
 
 
 def matrix_relations_report(relations, assignment):
@@ -153,7 +154,7 @@ class TestTableData:
     def test_all_tables_load(self, name):
         table = BracketTable.load(name)
         want = 15 if table.boosts else 3
-        assert len(table.pairs()) == want
+        assert len(table.signed_rows) == want
 
     def test_unknown_table_name(self):
         with pytest.raises(KeyError):
@@ -165,14 +166,6 @@ class TestTableData:
         assert BracketTable.load("b").boost_signs() == (1, 1, 1)
         assert BracketTable.load("c").boost_signs() == (-1, 1, 1)
         assert BracketTable.load("q2").boost_signs() is None
-
-    def test_lookup_is_antisymmetric(self):
-        table = BracketTable.load("d")
-        for x, y, coeff, z in table.pairs():
-            back_coeff, back_z = table.lookup(y, x)
-            assert back_z == z
-            assert back_coeff == -coeff
-        assert table.lookup("a1", "a1")[0].is_zero()
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="twice"):
@@ -236,8 +229,8 @@ class TestTableData:
 
 class TestWordGrammar:
     def test_plain_factors(self):
-        scalar, factors = parse_word("a1 b2 a1")
-        assert scalar == GaussianRational(1, 0)
+        phase, factors = parse_word("a1 b2 a1")
+        assert phase == 0
         assert factors == (("a1", 1), ("b2", 1), ("a1", 1))
 
     def test_exponents(self):
@@ -245,19 +238,18 @@ class TestWordGrammar:
         assert factors == (("a1", 3), ("b2", -1))
 
     def test_scalar_prefix(self):
-        scalar, factors = parse_word("-1*a2 a1")
-        assert scalar == MINUS
+        phase, factors = parse_word("-1*a2 a1")
+        assert phase == 2
         assert factors == (("a2", 1), ("a1", 1))
 
     def test_bare_scalar_word(self):
-        scalar, factors = parse_word("i")
-        assert scalar == IMAG
-        assert factors == ()
-        scalar, factors = parse_word("-2/3")
-        assert scalar == GaussianRational(Fraction(-2, 3), 0)
-        assert factors == ()
+        for phase, text in enumerate(["1", "i", "-1", "-i"]):
+            assert parse_word(text) == (phase, ())
+            assert parse_word(f"{text}*a1") == (phase, (("a1", 1),))
 
-    @pytest.mark.parametrize("bad", ["", "a1^", "^2", "a1**b2", "3a1", "a1 ^2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "a1^", "^2", "a1**b2", "3a1", "a1 ^2", "-2/3", "2*a1", "0*a1"],
+    )
     def test_malformed_words(self, bad):
         with pytest.raises(ValueError):
             parse_word(bad)
@@ -452,20 +444,43 @@ class TestRelations:
         with pytest.raises(ValueError, match="outside"):
             RelationSet("bad", ["x"], [("r", "x y", "1")])
 
-    @pytest.mark.parametrize("side", ["0", "0*x", "0*x y"])
-    def test_zero_scalar_side_rejected(self, side):
-        with pytest.raises(ValueError, match="'r0' has a side with scalar 0"):
+    @pytest.mark.parametrize("side", ["0", "0*x", "0*x y", "2*x", "1/2*x y", "1+i*x"])
+    def test_non_unit_scalar_side_rejected(self, side):
+        # A word's scalar is i^p; any other scalar is no word.
+        with pytest.raises(ValueError, match="word"):
             RelationSet("bad", ["x", "y"], [("r0", "x", side)])
-        with pytest.raises(ValueError, match="'r0'"):
+        with pytest.raises(ValueError, match="word"):
             RelationSet("bad", ["x", "y"], [("r0", side, "x")])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = ("s3.json", "d8_perm.json", "two_t.json")
+
+def lacking_phases(source):
+    """The unit phases a group lacks, i being 1, -1 being 2 and -i being 3:
+    s3 and d8_perm lack -1, and only the pauli entries and the pools hold i."""
+    if source in ("s3.json", "d8_perm.json"):
+        return {1, 2, 3}
+    if source.startswith("pauli") or source in POOL_NAMES:
+        return set()
+    return {1, 3}
+
+
+def word_group(source):
+    """A catalog group, a pool, or the group of a golden generator file."""
+    if source in POOL_NAMES:
+        return pool_group(source)
+    if source in GOLDEN_INPUTS:
+        return load_generator_file(str(GOLDEN / source))[1]
+    return catalog_group(source)
 
 
 class TestWordIndex:
     def test_factors_read_off_the_table(self):
         group = pauli_group()
         roles = {"b1": group.index_of(SX), "b2": group.index_of(SY)}
-        scalar, k = word_index(group, "-1*b1 b2", roles)
-        assert scalar == MINUS and group.elements[k] == SX * SY
+        phase, k = word_index(group, "-1*b1 b2", roles)
+        assert phase == 2 and group.elements[k] == SX * SY
 
     def test_exponents_reduce_modulo_the_order(self):
         group = MatrixGroup.from_generators([A1, A2])
@@ -475,8 +490,7 @@ class TestWordIndex:
             assert group.elements[k] == A1 ** exp
 
     def test_scalar_word_is_the_identity(self):
-        scalar, k = word_index(pauli_group(), "i", {})
-        assert (scalar, k) == (IMAG, 0)
+        assert word_index(pauli_group(), "i", {}) == (1, 0)
 
     def test_unassigned_label_raises(self):
         group = pauli_group()
@@ -490,6 +504,27 @@ class TestWordIndex:
         q8 = MatrixGroup.from_generators([A1, A2])
         with pytest.raises(ValueError, match="not an element"):
             word_element(q8, "i*a", {"a": q8.index_of(A1)})
+
+    @pytest.mark.parametrize("source", [*CATALOG_NAMES, *POOL_NAMES, *GOLDEN_INPUTS])
+    def test_phases_against_the_matrix_reference(self, source):
+        # i^p * g lies in the group exactly when i^p does: every element and
+        # phase against scaling the matrix, on groups that lack -1
+        # (d8_perm) or i (q8, d4) too.
+        group = word_group(source)
+        lacking = set()
+        for k, g in enumerate(group.elements):
+            for p, unit in enumerate(("1", "i", "-1", "-i")):
+                word = f"{unit}*x^3 x^-2"
+                assert word_index(group, word, {"x": k})[1] == k
+                try:
+                    want = group.index_of(g.scale(UNITS[p]))
+                except ValueError:
+                    lacking.add(p)
+                    with pytest.raises(ValueError, match="not an element"):
+                        word_element(group, word, {"x": k})
+                else:
+                    assert word_element(group, word, {"x": k}) == want
+        assert lacking == lacking_phases(source)
 
 
 def entry_assignment(entry, words):
@@ -944,14 +979,14 @@ class TestSquareSignatureMemo:
         # unless exactly one of x, y is a boost, and [r_i, s_i] = 0.
         table = BracketTable.load(name)
         index = {lab: k for labels in (table.rotations, table.boosts) for k, lab in enumerate(labels)}
-        for x, y, coeff, z in table.pairs():
+        for x, y, sign, z in table.signed_rows:
             i, j = index[x], index[y]
             if i == j:
                 assert z is None
                 continue
             mixed = (x in table.boosts) != (y in table.boosts)
             assert z == (table.boosts if mixed else table.rotations)[3 - i - j]
-            assert coeff in (GaussianRational(2, 0), GaussianRational(-2, 0))
+            assert sign in (1, -1)
 
     @pytest.mark.parametrize("source, sample", COMPONENT_SOURCES)
     def test_index_check_agrees_with_the_matrix_check(self, source, sample, monkeypatch):
@@ -1027,15 +1062,30 @@ class TestSquareSignatureMemo:
         assert neither
 
     def test_row_signs_read_the_coefficients(self):
+        # Each row once, in file order, with its data-file coefficient as 2 * sign.
         for name in TABLE_NAMES:
-            table = BracketTable.load(name)
-            for x, y, sign, z in table.signed_rows:
-                coeff, target = table.lookup(x, y)
-                assert target == z
-                if z is not None and coeff in (GaussianRational(2, 0), GaussianRational(-2, 0)):
-                    assert sign == coeff.re / 2
-                else:
-                    assert sign == 0
+            rows = load_json("tables", f"{name}.json")["brackets"]
+            want = [(r["x"], r["y"], {"2": 1, "0": 0, "-2": -1}[r["coeff"]], r.get("z")) for r in rows]
+            assert list(BracketTable.load(name).signed_rows) == want
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_every_failing_row_names_its_expected_bracket(self, name):
+        # Rotations on SX and boosts on SY fail every row: like roles
+        # commute, and a mixed pair anticommutes with product +-i SZ. Each
+        # detail ends in the row's data-file coefficient and target.
+        table = BracketTable.load(name)
+        group = pauli_group()
+        roles = dict.fromkeys(table.rotations, group.index_of(SX))
+        roles.update(dict.fromkeys(table.boosts, group.index_of(SY)))
+        report = verify_bracket_table(group, table, roles)
+        rows = load_json("tables", f"{name}.json")["brackets"]
+        assert [c.passed for c in report.checks] == [False] * len(rows)
+        wants = []
+        for check, row in zip(report.checks, rows):
+            want = f"{row['coeff']}*{row['z']}" if "z" in row else "0"
+            assert check.detail.partition("; ")[2] == f"expected [{row['x']},{row['y']}] = {want}"
+            wants.append(want.partition("*")[0])
+        assert set(wants) == ({"2", "-2", "0"} if table.boosts else {"2", "-2"})
 
     def test_tables_are_parsed_once(self):
         assert BracketTable.load("d") is BracketTable.load("d")

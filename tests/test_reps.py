@@ -716,11 +716,11 @@ class TestSpinWeights:
         with pytest.raises(ValueError):
             spin_weights(parse_matrix("[[1,0],[0,0]]"))
 
-    def test_report_serializes(self):
-        payload = spin_weights(A1).to_dict()
-        assert payload["classification"] == "real-half-integer"
-        assert payload["l0"] == "1/2"
-        assert payload["order"] == 4
+    def test_report_fields(self):
+        report = spin_weights(A1)
+        assert report.classification == "real-half-integer"
+        assert report.l0 == Fraction(1, 2)
+        assert report.order == 4
 
 
 class TestWeightsByCycles:
