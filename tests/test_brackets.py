@@ -456,6 +456,7 @@ class TestRelations:
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = ("s3.json", "d8_perm.json", "two_t.json")
 
+
 def lacking_phases(source):
     """The unit phases a group lacks, i being 1, -1 being 2 and -i being 3:
     s3 and d8_perm lack -1, and only the pauli entries and the pools hold i."""
