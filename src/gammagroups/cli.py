@@ -1,12 +1,16 @@
 """Command-line surface: analyses, claim verification, reports.
 
-Every command builds one report document with the same top-level shape,
+`main` builds one report document for every command, with the same
+top-level shape,
 
     {"tool_version", "input", "profile", "claims", "timings"}
 
-and renders it as JSON or markdown. The JSON renderer is canonical
-(sorted keys, two-space indent), so parsing a report and re-serializing
-it reproduces the bytes exactly.
+and renders it as JSON or markdown. `input` holds the command and every
+argument of its subcommand, never the global `--format` and `--cap`; a
+command's handler fills the `profile`, and `verify` its `claims` and
+`timings.claims_ms` too. The JSON renderer is canonical (sorted keys,
+two-space indent), so parsing a report and re-serializing it reproduces
+the bytes exactly.
 
 Exit codes: 0 on success, 1 when a verification or claim fails, 2 on
 usage errors (unknown names, unparseable input, empty claim filter, a
@@ -98,19 +102,6 @@ def render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _document(
-    command: str, started: float, *, profile=None, claim_results=None, timings=None,
-    **input_args,
-) -> dict:
-    return {
-        "tool_version": __version__,
-        "input": {"command": command, **input_args},
-        "profile": profile,
-        "claims": [r.to_dict() for r in (claim_results or [])],
-        "timings": {"total_ms": int((time.perf_counter() - started) * 1000), **(timings or {})},
-    }
-
-
 def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
     """Catalog name or generator-file path -> (name, group, entry or None)."""
     if target in catalog.catalog_names():
@@ -124,12 +115,7 @@ def _resolve_target(target: str, cap: int) -> tuple[str, MatrixGroup, object]:
     return name, group, None
 
 
-def _analyze_profile(name: str, group: MatrixGroup, entry) -> dict:
-    profile = catalog.catalog_profile(name) if entry is not None else catalog.compute_profile(group)
-    return {"name": name, "dimension": group.elements[0].dim, **profile.to_dict()}
-
-
-def _cmd_catalog(args, started: float) -> tuple[dict, int]:
+def _cmd_catalog(args, doc: dict) -> int:
     # The rows are stored fields: no matrix is parsed and no group is built.
     # An extracted entry stores no dimension; it has its parent's.
     payloads = {name: catalog._load_payload(name) for name in catalog.catalog_names()}
@@ -142,36 +128,33 @@ def _cmd_catalog(args, started: float) -> tuple[dict, int]:
             "order": payload["expected"]["order"],
             "summary": payload["summary"],
         })
-    doc = _document("catalog", started, profile={"entries": entries}, action="list")
-    return doc, 0
+    doc["profile"] = {"entries": entries}
+    return 0
 
 
-def _cmd_analyze(args, started: float) -> tuple[dict, int]:
+def _cmd_analyze(args, doc: dict) -> int:
     name, group, entry = _resolve_target(args.target, args.cap)
     try:
-        profile = _analyze_profile(name, group, entry)
+        profile = catalog.catalog_profile(name) if entry else catalog.compute_profile(group)
+        doc["profile"] = {"name": name, "dimension": group.elements[0].dim, **profile.to_dict()}
     except AmbiguousCensus as err:
         raise UsageError(f"cannot analyze {args.target!r}: {err}") from err
-    doc = _document("analyze", started, profile=profile, target=args.target)
-    return doc, 0
+    return 0
 
 
-def _cmd_verify(args, started: float) -> tuple[dict, int]:
-    claims_ms: dict[str, int] = {}
+def _cmd_verify(args, doc: dict) -> int:
+    claims_ms = doc["timings"]["claims_ms"] = {}
     try:
         results = claims.run_claims(args.filter, timings=claims_ms)
     except claims.UnknownClaimFilter as err:
         raise UsageError(str(err)) from err
     failed = sum(1 for r in results if r.status != "PASS")
-    summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
-    doc = _document(
-        "verify", started, profile=summary, claim_results=results,
-        timings={"claims_ms": claims_ms}, filter=args.filter,
-    )
-    return doc, 0 if failed == 0 else 1
+    doc["profile"] = {"total": len(results), "passed": len(results) - failed, "failed": failed}
+    doc["claims"] = [r.to_dict() for r in results]
+    return 0 if failed == 0 else 1
 
 
-def _cmd_subgroups(args, started: float) -> tuple[dict, int]:
+def _cmd_subgroups(args, doc: dict) -> int:
     name, group, _ = _resolve_target(args.name, args.cap)
     if group.order % args.order != 0:
         raise UsageError(f"order {args.order} does not divide the group order {group.order}")
@@ -182,15 +165,11 @@ def _cmd_subgroups(args, started: float) -> tuple[dict, int]:
             match = find_component_match(sub.as_group())
             row["component"] = match.table if match else None
         rows.append(row)
-    profile = {"name": name, "order": args.order, "count": len(rows), "subgroups": rows}
-    doc = _document(
-        "subgroups", started, profile=profile,
-        name=args.name, order=args.order, classify=args.classify,
-    )
-    return doc, 0
+    doc["profile"] = {"name": name, "order": args.order, "count": len(rows), "subgroups": rows}
+    return 0
 
 
-def _cmd_brackets(args, started: float) -> tuple[dict, int]:
+def _cmd_brackets(args, doc: dict) -> int:
     from .words import table_roles
 
     name, group, entry = _resolve_target(args.name, args.cap)
@@ -200,28 +179,26 @@ def _cmd_brackets(args, started: float) -> tuple[dict, int]:
     except ValueError as err:
         raise UsageError(str(err)) from err
     if roles is None:
-        profile = {
+        doc["profile"] = {
             "name": name, "table": args.table, "passed": False,
             "detail": f"no realization of table {args.table} found in {name}",
             "checks": [],
         }
-        doc = _document("brackets", started, profile=profile, name=args.name, table=args.table)
-        return doc, 1
+        return 1
     report = verify_bracket_table(group, table, roles)
-    profile = {
+    doc["profile"] = {
         "name": name, "table": args.table, "passed": report.passed,
         "checks": [c.to_dict() for c in report.checks],
     }
-    doc = _document("brackets", started, profile=profile, name=args.name, table=args.table)
-    return doc, 0 if report.passed else 1
+    return 0 if report.passed else 1
 
 
-def _cmd_search(args, started: float) -> tuple[dict, int]:
+def _cmd_search(args, doc: dict) -> int:
     try:
         hits = catalog.find_gamma_models(args.signature, args.pool)
     except (ValueError, KeyError) as err:
         raise UsageError(str(err)) from err
-    profile = {
+    doc["profile"] = {
         "signature": args.signature,
         "pool": args.pool,
         "hits": [
@@ -233,18 +210,15 @@ def _cmd_search(args, started: float) -> tuple[dict, int]:
             for h in hits
         ],
     }
-    doc = _document(
-        "search", started, profile=profile, signature=args.signature, pool=args.pool,
-    )
-    return doc, 0
+    return 0
 
 
-def _cmd_extensions(args, started: float) -> tuple[dict, int]:
+def _cmd_extensions(args, doc: dict) -> int:
     square = 1 if args.square == "plus" else -1
     if args.base not in catalog.catalog_names():
         raise UsageError(f"unknown catalog entry {args.base!r}")
     result = catalog.enumerate_extensions(args.base, square)
-    profile = {
+    profile = doc["profile"] = {
         "base": result.base,
         "square": square,
         "found": result.found,
@@ -258,10 +232,7 @@ def _cmd_extensions(args, started: float) -> tuple[dict, int]:
         })
     else:
         profile["reason"] = result.reason
-    doc = _document(
-        "extensions", started, profile=profile, base=args.base, square=args.square,
-    )
-    return doc, 0
+    return 0
 
 
 _GLOBAL_DEFAULTS = {"format": "markdown", "cap": DEFAULT_CAP}
@@ -279,7 +250,7 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # The shared options use SUPPRESS so a subcommand parse does not
-    # overwrite a value given before the subcommand; parse_args fills
+    # overwrite a value given before the subcommand; main fills
     # the real defaults in afterwards.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "markdown"),
@@ -345,16 +316,22 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, default in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    doc = {
+        "tool_version": __version__,
+        "input": {key: value for key, value in vars(args).items() if key not in _GLOBAL_DEFAULTS},
+        "profile": None,
+        "claims": [],
+        "timings": {},
+    }
+    args = argparse.Namespace(**{**_GLOBAL_DEFAULTS, **vars(args)})
     started = time.perf_counter()
     before = dict(COUNTERS)
     try:
-        doc, code = _HANDLERS[args.command](args, started)
+        code = _HANDLERS[args.command](args, doc)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    doc["timings"]["total_ms"] = int((time.perf_counter() - started) * 1000)
     doc["timings"]["counters"] = {name: COUNTERS[name] - before[name] for name in before}
     text = render_json(doc) if args.format == "json" else render_markdown(doc)
     sys.stdout.write(text)
