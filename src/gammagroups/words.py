@@ -13,10 +13,11 @@ and the element it names is one more lookup, in the row of i^p
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .brackets import BracketTable, find_component_match
+from .brackets import BracketTable, _failed_rows, find_component_match
 from .catalog import CatalogEntry
 from .data import load_json
 from .groups import MatrixGroup
@@ -151,14 +152,39 @@ def table_roles(
     """The index of the element playing each of the table's roles in the group, if any.
 
     When the entry names this table, its `roles` words give the roles, or, if it has
-    none, its three generators are the designated boost triple. Otherwise the roles
-    come from the first boost triple a scan of the group finds for the table. Raises
-    ValueError where the component scan does (a group not of order 16, a bad
-    designated triple), and when a word leaves the group.
+    none, its three generators are the designated boost triple. Otherwise the roles of
+    a table without boosts come from the first pair in index order that starts a
+    realization (`_rotation_roles`), and those of a table with boosts from the first
+    boost triple a scan of the group finds for the table. Raises ValueError where the
+    component scan does (a group not of order 16, a bad designated triple), and when a
+    word leaves the group.
     """
     named = entry is not None and entry.table == table.name
     if named and entry.roles:
         return entry_roles(group, entry, table.labels)
+    if not table.boosts:
+        return _rotation_roles(group, table)
     designated = entry.generators if named and len(entry.generators) == 3 else None
     match = find_component_match(group, designated=designated, tables=(table.name,))
     return match.roles(table) if match is not None else None
+
+
+def _rotation_roles(group: MatrixGroup, table: BracketTable) -> dict[str, int] | None:
+    """The roles of a table without boosts (q2) on the first ordered pair (x, y),
+    in index order, on which every row holds.
+
+    Every stored row of such a table has a target, and a row [x, y] = 2e*z holds
+    only on an anticommuting pair, where [x, y] = 2xy: so the first row fixes
+    z = e*x*y, and one walk over the ordered pairs meets every realization once.
+    """
+    neg = group.minus_index()
+    if neg is None:  # then no two elements anticommute
+        return None
+    cay = group.cayley()
+    x, y, sign, z = table.signed_rows[0]
+    for ix, iy in itertools.product(range(group.order), repeat=2):
+        ixy = cay[ix][iy]
+        roles = {x: ix, y: iy, z: ixy if sign > 0 else cay[neg][ixy]}
+        if next(_failed_rows(group, table, roles), None) is None:
+            return roles
+    return None

@@ -741,6 +741,45 @@ class TestClassification:
         assert list(anticommuting_triples(group)) == expected
 
 
+# The catalog groups of order at most 32, and the golden generator files.
+SMALL_SOURCES = [
+    *(n for n in CATALOG_NAMES if load_json("catalog", f"{n}.json")["expected"]["order"] <= 32),
+    *GOLDEN_INPUTS,
+]
+Q2_REALIZERS = {
+    "pauli", "pauli_f", "d4", "gamma_minus", "gamma_plus", "pauli_c2", "d4_v4", "d4_c2",
+}
+Q2_COUNTS = {"pauli": 24, "gamma_minus": 80}
+
+
+def realizing_triples(group, table):
+    """The brute-force reference: every ordered triple of elements, in index
+    order, on which every row of a three-label table holds."""
+    found = []
+    for triple in itertools.product(range(group.order), repeat=3):
+        roles = dict(zip(table.labels, triple))
+        if rows_hold(group, table, roles):
+            found.append(roles)
+    return found
+
+
+class TestRotationTableSearch:
+    """A table without boosts (q2) is searched on any group, of any order."""
+
+    @pytest.mark.parametrize("source", SMALL_SOURCES)
+    def test_first_realization_against_brute_force(self, source):
+        group, table = word_group(source), BracketTable.load("q2")
+        found = realizing_triples(group, table)
+        roles = table_roles(group, None, table)
+        assert roles == (found[0] if found else None)
+        assert (roles is not None) == (source in Q2_REALIZERS)
+        if source in Q2_COUNTS:
+            assert len(found) == Q2_COUNTS[source]
+        if roles is not None:
+            assignment = {label: group.elements[k] for label, k in roles.items()}
+            assert matrix_bracket_report(table, assignment).passed
+
+
 def neg_index(group):
     minus = group.elements[0].scale(MINUS)
     return group.index_of(minus) if minus in group else None
