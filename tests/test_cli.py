@@ -1,5 +1,6 @@
 """Command-line interface: report shape, renderers, exit codes."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -27,6 +28,30 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, "--format", "json", *argv)
     assert err == ""
     return code, json.loads(out), out
+
+
+# One cheap call of each command.
+ECHO_ARGVS = [
+    ("catalog", "list"),
+    ("analyze", "q8"),
+    ("verify", "--filter", "quaternion.*"),
+    ("subgroups", "q8", "--order", "4"),
+    ("brackets", "d4", "--table", "q2"),
+    ("search", "--signature", "++++"),
+    ("extensions", "--base", "q8_v4", "--square", "minus"),
+]
+
+
+def subcommand_arguments():
+    """Each subcommand's own argument names, as `build_parser` declares them:
+    its actions less help and the options it shares with the main parser."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = {a.dest for a in parser._actions if a is not commands}
+    return {
+        name: [a.dest for a in sub._actions if a.dest not in shared]
+        for name, sub in commands.choices.items()
+    }
 
 
 class TestReportShape:
@@ -68,6 +93,19 @@ class TestReportShape:
         _, after, _ = run(capsys, "analyze", "q8", "--format", "json")
         assert json.loads(before)["profile"] == json.loads(after)["profile"]
 
+    @pytest.mark.parametrize("argv", ECHO_ARGVS, ids=lambda argv: argv[0])
+    def test_input_echoes_the_subcommand_arguments_only(self, capsys, argv):
+        # The shared options stay out of `input` on either side of the
+        # subcommand; every argument of the subcommand is echoed, defaults too.
+        own = subcommand_arguments()[argv[0]]
+        shared = ["--format", "json", "--cap", "64"]
+        _, before, _ = run(capsys, *shared, *argv)
+        _, after, _ = run(capsys, *argv, *shared)
+        for out in (before, after):
+            echoed = json.loads(out)["input"]
+            assert sorted(echoed) == sorted(["command", *own])
+            assert echoed["command"] == argv[0]
+        assert json.loads(before)["input"] == json.loads(after)["input"]
 
     @pytest.mark.parametrize(
         "argv", [("catalog", "list"), ("brackets", "pauli", "--table", "d")], ids=" ".join
