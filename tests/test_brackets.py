@@ -764,7 +764,7 @@ def realizing_triples(group, table):
 
 
 class TestRotationTableSearch:
-    """A table without boosts (q2) is searched on any group, of any order."""
+    """A table without boosts (q2) is searched on a group of any order."""
 
     @pytest.mark.parametrize("source", SMALL_SOURCES)
     def test_first_realization_against_brute_force(self, source):

@@ -30,7 +30,7 @@ def run_json(capsys, *argv):
     return code, json.loads(out), out
 
 
-# One cheap call of each command.
+# One cheap call of each command, for the `input` echo test.
 ECHO_ARGVS = [
     ("catalog", "list"),
     ("analyze", "q8"),
@@ -106,6 +106,9 @@ class TestReportShape:
             assert sorted(echoed) == sorted(["command", *own])
             assert echoed["command"] == argv[0]
         assert json.loads(before)["input"] == json.loads(after)["input"]
+
+    def test_every_command_has_an_echo_case(self):
+        assert sorted(argv[0] for argv in ECHO_ARGVS) == sorted(subcommand_arguments())
 
     @pytest.mark.parametrize(
         "argv", [("catalog", "list"), ("brackets", "pauli", "--table", "d")], ids=" ".join
