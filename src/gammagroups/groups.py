@@ -294,21 +294,9 @@ class MatrixGroup:
             self._unit_squares = masks
         return self._unit_squares
 
-    def _square_one_mask(self) -> int:
-        """Mask of the elements whose square is 1 when the group is in F
-        (see `squaring_key`), and 0 when it is not. With -1 there, the
-        group is in F exactly when the scalars and the elements squaring
-        to +-1 (`unit_square_masks`) cover it; the scalars squaring to 1
-        are 1 and -1."""
-        scalars, masks = self.scalar_indices(), self.unit_square_masks()
-        covered = masks[1] | masks[-1] | sum(1 << s for s in scalars if s is not None)
-        if scalars[2] is None or covered != (1 << self.order) - 1:
-            return 0
-        return masks[1] | 1 | 1 << scalars[2]
-
     def squaring_key(self, mask: int | None = None) -> tuple[int, int, int] | None:
         """(order, #{g : g^2 = 1}, |Z|) of the subgroup with this member mask,
-        or of the whole group; None when the group is not in F.
+        or of the whole group; None when that is not in F.
 
         F holds the groups that contain -1 and in which every square is 1
         or -1. For G in F, G/<-1> is elementary abelian, so G is a central
@@ -321,14 +309,23 @@ class MatrixGroup:
         differ. So two groups in F are isomorphic exactly when their keys
         are equal. Every subgroup of a group in F is in F or, without -1,
         elementary abelian with key (n, n, n), the key of no other class.
-        A subgroup is given by its member mask (`Subgroup.mask`). Both
-        keys read the squares off `unit_square_masks`; a whole group's
+        A subgroup is given by its member mask (`Subgroup.mask`). With -1
+        there, it is in F exactly when the scalars and the elements
+        squaring to +-1 (`unit_square_masks`) cover it, whatever the rest
+        of the group; without -1, it gets a key only inside a group in F.
+        Both keys read the squares off `unit_square_masks`; a whole group's
         center is its one-element classes (`center`), a subgroup's is read
         off `commutation_masks`, |H| lookups.
         """
-        ones = self._square_one_mask()
-        if not ones:
+        scalars, masks = self.scalar_indices(), self.unit_square_masks()
+        minus = scalars[2]
+        if minus is None:
             return None
+        scope = mask if mask is not None and mask >> minus & 1 else (1 << self.order) - 1
+        covered = masks[1] | masks[-1] | sum(1 << s for s in scalars if s is not None)
+        if scope & ~covered:
+            return None
+        ones = masks[1] | 1 | 1 << minus  # the scalars squaring to 1 are 1 and -1
         if mask is None:
             return self.order, ones.bit_count(), len(self.center())
         commute = self.commutation_masks()[0]

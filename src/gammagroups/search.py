@@ -69,12 +69,20 @@ class SignatureSpec(NamedTuple):
         signs = "".join("+" if s > 0 else "-" for s in self.squares)
         return f"{signs[:3]}|{signs[3]}" if self.fourth_commutes else signs
 
+    def product_square(self) -> int:
+        """The square of w = g1..gm, the product of the m pairwise
+        anticommuting generators (the triple before a commuting fourth, or
+        all of them): the product of their squares times (-1)^(m(m-1)/2),
+        the sign of reversing m factors."""
+        squares = self.squares[:3] if self.fourth_commutes else self.squares
+        m = len(squares)
+        return math.prod(squares) * (-1) ** (m * (m - 1) // 2)
+
     def relations(self) -> RelationSet:
         """The pattern as word equations over g1..gn: each square, then
         each pair, which anticommutes unless it holds a commuting fourth.
         For odd n with no commuting fourth, the product w = g1..gn is
-        central, and w^2 is the product of the squares times
-        (-1)^(n(n-1)/2), the sign of reversing n factors."""
+        central, with w^2 the `product_square`."""
         n = len(self.squares)
         labels = tuple(f"g{k}" for k in range(1, n + 1))
         rels = [(f"square-{k}", f"g{k}^2", str(s)) for k, s in enumerate(self.squares, 1)]
@@ -87,7 +95,7 @@ class SignatureSpec(NamedTuple):
             product = " ".join(labels)
             rels += [(f"product-commutes-{k}", f"{product} g{k}", f"g{k} {product}")
                      for k in range(1, n + 1)]
-            square = math.prod(self.squares) * (-1) ** (n * (n - 1) // 2)
+            square = self.product_square()
             rels.append((f"product-squares-to-{'one' if square > 0 else 'minus-one'}",
                          f"{product} {product}", str(square)))
         return RelationSet(f"signature-{self}", labels, rels)
@@ -144,47 +152,37 @@ def _signed_mask(words: Iterable[int], minus_row: Sequence[int]) -> int:
 
 def _admitted_orders(spec: SignatureSpec, dimension: int) -> frozenset[int]:
     """The orders a group generated by the spec's tuples can have in a pool
-    of this dimension, read off the presentation P (see `find_gamma_models`).
+    of this dimension, in closed form.
 
-    P's 32 normal forms z^a s1^b1..s4^b4 are coded a << 4 | b, with b_i
-    the bit i - 1 of b. A tuple's group is P/K for a kernel K that is
-    normal in P and avoids z = -1. Every commutator of P lies in <z>, so a
-    g in K outside the center would put some [g, x] = z in K: K is
-    central. With a commuting fourth the search keeps s4 outside
-    H = <s1, s2, s3>, so K holds no word with s4 in it; that leaves K
-    inside <z, w> for w = s1 s2 s3 (with four anticommuting generators
-    Z(P) = <z>), so K is {1} or <c> for a central involution c other than
-    z, and Q = P/K has order 32/|K|.
+    Every tuple obeys the relations of one group P of order 32: a central
+    z with z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator
+    z for anticommuting pairs, 1 for commuting ones. With z = -1 the tuple
+    maps P onto its group (von Dyck), so the group is Q = P/K for a kernel
+    K that is normal in P and avoids z. Every commutator of P lies in <z>,
+    so K is central; the search keeps a commuting s4 outside
+    H = <s1, s2, s3>, so K holds no word in s4.
     The pool sends z to -1, so Q acts faithfully on the pool's space as a
     sum of irreducibles chi with chi(z) = -chi(1). For g outside Z(Q) some
     [g, x] is z, so chi(g) = -chi(g) = 0 and chi has degree
     sqrt|Q : Z(Q)|. Their central characters must have kernels that meet
     trivially, so at least rank Omega_1(Z(Q)) of them are needed (Isaacs,
-    Character Theory of Finite Groups, ch. 2). An order whose every Q needs
-    more than the pool's dimension cannot occur.
+    Character Theory of Finite Groups, ch. 2). An order whose Q needs more
+    than the pool's dimension cannot occur.
+    With four anticommuting generators Z(P) = <z>, so K = {1} and Q = P
+    needs one constituent of degree 4. With a commuting fourth
+    Z(P) = <z, w, s4> for w = s1 s2 s3, so K is {1}, or <w> or <z w> when
+    w^2 = 1 (`SignatureSpec.product_square`). Squares and commutators of P
+    lie in <z>, which K avoids, so Z(Q) = Z(P)/K and Omega_1(Z(Q)) =
+    Omega_1(Z(P))/K: every Q needs degree 2, P needs the rank 3 when
+    w^2 = s4^2 = 1 and 2 otherwise, and a Q of order 16 one less.
     """
-    minus = sum(1 << i for i, s in enumerate(spec.squares) if s < 0)
-    # The s_i, i > j, that s_j anticommutes with.
-    passing = [sum(1 << i for i in range(j + 1, 4) if i < 3 or not spec.fourth_commutes)
-               for j in range(4)]
-
-    def mul(x: int, y: int) -> int:
-        # Each s_j of y moves left past the s_i, i > j, of x it anticommutes
-        # with, then meets its own s_j in x, if any: one z per swap and per
-        # generator squaring to -1.
-        flips = (x & y & minus).bit_count() + sum(
-            (x & passing[j]).bit_count() for j in range(4) if y >> j & 1)
-        return x ^ y ^ (flips & 1) << 4
-
-    central = [g for g in range(32) if all(mul(g, x) == mul(x, g) for x in (1, 2, 4, 8))]
-    # Commutators and squares of P lie in <z>, which K avoids, so one lies
-    # in K only when it is 1: Z(Q) is Z(P)/K and Omega_1(Z(Q)) is
-    # {g in Z(P) : g^2 = 1}/K, whatever the kernel.
-    involutions = sum(mul(g, g) == 0 for g in central)
-    degree = math.isqrt(32 // len(central))
-    kernels = [1] + [2 for c in central if c not in (0, 16) and not c & 8 and mul(c, c) == 0]
-    return frozenset(32 // k for k in kernels
-                     if ((involutions // k).bit_length() - 1) * degree <= dimension)
+    if not spec.fourth_commutes:
+        degree, needed = 4, {32: 1}
+    else:
+        w_square = spec.product_square()
+        rank = 3 if w_square == spec.squares[3] == 1 else 2
+        degree, needed = 2, ({32: rank, 16: rank - 1} if w_square == 1 else {32: rank})
+    return frozenset(order for order, count in needed.items() if count * degree <= dimension)
 
 
 def find_gamma_models(
@@ -207,23 +205,20 @@ def find_gamma_models(
     anticommutes with every s_i and squares to +-1, so it normalizes H
     and <H, s4> = H u H*s4, whose new members are +- the triple's words
     times s4.
-    Every tuple obeys the relations of one group P: a central z with
-    z^2 = 1, each s_i^2 equal to 1 or z by its sign, and commutator z for
-    anticommuting pairs, 1 for commuting ones. With z = -1 the tuple maps
-    P onto its group (von Dyck), so the group is P/K for the kernel K of
-    the normal forms z^a s1^b1..s4^b4 sent to 1. K is {1}, or <w> or
-    <z w> for w = s1 s2 s3 when w^2 = 1 (`_admitted_orders`); s3 -> -s3
-    swaps the last two, so two tuples generate isomorphic groups exactly
-    when their groups have equal orders, 32/|K|. That order is twice |H|
-    for every s4, so the search reads one fourth per triple, its lowest,
-    and a tuple starts a class when its order is new. The orders that a
-    degree bound admits for the pool's dimension (`_admitted_orders`) are
-    the only ones that can occur; once the search has met them all, no
-    later tuple can start a class, and the search ends there. Each class
-    reports the first generator tuple that produced it. The pool is in F
-    (`MatrixGroup.squaring_key`), so an order-32 class is named by the
-    squaring key of its member mask, read off the pool's tables with no
-    group built. An empty list means the pool has no model for the spec.
+    Every tuple's group is a quotient P/K of the group P that the spec's
+    relations present (`_admitted_orders`): K is {1}, or <w> or <z w> for
+    w = s1 s2 s3 when w^2 = 1; s3 -> -s3 swaps the last two, so two tuples
+    generate isomorphic groups exactly when their groups have equal
+    orders, 32/|K|. That order is twice |H| for every s4, so the search
+    reads one fourth per triple, its lowest, and a tuple starts a class
+    when its order is new. The orders that a degree bound admits for the
+    pool's dimension (`_admitted_orders`) are the only ones that can
+    occur; once the search has met them all, no later tuple can start a
+    class, and the search ends there. Each class reports the first
+    generator tuple that produced it. An order-32 class's member mask
+    holds -1, so the class is named by the mask's squaring key
+    (`MatrixGroup.squaring_key`), read off the pool's tables with no group
+    built. An empty list means the pool has no model for the spec.
     """
     if isinstance(spec, str):
         spec = SignatureSpec.parse(spec)

@@ -752,10 +752,11 @@ def presentation_group(spec):
     return mul
 
 
+@functools.cache
 def brute_force_kernels(spec):
     """The subgroups of P that are normal, avoid z and, with a commuting
     fourth, hold no word in s4: every subgroup is grown from {1} one
-    element at a time."""
+    element at a time. Kept per spec, as a tuple."""
     mul = presentation_group(spec)
     table = [[mul(x, y) for y in range(32)] for x in range(32)]
     inverse = [row.index(0) for row in table]
@@ -781,12 +782,12 @@ def brute_force_kernels(spec):
                     subgroups[bigger] = (*subgroups[sub], x)
                     frontier.append(bigger)
     z = 1 << 4
-    return [
+    return tuple(
         sub for sub in subgroups
         if z not in sub
         and all(table[table[g][k]][inverse[g]] in sub for g in range(32) for k in sub)
         and (not spec.fourth_commutes or not any(k >> 3 & 1 for k in sub))
-    ]
+    )
 
 
 def reference_admitted_orders(spec, dimension):
@@ -837,18 +838,22 @@ class TestCosetSearch:
 
     @pytest.mark.parametrize("text", FOUR_GENERATOR_SIGNATURES)
     def test_admitted_orders_bound_the_walk(self, text, kernel_walk):
-        # The bound matches one computed on every brute-force kernel in the
-        # quotient itself. Every order the walk with no stop meets is
-        # admitted, penta8 meets every admitted order, and dirac4 admits no
-        # order 32 exactly where the triple's squares multiply to -1 and
-        # the commuting fourth squares to +1: `++-|+`, `---|+` and their
-        # reorderings, whose order-32 class has Z = C2^3 and needs degree 6.
+        # The closed form matches a bound computed on every brute-force
+        # kernel in the quotient itself, at every dimension up to 9: its
+        # thresholds fall at 2, 4 and 6. Every order the walk with no stop
+        # meets is admitted, penta8 meets every admitted order, and dirac4
+        # admits no order 32 exactly where the triple's squares multiply to
+        # -1 and the commuting fourth squares to +1: `++-|+`, `---|+` and
+        # their reorderings, whose order-32 class has Z = C2^3 and needs
+        # degree 6.
         spec = SignatureSpec.parse(text)
+        for dimension in range(1, 10):
+            admitted = catalog._admitted_orders(spec, dimension)
+            assert admitted == reference_admitted_orders(spec, dimension), dimension
         odd_triple = spec.squares[:3].count(-1) % 2 == 1
         twisted = spec.fourth_commutes and spec.squares[3] == 1 and odd_triple
         for pool_name, dimension in (("dirac4", 4), ("penta8", 8)):
             admitted = catalog._admitted_orders(spec, dimension)
-            assert admitted == reference_admitted_orders(spec, dimension)
             met = {32 // mask.bit_count() for _, mask in kernel_walk(text, pool_name)}
             assert met <= admitted
             if pool_name == "penta8":
@@ -859,6 +864,17 @@ class TestCosetSearch:
             32 not in catalog._admitted_orders(SignatureSpec.parse(other), 4)
             for other in FOUR_GENERATOR_SIGNATURES
         ) == 4
+
+    @pytest.mark.parametrize("text", [t for t in FOUR_GENERATOR_SIGNATURES if "|" in t])
+    def test_the_triple_product_squares_by_the_sign_rule(self, text):
+        # The closed form reads w^2 for w = s1 s2 s3 off the spec; the first
+        # tuple the search finds in penta8 squares its w to the same sign.
+        spec = SignatureSpec.parse(text)
+        pool = pool_group("penta8")
+        cay = pool.cayley()
+        s1, s2, s3, _ = find_gamma_models(spec, "penta8")[0].generator_indices
+        w = cay[cay[s1][s2]][s3]
+        assert cay[w][w] == {1: 0, -1: pool.minus_index()}[spec.product_square()]
 
     @pytest.mark.parametrize("pool_name", catalog.POOL_NAMES)
     def test_every_subgroup_the_search_meets_holds_minus_one(self, pool_name, kernel_walk):

@@ -1066,6 +1066,17 @@ class TestSquaringKey:
         want = backtracking_index_two_classes(group)[0]
         assert class_rows(catalog._index_two_classes(group)) == class_rows(want)
 
+    def test_a_subgroup_holding_minus_one_is_keyed_on_its_own_mask(self):
+        # <pauli, diag(1, i)> is outside F, as diag(1, i) squares to
+        # diag(1, -1); its pauli subgroup holds -1 and is in F, so it gets
+        # the key pauli has as a group of its own.
+        pauli = catalog.catalog_group("pauli")
+        phase = parse_matrix("[[1,0],[0,i]]")
+        group = MatrixGroup.from_generators([*catalog.catalog_entry("pauli").generators, phase])
+        assert group.order == 32 and group.squaring_key() is None
+        mask = sum(1 << group.index_of(g) for g in pauli.elements)
+        assert group.squaring_key(mask) == pauli.squaring_key() == (16, 8, 4)
+
 
 class TestClosedFormsInF:
     """The profile numbers of a non-abelian group G in F in closed form.
