@@ -171,7 +171,7 @@ class ExactMatrix:
     walk only the nonzero entries of each row.
     """
 
-    __slots__ = ("dim", "_rows", "_mono", "_nz", "_hash")
+    __slots__ = ("dim", "_rows", "_mono", "_hash")
 
     def __init__(self, rows: Iterable[Sequence[Scalarish]]):
         normalized: list[tuple[GaussianRational, ...]] = []
@@ -192,7 +192,6 @@ class ExactMatrix:
         self.dim = n
         self._rows: tuple[tuple[GaussianRational, ...], ...] | None = tuple(normalized)
         self._mono = _monomial_form(normalized)
-        self._nz: tuple[tuple[tuple[int, GaussianRational], ...], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -225,18 +224,6 @@ class ExactMatrix:
         """
         return self._mono
 
-    @property
-    def _rows_nonzero(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
-        if self._nz is None:
-            if self._mono is not None:
-                self._nz = tuple(((col, UNITS[p]),) for col, p in zip(*self._mono))
-            else:
-                self._nz = tuple(
-                    tuple((j, value) for j, value in enumerate(row) if not value.is_zero())
-                    for row in self._rows
-                )
-        return self._nz
-
     def __mul__(self, other: object) -> "ExactMatrix":
         if isinstance(other, ExactMatrix):
             if other.dim != self.dim:
@@ -250,11 +237,14 @@ class ExactMatrix:
                     tuple([(p + phase_b[k]) & 3 for p, k in zip(phase_a, perm_a)]),
                 )
             COUNTERS["product.dense"] += 1
-            rows_b = other._rows_nonzero
+            rows_b = [
+                [(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.rows()
+            ]
             out: list[list[GaussianRational]] = [[ZERO] * self.dim for _ in range(self.dim)]
-            for i, row in enumerate(self._rows_nonzero):
-                acc = out[i]
-                for k, a in row:
+            for acc, row in zip(out, self.rows()):
+                for k, a in enumerate(row):
+                    if a.is_zero():
+                        continue
                     for j, b in rows_b[k]:
                         acc[j] = acc[j] + a * b
             return ExactMatrix(out)
@@ -459,7 +449,6 @@ def _from_form(perm: tuple[int, ...], phase: tuple[int, ...]) -> ExactMatrix:
     matrix.dim = len(perm)
     matrix._rows = None
     matrix._mono = (perm, phase)
-    matrix._nz = None
     matrix._hash = None
     return matrix
 

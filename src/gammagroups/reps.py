@@ -7,9 +7,10 @@ block). Invariant bilinear forms of unit-monomial blocks and the
 eigenvalue weights of unit-monomial elements live in `gammagroups.forms`;
 `__getattr__` below forwards their names and loads it on first use.
 
-Unit-monomial matrices are read on their (permutation, phase) form: a
-block check is a test of the permutation, and a block trace counts
-diagonal phases in integers. Dense matrices take entry reads.
+A block query walks each element once, checking the block and taking its
+trace in the same walk. Unit-monomial matrices are walked on their
+(permutation, phase) form, the trace counting diagonal phases in integers;
+dense matrices on their rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ExactMatrix, GaussianRational, format_scalar
+from .exact import GaussianRational, format_scalar
 from .groups import MatrixGroup
 
 
@@ -77,53 +78,52 @@ def format_census(census: Sequence[tuple[int, int]]) -> str:
     return " + ".join(f"{count}x{dim}" for dim, count in census)
 
 
-def _check_block(group: MatrixGroup, block: tuple[int, int] | None) -> tuple[int, int]:
-    dim = group.elements[0].dim
-    if block is None:
-        return (0, dim)
-    start, size = block
+def _block_traces(
+    group: MatrixGroup, block: tuple[int, int] | None
+) -> list[tuple[Fraction | int, Fraction | int]]:
+    """(real, imaginary) part of each element's block trace, in element order.
+
+    One walk per element takes the trace (integer counts of the diagonal
+    phases on the monomial form, an exact sum of entries otherwise) and
+    checks, row by row, that no entry couples the block to the rest.
+    """
+    dim = group.dim
+    start, size = block or (0, dim)
     if start < 0 or size <= 0 or start + size > dim:
         raise ValueError(f"block {block} does not fit in dimension {dim}")
     stop = start + size
+    inside = [start <= i < stop for i in range(dim)]
+    traces: list[tuple[Fraction | int, Fraction | int]] = []
     for m in group.elements:
         form = m.monomial_form()
         if form is not None:
+            perm, phase = form
             # Row i holds its one entry at (i, perm[i]): the dense scan's order.
-            entries = enumerate(form[0])
+            entries = enumerate(perm)
+            counts = [0, 0, 0, 0]  # diagonal entries 1, i, -1, -i
+            for r in range(start, stop):
+                if perm[r] == r:
+                    counts[phase[r]] += 1
+            traces.append((counts[0] - counts[2], counts[1] - counts[3]))
         else:
+            rows = m.rows()
             entries = (
-                (i, j) for i in range(dim) for j in range(dim) if not m[i, j].is_zero()
+                (i, j) for i, row in enumerate(rows) for j, value in enumerate(row)
+                if not value.is_zero()
             )
+            total = GaussianRational(0, 0)
+            for r in range(start, stop):
+                total = total + rows[r][r]
+            traces.append((total.re, total.im))
         for i, j in entries:
-            if (start <= i < stop) != (start <= j < stop):
+            if inside[i] != inside[j]:
                 raise ValueError(f"block {block} is coupled to the rest at entry ({i},{j})")
-    return (start, size)
-
-
-def _block_trace(m: ExactMatrix, start: int, size: int) -> tuple[Fraction | int, Fraction | int]:
-    """(real, imaginary) part of the block's trace: integer counts of the
-    diagonal phases on the monomial form, an exact sum of entries otherwise."""
-    form = m.monomial_form()
-    if form is None:
-        total = GaussianRational(0, 0)
-        for i in range(start, start + size):
-            total = total + m[i, i]
-        return total.re, total.im
-    counts = [0, 0, 0, 0]  # diagonal entries 1, i, -1, -i
-    perm, phase = form
-    for r in range(start, start + size):
-        if perm[r] == r:
-            counts[phase[r]] += 1
-    return counts[0] - counts[2], counts[1] - counts[3]
+    return traces
 
 
 def irreducibility_norm(group: MatrixGroup, block: tuple[int, int] | None = None) -> Fraction:
     """Average of |trace|^2; exactly 1 for an irreducible representation."""
-    start, size = _check_block(group, block)
-    total = 0
-    for m in group.elements:
-        re, im = _block_trace(m, start, size)
-        total += re * re + im * im
+    total = sum(re * re + im * im for re, im in _block_traces(group, block))
     return Fraction(total, group.order)
 
 
@@ -138,10 +138,10 @@ def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = Non
     norm = irreducibility_norm(group, block)  # checks the block
     if norm != 1:
         raise ValueError(f"representation is reducible (norm {norm}); indicator undefined")
-    start, size = block or (0, group.dim)
+    traces = _block_traces(group, block)
     total_re = total_im = 0
     for i in range(group.order):
-        re, im = _block_trace(group.elements[group.mul(i, i)], start, size)
+        re, im = traces[group.mul(i, i)]
         total_re += re
         total_im += im
     if total_im != 0 or total_re % group.order != 0:

@@ -400,6 +400,21 @@ class TestMonomialForm:
                 assert (m * t).key() == bare_text(dense_product(m, t))
         elements, _ = generate_closure(TWO_T)
         assert len(elements) == 24
+        # Block-diagonal factors 2T + monomial hold zero entries, which the
+        # dense product skips: both orders with a monomial, and the squares.
+        for dim in range(3, 6):
+            m = random_monomial(rng, dim)
+            factors = [
+                block_diag(TWO_T[2], random_monomial(rng, dim - 2)),
+                block_diag(random_monomial(rng, dim - 2), TWO_T[2] * TWO_T[0]),
+                m,
+            ]
+            for a in factors:
+                for b in factors:
+                    if a is b is m:
+                        continue
+                    assert product_path(a, b) == "product.dense"
+                    assert (a * b).rows() == dense_product(a, b)
 
     def test_dense_products_that_land_on_the_form_join_it(self):
         t = TWO_T[2]

@@ -434,6 +434,36 @@ class TestBlockQueriesOnTheForm:
             assert_block_queries_match_dense_reads(group)
             groups += 1
 
+    @pytest.mark.parametrize(
+        "extra,order", [(None, 24), ("[[1]]", 24), ("[[0,1],[1,0]]", 48)],
+        ids=["2T", "2T+[1]", "2T+sx"],
+    )
+    def test_dense_groups(self, extra, order):
+        gens = BINARY_TETRAHEDRAL
+        if extra is not None:
+            gens = [block_diag(m, parse_matrix(extra)) for m in gens]
+        group = MatrixGroup.from_generators(gens)
+        assert group.order == order
+        assert_block_queries_match_dense_reads(group)
+
+    def test_each_element_is_read_once_per_walk(self, monkeypatch):
+        # A fresh group: `structural_invariant` caches by group object.
+        group = MatrixGroup.from_generators(catalog.catalog_entry("gamma64_minus").generators)
+        reads = 0
+        read_form = ExactMatrix.monomial_form
+
+        def counted(m):
+            nonlocal reads
+            reads += 1
+            return read_form(m)
+
+        monkeypatch.setattr(ExactMatrix, "monomial_form", counted)
+        assert irreducibility_norm(group, (0, 4)) == 1
+        assert reads == group.order == 64
+        reads = 0
+        assert structural_invariant(group, (4, 4)) == -1
+        assert reads == 2 * group.order  # the norm's walk and the indicator's
+
 
 # The weights `forms.spin_weights` reads off the monomial form's cycles, by
 # the engine it replaces: an exact discrete Fourier transform of the power
