@@ -128,8 +128,13 @@ def _resolve_extraction(payload: Mapping) -> CatalogEntry:
 
 
 @functools.cache
+def generated_group(generators: tuple[ExactMatrix, ...]) -> MatrixGroup:
+    """The closure of a generator tuple, built once per process."""
+    return MatrixGroup.from_generators(generators)
+
+
 def catalog_group(name: str) -> MatrixGroup:
-    return MatrixGroup.from_generators(catalog_entry(name).generators)
+    return generated_group(tuple(catalog_entry(name).generators))
 
 
 def load_generator_file(path: str, *, cap: int = DEFAULT_CAP) -> tuple[str, MatrixGroup]:
@@ -252,8 +257,8 @@ class GroupProfile:
             classes = decompose_index_two(self.entry.name)
         else:
             labelled = []
-            for rep, count in _index_two_classes(self.group):
-                match = find_component_match(rep) if rep.order == 16 else None
+            for first, count in _index_two_classes(self.group):
+                match = find_component_match(first.as_group()) if first.order == 16 else None
                 labelled.append((match.table if match is not None else None, count))
             classes = tuple(sorted(labelled, key=lambda item: (item[0] or "~", -item[1])))
         return {"count": sum(count for _, count in classes), "classes": classes}
@@ -271,35 +276,30 @@ def catalog_profile(name: str) -> GroupProfile:
     return GroupProfile(catalog_group(name), entry=entry)
 
 
-def _index_two_classes(group: MatrixGroup) -> list[tuple[MatrixGroup, int]]:
-    """Index-two subgroups grouped by abstract isomorphism: (rep, count), in
-    the order each class is first met.
-
-    In a group in F (`MatrixGroup.squaring_key`) each subgroup is classed
-    by its squaring key, read off the group's own tables, and only each
-    class's first subgroup is built as a group. Elsewhere each subgroup is
-    built and tested against the classes so far by `is_isomorphic`.
+def _index_two_classes(group: MatrixGroup) -> list[tuple[Subgroup, int]]:
+    """Index-two subgroups grouped by abstract isomorphism: (first member,
+    count), in the order each class is first met. In a group in F
+    (`MatrixGroup.squaring_key`) a subgroup is classed by the squaring key
+    of its member mask and no subgroup is built as a group; elsewhere each
+    one is built and tested against the classes so far by `is_isomorphic`.
     """
     if group.order % 2:
         return []
-    subgroups = group.subgroups_of_order(group.order // 2)
-    if group.squaring_key() is not None:
-        keyed: dict[tuple[int, int, int], tuple[Subgroup, int]] = {}
-        for sub in subgroups:
+    in_f = group.squaring_key() is not None
+    classes: dict[tuple[int, int, int] | int, tuple[Subgroup, int]] = {}
+    built: list[MatrixGroup] = []  # outside F, each class's first member as a group
+    for sub in group.subgroups_of_order(group.order // 2):
+        if in_f:
             key = group.squaring_key(sub.mask)
-            first, count = keyed.get(key, (sub, 0))
-            keyed[key] = (first, count + 1)
-        return [(sub.as_group(), count) for sub, count in keyed.values()]
-    classes: list[tuple[MatrixGroup, int]] = []
-    for sub in subgroups:
-        candidate = sub.as_group()
-        for k, (rep, count) in enumerate(classes):
-            if candidate.is_isomorphic(rep):
-                classes[k] = (rep, count + 1)
-                break
         else:
-            classes.append((candidate, 1))
-    return classes
+            candidate = sub.as_group()
+            key = next((k for k, rep in enumerate(built) if candidate.is_isomorphic(rep)), None)
+            if key is None:
+                key = len(built)
+                built.append(candidate)
+        first, count = classes.get(key, (sub, 0))
+        classes[key] = (first, count + 1)
+    return list(classes.values())
 
 
 def _named_by_key(key: tuple[int, int, int] | None, names: Sequence[str]) -> str | None:
@@ -311,20 +311,20 @@ def _named_by_key(key: tuple[int, int, int] | None, names: Sequence[str]) -> str
     return next((name for name in names if catalog_group(name).squaring_key() == key), None)
 
 
-@functools.cache
 def decompose_index_two(name: str) -> tuple[tuple[str, int], ...]:
     """Index-two subgroups of a catalog group, identified and counted.
 
     Returns sorted (identified catalog name, count) pairs; raises if some
-    subgroup matches none of the stable groups. Each class is named by its
-    squaring key alone (`_named_by_key`), so no isomorphism search runs.
+    subgroup matches none of the stable groups. Each class is named by the
+    squaring key of its member mask, so no subgroup is built as a group.
     Its caller passes the order-64 entries, whose derived subgroup is
     <-1>, so every index-two subgroup H holds -1 and lies in F: an H
     without -1 would give G = H x <-1>, and then G' = H' could not be <-1>.
     """
+    group = catalog_group(name)
     tally: dict[str, int] = {}
-    for rep, count in _index_two_classes(catalog_group(name)):
-        identified = _named_by_key(rep.squaring_key(), STABLE_NAMES)
+    for first, count in _index_two_classes(group):
+        identified = _named_by_key(group.squaring_key(first.mask), STABLE_NAMES)
         if identified is None:
             raise LookupError(
                 f"an index-two subgroup of {name!r} matches no stable catalog group"

@@ -121,10 +121,13 @@ def _block_traces(
     return traces
 
 
+def _norm(traces: list[tuple[Fraction | int, Fraction | int]]) -> Fraction:
+    return Fraction(sum(re * re + im * im for re, im in traces), len(traces))
+
+
 def irreducibility_norm(group: MatrixGroup, block: tuple[int, int] | None = None) -> Fraction:
     """Average of |trace|^2; exactly 1 for an irreducible representation."""
-    total = sum(re * re + im * im for re, im in _block_traces(group, block))
-    return Fraction(total, group.order)
+    return _norm(_block_traces(group, block))
 
 
 @functools.cache
@@ -135,10 +138,10 @@ def structural_invariant(group: MatrixGroup, block: tuple[int, int] | None = Non
     no invariant form, and an antisymmetric one. Computed once per (group,
     block): a catalog profile and the form solver both ask for it.
     """
-    norm = irreducibility_norm(group, block)  # checks the block
+    traces = _block_traces(group, block)
+    norm = _norm(traces)
     if norm != 1:
         raise ValueError(f"representation is reducible (norm {norm}); indicator undefined")
-    traces = _block_traces(group, block)
     total_re = total_im = 0
     for i in range(group.order):
         re, im = traces[group.mul(i, i)]

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .brackets import verify_relations
 from .catalog import EXTENSION_NAMES, POOL_NAMES, STABLE_NAMES, catalog_entry, catalog_group
-from .catalog import _named_by_key
+from .catalog import _named_by_key, generated_group
 from .exact import COUNTERS, IMAG_UNIT, MINUS_ONE, ONE, ExactMatrix, block_diag, format_scalar
 from .groups import MatrixGroup
 from .words import RelationSet, VerificationReport
@@ -25,15 +25,12 @@ from .words import RelationSet, VerificationReport
 # Pools and signature search
 
 
-@functools.cache
 def pool_group(name: str) -> MatrixGroup:
     """Monomial pool as a closed ambient group (includes the i-scalars)."""
     if name not in POOL_NAMES:
         raise KeyError(f"unknown pool {name!r}; have {POOL_NAMES}")
-    base = "gamma_minus" if name == "dirac4" else "gamma64_minus"
-    gens = list(catalog_entry(base).generators)
-    scalar_i = ExactMatrix.identity(gens[0].dim).scale(IMAG_UNIT)
-    return MatrixGroup.from_generators(gens + [scalar_i])
+    gens = catalog_entry("gamma_minus" if name == "dirac4" else "gamma64_minus").generators
+    return generated_group((*gens, ExactMatrix.identity(gens[0].dim).scale(IMAG_UNIT)))
 
 
 class SignatureSpec(NamedTuple):
@@ -334,7 +331,7 @@ def enumerate_extensions(base_name: str, square: int) -> ExtensionResult:
     witness = base.elements[product].scale(phase)
     generators = [block_diag(g, g) for g in gens]
     generators.append(block_diag(witness, witness.scale(MINUS_ONE)))
-    group = MatrixGroup.from_generators(generators)
+    group = generated_group(tuple(generators))
     spec = SignatureSpec((*(1 if cay[g][g] == 0 else -1 for g in indices), square))
     roles = {f"g{k}": group.index_of(g) for k, g in enumerate(generators, 1)}
     return ExtensionResult(

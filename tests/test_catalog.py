@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammagroups import catalog, claims, data, forms, paper
+from gammagroups import catalog, claims, data, forms, groups, paper
 from gammagroups.brackets import BracketTable, verify_relations
 from gammagroups.catalog import (
     CATALOG_NAMES,
@@ -1022,6 +1022,32 @@ class TestExtensions:
         assert result.identified == name
         assert catalog_entry(name).generators == list(result.generators)
 
+    @pytest.mark.parametrize("name,base,square", [
+        ("gamma64_minus", "gamma_minus", 1),
+        ("gamma64_null", "gamma_minus", -1),
+        ("gamma64_plus", "gamma_plus", -1),
+    ])
+    def test_the_extension_is_the_catalog_group(self, name, base, square, monkeypatch):
+        # The extension closes the stored generator tuple, so it reads the
+        # group the catalog already closed and closes nothing itself.
+        group = catalog_group(name)
+        catalog_group(base)
+
+        def closed(*args, **kwargs):
+            raise AssertionError("a generator tuple closed twice")
+
+        monkeypatch.setattr(groups, "generate_closure", closed)
+        result = enumerate_extensions(base, square)
+        assert result.found and result.order == group.order
+        assert catalog.generated_group(tuple(result.generators)) is group
+
+
+INDEX_TWO_DECOMPOSITIONS = [
+    ("gamma64_minus", (("gamma_minus", 16), ("pauli_c2", 10), ("q8_v4", 5))),
+    ("gamma64_plus", (("d4_v4", 9), ("gamma_plus", 16), ("pauli_c2", 6))),
+    ("gamma64_null", (("gamma_minus", 6), ("gamma_plus", 10), ("pauli_c2", 15))),
+]
+
 
 class TestOrder64Models:
     def test_sixth_generator_blocks(self):
@@ -1041,12 +1067,19 @@ class TestOrder64Models:
             want = block_diag(four.scale(parse_scalar(top)), four.scale(parse_scalar(bottom)))
             assert product == want, name
 
-    @pytest.mark.parametrize("name,expected", [
-        ("gamma64_minus", (("gamma_minus", 16), ("pauli_c2", 10), ("q8_v4", 5))),
-        ("gamma64_plus", (("d4_v4", 9), ("gamma_plus", 16), ("pauli_c2", 6))),
-        ("gamma64_null", (("gamma_minus", 6), ("gamma_plus", 10), ("pauli_c2", 15))),
-    ])
+    @pytest.mark.parametrize("name,expected", INDEX_TWO_DECOMPOSITIONS)
     def test_index_two_decompositions(self, name, expected):
+        assert decompose_index_two(name) == expected
+
+    @pytest.mark.parametrize("name,expected", INDEX_TWO_DECOMPOSITIONS)
+    def test_index_two_classes_are_named_off_member_masks(self, name, expected, monkeypatch):
+        for group_name in (name, *STABLE_NAMES):
+            catalog_group(group_name)
+
+        def built(sub):
+            raise AssertionError("an index-two subgroup built as a group")
+
+        monkeypatch.setattr(Subgroup, "as_group", built)
         assert decompose_index_two(name) == expected
 
     @pytest.mark.parametrize("name", ["gamma64_minus", "gamma64_plus", "gamma64_null"])

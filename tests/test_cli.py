@@ -208,7 +208,7 @@ class TestProductCounters:
     def test_cold_verify_counters_are_pinned(self):
         # Relation words and the extension witness are read off Cayley
         # tables, so every product of a cold verify is a closure product:
-        # n*k for each of its 20 closures of n elements from k generators.
+        # n*k for each of its 17 closures of n elements from k generators.
         src = str(Path(cli.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-S", "-m", "gammagroups.cli", "verify", "--format", "json"],
@@ -223,9 +223,30 @@ class TestProductCounters:
             "iso.fingerprint_rejects": 1,
             "iso.nodes": 3,
             "product.dense": 0,
-            "product.monomial": 4192,
+            "product.monomial": 3232,
             "search.tuples": 23,
         }
+
+    def test_cold_verify_closes_each_generator_tuple_once(self):
+        # The 14 catalog entries, the 2 pools and the one found extension
+        # whose tuple no entry stores; the other three found extensions
+        # build the stored gamma64_* tuples and read the catalog's groups.
+        script = (
+            "import contextlib, io\n"
+            "from gammagroups import groups\n"
+            "from gammagroups.cli import main\n"
+            "tuples = []\n"
+            "closure = groups.generate_closure\n"
+            "def counted(generators, **kwargs):\n"
+            "    tuples.append(tuple(generators))\n"
+            "    return closure(generators, **kwargs)\n"
+            "groups.generate_closure = counted\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify']) == 0\n"
+            "assert len(set(tuples)) == len(tuples), 'a generator tuple closed twice'\n"
+            "print(len(tuples))\n"
+        )
+        assert run_fresh(script) == "17\n"
 
     def test_cold_analyze_of_a_dense_group_multiplies_once_per_closure_step(self, tmp_path):
         # The closure walk makes 24 elements x 3 generators products and
@@ -713,6 +734,7 @@ def test_analyze_leaves_the_lazy_halves_uncompiled(tmp_path):
         "                                     ['analyze', sys.argv[1]])]\n"
         "assert codes == [0, 0, 0], codes\n"
         "assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)\n"
+        "assert 'importlib.resources' not in sys.modules\n"
         "assert 'find_gamma_models' not in vars(catalog)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['verify', '--filter', 'search.*']) == 0\n"

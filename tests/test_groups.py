@@ -715,25 +715,32 @@ def reference_isomorphism_map(group, other):
 def backtracking_index_two_classes(group):
     """Index-two subgroups classed by `isomorphism_map` alone: each one, built
     as a group, joins the first class whose representative it maps onto.
-    Returns the (rep, count) classes in the order first met, and the
-    (subgroup, rep, map) of every comparison made."""
-    classes, compared = [], []
+    Returns the (first subgroup, count) classes in the order first met, and
+    the (subgroup, rep, map) of every comparison made, rep being the first
+    subgroup built as a group."""
+    classes, reps, compared = [], [], []
     for sub in group.subgroups_of_order(group.order // 2) if group.order % 2 == 0 else ():
         candidate = sub.as_group()
-        for k, (rep, count) in enumerate(classes):
+        for k, rep in enumerate(reps):
             phi = candidate.isomorphism_map(rep)
             compared.append((candidate, rep, phi))
             if phi is not None:
-                classes[k] = (rep, count + 1)
+                first, count = classes[k]
+                classes[k] = (first, count + 1)
                 break
         else:
-            classes.append((candidate, 1))
+            classes.append((sub, 1))
+            reps.append(candidate)
     return classes, compared
 
 
 def class_rows(classes):
-    """(representative's elements, count) per class, comparable across runs."""
-    return [(rep.elements, count) for rep, count in classes]
+    """(first subgroup's member matrices, count) per class, read off its
+    member mask; comparable across runs."""
+    return [
+        (tuple(map(first.parent.matrix, mask_indices(first.mask))), count)
+        for first, count in classes
+    ]
 
 
 def conjugated(group, seed):
@@ -1076,6 +1083,20 @@ class TestSquaringKey:
         assert group.order == 32 and group.squaring_key() is None
         mask = sum(1 << group.index_of(g) for g in pauli.elements)
         assert group.squaring_key(mask) == pauli.squaring_key() == (16, 8, 4)
+
+    def test_index_two_classes_are_keyed_by_their_member_masks(self):
+        # Classing in F reads each index-two subgroup's key off the parent's
+        # tables; the first member of each class, built as a group of its
+        # own, has that very key.
+        groups = [catalog.catalog_group(name) for name in catalog.catalog_names()]
+        for pool in catalog.POOL_NAMES:
+            ambient = catalog.pool_group(pool)
+            groups += [ambient, *(sub.as_group() for sub in ambient.subgroups_of_order(32))]
+        in_f = [group for group in groups if group.squaring_key() is not None]
+        assert len(in_f) == 698
+        for group in in_f:
+            for first, _ in catalog._index_two_classes(group):
+                assert group.squaring_key(first.mask) == first.as_group().squaring_key()
 
 
 class TestClosedFormsInF:

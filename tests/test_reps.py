@@ -127,7 +127,7 @@ class TestNormAndIndicator:
         def recomputed(*args):
             raise AssertionError("indicator computed twice")
 
-        monkeypatch.setattr(reps, "irreducibility_norm", recomputed)
+        monkeypatch.setattr(reps, "_block_traces", recomputed)
         assert structural_invariant(group, (2, 2)) == 1
         assert invariant_bilinear_form(group, (2, 2))[0] == "symmetric"
         with pytest.raises(AssertionError, match="computed twice"):
@@ -462,7 +462,7 @@ class TestBlockQueriesOnTheForm:
         assert reads == group.order == 64
         reads = 0
         assert structural_invariant(group, (4, 4)) == -1
-        assert reads == 2 * group.order  # the norm's walk and the indicator's
+        assert reads == group.order  # the norm is read off the indicator's walk
 
 
 # The weights `forms.spin_weights` reads off the monomial form's cycles, by
