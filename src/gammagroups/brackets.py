@@ -77,10 +77,17 @@ class BracketTable:
             raise ValueError(f"table {name!r} lists {len(rows)} pairs, expected {want}")
         # Each stored row as (x, y, sign, z): [x, y] = 2 * sign * z.
         self.signed_rows = tuple(rows)
-        self._boost_signs = self._read_boost_signs() if self.boosts else None
+        self.boost_signs = self._read_boost_signs() if self.boosts else None
 
     def _read_boost_signs(self) -> tuple[int, int, int]:
-        """The signs `boost_signs` returns, from the boost-boost rows."""
+        """Signs e_k with r_k = e_k * s_i * s_j for cyclic (i, j, k).
+
+        Read off the boost-boost rows: with anticommuting boosts,
+        [s_i, s_j] = 2 s_i s_j, so an entry [s_i, s_j] = 2e * r_k pins
+        r_k = e * s_i * s_j. `boost_signs` holds them, None for a table
+        without boosts. A table whose boost-boost rows lack that shape
+        does not build.
+        """
         signed = {}
         for x, y, sign, z in self.signed_rows:
             signed[(x, y)] = (sign, z)
@@ -111,16 +118,6 @@ class BracketTable:
         if name not in TABLE_NAMES:
             raise KeyError(f"unknown bracket table {name!r}; have {TABLE_NAMES}")
         return cls.from_dict(load_json("tables", f"{name}.json"))
-
-    def boost_signs(self) -> tuple[int, int, int] | None:
-        """Signs e_k with r_k = e_k * s_i * s_j for cyclic (i, j, k).
-
-        Read off the boost-boost rows: with anticommuting boosts,
-        [s_i, s_j] = 2 s_i s_j, so an entry [s_i, s_j] = 2e * r_k pins
-        r_k = e * s_i * s_j. Returns None for tables without boosts. A
-        table whose boost-boost rows lack that shape does not build.
-        """
-        return self._boost_signs
 
 
 def verify_bracket_table(
@@ -321,7 +318,7 @@ def _component_scan(
     for table in map(BracketTable.load, tables):
         if not table.boosts:
             continue
-        signs = table.boost_signs()
+        signs = table.boost_signs
         for boosts in triples:
             match = _match_if_rows_hold(group, table, signs, boosts)
             if match is not None:

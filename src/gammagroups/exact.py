@@ -112,13 +112,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_imaginary(self) -> bool:
-        """True when the real part vanishes (zero counts as imaginary)."""
-        return self.re == 0
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -225,39 +218,30 @@ class ExactMatrix:
         return self._mono
 
     def __mul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, ExactMatrix):
-            if other.dim != self.dim:
-                raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-            if self._mono is not None and other._mono is not None:
-                COUNTERS["product.monomial"] += 1
-                perm_a, phase_a = self._mono
-                perm_b, phase_b = other._mono
-                return _from_form(
-                    tuple([perm_b[k] for k in perm_a]),
-                    tuple([(p + phase_b[k]) & 3 for p, k in zip(phase_a, perm_a)]),
-                )
-            COUNTERS["product.dense"] += 1
-            rows_b = [
-                [(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.rows()
-            ]
-            out: list[list[GaussianRational]] = [[ZERO] * self.dim for _ in range(self.dim)]
-            for acc, row in zip(out, self.rows()):
-                for k, a in enumerate(row):
-                    if a.is_zero():
-                        continue
-                    for j, b in rows_b[k]:
-                        acc[j] = acc[j] + a * b
-            return ExactMatrix(out)
-        scalar = _coerce(other)
-        if scalar is None:
+        if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.scale(scalar)
-
-    def __rmul__(self, other: object) -> "ExactMatrix":
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return self.scale(scalar)
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self._mono is not None and other._mono is not None:
+            COUNTERS["product.monomial"] += 1
+            perm_a, phase_a = self._mono
+            perm_b, phase_b = other._mono
+            return _from_form(
+                tuple([perm_b[k] for k in perm_a]),
+                tuple([(p + phase_b[k]) & 3 for p, k in zip(phase_a, perm_a)]),
+            )
+        COUNTERS["product.dense"] += 1
+        rows_b = [
+            [(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.rows()
+        ]
+        out: list[list[GaussianRational]] = [[ZERO] * self.dim for _ in range(self.dim)]
+        for acc, row in zip(out, self.rows()):
+            for k, a in enumerate(row):
+                if a.is_zero():
+                    continue
+                for j, b in rows_b[k]:
+                    acc[j] = acc[j] + a * b
+        return ExactMatrix(out)
 
     def scale(self, scalar: Scalarish) -> "ExactMatrix":
         value = _coerce(scalar)

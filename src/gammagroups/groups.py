@@ -672,6 +672,7 @@ class Subgroup:
     def __init__(self, parent: MatrixGroup, mask: int):
         self.parent = parent
         self.mask = mask
+        self._group: MatrixGroup | None = None
 
     @property
     def order(self) -> int:
@@ -687,7 +688,10 @@ class Subgroup:
         return tuple(mask_indices(self.mask))
 
     def as_group(self) -> MatrixGroup:
-        """Standalone group over the same matrices, reusing the parent table."""
+        """Standalone group over the same matrices, reusing the parent table;
+        built on the first call and kept."""
+        if self._group is not None:
+            return self._group
         local_order = self.sorted_indices()
         local_of = {parent_i: j for j, parent_i in enumerate(local_order)}
         parent_cay = self.parent.cayley()
@@ -695,9 +699,10 @@ class Subgroup:
             list(map(local_of.__getitem__, map(parent_cay[a].__getitem__, local_order)))
             for a in local_order
         ]
-        return MatrixGroup(
+        self._group = MatrixGroup(
             [self.parent.matrix(i) for i in local_order], cayley=cayley
         )
+        return self._group
 
     def __contains__(self, item: int | ExactMatrix) -> bool:
         if isinstance(item, ExactMatrix):
@@ -705,14 +710,6 @@ class Subgroup:
                 return False
             item = self.parent.index_of(item)
         return bool(self.mask >> item & 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent is other.parent and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.mask))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"

@@ -78,14 +78,16 @@ def format_census(census: Sequence[tuple[int, int]]) -> str:
     return " + ".join(f"{count}x{dim}" for dim, count in census)
 
 
+@functools.cache
 def _block_traces(
     group: MatrixGroup, block: tuple[int, int] | None
-) -> list[tuple[Fraction | int, Fraction | int]]:
+) -> tuple[tuple[Fraction | int, Fraction | int], ...]:
     """(real, imaginary) part of each element's block trace, in element order.
 
     One walk per element takes the trace (integer counts of the diagonal
     phases on the monomial form, an exact sum of entries otherwise) and
-    checks, row by row, that no entry couples the block to the rest.
+    checks, row by row, that no entry couples the block to the rest. Kept
+    per (group, block): a profile's norm and its indicator read one walk.
     """
     dim = group.dim
     start, size = block or (0, dim)
@@ -118,10 +120,10 @@ def _block_traces(
         for i, j in entries:
             if inside[i] != inside[j]:
                 raise ValueError(f"block {block} is coupled to the rest at entry ({i},{j})")
-    return traces
+    return tuple(traces)
 
 
-def _norm(traces: list[tuple[Fraction | int, Fraction | int]]) -> Fraction:
+def _norm(traces: Sequence[tuple[Fraction | int, Fraction | int]]) -> Fraction:
     return Fraction(sum(re * re + im * im for re, im in traces), len(traces))
 
 

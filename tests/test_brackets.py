@@ -161,11 +161,11 @@ class TestTableData:
             BracketTable.load("z")
 
     def test_boost_signs(self):
-        assert BracketTable.load("d").boost_signs() == (-1, -1, -1)
-        assert BracketTable.load("f").boost_signs() == (1, -1, -1)
-        assert BracketTable.load("b").boost_signs() == (1, 1, 1)
-        assert BracketTable.load("c").boost_signs() == (-1, 1, 1)
-        assert BracketTable.load("q2").boost_signs() is None
+        assert BracketTable.load("d").boost_signs == (-1, -1, -1)
+        assert BracketTable.load("f").boost_signs == (1, -1, -1)
+        assert BracketTable.load("b").boost_signs == (1, 1, 1)
+        assert BracketTable.load("c").boost_signs == (-1, 1, 1)
+        assert BracketTable.load("q2").boost_signs is None
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="twice"):
@@ -204,14 +204,14 @@ class TestTableData:
         with pytest.raises(ValueError, match="not 0, 2 or -2"):
             BracketTable.from_dict(payload)
         payload["brackets"][0]["coeff"] = "2"
-        assert BracketTable.from_dict(payload).boost_signs() is None
+        assert BracketTable.from_dict(payload).boost_signs is None
 
     @pytest.mark.parametrize("row", [{"coeff": "0"}, {"coeff": "-2", "z": "b1"}])
     def test_boost_row_without_its_rotation_has_no_signs(self, row):
         payload = load_json("tables", "d.json")
         payload["brackets"][4] = {"x": "b2", "y": "b3", **row}
         with pytest.raises(ValueError, match=r"\[b2,b3\] does not have the 2\*a1 shape"):
-            BracketTable.from_dict(payload).boost_signs()
+            BracketTable.from_dict(payload)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label"):
@@ -871,7 +871,7 @@ def reference_match(group, table_name, triples=None):
     if neg is None:
         return None
     table = BracketTable.load(table_name)
-    signs = table.boost_signs()
+    signs = table.boost_signs
     for boosts in anticommuting_triples(group) if triples is None else triples:
         rotations, roles = boost_roles(group, table, signs, boosts, neg)
         if not rows_hold(group, table, roles):
@@ -1001,7 +1001,7 @@ class TestSquareSignatureMemo:
                 continue  # no anticommuting pairs, so no boost triples
             for name in COMPONENT_TABLES:
                 table = BracketTable.load(name)
-                signs = table.boost_signs()
+                signs = table.boost_signs
                 by_squares: dict[tuple[int, int, int], set[bool]] = {}
                 for boosts in anticommuting_triples(group):
                     _, roles = boost_roles(group, table, signs, boosts, neg)
@@ -1046,7 +1046,7 @@ class TestSquareSignatureMemo:
                 triples = rng.sample(triples, min(len(triples), 8))
             for name in COMPONENT_TABLES:
                 table = BracketTable.load(name)
-                signs = table.boost_signs()
+                signs = table.boost_signs
                 for boosts in triples:
                     _, roles = boost_roles(group, table, signs, boosts, neg)
                     matrices = {label: group.elements[i] for label, i in roles.items()}
@@ -1079,7 +1079,7 @@ class TestSquareSignatureMemo:
         verdicts, neither = set(), False
         for name in COMPONENT_TABLES:
             table = BracketTable.load(name)
-            signs = table.boost_signs()
+            signs = table.boost_signs
             for boosts in triples:
                 _, roles = boost_roles(group, table, signs, boosts, neg)
                 matrices = {label: group.elements[i] for label, i in roles.items()}

@@ -235,6 +235,48 @@ class TestProfiles:
         assert minus == (("b", 5), ("d", 10))
         assert plus == (("c", 9), ("d", 6))
 
+    @staticmethod
+    def pauli_with_phase_gate():
+        """<pauli, diag(1, i)>: order 32 and outside F, built fresh, since
+        the trace walks are kept per group object."""
+        gens = [*catalog_entry("pauli").generators, parse_matrix("[[1,0],[0,i]]")]
+        group = MatrixGroup.from_generators(gens)
+        assert (group.order, group.squaring_key()) == (32, None)
+        return group
+
+    def test_indicator_reads_the_norm_walk(self, monkeypatch):
+        # The irreducibility check and the indicator share one trace walk.
+        profile = compute_profile(self.pauli_with_phase_gate())
+        reads = 0
+        read_form = ExactMatrix.monomial_form
+
+        def counted(m):
+            nonlocal reads
+            reads += 1
+            return read_form(m)
+
+        monkeypatch.setattr(ExactMatrix, "monomial_form", counted)
+        assert profile.indicators == (0,)
+        assert reads == profile.order
+
+    def test_index_two_builds_each_subgroup_once(self, monkeypatch):
+        # Outside F each index-two subgroup is built for `is_isomorphic`;
+        # naming its class's component reads that same group.
+        profile = compute_profile(self.pauli_with_phase_gate())
+        builds = 0
+        build = MatrixGroup.__init__
+
+        def counted(group, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            build(group, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixGroup, "__init__", counted)
+        assert profile.index_two == {
+            "count": 3, "classes": (("d", 1), (None, 1), (None, 1)),
+        }
+        assert builds == 3
+
 
 class TestExtraction:
     def test_extracted_entries_sit_inside_their_parents(self):

@@ -721,6 +721,18 @@ def run_fresh(script, *args, flags=("-S",)):
     return out.stdout
 
 
+def test_the_package_root_loads_no_submodule():
+    # The root holds only the version; every name comes from its module.
+    script = (
+        "import sys\n"
+        "import gammagroups\n"
+        "print(gammagroups.__version__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gammagroups')))\n"
+        "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+    )
+    assert run_fresh(script) == "0.1.0\n['gammagroups']\nFalse False\n"
+
+
 def test_analyze_leaves_the_lazy_halves_uncompiled(tmp_path):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps({"name": "s3", "dimension": 3, "generators": [CYCLE, SWAP]}))
